@@ -26,7 +26,6 @@ from .quantum import (
     apply_unitary,
     as_rng,
     measure,
-    partial_trace,
     qubits,
     tensor,
 )
@@ -202,10 +201,8 @@ def establish_epr(i: int, j: int, k: int, rng):
     if parity:
         state = apply_unitary(state, SIGMA_Z, (i,))
     transcript.append(_event(2, i, "conditional phase fix", bits=[parity], uses=uses))
-    pair = partial_trace(state.density_matrix(), keep=(i, j))
-    pair_vec = _pure_state_from_density(pair.matrix)
-    residual = partial_trace(state.density_matrix(), keep=tuple(helpers)) if helpers else None
-    pair_state = StateVector(qubits(2), pair_vec)
+    pair_state = StateVector(qubits(2), _pure_state_from_density(state.reduced((i, j)).matrix))
+    residual = state.reduced(helpers) if helpers else None
     return pair_state, residual, transcript, uses
 
 
@@ -250,9 +247,8 @@ def teleport(payload: StateVector, epr: StateVector, rng):
     if bit_z:
         joint = apply_unitary(joint, SIGMA_Z, (r,))
     # received qubit takes the payload's slot; measured ancillas are dropped
-    received = partial_trace(joint.density_matrix(), keep=(r,) + tuple(range(1, nref + 1)))
-    vec = _pure_state_from_density(received.matrix)
-    if nref:  # partial_trace keeps original factor order (refs..., received)
+    vec = _pure_state_from_density(joint.reduced((r,) + tuple(range(1, nref + 1))).matrix)
+    if nref:  # reduced keeps the original factor order (refs..., received)
         vec = vec.reshape((2,) * (nref + 1)).transpose([nref] + list(range(nref))).reshape(-1)
     received_state = StateVector(HilbertLayout((2,) * (nref + 1)), vec)
     transcript = [
@@ -299,5 +295,5 @@ def cheat_hadamard_collapse(shared: BroadcastState, cheaters, rng):
         state = apply_unitary(state, HADAMARD, (c,))
         (bit,), state = measure(state, (c,), rng)
         outcomes.append(bit)
-    reduced = partial_trace(state.density_matrix(), keep=(honest[0],))
+    reduced = state.reduced((honest[0],))
     return StateVector(qubits(1), _pure_state_from_density(reduced.matrix)), outcomes

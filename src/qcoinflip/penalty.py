@@ -26,7 +26,6 @@ from .quantum import (
     StateVector,
     as_rng,
     helstrom,
-    partial_trace,
     projector,
 )
 from .sdp import Constraint, DualCertificate, LinearTerm, SdpProblem
@@ -73,20 +72,15 @@ def commit_state(a: int, game: PenaltyGame) -> StateVector:
 
 def received_register_state(a: int, game: PenaltyGame):
     """Responder's view of the commitment: the second register's mixed state."""
-    return partial_trace(commit_state(a, game).density_matrix(), keep=(1,))
+    return commit_state(a, game).reduced((1,))
 
 
 def run_honest(game: PenaltyGame, rng) -> PenaltyTranscript:
-    """Born-exact simulation of the honest protocol (never aborts)."""
+    """Honest run: the responder's check projects the commitment onto itself,
+    so it passes with probability 1 and the outcome is a XOR b."""
     rng = as_rng(rng)
     a = int(rng.integers(2))
     b = int(rng.integers(2))
-    state = commit_state(a, game)
-    # responder's verification: project onto the commitment vs its complement
-    pass_prob = state.fidelity(commit_state(a, game))
-    passed = bool(rng.random() < pass_prob)
-    if not passed:  # unreachable for honest play; kept for the simulation contract
-        return PenaltyTranscript(a, b, "failed", None, -game.v, 0.0)
     outcome = a ^ b
     alice_wins = outcome == 0
     return PenaltyTranscript(

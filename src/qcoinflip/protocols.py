@@ -33,7 +33,7 @@ from .penalty import PenaltyGame, commit_state
 from .quantum import (
     HilbertLayout,
     StateVector,
-    apply_unitary,
+    apply_local,
     complex_from_json,
     complex_to_json,
     embed_operator,
@@ -111,14 +111,15 @@ def honest_state(protocol: TwoPartyProtocol, j: int) -> StateVector:
     if not 0 <= j <= protocol.rounds:
         raise ValueError(f"round index {j} out of range")
     layout = protocol.full_layout
+    dims = layout.factor_dims
     na, nm = protocol.layout_a.nfactors, protocol.layout_m.nfactors
     a_factors = tuple(range(na + nm))
     b_factors = tuple(range(na, layout.nfactors))
-    state = StateVector.basis(layout, (0,) * layout.nfactors)
-    for r in range(j):
-        state = apply_unitary(state, protocol.unitaries_a[r], a_factors)
-        state = apply_unitary(state, protocol.unitaries_b[r], b_factors)
-    return state
+    amps = StateVector.basis(layout, (0,) * layout.nfactors).amplitudes
+    for r in range(j):  # the unitaries were checked when the protocol was built
+        amps = apply_local(protocol.unitaries_a[r], amps, dims, a_factors)
+        amps = apply_local(protocol.unitaries_b[r], amps, dims, b_factors)
+    return StateVector(layout, amps)
 
 
 @dataclass(frozen=True)
@@ -131,14 +132,13 @@ class ValidationReport:
 
 
 def _outcome_amplitudes(protocol: TwoPartyProtocol, state: StateVector, bit: int):
-    layout = protocol.full_layout
-    dims = layout.factor_dims
-    na = protocol.layout_a.nfactors
-    pa = embed_operator(protocol.proj_a[bit], dims, tuple(range(na)))
-    pb = embed_operator(
-        protocol.proj_b[bit], dims, tuple(range(layout.nfactors - protocol.layout_b.nfactors, layout.nfactors))
+    dims, n = state.layout.factor_dims, state.layout.nfactors
+    a_factors = tuple(range(protocol.layout_a.nfactors))
+    b_factors = tuple(range(n - protocol.layout_b.nfactors, n))
+    return (
+        apply_local(protocol.proj_a[bit], state.amplitudes, dims, a_factors),
+        apply_local(protocol.proj_b[bit], state.amplitudes, dims, b_factors),
     )
-    return pa @ state.amplitudes, pb @ state.amplitudes
 
 
 def validate_protocol(protocol: TwoPartyProtocol, tol: float = AGREEMENT_TOL) -> ValidationReport:
@@ -444,25 +444,23 @@ def honest_state_kparty(protocol: KPartyProtocol, j: int | None = None) -> State
     if j is None:
         j = len(protocol.turns)
     layout = protocol.full_layout
-    state = StateVector.basis(layout, (0,) * layout.nfactors)
-    for r in range(j):
-        party = protocol.turns[r]
-        factors = protocol.party_factors(party) + protocol.message_factors()
-        state = apply_unitary(state, protocol.unitaries[r], factors)
-    return state
+    amps = StateVector.basis(layout, (0,) * layout.nfactors).amplitudes
+    for r in range(j):  # the unitaries were checked when the protocol was built
+        factors = protocol.party_factors(protocol.turns[r]) + protocol.message_factors()
+        amps = apply_local(protocol.unitaries[r], amps, layout.factor_dims, factors)
+    return StateVector(layout, amps)
 
 
 def validate_kparty(protocol: KPartyProtocol, tol: float = AGREEMENT_TOL) -> ValidationReport:
     """Pairwise agreement and balance conditions on the honest final state."""
     final = honest_state_kparty(protocol)
-    layout = protocol.full_layout
-    dims = layout.factor_dims
+    dims = final.layout.factor_dims
     checks = []
     projected = {}
     for i in range(protocol.k):
         for bit in (0, 1):
-            op = embed_operator(protocol.projectors[i][bit], dims, protocol.party_factors(i))
-            projected[(i, bit)] = op @ final.amplitudes
+            op = protocol.projectors[i][bit]
+            projected[(i, bit)] = apply_local(op, final.amplitudes, dims, protocol.party_factors(i))
     for bit in (0, 1):
         for i in range(protocol.k):
             for i2 in range(i + 1, protocol.k):

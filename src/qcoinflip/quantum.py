@@ -1,9 +1,11 @@
 """Exact quantum states on small tensor-factored Hilbert spaces.
 
-Dense complex vectors and matrices only; every object in this package lives
-on a few dozen to a few hundred dimensions, so no sparse representations are
-used.  Hermitian eigendecompositions go through LAPACK's tridiagonalization
-path (``numpy.linalg.eigh``) and are trusted to ``EIGH_TOL``.
+Dense complex vectors and matrices only, no sparse representations.  Joint
+states (up to a few thousand dimensions) stay vectors: operators act on them
+through ``apply_local`` and marginals come from ``StateVector.reduced``, so
+only round-local operators and kept marginals are ever dense matrices.
+Hermitian eigendecompositions go through LAPACK's tridiagonalization path
+(``numpy.linalg.eigh``) and are trusted to ``EIGH_TOL``.
 
 All values are immutable after construction.  Every stochastic operation
 takes an explicit ``numpy.random.Generator`` stream, so results are
@@ -127,6 +129,18 @@ class StateVector:
         rho = np.outer(self.amplitudes, self.amplitudes.conj())
         return DensityMatrix(self.layout, rho, subnormalized=self.subnormalized)
 
+    def reduced(self, keep) -> "DensityMatrix":
+        """Marginal on ``keep``, in the original factor order, without the
+        full outer product: M M^dagger of the amplitudes reshaped to
+        (kept, rest).  ``keep=()`` gives the 1x1 squared norm."""
+        keep = sorted(self.layout.check_factors(keep))
+        dims = self.layout.factor_dims
+        rest = [i for i in range(len(dims)) if i not in keep]
+        d_keep = int(np.prod([dims[i] for i in keep]))
+        m = self.amplitudes.reshape(dims).transpose(keep + rest).reshape(d_keep, -1)
+        layout = self.layout.subset(keep) if keep else HilbertLayout((1,))
+        return DensityMatrix(layout, m @ m.conj().T, subnormalized=self.subnormalized)
+
     def normalized(self) -> "StateVector":
         return StateVector(self.layout, self.amplitudes / self.norm)
 
@@ -193,13 +207,6 @@ class HermitianOperator:
 
 # ---------------------------------------------------------------------------
 # raw-array helpers (shared by the SDP and protocol machinery)
-
-
-def kron_all(mats) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for m in mats:
-        out = np.kron(out, np.asarray(m, dtype=complex))
-    return out
 
 
 def ptrace(mat: np.ndarray, dims, keep) -> np.ndarray:
@@ -338,14 +345,18 @@ def apply_unitary(state: StateVector, unitary: np.ndarray, factors=None) -> Stat
         raise ValueError(f"unitary shape {u.shape} does not match factors {factors}")
     if np.max(np.abs(u.conj().T @ u - np.eye(d_sel))) > 1e-10:
         raise ValueError("operator is not unitary within 1e-10")
+    out = apply_local(u, state.amplitudes, dims, factors)
+    return StateVector(state.layout, out, subnormalized=state.subnormalized)
+
+
+def apply_local(op: np.ndarray, amplitudes: np.ndarray, dims, factors) -> np.ndarray:
+    """``op`` on ``factors`` (in the order given), identity elsewhere, applied
+    to a flat amplitude vector over ``dims``; equals
+    ``embed_operator(op, dims, factors) @ amplitudes`` without forming it."""
     rest = [i for i in range(len(dims)) if i not in factors]
     order = list(factors) + rest
-    tensor_amps = state.amplitudes.reshape(dims).transpose(order)
-    moved = tensor_amps.reshape(d_sel, -1)
-    moved = u @ moved
-    new_dims = [dims[i] for i in order]
-    out = moved.reshape(new_dims).transpose(np.argsort(order)).reshape(-1)
-    return StateVector(state.layout, out, subnormalized=state.subnormalized)
+    moved = op @ amplitudes.reshape(dims).transpose(order).reshape(op.shape[1], -1)
+    return moved.reshape([dims[i] for i in order]).transpose(np.argsort(order)).reshape(-1)
 
 
 def measure(state: StateVector, factors, rng: np.random.Generator):

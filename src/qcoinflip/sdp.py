@@ -439,8 +439,7 @@ def solve(
     status = "max-iterations"
     iterations = 0
 
-    saved_errstate = np.seterr(over="ignore", invalid="ignore")  # stalls handled by guards
-    try:
+    with np.errstate(over="ignore", invalid="ignore"):  # stalls handled by guards
         for iteration in range(max_iter):
             iterations = iteration
             rp = comp.b - comp.apply(x)
@@ -516,8 +515,6 @@ def solve(
             s = [(si + si.conj().T) / 2 for si in s]
             if not np.isfinite(mu) or mu > 1e14:
                 break
-    finally:
-        np.seterr(**saved_errstate)
 
     pobj, dobj, xbest, ybest, prinf, dinf, relgap = best
     return SdpSolution(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,16 @@ def random_unitary(d: int, rng) -> np.ndarray:
 def random_hermitian(d: int, rng) -> np.ndarray:
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (a + a.conj().T) / 2
+
+
+def alloc_peak_bytes(fn) -> int:
+    """Peak Python-visible allocation (tracemalloc, numpy buffers included) during ``fn()``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import alloc_peak_bytes, random_state
 from qcoinflip.broadcast import (
     EPR,
     BroadcastState,
@@ -144,6 +144,10 @@ class TestEstablishPair:
     def test_bad_arguments(self, rng):
         with pytest.raises(ValueError):
             establish_epr(0, 0, 3, rng)
+
+    def test_memory_stays_below_full_density_matrix(self, rng):
+        # a 4096 x 4096 complex density matrix on all 12 qubits is 268 MB
+        assert alloc_peak_bytes(lambda: establish_epr(0, 11, 12, rng)) < 150e6
 
 
 class TestTeleport:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_state
+from conftest import alloc_peak_bytes, random_state
 from qcoinflip.protocols import (
     KPartyProtocol,
     ProtocolFormatError,
@@ -70,6 +70,10 @@ class TestTwoPartyValidation:
     def test_compact_penalty_valid(self):
         report = validate_protocol(penalty_protocol_compact4())
         assert report.valid and abs(report.p0 - 0.5) < 1e-12
+
+    def test_validation_memory_stays_local(self):
+        # the joint space has 3888 dimensions: one dense projector on it is 242 MB
+        assert alloc_peak_bytes(lambda: validate_protocol(penalty_protocol(16.0))) < 50e6
 
     def test_mismatched_projectors_fail_agreement(self):
         base = alice_announces()

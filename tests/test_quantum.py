@@ -8,6 +8,7 @@ from qcoinflip.quantum import (
     HermitianOperator,
     HilbertLayout,
     StateVector,
+    apply_local,
     apply_unitary,
     as_rng,
     complex_from_json,
@@ -104,6 +105,14 @@ class TestPartialTrace:
         rho = random_density(HilbertLayout((2, 2)), rng)
         with pytest.raises(ValueError):
             partial_trace(rho, keep=(5,))
+
+    @pytest.mark.parametrize("keep", [(), (0,), (3,), (1, 2), (2, 1), (3, 0), (0, 2, 3), (3, 1, 0, 2)])
+    def test_reduced_matches_partial_trace_of_outer_product(self, rng, keep):
+        state = random_state(HilbertLayout((2, 3, 2, 3)), rng)
+        reduced = state.reduced(keep)
+        expected = partial_trace(state.density_matrix(), keep)
+        assert reduced.layout == expected.layout
+        np.testing.assert_allclose(reduced.matrix, expected.matrix, rtol=0, atol=1e-14)
 
 
 class TestTraceDistance:
@@ -223,6 +232,16 @@ class TestApplyUnitary:
         state = random_state(HilbertLayout((2,)), rng)
         with pytest.raises(ValueError):
             apply_unitary(state, np.array([[1.0, 0.0], [0.0, 2.0]]))
+
+    @pytest.mark.parametrize("factors", [(0,), (3,), (1, 3), (3, 1), (2, 0), (3, 0, 2), (1, 2, 3, 0)])
+    def test_apply_local_matches_embedded_operator(self, rng, factors):
+        # any operator, not only unitaries: the protocols project with it
+        dims = (2, 3, 2, 3)
+        d_sel = int(np.prod([dims[i] for i in factors]))
+        op = rng.normal(size=(d_sel, d_sel)) + 1j * rng.normal(size=(d_sel, d_sel))
+        amps = rng.normal(size=36) + 1j * rng.normal(size=36)
+        expected = embed_operator(op, dims, factors) @ amps
+        np.testing.assert_allclose(apply_local(op, amps, dims, factors), expected, rtol=0, atol=1e-12)
 
 
 class TestMeasure:
