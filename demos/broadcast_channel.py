@@ -45,7 +45,8 @@ print("a dishonest sender broadcasting a superposition correlates everyone anywa
 print("\n=== emulation 3: a private quantum channel from k+1 broadcasts ===")
 pair, residual, _, uses = establish_epr(0, 4, 5, rng)
 print(f"k = 5: extracted pair fidelity {pair.fidelity(EPR):.12f} after {uses} broadcast uses;")
-print(f"helper registers stay unentangled (purity {residual.purity():.12f})")
+helpers = int(np.argmax(np.abs(residual.amplitudes)))
+print(f"helper registers stay unentangled: they factor out as the basis state |{helpers:03b}>")
 payload = StateVector(qubits(1), np.array([1.0, 1.0j]) / np.sqrt(2))
 received, bits, _ = teleport(payload, pair, rng)
 print(f"teleported payload fidelity {received.fidelity(payload):.12f} using 2 classical bits {bits}")

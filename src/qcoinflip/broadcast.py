@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quantum import (
-    HilbertLayout,
     StateVector,
     apply_unitary,
     as_rng,
@@ -180,7 +179,9 @@ def establish_epr(i: int, j: int, k: int, rng):
     when the parity of the helpers' bits is odd.  Costs k-1 broadcast uses
     and leaves the helpers unentangled.
 
-    Returns (pair_state on (i, j), residual helper state, transcript, uses).
+    Returns (pair_state on (i, j), residual, transcript, uses); the residual
+    is the helpers' basis state (a StateVector on the helpers in party
+    order), or None when k = 2.
     """
     rng = as_rng(rng)
     if not (0 <= i < k and 0 <= j < k) or i == j or k < 2:
@@ -201,20 +202,8 @@ def establish_epr(i: int, j: int, k: int, rng):
     if parity:
         state = apply_unitary(state, SIGMA_Z, (i,))
     transcript.append(_event(2, i, "conditional phase fix", bits=[parity], uses=uses))
-    pair_state = StateVector(qubits(2), _pure_state_from_density(state.reduced((i, j)).matrix))
-    residual = state.reduced(helpers) if helpers else None
+    pair_state, residual = state.split((i, j))
     return pair_state, residual, transcript, uses
-
-
-def _pure_state_from_density(rho: np.ndarray) -> np.ndarray:
-    evals, vecs = np.linalg.eigh(rho)
-    if rho.shape[0] > 1 and evals[-2] > 1e-9:
-        raise ValueError("state is not pure")
-    vec = vecs[:, -1]
-    # fix the global phase to the largest amplitude
-    idx = int(np.argmax(np.abs(vec)))
-    phase = vec[idx] / abs(vec[idx])
-    return vec / phase
 
 
 EPR = StateVector(qubits(2), np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2))
@@ -247,10 +236,7 @@ def teleport(payload: StateVector, epr: StateVector, rng):
     if bit_z:
         joint = apply_unitary(joint, SIGMA_Z, (r,))
     # received qubit takes the payload's slot; measured ancillas are dropped
-    vec = _pure_state_from_density(joint.reduced((r,) + tuple(range(1, nref + 1))).matrix)
-    if nref:  # reduced keeps the original factor order (refs..., received)
-        vec = vec.reshape((2,) * (nref + 1)).transpose([nref] + list(range(nref))).reshape(-1)
-    received_state = StateVector(HilbertLayout((2,) * (nref + 1)), vec)
+    received_state, _ancillas = joint.split((r,) + tuple(range(1, nref + 1)))
     transcript = [
         _event(0, "sender", "bell measurement", bits=[bit_z, bit_x], uses=0),
         _event(1, "sender", "send two classical bits", bits=[bit_z, bit_x], uses=2),
@@ -295,5 +281,4 @@ def cheat_hadamard_collapse(shared: BroadcastState, cheaters, rng):
         state = apply_unitary(state, HADAMARD, (c,))
         (bit,), state = measure(state, (c,), rng)
         outcomes.append(bit)
-    reduced = state.reduced((honest[0],))
-    return StateVector(qubits(1), _pure_state_from_density(reduced.matrix)), outcomes
+    return state.split((honest[0],))[0], outcomes

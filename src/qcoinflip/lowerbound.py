@@ -112,7 +112,6 @@ def cheat_sdp(
     cheater: str,
     target: int,
     reduce: bool = True,
-    base_smoothing: float = 0.0,
 ) -> SdpProblem:
     """The cheater's optimal-strategy SDP over the honest party's view.
 
@@ -127,10 +126,7 @@ def cheat_sdp(
     With ``reduce`` each block is compressed onto its reachable private
     support (see ``reachable_supports``); the optimum is unchanged and the
     solver sees small, strictly feasible blocks.  The unreduced form keeps
-    one multiplier per round for certificate extraction; since it has empty
-    relative interior, ``base_smoothing`` mixes epsilon of the maximally
-    mixed state into the base marginal to restore an interior (the optimum
-    moves by O(epsilon)).
+    one multiplier per round for certificate extraction.
     """
     if target not in (0, 1):
         raise ValueError("target bit must be 0 or 1")
@@ -182,11 +178,9 @@ def cheat_sdp(
         }
         return SdpProblem(blocks=tuple(blocks), objective=objective, constraints=tuple(constraints))
 
-    eps = float(base_smoothing)
-    base_rhs = ((1.0 - eps) * (e0 @ e0.conj().T) + (eps / d_priv) * np.eye(d_priv)).astype(complex)
     blocks = [("rho_0", layout)]
     constraints = [
-        Constraint("round_0", (LinearTerm("rho_0", 1.0, None, None, priv),), base_rhs)
+        Constraint("round_0", (LinearTerm("rho_0", 1.0, None, None, priv),), e0 @ e0.conj().T)
     ]
     for j in range(1, n + 1):
         name = f"rho_{j}"
@@ -229,13 +223,6 @@ def optimal_cheat(
 # dual chains and the interpolating sequence
 
 
-def _embed_on_private(z: np.ndarray, protocol: TwoPartyProtocol, cheater: str) -> np.ndarray:
-    d_msg = protocol.layout_m.dim
-    if cheater == "bob":  # honest Alice: view ordered (A, M)
-        return np.kron(z, np.eye(d_msg))
-    return np.kron(np.eye(d_msg), z)
-
-
 def extract_dual_chain(
     protocol: TwoPartyProtocol, cheater: str, target: int, tol: float = 1e-8
 ):
@@ -258,12 +245,13 @@ def extract_dual_chain(
     solution = solve(problem, tol=tol)
     layout, priv, unitaries, proj, d_priv = _honest_side_pieces(protocol, cheater)
     supports = reachable_supports(protocol, cheater)
+    eye_m = np.eye(layout.dim // d_priv)
     n = len(unitaries)
     chain = [None] * (n + 1)
     chain[n] = proj[target].astype(complex)
     for j in range(n - 1, -1, -1):
         u = unitaries[j]
-        needed = u.conj().T @ _embed_on_private(chain[j + 1], protocol, cheater) @ u
+        needed = u.conj().T @ _priv_kron(cheater, chain[j + 1], eye_m) @ u
         lam_max = float(np.linalg.eigvalsh((needed + needed.conj().T) / 2)[-1])
         w = supports[j]
         z_tilde = np.asarray(solution.dual_multipliers[f"round_{j}"], dtype=complex)
@@ -273,7 +261,7 @@ def extract_dual_chain(
         ceiling = max(2.0 * abs(lam_max), 1.0)
         for _ in range(8):
             candidate = lifted_core + ceiling * perp
-            gap = _embed_on_private(candidate, protocol, cheater) - needed
+            gap = _priv_kron(cheater, candidate, eye_m) - needed
             lam = float(np.linalg.eigvalsh((gap + gap.conj().T) / 2)[0])
             if lam >= -1e-9 or w.shape[1] == d_priv:
                 break
@@ -293,14 +281,15 @@ def check_dual_chain(
 ):
     """Feasibility of a multiplier chain; returns per-round minimum eigenvalues."""
     layout, priv, unitaries, proj, d_priv = _honest_side_pieces(protocol, cheater)
+    eye_m = np.eye(layout.dim // d_priv)
     n = len(unitaries)
     chain = [np.asarray(cert.multipliers[f"round_{j}"], dtype=complex) for j in range(n + 1)]
     lambdas = []
     end_gap = float(np.max(np.abs(chain[n] - proj[target])))
     for j in range(n):
         u = unitaries[j]
-        gap = _embed_on_private(chain[j], protocol, cheater) - u.conj().T @ _embed_on_private(
-            chain[j + 1], protocol, cheater
+        gap = _priv_kron(cheater, chain[j], eye_m) - u.conj().T @ _priv_kron(
+            cheater, chain[j + 1], eye_m
         ) @ u
         lambdas.append(float(np.linalg.eigvalsh((gap + gap.conj().T) / 2)[0]))
     feasible = end_gap <= 1e-8 and all(lam >= -tol for lam in lambdas)

@@ -2,8 +2,10 @@
 
 Dense complex vectors and matrices only, no sparse representations.  Joint
 states (up to a few thousand dimensions) stay vectors: operators act on them
-through ``apply_local`` and marginals come from ``StateVector.reduced``, so
-only round-local operators and kept marginals are ever dense matrices.
+through ``apply_local``, mixed marginals come from ``StateVector.reduced`` and
+the parts of a product state from ``StateVector.split``, all three on one
+(kept, rest) reshape of the amplitudes, so only round-local operators and
+kept marginals are ever dense matrices.
 Hermitian eigendecompositions go through LAPACK's tridiagonalization path
 (``numpy.linalg.eigh``) and are trusted to ``EIGH_TOL``.
 
@@ -14,6 +16,7 @@ reproducible and safe to evaluate concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,15 +134,38 @@ class StateVector:
 
     def reduced(self, keep) -> "DensityMatrix":
         """Marginal on ``keep``, in the original factor order, without the
-        full outer product: M M^dagger of the amplitudes reshaped to
-        (kept, rest).  ``keep=()`` gives the 1x1 squared norm."""
+        full outer product: M M^dagger of the (kept, rest) cut matrix.
+        ``keep=()`` gives the 1x1 squared norm."""
         keep = sorted(self.layout.check_factors(keep))
-        dims = self.layout.factor_dims
-        rest = [i for i in range(len(dims)) if i not in keep]
-        d_keep = int(np.prod([dims[i] for i in keep]))
-        m = self.amplitudes.reshape(dims).transpose(keep + rest).reshape(d_keep, -1)
+        m = _cut(self.amplitudes, self.layout.factor_dims, keep)
         layout = self.layout.subset(keep) if keep else HilbertLayout((1,))
         return DensityMatrix(layout, m @ m.conj().T, subnormalized=self.subnormalized)
+
+    def split(self, keep) -> tuple["StateVector", "StateVector | None"]:
+        """Factor a product state into ``(kept, rest)``, read off the
+        (kept, rest) cut matrix with a rank-1 SVD.
+
+        ``kept`` is the unit-norm state on ``keep`` in the order given, its
+        largest amplitude real and positive.  ``rest`` is the state on the
+        other factors in their original order, carrying the norm and global
+        phase (kept (x) rest is this state), or ``None`` when nothing remains.
+        Raises ``ValueError`` when the state is entangled across the cut: the
+        kept marginal's second eigenvalue exceeds 1e-9.
+        """
+        keep = self.layout.check_factors(keep)
+        u, sing, vh = np.linalg.svd(_cut(self.amplitudes, self.layout.factor_dims, keep),
+                                    full_matrices=False)
+        if sing.size > 1 and sing[1] ** 2 > 1e-9:
+            raise ValueError("state is not pure")
+        vec = u[:, 0]
+        idx = int(np.argmax(np.abs(vec)))
+        phase = vec[idx] / abs(vec[idx])
+        kept = StateVector(self.layout.subset(keep), vec / phase)
+        rest = [i for i in range(self.layout.nfactors) if i not in keep]
+        if not rest:
+            return kept, None
+        return kept, StateVector(self.layout.subset(rest), sing[0] * phase * vh[0],
+                                 subnormalized=self.subnormalized)
 
     def normalized(self) -> "StateVector":
         return StateVector(self.layout, self.amplitudes / self.norm)
@@ -179,9 +205,6 @@ class DensityMatrix:
     @property
     def trace(self) -> float:
         return float(np.real(np.trace(self.matrix)))
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
 
 
 @dataclass(frozen=True)
@@ -349,14 +372,24 @@ def apply_unitary(state: StateVector, unitary: np.ndarray, factors=None) -> Stat
     return StateVector(state.layout, out, subnormalized=state.subnormalized)
 
 
+def _cut(amplitudes: np.ndarray, dims, kept) -> np.ndarray:
+    """The amplitudes as a (kept, rest) matrix: rows run over ``kept`` in the
+    order given, columns over the other factors in their original order."""
+    order = list(kept) + [i for i in range(len(dims)) if i not in kept]
+    return amplitudes.reshape(dims).transpose(order).reshape(math.prod(dims[i] for i in kept), -1)
+
+
+def _uncut(matrix: np.ndarray, dims, kept) -> np.ndarray:
+    """Inverse of ``_cut``: the flat amplitude vector of a (kept, rest) matrix."""
+    order = list(kept) + [i for i in range(len(dims)) if i not in kept]
+    return matrix.reshape([dims[i] for i in order]).transpose(np.argsort(order)).reshape(-1)
+
+
 def apply_local(op: np.ndarray, amplitudes: np.ndarray, dims, factors) -> np.ndarray:
     """``op`` on ``factors`` (in the order given), identity elsewhere, applied
     to a flat amplitude vector over ``dims``; equals
     ``embed_operator(op, dims, factors) @ amplitudes`` without forming it."""
-    rest = [i for i in range(len(dims)) if i not in factors]
-    order = list(factors) + rest
-    moved = op @ amplitudes.reshape(dims).transpose(order).reshape(op.shape[1], -1)
-    return moved.reshape([dims[i] for i in order]).transpose(np.argsort(order)).reshape(-1)
+    return _uncut(op @ _cut(amplitudes, dims, factors), dims, factors)
 
 
 def measure(state: StateVector, factors, rng: np.random.Generator):
@@ -368,22 +401,13 @@ def measure(state: StateVector, factors, rng: np.random.Generator):
     """
     factors = state.layout.check_factors(factors)
     dims = state.layout.factor_dims
-    probs_tensor = np.abs(state.amplitudes.reshape(dims)) ** 2
-    other = tuple(i for i in range(len(dims)) if i not in factors)
-    marginal = probs_tensor.sum(axis=other) if other else probs_tensor
-    marginal = np.transpose(marginal, np.argsort(np.argsort(factors)))
-    flat = marginal.reshape(-1)
-    flat = flat / flat.sum()
-    pick = int(rng.choice(flat.size, p=flat))
+    m = _cut(state.amplitudes, dims, factors)
+    probs = np.sum(np.abs(m) ** 2, axis=1)
+    pick = int(rng.choice(probs.size, p=probs / probs.sum()))
     outcome = np.unravel_index(pick, tuple(dims[i] for i in factors))
-    mask = np.ones(dims, dtype=bool)
-    for i, o in zip(factors, outcome):
-        index = [slice(None)] * len(dims)
-        index[i] = o
-        keep = np.zeros(dims, dtype=bool)
-        keep[tuple(index)] = True
-        mask &= keep
-    amps = np.where(mask.reshape(-1), state.amplitudes, 0.0)
+    post = np.zeros_like(m)
+    post[pick] = m[pick]
+    amps = _uncut(post, dims, factors)
     amps = amps / np.linalg.norm(amps)
     return tuple(int(o) for o in outcome), StateVector(state.layout, amps)
 

@@ -363,9 +363,8 @@ def _chol(mat: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky((vecs * evals) @ vecs.conj().T)
 
 
-def _nt_scaling(x: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """W > 0 with W S W = X (Nesterov-Todd scaling point)."""
-    lx = _chol(x)
+def _nt_scaling(lx: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """W > 0 with W S W = X (Nesterov-Todd scaling point); ``lx`` is X's Cholesky factor."""
     mid = lx.conj().T @ s @ lx
     mid = (mid + mid.conj().T) / 2
     evals, vecs = np.linalg.eigh(mid)
@@ -375,20 +374,14 @@ def _nt_scaling(x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return (w + w.conj().T) / 2
 
 
-def _max_step(x: np.ndarray, dx: np.ndarray) -> float:
-    l = _chol(x)
+def _max_step(l: np.ndarray, dx: np.ndarray) -> float:
+    """Largest t with X + t dX >= 0; ``l`` is X's Cholesky factor."""
     a = sla.solve_triangular(l, dx, lower=True)
     g = sla.solve_triangular(l, a.conj().T, lower=True).conj().T
     lam = float(np.linalg.eigvalsh((g + g.conj().T) / 2)[0])
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
-
-
-def _inv_psd(s: np.ndarray) -> np.ndarray:
-    l = _chol(s)
-    inv = sla.cho_solve((l, True), np.eye(s.shape[0], dtype=complex))
-    return (inv + inv.conj().T) / 2
 
 
 def solve(
@@ -465,7 +458,10 @@ def solve(
             if iteration - best_iteration > 60:  # stalled; keep the best iterate
                 break
 
-            w = [_nt_scaling(x[i], s[i]) for i in range(comp.nblocks)]
+            # one Cholesky factor per block, shared by NT scaling, S^-1 and the step lengths
+            lx = [_chol(xi) for xi in x]
+            ls = [_chol(si) for si in s]
+            w = [_nt_scaling(lx[i], s[i]) for i in range(comp.nblocks)]
             mmat = comp.schur(w)
             if not np.all(np.isfinite(mmat)):
                 break
@@ -479,7 +475,8 @@ def solve(
             else:
                 break
 
-            sinv = [_inv_psd(s[i]) for i in range(comp.nblocks)]
+            sinv = [sla.cho_solve((l, True), np.eye(l.shape[0], dtype=complex)) for l in ls]
+            sinv = [(inv + inv.conj().T) / 2 for inv in sinv]
 
             def direction(sigma_mu):
                 rc = [sigma_mu * sinv[i] - x[i] for i in range(comp.nblocks)]
@@ -495,8 +492,8 @@ def solve(
 
             # predictor (affine scaling) fixes the centering weight
             dy_a, dx_a, ds_a = direction(0.0)
-            ap = min(1.0, min((_max_step(x[i], dx_a[i]) for i in range(comp.nblocks)), default=1.0))
-            ad = min(1.0, min((_max_step(s[i], ds_a[i]) for i in range(comp.nblocks)), default=1.0))
+            ap = min(1.0, min((_max_step(lx[i], dx_a[i]) for i in range(comp.nblocks)), default=1.0))
+            ad = min(1.0, min((_max_step(ls[i], ds_a[i]) for i in range(comp.nblocks)), default=1.0))
             mu_aff = sum(
                 np.real(np.trace((x[i] + ap * dx_a[i]) @ (s[i] + ad * ds_a[i]))) for i in range(comp.nblocks)
             ) / ntot
@@ -505,8 +502,8 @@ def solve(
             dy, dx, ds = direction(sigma * mu)
             if not all(np.all(np.isfinite(d)) for d in dx + ds):
                 break
-            ap = min(1.0, 0.98 * min((_max_step(x[i], dx[i]) for i in range(comp.nblocks)), default=1.0))
-            ad = min(1.0, 0.98 * min((_max_step(s[i], ds[i]) for i in range(comp.nblocks)), default=1.0))
+            ap = min(1.0, 0.98 * min((_max_step(lx[i], dx[i]) for i in range(comp.nblocks)), default=1.0))
+            ad = min(1.0, 0.98 * min((_max_step(ls[i], ds[i]) for i in range(comp.nblocks)), default=1.0))
 
             x = [x[i] + ap * dx[i] for i in range(comp.nblocks)]
             s = [s[i] + ad * ds[i] for i in range(comp.nblocks)]

@@ -113,6 +113,13 @@ class TestClassicalBroadcast:
             assert len(set(bits)) == 1
 
 
+def assert_helper_basis_state(residual, transcript, k):
+    bits = [e["classical_bits"][0] for e in transcript if "measure" in e["action"]]
+    assert abs(residual.norm - 1.0) < 1e-12
+    expected = StateVector.basis(qubits(k - 2), tuple(bits)).amplitudes
+    np.testing.assert_allclose(residual.amplitudes, expected, rtol=0, atol=1e-12)
+
+
 class TestEstablishPair:
     def test_fidelity_one_all_sizes(self, rng):
         for k in range(2, 9):
@@ -122,7 +129,7 @@ class TestEstablishPair:
                 assert pair.fidelity(EPR) > 1.0 - 1e-12
                 assert uses == k - 1
                 if residual is not None:
-                    assert abs(residual.purity() - 1.0) < 1e-10
+                    assert_helper_basis_state(residual, transcript, k)
 
     def test_helper_outcomes_uniform_but_fidelity_always_one(self):
         ones = 0
@@ -137,9 +144,9 @@ class TestEstablishPair:
 
     def test_unentangled_from_helpers(self, rng):
         # entanglement entropy across the (pair | helpers) cut is zero:
-        # the pair's reduced state is pure
-        _, residual, _, _ = establish_epr(0, 1, 6, rng)
-        assert abs(residual.purity() - 1.0) < 1e-10
+        # the helpers are left in the basis state of their broadcast bits
+        _, residual, transcript, _ = establish_epr(0, 1, 6, rng)
+        assert_helper_basis_state(residual, transcript, 6)
 
     def test_bad_arguments(self, rng):
         with pytest.raises(ValueError):
@@ -148,6 +155,11 @@ class TestEstablishPair:
     def test_memory_stays_below_full_density_matrix(self, rng):
         # a 4096 x 4096 complex density matrix on all 12 qubits is 268 MB
         assert alloc_peak_bytes(lambda: establish_epr(0, 11, 12, rng)) < 150e6
+
+    def test_memory_stays_on_the_state_vector(self, rng):
+        # the 13-qubit state vector is 131 kB; a dense 2^11 x 2^11 helper
+        # density matrix alone would be 67 MB
+        assert alloc_peak_bytes(lambda: establish_epr(0, 12, 13, rng)) < 5e6
 
 
 class TestTeleport:

@@ -115,6 +115,58 @@ class TestPartialTrace:
         np.testing.assert_allclose(reduced.matrix, expected.matrix, rtol=0, atol=1e-14)
 
 
+class TestSplit:
+    DIMS = (2, 3, 2, 3)
+
+    def product_state(self, keep, rng):
+        layout = HilbertLayout(self.DIMS)
+        rest = [i for i in range(len(self.DIMS)) if i not in keep]
+        kept = random_state(layout.subset(keep), rng)
+        other = random_state(layout.subset(rest), rng) if rest else StateVector(HilbertLayout((1,)), [1.0])
+        order = list(keep) + rest
+        amps = np.kron(kept.amplitudes, other.amplitudes) * np.exp(0.7j)
+        amps = amps.reshape([self.DIMS[i] for i in order]).transpose(np.argsort(order))
+        return StateVector(layout, amps.reshape(-1)), rest
+
+    @pytest.mark.parametrize("keep", [(0,), (3,), (1, 2), (2, 1), (3, 0), (0, 2, 3), (3, 1, 0, 2)])
+    def test_matches_partial_trace_and_eigh(self, rng, keep):
+        state, rest = self.product_state(keep, rng)
+        kept, other = state.split(keep)
+        # oracle: top eigenvector of the marginal, moved from sorted to given order
+        rho = partial_trace(state.density_matrix(), keep).matrix
+        vec = np.linalg.eigh(rho)[1][:, -1]
+        ordered = sorted(keep)
+        vec = vec.reshape([self.DIMS[i] for i in ordered])
+        vec = vec.transpose([ordered.index(i) for i in keep]).reshape(-1)
+        top = vec[np.argmax(np.abs(vec))]
+        vec = vec * abs(top) / top
+        assert kept.layout.factor_dims == tuple(self.DIMS[i] for i in keep)
+        np.testing.assert_allclose(kept.amplitudes, vec, rtol=0, atol=1e-12)
+        top = kept.amplitudes[np.argmax(np.abs(kept.amplitudes))]
+        assert top.real > 0 and abs(top.imag) < 1e-15
+        if not rest:
+            assert other is None
+            return
+        assert other.layout.factor_dims == tuple(self.DIMS[i] for i in rest)
+        np.testing.assert_allclose(
+            other.density_matrix().matrix,
+            partial_trace(state.density_matrix(), rest).matrix,
+            rtol=0,
+            atol=1e-12,
+        )
+        order = list(keep) + rest
+        joint = np.kron(kept.amplitudes, other.amplitudes)
+        joint = joint.reshape([self.DIMS[i] for i in order]).transpose(np.argsort(order))
+        np.testing.assert_allclose(joint.reshape(-1), state.amplitudes, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("keep", [(0,), (2,), (0, 2), (2, 1)])
+    def test_entangled_cut_rejected(self, keep):
+        amps = np.zeros(8, dtype=complex)
+        amps[0] = amps[-1] = 1 / math.sqrt(2)
+        with pytest.raises(ValueError, match="state is not pure"):
+            StateVector(qubits(3), amps).split(keep)
+
+
 class TestTraceDistance:
     def test_self_distance_zero(self, rng):
         rho = random_density(HilbertLayout((4,)), rng)

@@ -202,6 +202,23 @@ class TestSolve:
         shifted = SdpProblem(prob.blocks, prob.objective, prob.constraints, objective_constant=-2.0)
         assert abs(solve(shifted).primal_value - (-1.5)) < 1e-6
 
+    def test_one_cholesky_of_x_and_of_s_per_iterate(self, rng, monkeypatch):
+        from qcoinflip import sdp
+
+        calls = []
+        real_chol = sdp._chol
+
+        def counting_chol(mat):
+            calls.append(mat.shape)
+            return real_chol(mat)
+
+        monkeypatch.setattr(sdp, "_chol", counting_chol)
+        prob = random_structured_problem(rng)
+        sol = solve(prob)
+        assert sol.status == "converged"
+        # every iterate but the converged last one takes a step
+        assert len(calls) == 2 * len(prob.blocks) * (sol.iterations - 1)
+
 
 class TestCertificates:
     def test_exact_certificate_gap_zero(self):
