@@ -50,6 +50,7 @@ from .multiparty import (
     naive_tournament_bound,
     simulate_tournament,
     tournament_bound,
+    tournament_size,
 )
 from .penalty import (
     PenaltyGame,
@@ -199,14 +200,13 @@ def cmd_tournament(args, out) -> int:
                 "threshold_factor": args.threshold_factor,
             }
         )
-        bias, committee = combined_bias(k, args.g, args.threshold_factor)
-        record["analytic_bound"] = bias
+        record["analytic_bound"], _ = combined_bias(k, args.g, args.threshold_factor)
         record["naive_bias_bound"] = naive_tournament_bound(k)
-        record["committee_threshold"] = committee
+        record["committee_threshold"] = None
         record["mc_estimate"] = None
         record["stderr"] = None
         if args.g == 1:
-            ksub = max(8, 2 ** math.ceil(math.log2(k)))
+            ksub = tournament_size(k)
             not_fixed, _ = tournament_bound(ksub)
             record["analytic_not_fixed"] = not_fixed
             if args.runs:
@@ -219,20 +219,23 @@ def cmd_tournament(args, out) -> int:
                 )
                 record["mc_estimate"] = rep.mc_estimate
                 record["stderr"] = rep.stderr
-        elif args.runs:
-            # committee-selection Monte Carlo against both bin presets
+        else:
             threshold = committee_threshold(k, args.g, args.threshold_factor)
             seeds = min(args.runs, 10_000)
-            for name, strategy in sorted(BIN_STRATEGIES.items()):
-                hits = sum(
-                    bool(
-                        lightest_bin_select(
-                            k, args.g, args.bins, threshold, as_rng(args.seed + i), strategy
-                        ).honest_members
+            record["committee_threshold"] = threshold
+            record["committee_seeds"] = seeds
+            if seeds:
+                # committee-selection Monte Carlo against both bin presets
+                for name, strategy in sorted(BIN_STRATEGIES.items()):
+                    hits = sum(
+                        bool(
+                            lightest_bin_select(
+                                k, args.g, args.bins, threshold, as_rng(args.seed + i), strategy
+                            ).honest_members
+                        )
+                        for i in range(seeds)
                     )
-                    for i in range(seeds)
-                )
-                record[f"honest_presence_{name}"] = hits / seeds
+                    record[f"honest_presence_{name}"] = hits / seeds
         rows.append(record)
     _emit_rows(rows, args.format, out)
     return EXIT_OK

@@ -4,11 +4,16 @@ For a fixed two-party protocol, the best an unbounded cheater can do against
 the honest party is a semidefinite program over the honest party's view
 rho_0..rho_N: the message marginal evolves through the honest unitaries
 while the cheater rewrites the message register arbitrarily between rounds.
-The dual variables form a chain Z_0..Z_N on the honest private space with
+The SDP lives on the reachable supports S_j of the honest private register
+(isometries W_j), and so do its dual variables, a chain Z_0..Z_N with Z_j on
+S_j:
 
-    Z_N = (target projector),   embed(Z_j) >= U_{j+1}^dag embed(Z_{j+1}) U_{j+1},
+    Z_N = W_N^dag P W_N,   Z_j (x) 1 >= K_{j+1}^dag (Z_{j+1} (x) 1) K_{j+1},
 
-and the scalar sequence F_j = <state_j| Z_{A,j} (x) 1 (x) Z_{B,j} |state_j>
+where K_{j+1} = (W_{j+1} (x) 1)^dag U_{j+1} (W_j (x) 1) is the compressed round
+unitary.  These are exactly the dual constraints of ``cheat_sdp``, so
+``verify_dual`` checks a chain.  With the lifted multipliers W_j Z_j W_j^dag,
+the scalar sequence F_j = <state_j| Z_{A,j} (x) 1 (x) Z_{B,j} |state_j>
 interpolates monotonically from the product of the two cheat values down to
 the honest outcome probability: hence p_alice * p_bob >= p_outcome, the
 two-party bias bound.  Merging all cheaters into one adversary extends the
@@ -31,7 +36,15 @@ from .protocols import (
     validate_protocol,
 )
 from .quantum import HilbertLayout, embed_operator
-from .sdp import Constraint, DualCertificate, LinearTerm, SdpProblem, solve
+from .sdp import (
+    CERT_TOL,
+    Constraint,
+    DualCertificate,
+    LinearTerm,
+    SdpProblem,
+    solve,
+    verify_dual,
+)
 
 
 @dataclass(frozen=True)
@@ -125,8 +138,10 @@ def cheat_sdp(
 
     With ``reduce`` each block is compressed onto its reachable private
     support (see ``reachable_supports``); the optimum is unchanged and the
-    solver sees small, strictly feasible blocks.  The unreduced form keeps
-    one multiplier per round for certificate extraction.
+    solver sees small, strictly feasible blocks.  The round-j multiplier
+    then lives on S_j, which is where ``extract_dual_chain`` keeps the dual
+    chain.  The unreduced form on the full private space is the reference
+    the reduction is tested against.
     """
     if target not in (0, 1):
         raise ValueError("target bit must be 0 or 1")
@@ -199,15 +214,8 @@ def cheat_sdp(
     return SdpProblem(blocks=tuple(blocks), objective=objective, constraints=tuple(constraints))
 
 
-def optimal_cheat(
-    protocol: TwoPartyProtocol,
-    cheater: str,
-    target: int,
-    tol: float = 1e-7,
-    reduce: bool = True,
-) -> CheatResult:
-    problem = cheat_sdp(protocol, cheater, target, reduce=reduce)
-    solution = solve(problem, tol=tol)
+def optimal_cheat(protocol: TwoPartyProtocol, cheater: str, target: int) -> CheatResult:
+    solution = solve(cheat_sdp(protocol, cheater, target))
     if solution.status == "infeasible":
         raise RuntimeError("cheat SDP reported inconsistent constraints; protocol is malformed")
     return CheatResult(
@@ -223,77 +231,36 @@ def optimal_cheat(
 # dual chains and the interpolating sequence
 
 
-def extract_dual_chain(
-    protocol: TwoPartyProtocol, cheater: str, target: int, tol: float = 1e-8
-):
+def extract_dual_chain(protocol: TwoPartyProtocol, cheater: str, target: int):
     """Solve the cheat SDP and return a feasible multiplier chain Z_0..Z_N.
 
-    The chain is lifted from the support-reduced solve: Z_N is pinned to the
-    target projector, and each earlier multiplier is the reduced one on its
-    reachable support plus a large coefficient on the support's complement.
-    The complement is invisible where it matters - it never reaches the next
-    support block (by construction of the supports) and the honest state has
-    no weight there, so the interpolating values and the chain value come
-    out tight - while making the full-space step inequalities easy to
-    satisfy; whatever residual violation is left (solver tolerance plus a
-    vanishing complement coupling) is repaired by an identity shift, so
-    feasibility of the result is exact, independent of solver accuracy.
+    The chain lives where ``cheat_sdp`` does, on the reachable supports:
+    Z_j is an s_j x s_j matrix on S_j (Z_0 is 1 x 1).  Z_N is pinned to the
+    compressed target projector W_N^dag P W_N, which makes block rho_N
+    exactly tight.  Walking down from N, each of the solver's multipliers
+    is shifted by the identity just far enough that ``verify_dual`` finds
+    block rho_j PSD, so the chain is feasible whatever the solver's
+    accuracy, and its value Z_0 bounds the cheat probability from above.
 
     Returns (DualCertificate with multipliers round_0..round_N, solution).
     """
-    problem = cheat_sdp(protocol, cheater, target, reduce=True)
-    solution = solve(problem, tol=tol)
-    layout, priv, unitaries, proj, d_priv = _honest_side_pieces(protocol, cheater)
-    supports = reachable_supports(protocol, cheater)
-    eye_m = np.eye(layout.dim // d_priv)
-    n = len(unitaries)
-    chain = [None] * (n + 1)
-    chain[n] = proj[target].astype(complex)
+    problem = cheat_sdp(protocol, cheater, target)
+    solution = solve(problem)
+    proj = _honest_side_pieces(protocol, cheater)[3]
+    w_n = reachable_supports(protocol, cheater)[-1]
+    n = protocol.rounds
+    chain = {
+        f"round_{j}": np.atleast_2d(solution.dual_multipliers[f"round_{j}"]).astype(complex)
+        for j in range(n)
+    }
+    chain[f"round_{n}"] = w_n.conj().T @ proj[target] @ w_n
     for j in range(n - 1, -1, -1):
-        u = unitaries[j]
-        needed = u.conj().T @ _priv_kron(cheater, chain[j + 1], eye_m) @ u
-        lam_max = float(np.linalg.eigvalsh((needed + needed.conj().T) / 2)[-1])
-        w = supports[j]
-        z_tilde = np.asarray(solution.dual_multipliers[f"round_{j}"], dtype=complex)
-        z_tilde = z_tilde.reshape(w.shape[1], w.shape[1])
-        lifted_core = w @ ((z_tilde + z_tilde.conj().T) / 2) @ w.conj().T
-        perp = np.eye(d_priv) - w @ w.conj().T
-        ceiling = max(2.0 * abs(lam_max), 1.0)
-        for _ in range(8):
-            candidate = lifted_core + ceiling * perp
-            gap = _priv_kron(cheater, candidate, eye_m) - needed
-            lam = float(np.linalg.eigvalsh((gap + gap.conj().T) / 2)[0])
-            if lam >= -1e-9 or w.shape[1] == d_priv:
-                break
-            ceiling *= 16.0
+        lam = verify_dual(problem, DualCertificate(chain, 0.0)).lambda_min[f"rho_{j}"]
         if lam < 0.0:
-            candidate = candidate + (-lam + 1e-14) * np.eye(d_priv)
-        chain[j] = candidate
-    cert = DualCertificate(
-        multipliers={f"round_{j}": chain[j] for j in range(n + 1)},
-        claimed_value=float(np.real(chain[0][0, 0])),
-    )
+            z = chain[f"round_{j}"]
+            chain[f"round_{j}"] = z - lam * np.eye(z.shape[0])
+    cert = DualCertificate(multipliers=chain, claimed_value=float(np.real(chain["round_0"][0, 0])))
     return cert, solution
-
-
-def check_dual_chain(
-    protocol: TwoPartyProtocol, cheater: str, target: int, cert: DualCertificate, tol: float = 1e-9
-):
-    """Feasibility of a multiplier chain; returns per-round minimum eigenvalues."""
-    layout, priv, unitaries, proj, d_priv = _honest_side_pieces(protocol, cheater)
-    eye_m = np.eye(layout.dim // d_priv)
-    n = len(unitaries)
-    chain = [np.asarray(cert.multipliers[f"round_{j}"], dtype=complex) for j in range(n + 1)]
-    lambdas = []
-    end_gap = float(np.max(np.abs(chain[n] - proj[target])))
-    for j in range(n):
-        u = unitaries[j]
-        gap = _priv_kron(cheater, chain[j], eye_m) - u.conj().T @ _priv_kron(
-            cheater, chain[j + 1], eye_m
-        ) @ u
-        lambdas.append(float(np.linalg.eigvalsh((gap + gap.conj().T) / 2)[0]))
-    feasible = end_gap <= 1e-8 and all(lam >= -tol for lam in lambdas)
-    return feasible, lambdas, end_gap
 
 
 def dual_bound_sequence(
@@ -301,33 +268,37 @@ def dual_bound_sequence(
     cert_honest_alice: DualCertificate,
     cert_honest_bob: DualCertificate,
     target: int = 1,
-    feas_tol: float = 1e-9,
 ):
     """The interpolating values F_j for a pair of feasible multiplier chains.
 
-    cert_honest_alice is the chain for a cheating Bob (multipliers on A);
-    cert_honest_bob the chain for a cheating Alice (multipliers on B); both
-    must aim at the same ``target`` outcome.  F_0 equals the product of the
-    two chain values, F_j never increases, and F_N equals the honest
-    probability of the target outcome.
+    cert_honest_alice is the chain for a cheating Bob (multipliers on A's
+    supports); cert_honest_bob the chain for a cheating Alice (multipliers
+    on B's supports); both must aim at the same ``target`` outcome and pass
+    ``verify_dual`` on their ``cheat_sdp``.  F_j is evaluated with the
+    lifted chain W_j Z_j W_j^dag: the honest state after round j lies in
+    S_j (x) M (x) S_j, and U_j maps S_{j-1} (x) M into S_j (x) M, so the
+    step inequalities on the supports are all the ordering needs.  F_0
+    equals the product of the two chain values, F_j never increases, and
+    F_N >= p_target, with equality when both chains are pinned to the
+    target projector (as ``extract_dual_chain`` pins them).
     """
+    n = protocol.rounds
+    supports = {}
     for label, cheater, cert in (
         ("honest-alice", "bob", cert_honest_alice),
         ("honest-bob", "alice", cert_honest_bob),
     ):
-        feasible, lambdas, end_gap = check_dual_chain(protocol, cheater, target, cert, feas_tol)
-        if not feasible:
-            bad = [j for j, lam in enumerate(lambdas) if lam < -feas_tol]
-            raise ValueError(
-                f"{label} chain infeasible: rounds {bad} violate the step inequality "
-                f"(end-gap {end_gap:.2e})"
-            )
-    n = protocol.rounds
+        report = verify_dual(cheat_sdp(protocol, cheater, target), cert)
+        if not report.feasible:
+            bad = [j for j in range(n + 1) if report.lambda_min[f"rho_{j}"] < -CERT_TOL]
+            raise ValueError(f"{label} chain infeasible: rounds {bad} violate the step inequality")
+        supports[cheater] = reachable_supports(protocol, cheater)
     shape = (protocol.layout_a.dim, protocol.layout_m.dim, protocol.layout_b.dim)
     values = []
     for j in range(n + 1):
-        za = np.asarray(cert_honest_alice.multipliers[f"round_{j}"], dtype=complex)
-        zb = np.asarray(cert_honest_bob.multipliers[f"round_{j}"], dtype=complex)
+        w_a, w_b = supports["bob"][j], supports["alice"][j]
+        za = w_a @ np.atleast_2d(cert_honest_alice.multipliers[f"round_{j}"]) @ w_a.conj().T
+        zb = w_b @ np.atleast_2d(cert_honest_bob.multipliers[f"round_{j}"]) @ w_b.conj().T
         psi = honest_state(protocol, j).amplitudes.reshape(shape)
         values.append(
             float(np.real(np.einsum("amb,ax,by,xmy->", psi.conj(), za, zb, psi, optimize=True)))

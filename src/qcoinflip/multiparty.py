@@ -137,8 +137,6 @@ class BiasReport:
     mc_estimate: float | None
     stderr: float | None
     runs: int
-    adversary: str = ""
-    committee_threshold: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +357,14 @@ def combined_bias(k: int, g: int, threshold_factor: float = 4.0):
     if not 1 <= g <= k:
         raise ValueError("need 1 <= g <= k")
     if g == 1:
-        not_fixed, bias = tournament_bound(_tournament_size(k))
+        not_fixed, bias = tournament_bound(tournament_size(k))
         return bias, None
     size = committee_threshold(k, g, threshold_factor)
-    ksub = _tournament_size(size)
+    ksub = tournament_size(size)
     not_fixed, _ = tournament_bound(ksub)
     return 0.5 - 0.5 * not_fixed, ksub
 
 
-def _tournament_size(k: int) -> int:
+def tournament_size(k: int) -> int:
     """Smallest admissible bracket size >= k (power of two, >= 8)."""
     return max(8, 2 ** math.ceil(math.log2(max(k, 1))))

@@ -6,8 +6,6 @@ through ``apply_local``, mixed marginals come from ``StateVector.reduced`` and
 the parts of a product state from ``StateVector.split``, all three on one
 (kept, rest) reshape of the amplitudes, so only round-local operators and
 kept marginals are ever dense matrices.
-Hermitian eigendecompositions go through LAPACK's tridiagonalization path
-(``numpy.linalg.eigh``) and are trusted to ``EIGH_TOL``.
 
 All values are immutable after construction.  Every stochastic operation
 takes an explicit ``numpy.random.Generator`` stream, so results are
@@ -21,10 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-EIGH_TOL = 1e-10
 PSD_TOL = 1e-9
 HERMITICITY_TOL = 1e-12
-NORM_TOL = 1e-12
+NORM_TOL = 1e-6
+STATE_HERMITICITY_TOL = 1e-9
+STATE_EIGENVALUE_TOL = 1e-8
+TRACE_TOL = 1e-8
 
 
 def as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -101,7 +101,7 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
         if not self.subnormalized:
             nrm = np.linalg.norm(amps)
-            if abs(nrm - 1.0) > 1e-6:
+            if abs(nrm - 1.0) > NORM_TOL:
                 raise ValueError(f"state not normalized: |psi| = {nrm!r}")
 
     @classmethod
@@ -175,10 +175,10 @@ class StateVector:
 class DensityMatrix:
     """Mixed state over a HilbertLayout.
 
-    Hermitian within HERMITICITY_TOL, eigenvalues >= -1e-10, trace 1 within
-    1e-10.  Sub-normalized operators (trace < 1) are an explicit flagged
-    state, not an error: the cheating-strategy SDPs work with families whose
-    traces only sum to one.
+    Hermitian within STATE_HERMITICITY_TOL, eigenvalues >= -STATE_EIGENVALUE_TOL,
+    trace 1 within TRACE_TOL.  Sub-normalized operators (trace at most
+    1 + TRACE_TOL) are an explicit flagged state, not an error: the
+    cheating-strategy SDPs work with families whose traces only sum to one.
     """
 
     layout: HilbertLayout
@@ -190,15 +190,15 @@ class DensityMatrix:
         d = self.layout.dim
         if mat.shape != (d, d):
             raise ValueError(f"matrix shape {mat.shape} != ({d}, {d})")
-        if np.max(np.abs(mat - mat.conj().T)) > 1e-9:
+        if np.max(np.abs(mat - mat.conj().T)) > STATE_HERMITICITY_TOL:
             raise ValueError("density matrix is not Hermitian")
         evals = np.linalg.eigvalsh(mat)
-        if evals[0] < -1e-8:
+        if evals[0] < -STATE_EIGENVALUE_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {evals[0]}")
         tr = float(np.real(np.trace(mat)))
-        if not self.subnormalized and abs(tr - 1.0) > 1e-8:
+        if not self.subnormalized and abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} != 1")
-        if self.subnormalized and tr > 1.0 + 1e-8:
+        if self.subnormalized and tr > 1.0 + TRACE_TOL:
             raise ValueError(f"sub-normalized density matrix has trace {tr} > 1")
         object.__setattr__(self, "matrix", mat)
 

@@ -27,6 +27,7 @@ from .quantum import (
 )
 
 FEAS_TOL = 1e-8
+CERT_TOL = 1e-9
 GAP_TOL = 1e-7
 MAX_ITER = 500
 
@@ -529,7 +530,7 @@ def solve(
 # certificates
 
 
-def verify_dual(problem: SdpProblem, cert: DualCertificate, tol: float = 1e-9) -> DualReport:
+def verify_dual(problem: SdpProblem, cert: DualCertificate, tol: float = CERT_TOL) -> DualReport:
     """Check a dual feasible point: A*(y) - C >= 0 blockwise.
 
     Reports the minimum eigenvalue per block and the bound b.y + constant,

@@ -63,6 +63,15 @@ class TestTournamentCommand:
         assert code == 0
         assert record["committee_threshold"] == 32
 
+    def test_committee_record_names_threshold_and_seeds_used(self, capsys):
+        # ceil(4 * 100 / 7) = 58 players, not the 64-player bracket of the bound
+        code, out, _ = run_cli(capsys, "tournament", "--k", "100", "--g", "7", "--runs", "20")
+        record = json.loads(out)
+        assert code == 0
+        assert record["committee_threshold"] == 58
+        assert record["committee_seeds"] == 20
+        assert 0.0 <= record["honest_presence_pile"] <= 1.0
+
     def test_invalid_k_exits_2(self, capsys):
         code, _, _ = run_cli(capsys, "tournament", "--k", "1")
         assert code == 2

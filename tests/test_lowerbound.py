@@ -6,7 +6,6 @@ import pytest
 from qcoinflip.lowerbound import (
     cheat_product_check,
     cheat_sdp,
-    check_dual_chain,
     dual_bound_sequence,
     extract_dual_chain,
     group_players,
@@ -26,7 +25,7 @@ from qcoinflip.protocols import (
     validate_protocol,
 )
 from qcoinflip.quantum import HilbertLayout, projector
-from qcoinflip.sdp import Constraint, DualCertificate, LinearTerm, SdpProblem, solve
+from qcoinflip.sdp import Constraint, DualCertificate, LinearTerm, SdpProblem, solve, verify_dual
 
 
 def penalty_forcing_oracle(v: float, target: int) -> float:
@@ -96,8 +95,8 @@ class TestOptimalCheat:
 
     def test_reduction_does_not_change_values(self):
         p = penalty_protocol_compact4()
-        full = optimal_cheat(p, "bob", 1, reduce=False).probability
-        reduced = optimal_cheat(p, "bob", 1, reduce=True).probability
+        full = solve(cheat_sdp(p, "bob", 1, reduce=False)).primal_value
+        reduced = optimal_cheat(p, "bob", 1).probability
         assert abs(full - reduced) < 1e-5
 
     def test_cheat_sdp_weak_duality_both_sides(self):
@@ -195,8 +194,9 @@ class TestDualChains:
         p = penalty_protocol_compact4()
         for cheater in ("alice", "bob"):
             cert, _ = extract_dual_chain(p, cheater, 1)
-            feasible, lambdas, end_gap = check_dual_chain(p, cheater, 1, cert, tol=1e-10)
-            assert feasible, (lambdas, end_gap)
+            report = verify_dual(cheat_sdp(p, cheater, 1), cert, tol=1e-10)
+            assert report.feasible, report.lambda_min
+            assert max(np.linalg.norm(z, 2) for z in cert.multipliers.values()) <= 2.0
 
     def test_global_shift_keeps_feasibility_and_raises_values(self):
         p = alice_announces()
@@ -207,13 +207,9 @@ class TestDualChains:
             multipliers={k: v + eps * np.eye(v.shape[0]) for k, v in cert_a.multipliers.items()},
             claimed_value=cert_a.claimed_value + eps,
         )
-        feasible, _, end_gap = check_dual_chain(p, "bob", 1, shifted, tol=1e-10)
-        assert end_gap > 0  # the endpoint moved off the projector...
+        assert verify_dual(cheat_sdp(p, "bob", 1), shifted, tol=1e-10).feasible
         base = dual_bound_sequence(p, cert_a, cert_b, target=1)
-        raised = [
-            v
-            for v in _sequence_without_endpoint_check(p, shifted, cert_b)
-        ]
+        raised = dual_bound_sequence(p, shifted, cert_b, target=1)
         assert all(r >= b - 1e-12 for r, b in zip(raised, base))
         assert raised[0] > base[0]
 
@@ -222,32 +218,11 @@ class TestDualChains:
         cert_a, _ = extract_dual_chain(p, "bob", 1)
         cert_b, _ = extract_dual_chain(p, "alice", 1)
         broken = dict(cert_a.multipliers)
-        broken["round_0"] = broken["round_0"] - 0.2 * np.eye(2)
+        broken["round_0"] = broken["round_0"] - 0.2 * np.eye(broken["round_0"].shape[0])
         bad = DualCertificate(multipliers=broken, claimed_value=cert_a.claimed_value)
         with pytest.raises(ValueError) as err:
             dual_bound_sequence(p, bad, cert_b, target=1)
         assert "rounds [0]" in str(err.value)
-
-
-def _sequence_without_endpoint_check(protocol, cert_a, cert_b):
-    # evaluate the interpolating values directly (used to probe shifts that
-    # intentionally detach the endpoint from the target projector)
-    from qcoinflip.protocols import honest_state
-    from qcoinflip.quantum import embed_operator
-
-    dims = protocol.full_layout.factor_dims
-    na = protocol.layout_a.nfactors
-    nm = protocol.layout_m.nfactors
-    values = []
-    for j in range(protocol.rounds + 1):
-        za = np.asarray(cert_a.multipliers[f"round_{j}"], dtype=complex)
-        zb = np.asarray(cert_b.multipliers[f"round_{j}"], dtype=complex)
-        op = embed_operator(za, dims, tuple(range(na))) @ embed_operator(
-            zb, dims, tuple(range(na + nm, len(dims)))
-        )
-        psi = honest_state(protocol, j).amplitudes
-        values.append(float(np.real(np.vdot(psi, op @ psi))))
-    return values
 
 
 class TestMergeCheaters:
@@ -412,6 +387,8 @@ class TestFullPenaltyChain:
         assert sol_a.status == "converged" and sol_b.status == "converged"
         assert abs(cert_a.claimed_value - 0.75) < 1e-5
         assert abs(cert_b.claimed_value - 0.75) < 1e-5
+        for cheater, cert in (("bob", cert_a), ("alice", cert_b)):
+            assert verify_dual(cheat_sdp(p, cheater, 1), cert).feasible
         values = dual_bound_sequence(p, cert_a, cert_b, target=1)
         assert all(a >= b - 1e-7 for a, b in zip(values, values[1:]))
         assert abs(values[0] - cert_a.claimed_value * cert_b.claimed_value) < 1e-9

@@ -378,6 +378,20 @@ class TestLayoutAndTypes:
         with pytest.raises(ValueError):
             DensityMatrix(lay, 0.5 * np.diag([1.0, 0.0]))
 
+    def test_norm_tolerance_boundary(self):
+        lay = HilbertLayout((2,))
+        StateVector(lay, np.array([1.0 + 5e-7, 0.0]))
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(lay, np.array([1.0 + 5e-6, 0.0]))
+
+    def test_eigenvalue_tolerance_boundary(self):
+        from qcoinflip.quantum import DensityMatrix
+
+        lay = HilbertLayout((2,))
+        DensityMatrix(lay, np.diag([1.0 + 5e-9, -5e-9]))
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            DensityMatrix(lay, np.diag([1.0 + 5e-8, -5e-8]))
+
     def test_embed_operator_ordering(self, rng):
         # applying on permuted factors equals conjugation by the swap
         dims = (2, 2)
