@@ -285,7 +285,11 @@ def cmd_lowerbound(args, out) -> int:
             }
         )
         if report.valid:
-            check = cheat_product_check(protocol)
+            try:
+                check = cheat_product_check(protocol)
+            except RuntimeError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_SOLVER
             record.update(
                 {
                     "p_alice_forces_1": check.p_alice_forces,
@@ -308,7 +312,11 @@ def cmd_lowerbound(args, out) -> int:
             }
         )
         if report.valid:
-            check = kparty_product_check(protocol)
+            try:
+                check = kparty_product_check(protocol)
+            except RuntimeError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return EXIT_SOLVER
             record.update(
                 {
                     "forcing_probabilities": {f"{i}:{b}": p for (i, b), p in check.probabilities.items()},

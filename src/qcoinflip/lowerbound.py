@@ -215,13 +215,16 @@ def cheat_sdp(
 
 
 def optimal_cheat(protocol: TwoPartyProtocol, cheater: str, target: int) -> CheatResult:
+    """The cheater's optimal probability of forcing ``target``; RuntimeError unless the solve converged."""
     solution = solve(cheat_sdp(protocol, cheater, target))
-    if solution.status == "infeasible":
-        raise RuntimeError("cheat SDP reported inconsistent constraints; protocol is malformed")
+    if solution.status != "converged":
+        raise RuntimeError(
+            f"cheat SDP ({cheater} forcing {target}) did not converge (status {solution.status})"
+        )
     return CheatResult(
         cheater=cheater,
         target_bit=target,
-        probability=float(np.clip(solution.primal_value, 0.0, 1.0)),
+        probability=solution.primal_value,
         status=solution.status,
         residuals=solution.residuals,
     )

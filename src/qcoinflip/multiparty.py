@@ -176,7 +176,6 @@ def survival_product_constant(rel_tol: float = 1e-12) -> float:
     while True:
         x = 2.0 / math.sqrt(2.0**j - 1.0)
         product *= 1.0 - x
-        tail = 0.0
         xj = 2.0 / math.sqrt(2.0 ** (j + 1) - 1.0)
         tail = (xj / (1.0 - xj)) / (1.0 - 2.0**-0.5)
         if tail < rel_tol:

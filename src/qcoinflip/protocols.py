@@ -179,7 +179,7 @@ def swap_gate(d: int) -> np.ndarray:
     return s
 
 
-def xor_gate(control_dim: int = 2) -> np.ndarray:
+def xor_gate() -> np.ndarray:
     """CNOT on a qubit pair (control first)."""
     g = np.zeros((4, 4), dtype=complex)
     for c in range(2):

@@ -10,6 +10,12 @@ infeasible start, adaptive centering): robustness over speed, which is the
 right trade at total block dimensions of a few hundred.  Dual feasible
 points can be checked independently of the solver (``verify_dual``), so a
 certificate bound never relies on the code path it is validating.
+
+Coordinates are matrix entries: a constraint whose value is d x d owns d^2
+complex coordinates, the row-major entries of that value, and its
+multiplier is stored the same way.  The Schur system is therefore complex
+Hermitian (a unitary change of basis of the real system a Hermitian
+orthonormal basis would give), and the dual objective is Re<b, y>.
 """
 
 from __future__ import annotations
@@ -70,12 +76,6 @@ class SdpProblem:
     constraints: tuple[Constraint, ...]
     objective_constant: float = 0.0
 
-    def block_layout(self, name: str) -> HilbertLayout:
-        for bname, layout in self.blocks:
-            if bname == name:
-                return layout
-        raise KeyError(name)
-
 
 @dataclass(frozen=True)
 class SdpSolution:
@@ -104,67 +104,11 @@ class DualReport:
 
 
 # ---------------------------------------------------------------------------
-# Hermitian orthonormal basis bookkeeping.  For a d-dimensional space the
-# basis is: E_pp (d of them), then per p<q the pair (E_pq+E_qp)/sqrt2 and
-# i(E_pq-E_qp)/sqrt2.  Real coordinate vectors of length d^2 throughout.
-
-
-class _HermBasis:
-    def __init__(self, d: int):
-        self.d = d
-        self.size = d * d
-        self.p, self.q = np.triu_indices(d, 1)
-
-    def project(self, mat: np.ndarray) -> np.ndarray:
-        d = self.d
-        out = np.empty(self.size)
-        out[:d] = np.real(np.diagonal(mat))
-        z = mat[self.p, self.q]
-        out[d::2] = np.sqrt(2.0) * z.real
-        out[d + 1 :: 2] = np.sqrt(2.0) * z.imag
-        return out
-
-    def expand(self, coords: np.ndarray) -> np.ndarray:
-        d = self.d
-        mat = np.zeros((d, d), dtype=complex)
-        mat[np.arange(d), np.arange(d)] = coords[:d]
-        z = (coords[d::2] + 1j * coords[d + 1 :: 2]) / np.sqrt(2.0)
-        mat[self.p, self.q] = z
-        mat[self.q, self.p] = z.conj()
-        return mat
-
-    def left_contract(self, tensor: np.ndarray) -> np.ndarray:
-        """Contract R[j, ..., i] over its outer axes with every basis element.
-
-        Returns S[m, ...] with S[m] = sum_ij B_m[i, j] R[j, ..., i].
-        """
-        d = self.d
-        rng = np.arange(d)
-        shape = (self.size,) + tensor.shape[1:-1]
-        out = np.empty(shape, dtype=complex)
-        out[:d] = tensor[rng, ..., rng]
-        rqp = tensor[self.q, ..., self.p]
-        rpq = tensor[self.p, ..., self.q]
-        out[d::2] = (rqp + rpq) / np.sqrt(2.0)
-        out[d + 1 :: 2] = 1j * (rqp - rpq) / np.sqrt(2.0)
-        return out
-
-    def right_contract(self, tensor: np.ndarray) -> np.ndarray:
-        """Contract S[..., k, l] with every basis element on the last axes."""
-        d = self.d
-        rng = np.arange(d)
-        moved = np.moveaxis(np.moveaxis(tensor, -2, 0), -1, 1)  # (k, l, ...)
-        out = np.empty((self.size,) + tensor.shape[:-2], dtype=complex)
-        out[:d] = moved[rng, rng]
-        spq = moved[self.p, self.q]
-        sqp = moved[self.q, self.p]
-        out[d::2] = (spq + sqp) / np.sqrt(2.0)
-        out[d + 1 :: 2] = 1j * (spq - sqp) / np.sqrt(2.0)
-        return np.moveaxis(out, 0, -1)
-
-
-# ---------------------------------------------------------------------------
 # compilation
+
+
+def _hermitian_part(mat: np.ndarray) -> np.ndarray:
+    return (mat + mat.conj().T) / 2
 
 
 class _CompiledTerm:
@@ -197,9 +141,9 @@ class _Compiled:
             self.objective.append(c)
 
         self.constraints = []
-        self.bases = []
+        self.con_dims = []
         self.slices = []
-        self.rhs = []
+        rhs_coords = []
         offset = 0
         for con in problem.constraints:
             terms = []
@@ -239,34 +183,33 @@ class _Compiled:
             rhs = np.asarray(con.rhs, dtype=complex).reshape(dk_con, dk_con)
             if np.max(np.abs(rhs - rhs.conj().T)) > 1e-10:
                 raise ValueError(f"constraint {con.name!r}: right-hand side is not Hermitian")
-            basis = _HermBasis(dk_con)
             self.constraints.append((con.name, terms))
-            self.bases.append(basis)
-            self.slices.append(slice(offset, offset + basis.size))
-            self.rhs.append(rhs)
-            offset += basis.size
+            self.con_dims.append(dk_con)
+            self.slices.append(slice(offset, offset + dk_con * dk_con))
+            rhs_coords.append(_hermitian_part(rhs).ravel())
+            offset += dk_con * dk_con
         self.m = offset
-        self.b = np.concatenate([basis.project(r) for basis, r in zip(self.bases, self.rhs)]) if offset else np.zeros(0)
+        self.b = np.concatenate(rhs_coords) if offset else np.zeros(0, dtype=complex)
 
     # -- linear maps --------------------------------------------------------
 
     def apply(self, blocks) -> np.ndarray:
-        """A(X): stacked real coordinates of every constraint's value."""
-        out = np.empty(self.m)
-        for (name, terms), basis, sl in zip(self.constraints, self.bases, self.slices):
-            val = np.zeros((basis.d, basis.d), dtype=complex)
+        """A(X): every constraint's value, Hermitian part, entries row-major."""
+        out = np.empty(self.m, dtype=complex)
+        for (name, terms), d, sl in zip(self.constraints, self.con_dims, self.slices):
+            val = np.zeros((d, d), dtype=complex)
             for t in terms:
                 img = t.kprime @ blocks[t.block_idx] @ t.kprime.conj().T
                 img = img.reshape(t.dk, t.dt, t.dk, t.dt)
                 val += t.coeff * np.einsum("iaja->ij", img)
-            out[sl] = basis.project(val)
+            out[sl] = _hermitian_part(val).ravel()
         return out
 
     def adjoint(self, y: np.ndarray):
-        """A*(y) as one Hermitian matrix per block."""
+        """A*(y) as one matrix per block (Hermitian when y's matrices are)."""
         out = [np.zeros((d, d), dtype=complex) for d in self.block_dims]
-        for (name, terms), basis, sl in zip(self.constraints, self.bases, self.slices):
-            z = basis.expand(y[sl])
+        for (name, terms), d, sl in zip(self.constraints, self.con_dims, self.slices):
+            z = y[sl].reshape(d, d)
             for t in terms:
                 zfull = np.kron(z, np.eye(t.dt))
                 out[t.block_idx] += t.coeff * (t.kprime.conj().T @ zfull @ t.kprime)
@@ -274,72 +217,55 @@ class _Compiled:
 
     def multipliers_from_y(self, y: np.ndarray) -> dict:
         out = {}
-        for (name, _), basis, sl in zip(self.constraints, self.bases, self.slices):
-            z = basis.expand(y[sl])
-            out[name] = float(z[0, 0].real) if basis.d == 1 else z
+        for (name, _), d, sl in zip(self.constraints, self.con_dims, self.slices):
+            z = _hermitian_part(y[sl].reshape(d, d))
+            out[name] = float(z[0, 0].real) if d == 1 else z
         return out
 
     def y_from_multipliers(self, multipliers: dict) -> np.ndarray:
-        y = np.zeros(self.m)
-        for (name, _), basis, sl in zip(self.constraints, self.bases, self.slices):
+        y = np.zeros(self.m, dtype=complex)
+        for (name, _), sl in zip(self.constraints, self.slices):
             if name not in multipliers:
                 raise KeyError(f"certificate is missing a multiplier for constraint {name!r}")
-            z = multipliers[name]
-            z = np.asarray(z, dtype=complex).reshape(basis.d, basis.d)
-            y[sl] = basis.project(z)
+            y[sl] = np.asarray(multipliers[name], dtype=complex).ravel()
         return y
 
-    def dense_rows(self):
-        """Explicit real coordinate rows of A, one per scalar constraint.
+    def dense_rows(self) -> np.ndarray:
+        """A as an explicit matrix: row r is conj(vec(A*(e_r))), so rows @ vec(X) = A(X).
 
-        Only sensible for small problems (used for consistency checks and
-        the inconsistency pre-check).
+        Only sensible for small problems (the inconsistency pre-check).
         """
-        cols = [_HermBasis(d) for d in self.block_dims]
-        width = sum(c.size for c in cols)
-        rows = np.zeros((self.m, width))
-        col_off = np.cumsum([0] + [c.size for c in cols])
-        for (name, terms), basis, sl in zip(self.constraints, self.bases, self.slices):
-            for local_m in range(basis.size):
-                coords = np.zeros(basis.size)
-                coords[local_m] = 1.0
-                bmat = basis.expand(coords)
-                for t in terms:
-                    zfull = np.kron(bmat, np.eye(t.dt))
-                    amat = t.coeff * (t.kprime.conj().T @ zfull @ t.kprime)
-                    rows[sl.start + local_m, col_off[t.block_idx] : col_off[t.block_idx + 1]] += cols[
-                        t.block_idx
-                    ].project(amat)
-        return rows
+        unit = np.eye(self.m, dtype=complex)
+        return np.stack([np.concatenate([a.ravel() for a in self.adjoint(e)]).conj() for e in unit])
 
     # -- Schur complement ---------------------------------------------------
 
     def schur(self, scalings) -> np.ndarray:
-        """M[r, s] = sum_i tr(A_r,i W_i A_s,i W_i) for the NT scalings W."""
-        mmat = np.zeros((self.m, self.m))
+        """M[r, s] = sum_i tr(A*(e_r)_i^dag W_i A*(e_s)_i W_i) for the NT scalings W.
+
+        For a term pair with P = K1 W K2^dag (image indices split as (kept, traced)),
+        M[(i, j), (k, l)] = c1 c2 sum_{a, b} P[ia, kb] conj(P[ja, lb]); M is Hermitian.
+        """
+        mmat = np.zeros((self.m, self.m), dtype=complex)
         ncon = len(self.constraints)
         for f in range(ncon):
             _, fterms = self.constraints[f]
             for g in range(f, ncon):
                 _, gterms = self.constraints[g]
-                block = None
+                df, dg = self.con_dims[f], self.con_dims[g]
+                # a view of M: pieces accumulate in place, with no per-pair temporaries
+                target = mmat[self.slices[f], self.slices[g]].reshape(df, df, dg, dg)
                 for t1 in fterms:
                     for t2 in gterms:
                         if t1.block_idx != t2.block_idx:
                             continue
-                        w = scalings[t1.block_idx]
-                        pmat = t1.kprime @ w @ t2.kprime.conj().T
+                        pmat = t1.kprime @ scalings[t1.block_idx] @ t2.kprime.conj().T
                         p4 = pmat.reshape(t1.dk, t1.dt, t2.dk, t2.dt)
-                        q4 = pmat.conj().T.reshape(t2.dk, t2.dt, t1.dk, t1.dt)
-                        r = np.tensordot(p4, q4, axes=([1, 3], [3, 1]))  # R[j, k, l, i]
-                        piece = self.bases[f].left_contract(r)  # S[m, k, l]
-                        piece = self.bases[g].right_contract(piece)  # (m, m')
-                        contrib = t1.coeff * t2.coeff * piece.real
-                        block = contrib if block is None else block + contrib
-                if block is not None:
-                    mmat[self.slices[f], self.slices[g]] += block
-                    if g != f:
-                        mmat[self.slices[g], self.slices[f]] += block.T
+                        piece = np.tensordot(p4, p4.conj(), axes=([1, 3], [1, 3]))  # [i, k, j, l]
+                        piece *= t1.coeff * t2.coeff
+                        target += piece.transpose(0, 2, 1, 3)
+                if g != f:
+                    np.conj(mmat[self.slices[f], self.slices[g]].T, out=mmat[self.slices[g], self.slices[f]])
         return mmat
 
 
@@ -422,7 +348,7 @@ def solve(
     cnorm = max(1.0, max(float(np.linalg.norm(c, 2)) for c in comp.objective))
     x = [bnorm * np.eye(d, dtype=complex) for d in dims]
     s = [cnorm * np.eye(d, dtype=complex) for d in dims]
-    y = np.zeros(comp.m)
+    y = np.zeros(comp.m, dtype=complex)
 
     b_scale = 1.0 + np.linalg.norm(comp.b)
     c_scale = 1.0 + max(np.linalg.norm(c) for c in comp.objective)
@@ -441,7 +367,7 @@ def solve(
             rd = [comp.objective[i] - ady[i] + s[i] for i in range(comp.nblocks)]
             mu = sum(np.real(np.trace(x[i] @ s[i])) for i in range(comp.nblocks)) / ntot
             pobj = sum(np.real(np.trace(comp.objective[i] @ x[i])) for i in range(comp.nblocks)) + const
-            dobj = float(comp.b @ y) + const
+            dobj = float(np.vdot(comp.b, y).real) + const
 
             prinf = np.linalg.norm(rp) / b_scale
             dinf = max(np.linalg.norm(r) for r in rd) / c_scale
@@ -466,7 +392,7 @@ def solve(
             mmat = comp.schur(w)
             if not np.all(np.isfinite(mmat)):
                 break
-            jitter = max(np.mean(np.diag(mmat)), 1.0) * 1e-13
+            jitter = max(float(np.mean(np.diag(mmat)).real), 1.0) * 1e-13
             for _ in range(6):
                 try:
                     factor = sla.cho_factor(mmat + jitter * np.eye(comp.m))
@@ -547,7 +473,7 @@ def verify_dual(problem: SdpProblem, cert: DualCertificate, tol: float = CERT_TO
         lambda_min[name] = lam
         if lam < -tol:
             feasible = False
-    bound = float(comp.b @ y) + problem.objective_constant
+    bound = float(np.vdot(comp.b, y).real) + problem.objective_constant
     return DualReport(feasible=feasible, lambda_min=lambda_min, bound=bound)
 
 

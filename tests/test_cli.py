@@ -260,3 +260,17 @@ class TestSolverFailureExitCode:
         code, _, err = run_cli(capsys, "penalty", "--v", "16")
         assert code == 3
         assert "converge" in err
+
+    @pytest.mark.parametrize("kind", ["two-party", "k-party"])
+    def test_lowerbound_nonconverged_cheat_sdp_exits_3(self, capsys, monkeypatch, tmp_path, kind):
+        import qcoinflip.lowerbound as lowerbound
+        from qcoinflip.protocols import penalty_protocol_compact4
+
+        real_solve = lowerbound.solve
+        monkeypatch.setattr(lowerbound, "solve", lambda problem: real_solve(problem, max_iter=3))
+        path = tmp_path / "protocol.json"
+        save_protocol(penalty_protocol_compact4() if kind == "two-party" else announce_kparty(3), path)
+        code, out, err = run_cli(capsys, "lowerbound", str(path))
+        assert code == 3
+        assert out == ""
+        assert "status max-iterations" in err

@@ -11,7 +11,6 @@ from qcoinflip.sdp import (
     LinearTerm,
     SdpProblem,
     _Compiled,
-    _HermBasis,
     certificate_from_json,
     certificate_to_json,
     duality_gap,
@@ -69,33 +68,38 @@ def random_structured_problem(rng, with_op=True):
     )
 
 
-class TestHermBasis:
-    def test_orthonormal(self):
-        basis = _HermBasis(4)
-        mats = [basis.expand(row) for row in np.eye(16)]
-        for i, a in enumerate(mats):
-            for j, b in enumerate(mats):
-                inner = np.trace(a.conj().T @ b).real
-                assert abs(inner - (i == j)) < 1e-12
-
-    def test_project_expand_roundtrip(self, rng):
-        basis = _HermBasis(5)
-        mat = random_hermitian(5, rng)
-        np.testing.assert_allclose(basis.expand(basis.project(mat)), mat, atol=1e-12)
+def _random_hermitian_coords(comp, rng):
+    return np.concatenate([random_hermitian(d, rng).ravel() for d in comp.con_dims])
 
 
 class TestCompiled:
+    def test_coordinates_are_matrix_entries(self, rng):
+        comp = _Compiled(random_structured_problem(rng))
+        mults = {name: random_hermitian(d, rng) for (name, _), d in zip(comp.constraints, comp.con_dims)}
+        mults["norm"] = 0.25
+        back = comp.multipliers_from_y(comp.y_from_multipliers(mults))
+        assert back.keys() == mults.keys()
+        assert isinstance(back["norm"], float) and back["norm"] == 0.25
+        for name in ("marginal", "sandwich"):
+            np.testing.assert_allclose(back[name], mults[name], atol=1e-14)
+        # a non-Hermitian y comes back as its Hermitian part
+        skew = comp.y_from_multipliers({**mults, "marginal": mults["marginal"] + 1j * np.eye(3)})
+        np.testing.assert_allclose(comp.multipliers_from_y(skew)["marginal"], mults["marginal"], atol=1e-14)
+
     def test_apply_adjoint_duality(self, rng):
         comp = _Compiled(random_structured_problem(rng))
         xs = []
         for d in comp.block_dims:
             g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             xs.append(g @ g.conj().T)
-        y = rng.normal(size=comp.m)
-        lhs = float(comp.apply(xs) @ y)
+        y = _random_hermitian_coords(comp, rng)
+        lhs = np.vdot(y, comp.apply(xs)).real
         adj = comp.adjoint(y)
         rhs = sum(np.real(np.trace(xs[i] @ adj[i])) for i in range(comp.nblocks))
         assert abs(lhs - rhs) < 1e-9
+        # the pre-check's explicit matrix renders the same map
+        rows = comp.dense_rows()
+        np.testing.assert_allclose(rows @ np.concatenate([x.ravel() for x in xs]), comp.apply(xs), atol=1e-9)
 
     def test_schur_matches_brute_force(self, rng):
         comp = _Compiled(random_structured_problem(rng))
@@ -104,21 +108,16 @@ class TestCompiled:
             g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             scalings.append(g @ g.conj().T + 0.1 * np.eye(d))
         fast = comp.schur(scalings)
-        rows = comp.dense_rows()
-        bases = [_HermBasis(d) for d in comp.block_dims]
-        offs = np.cumsum([0] + [b.size for b in bases])
-        mats = [
-            [bases[i].expand(rows[r, offs[i] : offs[i + 1]]) for i in range(comp.nblocks)]
-            for r in range(comp.m)
-        ]
-        slow = np.zeros((comp.m, comp.m))
+        mats = [comp.adjoint(e) for e in np.eye(comp.m, dtype=complex)]
+        slow = np.zeros((comp.m, comp.m), dtype=complex)
         for r in range(comp.m):
             for s in range(comp.m):
                 slow[r, s] = sum(
-                    np.real(np.trace(mats[r][i] @ scalings[i] @ mats[s][i] @ scalings[i]))
+                    np.trace(mats[r][i].conj().T @ scalings[i] @ mats[s][i] @ scalings[i])
                     for i in range(comp.nblocks)
                 )
         np.testing.assert_allclose(fast, slow, atol=1e-8)
+        np.testing.assert_allclose(fast, fast.conj().T, atol=1e-14 * np.abs(fast).max())
 
 
 class TestSolve:
