@@ -11,11 +11,16 @@ right trade at total block dimensions of a few hundred.  Dual feasible
 points can be checked independently of the solver (``verify_dual``), so a
 certificate bound never relies on the code path it is validating.
 
-Coordinates are matrix entries: a constraint whose value is d x d owns d^2
-complex coordinates, the row-major entries of that value, and its
-multiplier is stored the same way.  The Schur system is therefore complex
-Hermitian (a unitary change of basis of the real system a Hermitian
-orthonormal basis would give), and the dual objective is Re<b, y>.
+The arithmetic follows the data.  When every objective, term operator and
+right-hand side is real, X -> Re X keeps a feasible point feasible with the
+same value, so the solver works in float64: a d x d constraint owns the
+d(d+1)/2 upper-triangle entries of its value, off-diagonal ones weighted by
+sqrt(2) (SDPT3's svec), and the Schur system is real symmetric.  Otherwise a
+constraint owns the d^2 row-major entries of its value as complex
+coordinates, and the Schur system is complex Hermitian.  One coordinate map
+per constraint (entry indices and weights, the identity for complex data)
+serves both, and the dual objective is Re<b, y>.  ``verify_dual`` reads the
+multipliers as given, so a complex multiplier is checked on real data too.
 """
 
 from __future__ import annotations
@@ -111,6 +116,25 @@ def _hermitian_part(mat: np.ndarray) -> np.ndarray:
     return (mat + mat.conj().T) / 2
 
 
+def _is_real(mat) -> bool:
+    return not np.any(np.imag(mat))
+
+
+def _coordinate_map(d: int, real: bool):
+    """How a d x d constraint value maps to its coordinates.
+
+    Coordinate k is ``wt[k]`` times entry ``idx[k]`` of the row-major value,
+    and entry ``idxt[k]`` holds the same number.  Complex data: every entry,
+    weight 1, ``idxt = idx``.  Real data: the upper triangle (SDPT3's svec),
+    weight sqrt(2) off the diagonal, ``idxt`` the mirrored lower entry.
+    """
+    if not real:
+        idx = np.arange(d * d)
+        return idx, idx, np.ones(d * d)
+    i, j = np.triu_indices(d)
+    return i * d + j, j * d + i, np.where(i == j, 1.0, np.sqrt(2.0))
+
+
 class _CompiledTerm:
     __slots__ = ("block_idx", "coeff", "kprime", "dk", "dt")
 
@@ -121,6 +145,11 @@ class _CompiledTerm:
         self.dk = dk
         self.dt = dt
 
+    def lift(self, z: np.ndarray) -> np.ndarray:
+        """coeff * K'^dag (z (x) 1_dt) K' for z of shape (..., dk, dk)."""
+        zk = (z @ self.kprime.reshape(self.dk, -1)).reshape(z.shape[:-2] + self.kprime.shape)
+        return self.coeff * (self.kprime.conj().T @ zk)
+
 
 class _Compiled:
     def __init__(self, problem: SdpProblem):
@@ -130,10 +159,21 @@ class _Compiled:
         self.nblocks = len(self.block_names)
         index = {name: i for i, name in enumerate(self.block_names)}
 
+        # real data has a real symmetric optimum: X -> Re X keeps A(X) = b and the value
+        real = all(_is_real(c) for c in problem.objective.values()) and all(
+            _is_real(con.rhs) and all(t.op is None or _is_real(t.op) for t in con.terms)
+            for con in problem.constraints
+        )
+        self.dtype = np.dtype(np.float64 if real else np.complex128)
+
+        def cast(mat):
+            mat = np.asarray(mat)
+            return (mat.real if real else mat).astype(self.dtype)
+
         self.objective = []
         for name, layout in problem.blocks:
             c = problem.objective.get(name)
-            c = np.zeros((layout.dim, layout.dim), dtype=complex) if c is None else np.asarray(c, dtype=complex)
+            c = np.zeros((layout.dim, layout.dim), dtype=self.dtype) if c is None else cast(c)
             if c.shape != (layout.dim, layout.dim):
                 raise ValueError(f"objective for block {name!r} has wrong shape")
             if np.max(np.abs(c - c.conj().T)) > 1e-10:
@@ -142,8 +182,9 @@ class _Compiled:
 
         self.constraints = []
         self.con_dims = []
+        self.coord_maps = []
+        self.rhs = []
         self.slices = []
-        rhs_coords = []
         offset = 0
         for con in problem.constraints:
             terms = []
@@ -157,9 +198,9 @@ class _Compiled:
                 if term.op is None:
                     if layout is None:
                         layout = problem.blocks[bidx][1]
-                    kmat = np.eye(layout.dim, dtype=complex)
+                    kmat = np.eye(layout.dim, dtype=self.dtype)
                 else:
-                    kmat = np.asarray(term.op, dtype=complex)
+                    kmat = cast(term.op)
                     if layout is None:
                         raise ValueError(
                             f"constraint {con.name!r}: a term with an explicit operator needs image_layout"
@@ -180,92 +221,156 @@ class _Compiled:
                 elif dk != dk_con:
                     raise ValueError(f"constraint {con.name!r}: terms have mismatched output dimensions")
                 terms.append(_CompiledTerm(bidx, float(term.coeff), kprime, dk, dt))
-            rhs = np.asarray(con.rhs, dtype=complex).reshape(dk_con, dk_con)
+            rhs = cast(con.rhs).reshape(dk_con, dk_con)
             if np.max(np.abs(rhs - rhs.conj().T)) > 1e-10:
                 raise ValueError(f"constraint {con.name!r}: right-hand side is not Hermitian")
+            cmap = _coordinate_map(dk_con, real)
             self.constraints.append((con.name, terms))
             self.con_dims.append(dk_con)
-            self.slices.append(slice(offset, offset + dk_con * dk_con))
-            rhs_coords.append(_hermitian_part(rhs).ravel())
-            offset += dk_con * dk_con
+            self.coord_maps.append(cmap)
+            self.rhs.append(_hermitian_part(rhs))
+            self.slices.append(slice(offset, offset + len(cmap[0])))
+            offset += len(cmap[0])
         self.m = offset
-        self.b = np.concatenate(rhs_coords) if offset else np.zeros(0, dtype=complex)
+        self.b = self._coordinates(self.rhs)
+
+    # -- coordinates ----------------------------------------------------------
+
+    def _coordinates(self, mats) -> np.ndarray:
+        """The coordinates of one Hermitian matrix per constraint."""
+        y = np.zeros(self.m, dtype=self.dtype)
+        for z, (idx, _, wt), sl in zip(mats, self.coord_maps, self.slices):
+            y[sl] = wt * z.ravel()[idx]
+        return y
+
+    def _matrix(self, c: int, coords: np.ndarray) -> np.ndarray:
+        """Constraint c's d x d matrix with these coordinates (last axis; leading axes batch)."""
+        d = self.con_dims[c]
+        idx, idxt, wt = self.coord_maps[c]
+        vals = coords / wt
+        z = np.empty(coords.shape[:-1] + (d * d,), dtype=vals.dtype)
+        z[..., idx] = vals
+        z[..., idxt] = vals
+        return z.reshape(coords.shape[:-1] + (d, d))
 
     # -- linear maps --------------------------------------------------------
 
     def apply(self, blocks) -> np.ndarray:
-        """A(X): every constraint's value, Hermitian part, entries row-major."""
-        out = np.empty(self.m, dtype=complex)
-        for (name, terms), d, sl in zip(self.constraints, self.con_dims, self.slices):
-            val = np.zeros((d, d), dtype=complex)
+        """A(X): every constraint's value (Hermitian part) in coordinates."""
+        vals = []
+        for (name, terms), d in zip(self.constraints, self.con_dims):
+            val = np.zeros((d, d), dtype=self.dtype)
             for t in terms:
                 img = t.kprime @ blocks[t.block_idx] @ t.kprime.conj().T
                 img = img.reshape(t.dk, t.dt, t.dk, t.dt)
                 val += t.coeff * np.einsum("iaja->ij", img)
-            out[sl] = _hermitian_part(val).ravel()
+            vals.append(_hermitian_part(val))
+        return self._coordinates(vals)
+
+    def lift(self, mats):
+        """A*(Z) as one matrix per block, for one matrix Z_c per constraint (any dtype)."""
+        dtype = np.result_type(self.dtype, *mats)
+        out = [np.zeros((d, d), dtype=dtype) for d in self.block_dims]
+        for (_, terms), z in zip(self.constraints, mats):
+            for t in terms:
+                out[t.block_idx] += t.lift(z)
         return out
 
     def adjoint(self, y: np.ndarray):
         """A*(y) as one matrix per block (Hermitian when y's matrices are)."""
-        out = [np.zeros((d, d), dtype=complex) for d in self.block_dims]
-        for (name, terms), d, sl in zip(self.constraints, self.con_dims, self.slices):
-            z = y[sl].reshape(d, d)
-            for t in terms:
-                zfull = np.kron(z, np.eye(t.dt))
-                out[t.block_idx] += t.coeff * (t.kprime.conj().T @ zfull @ t.kprime)
-        return out
+        return self.lift([self._matrix(c, y[sl]) for c, sl in enumerate(self.slices)])
 
     def multipliers_from_y(self, y: np.ndarray) -> dict:
         out = {}
-        for (name, _), d, sl in zip(self.constraints, self.con_dims, self.slices):
-            z = _hermitian_part(y[sl].reshape(d, d))
-            out[name] = float(z[0, 0].real) if d == 1 else z
+        for c, ((name, _), sl) in enumerate(zip(self.constraints, self.slices)):
+            z = _hermitian_part(self._matrix(c, y[sl]))
+            out[name] = float(z[0, 0].real) if z.shape == (1, 1) else z
         return out
 
-    def y_from_multipliers(self, multipliers: dict) -> np.ndarray:
-        y = np.zeros(self.m, dtype=complex)
-        for (name, _), sl in zip(self.constraints, self.slices):
+    def multiplier_matrices(self, multipliers: dict) -> list:
+        """One matrix per constraint, as given (never cast to the problem's dtype)."""
+        mats = []
+        for (name, _), d in zip(self.constraints, self.con_dims):
             if name not in multipliers:
                 raise KeyError(f"certificate is missing a multiplier for constraint {name!r}")
-            y[sl] = np.asarray(multipliers[name], dtype=complex).ravel()
-        return y
+            mats.append(np.asarray(multipliers[name]).reshape(d, d))
+        return mats
+
+    def y_from_multipliers(self, multipliers: dict) -> np.ndarray:
+        mats = self.multiplier_matrices(multipliers)
+        if self.dtype.kind == "f":
+            if not all(_is_real(z) for z in mats):
+                raise ValueError("complex multipliers have no coordinates on real data; verify_dual checks them")
+            mats = [z.real for z in mats]
+        return self._coordinates(mats)
 
     def dense_rows(self) -> np.ndarray:
         """A as an explicit matrix: row r is conj(vec(A*(e_r))), so rows @ vec(X) = A(X).
 
+        Each row is built from the one constraint that owns coordinate r.
         Only sensible for small problems (the inconsistency pre-check).
         """
-        unit = np.eye(self.m, dtype=complex)
-        return np.stack([np.concatenate([a.ravel() for a in self.adjoint(e)]).conj() for e in unit])
+        offsets = np.cumsum([0] + [d * d for d in self.block_dims])
+        rows = np.zeros((self.m, offsets[-1]), dtype=self.dtype)
+        for c, ((_, terms), sl) in enumerate(zip(self.constraints, self.slices)):
+            n = sl.stop - sl.start
+            units = self._matrix(c, np.eye(n, dtype=self.dtype))
+            for t in terms:
+                cols = slice(offsets[t.block_idx], offsets[t.block_idx + 1])
+                rows[sl, cols] += t.lift(units).reshape(n, -1).conj()
+        return rows
 
     # -- Schur complement ---------------------------------------------------
 
     def schur(self, scalings) -> np.ndarray:
         """M[r, s] = sum_i tr(A*(e_r)_i^dag W_i A*(e_s)_i W_i) for the NT scalings W.
 
-        For a term pair with P = K1 W K2^dag (image indices split as (kept, traced)),
-        M[(i, j), (k, l)] = c1 c2 sum_{a, b} P[ia, kb] conj(P[ja, lb]); M is Hermitian.
+        Over matrix entries, a term pair with P = K1 W K2^dag (image indices
+        split as (kept, traced)) gives T[(i, j), (k, l)] = c1 c2 sum_{a, b}
+        P[ia, kb] conj(P[ja, lb]): entry [(i, k), (j, l)] of the Gram matrix of
+        P's rows regrouped as (i, k) x (a, b).  A coordinate pair reads T at its
+        entries, M[r, s] = wt_r wt_s (T[idx_r, idx_s] + T[idxt_r, idx_s]) / 2,
+        which is T itself for complex data (idxt = idx); for real data T is
+        unchanged by swapping i<->j and k<->l together.  M is Hermitian (real
+        symmetric for real data).
         """
-        mmat = np.zeros((self.m, self.m), dtype=complex)
+        mmat = np.zeros((self.m, self.m), dtype=self.dtype)
         ncon = len(self.constraints)
         for f in range(ncon):
             _, fterms = self.constraints[f]
+            idx_f, idxt_f, wt_f = self.coord_maps[f]
             for g in range(f, ncon):
                 _, gterms = self.constraints[g]
+                idx_g, _, wt_g = self.coord_maps[g]
                 df, dg = self.con_dims[f], self.con_dims[g]
-                # a view of M: pieces accumulate in place, with no per-pair temporaries
-                target = mmat[self.slices[f], self.slices[g]].reshape(df, df, dg, dg)
+                gram = None
                 for t1 in fterms:
                     for t2 in gterms:
                         if t1.block_idx != t2.block_idx:
                             continue
                         pmat = t1.kprime @ scalings[t1.block_idx] @ t2.kprime.conj().T
-                        p4 = pmat.reshape(t1.dk, t1.dt, t2.dk, t2.dt)
-                        piece = np.tensordot(p4, p4.conj(), axes=([1, 3], [1, 3]))  # [i, k, j, l]
+                        q = pmat.reshape(df, t1.dt, dg, t2.dt).transpose(0, 2, 1, 3).reshape(df * dg, -1)
+                        # np.conj copies even real q, so this is a GEMM: numpy's syrk path for
+                        # q @ q.T is slower at these sizes
+                        piece = q @ np.conj(q).T  # [(i, k), (j, l)]
                         piece *= t1.coeff * t2.coeff
-                        target += piece.transpose(0, 2, 1, 3)
+                        if gram is None:
+                            gram = piece
+                        else:
+                            gram += piece
+                if gram is None:
+                    continue
+                # T[(i, j), (k, l)] sits at gram.flat[rows(i, j) + cols(k, l)]: l runs contiguously
+                rows = [(i * (df * dg) + j) * dg for i, j in (np.divmod(idx_f, df), np.divmod(idxt_f, df))]
+                k, l = np.divmod(idx_g, dg)
+                cols = k * (df * dg) + l
+                flat = gram.ravel()
+                block = flat[rows[0][:, None] + cols] + flat[rows[1][:, None] + cols]
+                block *= wt_f[:, None]
+                block *= wt_g / 2
+                mmat[self.slices[f], self.slices[g]] = block
                 if g != f:
-                    np.conj(mmat[self.slices[f], self.slices[g]].T, out=mmat[self.slices[g], self.slices[f]])
+                    mmat[self.slices[g], self.slices[f]] = block.conj().T
         return mmat
 
 
@@ -296,7 +401,7 @@ def _nt_scaling(lx: np.ndarray, s: np.ndarray) -> np.ndarray:
     mid = (mid + mid.conj().T) / 2
     evals, vecs = np.linalg.eigh(mid)
     evals = np.maximum(evals, 1e-300)
-    root = vecs @ np.diag(evals**-0.5) @ vecs.conj().T
+    root = (vecs * evals**-0.5) @ vecs.conj().T
     w = lx @ root @ lx.conj().T
     return (w + w.conj().T) / 2
 
@@ -346,9 +451,9 @@ def solve(
 
     bnorm = max(1.0, float(np.max(np.abs(comp.b))) if comp.m else 0.0)
     cnorm = max(1.0, max(float(np.linalg.norm(c, 2)) for c in comp.objective))
-    x = [bnorm * np.eye(d, dtype=complex) for d in dims]
-    s = [cnorm * np.eye(d, dtype=complex) for d in dims]
-    y = np.zeros(comp.m, dtype=complex)
+    x = [bnorm * np.eye(d, dtype=comp.dtype) for d in dims]
+    s = [cnorm * np.eye(d, dtype=comp.dtype) for d in dims]
+    y = np.zeros(comp.m, dtype=comp.dtype)
 
     b_scale = 1.0 + np.linalg.norm(comp.b)
     c_scale = 1.0 + max(np.linalg.norm(c) for c in comp.objective)
@@ -365,8 +470,9 @@ def solve(
             rp = comp.b - comp.apply(x)
             ady = comp.adjoint(y)
             rd = [comp.objective[i] - ady[i] + s[i] for i in range(comp.nblocks)]
-            mu = sum(np.real(np.trace(x[i] @ s[i])) for i in range(comp.nblocks)) / ntot
-            pobj = sum(np.real(np.trace(comp.objective[i] @ x[i])) for i in range(comp.nblocks)) + const
+            # <A, B> = tr(A B) for Hermitian A: an elementwise vdot, no product
+            mu = sum(np.vdot(x[i], s[i]).real for i in range(comp.nblocks)) / ntot
+            pobj = sum(np.vdot(comp.objective[i], x[i]).real for i in range(comp.nblocks)) + const
             dobj = float(np.vdot(comp.b, y).real) + const
 
             prinf = np.linalg.norm(rp) / b_scale
@@ -402,7 +508,7 @@ def solve(
             else:
                 break
 
-            sinv = [sla.cho_solve((l, True), np.eye(l.shape[0], dtype=complex)) for l in ls]
+            sinv = [sla.cho_solve((l, True), np.eye(l.shape[0], dtype=comp.dtype)) for l in ls]
             sinv = [(inv + inv.conj().T) / 2 for inv in sinv]
 
             def direction(sigma_mu):
@@ -422,7 +528,7 @@ def solve(
             ap = min(1.0, min((_max_step(lx[i], dx_a[i]) for i in range(comp.nblocks)), default=1.0))
             ad = min(1.0, min((_max_step(ls[i], ds_a[i]) for i in range(comp.nblocks)), default=1.0))
             mu_aff = sum(
-                np.real(np.trace((x[i] + ap * dx_a[i]) @ (s[i] + ad * ds_a[i]))) for i in range(comp.nblocks)
+                np.vdot(x[i] + ap * dx_a[i], s[i] + ad * ds_a[i]).real for i in range(comp.nblocks)
             ) / ntot
             sigma = min(0.999, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
@@ -463,8 +569,8 @@ def verify_dual(problem: SdpProblem, cert: DualCertificate, tol: float = CERT_TO
     which upper-bounds every feasible primal value by weak duality.
     """
     comp = _Compiled(problem)
-    y = comp.y_from_multipliers(cert.multipliers)
-    slacks = comp.adjoint(y)
+    mults = comp.multiplier_matrices(cert.multipliers)
+    slacks = comp.lift(mults)
     lambda_min = {}
     feasible = True
     for i, name in enumerate(comp.block_names):
@@ -473,7 +579,7 @@ def verify_dual(problem: SdpProblem, cert: DualCertificate, tol: float = CERT_TO
         lambda_min[name] = lam
         if lam < -tol:
             feasible = False
-    bound = float(np.vdot(comp.b, y).real) + problem.objective_constant
+    bound = sum(float(np.vdot(r, z).real) for r, z in zip(comp.rhs, mults)) + problem.objective_constant
     return DualReport(feasible=feasible, lambda_min=lambda_min, bound=bound)
 
 
