@@ -221,21 +221,17 @@ def cmd_tournament(args, out) -> int:
                 record["stderr"] = rep.stderr
         else:
             threshold = committee_threshold(k, args.g, args.threshold_factor)
+            # the cap bounds the runs x bins count arrays when --bins is large
             seeds = min(args.runs, 10_000)
             record["committee_threshold"] = threshold
             record["committee_seeds"] = seeds
             if seeds:
                 # committee-selection Monte Carlo against both bin presets
                 for name, strategy in sorted(BIN_STRATEGIES.items()):
-                    hits = sum(
-                        bool(
-                            lightest_bin_select(
-                                k, args.g, args.bins, threshold, as_rng(args.seed + i), strategy
-                            ).honest_members
-                        )
-                        for i in range(seeds)
+                    result = lightest_bin_select(
+                        k, args.g, args.bins, threshold, as_rng(args.seed), strategy, runs=seeds
                     )
-                    record[f"honest_presence_{name}"] = hits / seeds
+                    record[f"honest_presence_{name}"] = result.honest_presence
         rows.append(record)
     _emit_rows(rows, args.format, out)
     return EXIT_OK

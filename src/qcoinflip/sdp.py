@@ -425,9 +425,10 @@ def solve(
     """Solve the block SDP; returns the best iterate with a status flag.
 
     status is "converged" when primal/dual feasibility reaches ``feas_tol``
-    and the relative duality gap reaches ``tol``; "infeasible" when the
-    equality constraints are inconsistent (detected up-front for problems
-    small enough to materialize); otherwise "max-iterations".
+    and the relative duality gap reaches ``tol``, and the iterate returned is
+    then the one that passed; "infeasible" when the equality constraints are
+    inconsistent (detected up-front for problems small enough to
+    materialize); otherwise "max-iterations".
     """
     comp = _Compiled(problem)
     dims = comp.block_dims
@@ -479,13 +480,14 @@ def solve(
             dinf = max(np.linalg.norm(r) for r in rd) / c_scale
             relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
             err = max(prinf, dinf, relgap)
+            converged = prinf <= feas_tol and dinf <= feas_tol and relgap <= tol
             if err < 0.999 * best_err:
                 best_err = err
                 best_iteration = iteration
+            # a converged iterate is returned as is, whether or not it beat the best by 0.1 %
+            if best_iteration == iteration or best is None or converged:
                 best = (pobj, dobj, [xi.copy() for xi in x], y.copy(), prinf, dinf, relgap)
-            elif best is None:
-                best = (pobj, dobj, [xi.copy() for xi in x], y.copy(), prinf, dinf, relgap)
-            if prinf <= feas_tol and dinf <= feas_tol and relgap <= tol:
+            if converged:
                 status = "converged"
                 break
             if iteration - best_iteration > 60:  # stalled; keep the best iterate

@@ -49,6 +49,14 @@ class TestTournamentCommand:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    def test_committee_output_deterministic(self, capsys):
+        args = ("tournament", "--sweep", "k=64..256x2", "--g", "7", "--runs", "3000", "--seed", "11")
+        code1, out1, _ = run_cli(capsys, *args)
+        code2, out2, _ = run_cli(capsys, *args)
+        assert code1 == code2 == 0
+        assert out1 == out2
+        assert "honest_presence_split" in out1
+
     def test_analytic_bias_for_large_k(self, capsys):
         code, out, _ = run_cli(capsys, "tournament", "--k", "1024", "--g", "1")
         record = json.loads(out)

@@ -1,7 +1,14 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import PER_PLAYER_CHOICES, lightest_bin_per_player
 
 from qcoinflip.multiparty import (
     ADVERSARY_PRESETS,
@@ -17,14 +24,34 @@ from qcoinflip.multiparty import (
     lightest_bin_select,
     naive_fix_probability,
     naive_tournament_bound,
+    pile_strategy,
     recurrence_step,
     simulate_tournament,
+    split_strategy,
     survival_product_constant,
     timid_adversary,
     tournament_bound,
     tournament_constant,
 )
 from qcoinflip.quantum import as_rng
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@contextmanager
+def _deadline(seconds: int):
+    """Fail instead of hanging when the body runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 # frozen via an independent 400-term truncation of the survival product
 SURVIVAL_CONSTANT = 0.0298533420561977
@@ -141,6 +168,18 @@ class TestSimulation:
                 exact = expected_fix_probability(config, preset)
                 assert abs(report.mc_estimate - exact) <= 4 * report.stderr, (k, name)
 
+    @pytest.mark.parametrize("k", [2**n for n in range(3, 13)])
+    def test_counts_match_closed_form_up_to_4096(self, k):
+        # sigma from the exact probability: at k = 4096 the timid preset
+        # leaves about one run in 1e6 un-fixed, so the sample stderr is often 0
+        runs = 200_000
+        config = TournamentConfig.for_players(k)
+        for name, preset in ADVERSARY_PRESETS.items():
+            exact = expected_fix_probability(config, preset)
+            report = simulate_tournament(config, 0, preset, as_rng(k), runs)
+            sigma = math.sqrt(exact * (1 - exact) / runs)
+            assert abs(report.mc_estimate - exact) <= 4 * sigma, (k, name)
+
     def test_never_beats_analytic_bound(self):
         runs = 50_000
         for k in (8, 16, 32):
@@ -177,32 +216,91 @@ class TestSimulation:
 class TestLightestBin:
     def test_all_honest_committee(self):
         result = lightest_bin_select(64, 64, 2, 8, as_rng(5))
-        assert len(result.committee) <= 8
-        assert result.honest_members == result.committee
+        assert np.all(result.size <= 8)
+        assert np.array_equal(result.honest, result.size)
 
     def test_tiny_instance_skips_selection(self):
         result = lightest_bin_select(2, 1, 2, 2, as_rng(0))
-        assert result.committee == (0, 1)
+        assert result.size.tolist() == [2]
+        assert result.honest.tolist() == [1]
         assert result.rounds == 0
 
     def test_single_round_size_cannot_exceed_mean(self):
-        for seed in range(100):
-            for strategy in BIN_STRATEGIES.values():
-                result = lightest_bin_select(63, 20, 2, 32, as_rng(seed), strategy)
-                assert len(result.committee) <= math.ceil(63 / 2)
+        for strategy in BIN_STRATEGIES.values():
+            result = lightest_bin_select(63, 20, 2, 32, as_rng(0), strategy, runs=100)
+            assert np.all(result.size <= math.ceil(63 / 2))
 
     def test_honest_presence_rate_against_presets(self):
         threshold = committee_threshold(256, 64)
         assert threshold == 16
-        seeds = 1500
+        runs = 1500
         for name, strategy in BIN_STRATEGIES.items():
-            hits = sum(
-                bool(lightest_bin_select(256, 64, 2, threshold, as_rng(seed), strategy).honest_members)
-                for seed in range(seeds)
-            )
-            rate = hits / seeds
-            sigma = math.sqrt(0.25 / seeds)
+            rate = lightest_bin_select(256, 64, 2, threshold, as_rng(0), strategy, runs=runs).honest_presence
+            sigma = math.sqrt(0.25 / runs)
             assert rate >= 0.5 - 4 * sigma, name
+
+    def test_result_shapes_and_round_total(self):
+        result = lightest_bin_select(100, 7, 3, 10, as_rng(1), split_strategy, runs=50)
+        assert result.size.shape == result.honest.shape == (50,)
+        assert isinstance(result.rounds, int) and result.rounds >= 50
+        assert np.all((result.size <= 10) | (result.honest == 0))
+        assert np.all((0 <= result.honest) & (result.honest <= np.minimum(result.size, 7)))
+        with pytest.raises(ValueError):
+            lightest_bin_select(100, 7, 3, 10, as_rng(1), split_strategy, runs=0)
+
+    def test_empty_bins_never_win(self):
+        # 7 honest players over 5 bins leave some bins empty in most rounds
+        for strategy in BIN_STRATEGIES.values():
+            result = lightest_bin_select(100, 7, 5, 10, as_rng(2), strategy, runs=500)
+            assert np.all(result.size >= 1)
+
+    @pytest.mark.parametrize("bins", [2, 3, 5])
+    @pytest.mark.parametrize("name", sorted(BIN_STRATEGIES))
+    def test_count_strategy_is_bincount_of_player_choices(self, name, bins):
+        n = np.arange(41)
+        for current_round in range(7):
+            counts = BIN_STRATEGIES[name](n, current_round, bins)
+            expected = [
+                np.bincount(PER_PLAYER_CHOICES[name](int(m), current_round, bins), minlength=bins)
+                for m in n
+            ]
+            assert counts.dtype.kind == "i"
+            assert np.array_equal(counts, np.array(expected))
+
+    @pytest.mark.parametrize("bins", [2, 3])
+    @pytest.mark.parametrize("k, g", [(100, 7), (63, 20), (1024, 70)])
+    def test_presence_matches_per_player_oracle(self, k, g, bins):
+        threshold = committee_threshold(k, g)
+        oracle_runs, runs = 2000, 20_000
+        rng = as_rng(3)
+        for name, strategy in BIN_STRATEGIES.items():
+            oracle = np.mean(
+                [
+                    lightest_bin_per_player(k, g, bins, threshold, rng, PER_PLAYER_CHOICES[name])[1] > 0
+                    for _ in range(oracle_runs)
+                ]
+            )
+            batched = lightest_bin_select(k, g, bins, threshold, as_rng(4), strategy, runs=runs).honest_presence
+            pooled = (oracle * oracle_runs + batched * runs) / (oracle_runs + runs)
+            sigma = math.sqrt(pooled * (1 - pooled) * (1 / oracle_runs + 1 / runs))
+            assert abs(oracle - batched) <= 4 * sigma + 1e-12, (name, oracle, batched)
+
+    def test_run_without_honest_players_ends(self):
+        # 8 piled dishonest players and no honest one never shrink below 7
+        with _deadline(30):
+            result = lightest_bin_select(20, 12, 2, 7, as_rng(0), pile_strategy, runs=100_000)
+        stuck = result.size > 7
+        assert stuck.any() and np.all(result.honest[stuck] == 0)
+
+    def test_hanging_cli_command_exits(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        argv = ["tournament", "--k", "20", "--g", "12", "--runs", "6000", "--seed", "0"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcoinflip.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCombinedBias:

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_hermitian, random_unitary
 from qcoinflip.quantum import HilbertLayout
 from qcoinflip.sdp import (
+    FEAS_TOL,
     Constraint,
     DualCertificate,
     LinearTerm,
@@ -199,6 +200,25 @@ class TestSolve:
             ),
         )
         assert solve(prob).status == "infeasible"
+
+    def test_converged_status_describes_returned_iterate(self):
+        # this instance passes the 1e-10 gap test on an iterate that does not
+        # improve the best residual by 0.1 %; the older best misses the gap
+        problem = random_structured_problem(np.random.default_rng(20260808), with_op=False, real=True)
+        sol = solve(problem, tol=1e-10)
+        assert sol.status == "converged"
+        assert sol.residuals["gap"] <= 1e-10
+        assert max(sol.residuals["primal"], sol.residuals["dual"]) <= FEAS_TOL
+
+    def test_converged_residuals_within_tolerances(self):
+        for seed in range(6):
+            for real in (False, True):
+                for tol in (1e-7, 1e-10):
+                    rng = np.random.default_rng(seed)
+                    sol = solve(random_structured_problem(rng, with_op=seed % 2 == 0, real=real), tol=tol)
+                    if sol.status == "converged":
+                        assert sol.residuals["gap"] <= tol, (seed, real, tol)
+                        assert max(sol.residuals["primal"], sol.residuals["dual"]) <= FEAS_TOL
 
     def test_planted_optima(self, rng):
         # 20 random problems with a planted primal/dual pair satisfying
