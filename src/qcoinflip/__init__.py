@@ -2,7 +2,7 @@
 
 Layers, bottom up:
 
-- ``quantum``:    exact states, partial traces, measurements, Helstrom.
+- ``quantum``:    exact states, marginals, measurements, Helstrom.
 - ``sdp``:        dense block-PSD solver and dual-certificate checks.
 - ``penalty``:    two-party coin flipping with penalty for cheating.
 - ``broadcast``:  the k-party quantum broadcast channel and its emulations.
@@ -38,7 +38,6 @@ from .multiparty import (
     combined_bias,
     lightest_bin_select,
     naive_tournament_bound,
-    recurrence_step,
     simulate_tournament,
     tournament_bound,
 )
@@ -66,17 +65,13 @@ from .protocols import (
 )
 from .quantum import (
     DensityMatrix,
-    HermitianOperator,
     HilbertLayout,
     StateVector,
     apply_unitary,
     as_rng,
     helstrom,
-    is_psd,
     measure,
-    partial_trace,
     tensor,
-    trace_distance,
 )
 from .sdp import (
     Constraint,

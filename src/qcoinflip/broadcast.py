@@ -259,26 +259,3 @@ def simulate_quantum_channel_via_qbc(i: int, j: int, payload: StateVector, k: in
     uses += 2
     transcript = transcript + tele_events
     return received, uses, transcript
-
-
-def cheat_hadamard_collapse(shared: BroadcastState, cheaters, rng):
-    """Cheating recipients rotate to the +/- basis and measure.
-
-    Returns (honest party's conditional pure state, cheater outcomes).  Used
-    to check that receiving a fanned-out qubit over pairwise channels gives
-    a dishonest coalition nothing beyond what the broadcast channel already
-    allows: the honest party's conditional state family is the same up to
-    the randomized phase.
-    """
-    rng = as_rng(rng)
-    cheaters = sorted(set(int(c) for c in cheaters))
-    honest = [p for p in range(shared.k) if p not in cheaters]
-    if len(honest) != 1:
-        raise ValueError("exactly one honest party expected")
-    state = shared.state
-    outcomes = []
-    for c in cheaters:
-        state = apply_unitary(state, HADAMARD, (c,))
-        (bit,), state = measure(state, (c,), rng)
-        outcomes.append(bit)
-    return state.split((honest[0],))[0], outcomes

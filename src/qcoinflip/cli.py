@@ -121,8 +121,8 @@ def _base_record(args, command: str) -> dict:
 
 
 def cmd_penalty(args, out) -> int:
-    if args.v < 4:
-        print(f"error: penalty must be >= 4, got {args.v}", file=sys.stderr)
+    if not math.isfinite(args.v) or args.v < 4:
+        print(f"error: penalty must be finite and >= 4, got {args.v}", file=sys.stderr)
         return EXIT_USAGE
     game = PenaltyGame(args.v)
     attack = bob_attack(game)
@@ -177,15 +177,25 @@ def _parse_sweep(expr: str):
 
 
 def cmd_tournament(args, out) -> int:
-    if args.k < 2 or args.g < 1 or args.g > args.k:
-        print(f"error: need k >= 2 and 1 <= g <= k, got k={args.k} g={args.g}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.adversary not in ADVERSARY_PRESETS:
-        print(f"error: unknown adversary {args.adversary!r} (presets: {sorted(ADVERSARY_PRESETS)})", file=sys.stderr)
-        return EXIT_USAGE
     ks = _parse_sweep(args.sweep) if args.sweep else [args.k]
     if ks is None:
         print(f"error: cannot parse sweep {args.sweep!r} (expected k=8..4096x2)", file=sys.stderr)
+        return EXIT_USAGE
+    for k in ks:
+        if k < 2 or args.g < 1 or args.g > k:
+            print(f"error: need k >= 2 and 1 <= g <= k, got k={k} g={args.g}", file=sys.stderr)
+            return EXIT_USAGE
+    if args.adversary not in ADVERSARY_PRESETS:
+        print(f"error: unknown adversary {args.adversary!r} (presets: {sorted(ADVERSARY_PRESETS)})", file=sys.stderr)
+        return EXIT_USAGE
+    if args.bins < 2:
+        print(f"error: need --bins >= 2, got {args.bins}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.runs < 0:
+        print(f"error: need --runs >= 0, got {args.runs}", file=sys.stderr)
+        return EXIT_USAGE
+    if not (math.isfinite(args.threshold_factor) and args.threshold_factor > 0):
+        print(f"error: need a finite --threshold-factor > 0, got {args.threshold_factor}", file=sys.stderr)
         return EXIT_USAGE
     rows = []
     for k in ks:
@@ -242,6 +252,9 @@ def cmd_lowerbound(args, out) -> int:
     if args.analytic:
         if args.k is None or args.k < 1:
             print("error: --analytic needs --k >= 1", file=sys.stderr)
+            return EXIT_USAGE
+        if args.g is not None and not 1 <= args.g <= args.k:
+            print(f"error: need 1 <= g <= k, got k={args.k} g={args.g}", file=sys.stderr)
             return EXIT_USAGE
         if args.g is None or args.g == 1:
             bound = multiparty_bias_bound(args.k)

@@ -46,6 +46,9 @@ from .sdp import (
     verify_dual,
 )
 
+SUPPORT_TOL = 1e-10  # relative singular-value cut of a reachable support
+PRODUCT_SLACK = 1e-5  # solver accuracy allowed in the product checks
+
 
 @dataclass(frozen=True)
 class CheatResult:
@@ -91,7 +94,7 @@ def _priv_kron(cheater: str, priv_mat: np.ndarray, msg_mat: np.ndarray) -> np.nd
     return np.kron(msg_mat, priv_mat)
 
 
-def reachable_supports(protocol: TwoPartyProtocol, cheater: str, tol: float = 1e-10):
+def reachable_supports(protocol: TwoPartyProtocol, cheater: str):
     """Orthonormal bases of the private-space subspaces the rounds can reach.
 
     The honest private register starts at |0> and is only ever touched by
@@ -115,7 +118,7 @@ def reachable_supports(protocol: TwoPartyProtocol, cheater: str, tol: float = 1e
         else:
             components = span.reshape(d_msg, d_priv, -1).transpose(1, 0, 2).reshape(d_priv, -1)
         svec, svals, _ = np.linalg.svd(components, full_matrices=False)
-        rank = int(np.sum(svals > tol * max(svals[0], 1.0)))
+        rank = int(np.sum(svals > SUPPORT_TOL * max(svals[0], 1.0)))
         supports.append(svec[:, :rank])
     return supports
 
@@ -323,13 +326,11 @@ class ProductCheck:
     balanced_max_ok: bool | None  # None when the protocol is not balanced
 
 
-def cheat_product_check(
-    protocol: TwoPartyProtocol, target: int = 1, slack: float = 1e-5
-) -> ProductCheck:
-    """Check p_alice * p_bob >= p_target on a validated protocol.
+def cheat_product_check(protocol: TwoPartyProtocol, target: int = 1) -> ProductCheck:
+    """Check p_alice * p_bob >= p_target - PRODUCT_SLACK on a validated protocol.
 
     For balanced protocols (p_target = 1/2) additionally checks
-    max(p_alice, p_bob) >= 2^(-1/2) - slack.
+    max(p_alice, p_bob) >= 2^(-1/2) - PRODUCT_SLACK.
     """
     report = validate_protocol(protocol)
     if not report.valid:
@@ -344,8 +345,8 @@ def cheat_product_check(
         p_bob_forces=p_bob,
         product=product,
         p_honest=p_honest,
-        passed=product >= p_honest - slack,
-        balanced_max_ok=(max(p_alice, p_bob) >= 2 ** -0.5 - slack) if balanced else None,
+        passed=product >= p_honest - PRODUCT_SLACK,
+        balanced_max_ok=(max(p_alice, p_bob) >= 2 ** -0.5 - PRODUCT_SLACK) if balanced else None,
     )
 
 
@@ -439,8 +440,8 @@ class KPartyCheck:
     passed: bool
 
 
-def kparty_product_check(protocol: KPartyProtocol, slack: float = 1e-5) -> KPartyCheck:
-    """prod_i p_{i,b} >= p_b for both outcome bits, via merged-cheater SDPs."""
+def kparty_product_check(protocol: KPartyProtocol) -> KPartyCheck:
+    """prod_i p_{i,b} >= p_b - PRODUCT_SLACK for both outcome bits, via merged-cheater SDPs."""
     report = validate_kparty(protocol)
     if not report.valid:
         raise ValueError("k-party protocol fails its honest-run conditions")
@@ -452,7 +453,7 @@ def kparty_product_check(protocol: KPartyProtocol, slack: float = 1e-5) -> KPart
     products = tuple(
         float(np.prod([probabilities[(i, bit)] for i in range(protocol.k)])) for bit in (0, 1)
     )
-    passed = products[0] >= report.p0 - slack and products[1] >= report.p1 - slack
+    passed = products[0] >= report.p0 - PRODUCT_SLACK and products[1] >= report.p1 - PRODUCT_SLACK
     return KPartyCheck(
         probabilities=probabilities,
         products=products,

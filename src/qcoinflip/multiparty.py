@@ -33,7 +33,7 @@ from .quantum import as_rng
 
 FINAL_PHASE_ROUNDS = 3
 FINAL_PHASE_CHEAT_PROB = 0.75
-FINAL_PHASE_PLAYERS = 8
+SURVIVAL_REL_TOL = 1e-12
 
 
 def cheat_win_cap(v: float) -> float:
@@ -144,13 +144,6 @@ class BiasReport:
 # analytic bounds
 
 
-def recurrence_step(p_prev: float, q: float) -> float:
-    """One elimination round: P_j = 1 - (1 - P_{j-1})(1 - Q)."""
-    if not (0.0 <= p_prev <= 1.0 and 0.0 <= q <= 1.0):
-        raise ValueError("arguments must be probabilities")
-    return 1.0 - (1.0 - p_prev) * (1.0 - q)
-
-
 def tournament_bound(k: int):
     """(lower bound on 1 - P_n, bias bound 1/2 - that) for k = 2^n >= 8.
 
@@ -165,12 +158,13 @@ def tournament_bound(k: int):
     return not_fixed, 0.5 - not_fixed
 
 
-def survival_product_constant(rel_tol: float = 1e-12) -> float:
+def survival_product_constant() -> float:
     """The positive constant prod_{j>=3} (1 - 2/sqrt(2^j - 1)).
 
     Truncated adaptively: the omitted factors satisfy
     |log prod_{j>J}| <= sum_{j>J} x_j / (1 - x_j) with x_j = 2/sqrt(2^j-1)
-    decaying geometrically, so the tail is stopped once it is below rel_tol.
+    decaying geometrically, so the tail is stopped once it is below
+    SURVIVAL_REL_TOL.
     """
     product = 1.0
     j = 3
@@ -179,7 +173,7 @@ def survival_product_constant(rel_tol: float = 1e-12) -> float:
         product *= 1.0 - x
         xj = 2.0 / math.sqrt(2.0 ** (j + 1) - 1.0)
         tail = (xj / (1.0 - xj)) / (1.0 - 2.0**-0.5)
-        if tail < rel_tol:
+        if tail < SURVIVAL_REL_TOL:
             return product
         j += 1
 
@@ -200,10 +194,6 @@ def naive_tournament_bound(k: int) -> float:
     exponent = math.ceil(math.log2(k) - 1.0)
     reach = (1.0 - 2.0**-0.5) ** exponent
     return 0.5 - 0.25 * reach
-
-
-def naive_fix_probability(k: int) -> float:
-    return 0.5 + naive_tournament_bound(k)
 
 
 # ---------------------------------------------------------------------------

@@ -36,13 +36,13 @@ QUTRIT = HilbertLayout((3,))
 
 @dataclass(frozen=True)
 class PenaltyGame:
-    """Penalty parameter v >= 4 and the derived hiding weight delta = 2/sqrt(v)."""
+    """Finite penalty parameter v >= 4 and the derived hiding weight delta = 2/sqrt(v)."""
 
     v: float
 
     def __post_init__(self):
-        if self.v < 4:
-            raise ValueError(f"penalty must be >= 4 (delta = 2/sqrt(v) must stay <= 1), got {self.v}")
+        if not math.isfinite(self.v) or self.v < 4:
+            raise ValueError(f"penalty must be finite and >= 4 (so 0 < delta <= 1), got {self.v}")
 
     @property
     def delta(self) -> float:
@@ -153,25 +153,6 @@ def alice_attack_sdp(game: PenaltyGame) -> SdpProblem:
         constraints=tuple(constraints),
         objective_constant=-v,
     )
-
-
-def honest_strategy_blocks(game: PenaltyGame) -> dict:
-    """Feasible point of ``alice_attack_sdp`` describing honest play."""
-    blocks = {"tau": np.zeros((3, 3), dtype=complex)}
-    for b in (0, 1):
-        for a in (0, 1):
-            blocks[f"rho_{b}{a}"] = 0.5 * projector(commit_state(a, game))
-    blocks["tau"] = 0.5 * (
-        received_register_state(0, game).matrix + received_register_state(1, game).matrix
-    )
-    return blocks
-
-
-def objective_value(problem: SdpProblem, blocks: dict) -> float:
-    total = problem.objective_constant
-    for name, c in problem.objective.items():
-        total += float(np.real(np.trace(np.asarray(c) @ blocks[name])))
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -141,11 +141,12 @@ def _outcome_amplitudes(protocol: TwoPartyProtocol, state: StateVector, bit: int
     )
 
 
-def validate_protocol(protocol: TwoPartyProtocol, tol: float = AGREEMENT_TOL) -> ValidationReport:
+def validate_protocol(protocol: TwoPartyProtocol) -> ValidationReport:
     """Check the honest-run conditions; violations are reported, not raised.
 
     Conditions per outcome bit: Alice's and Bob's projections of the final
-    state coincide; and the two outcomes carry equal weight.
+    state coincide; and the two outcomes carry equal weight (both within
+    AGREEMENT_TOL).
     """
     final = honest_state(protocol, protocol.rounds)
     checks = []
@@ -153,10 +154,10 @@ def validate_protocol(protocol: TwoPartyProtocol, tol: float = AGREEMENT_TOL) ->
     for bit in (0, 1):
         va, vb = _outcome_amplitudes(protocol, final, bit)
         residual = float(np.linalg.norm(va - vb))
-        checks.append((f"agreement_outcome_{bit}", residual <= tol, residual))
+        checks.append((f"agreement_outcome_{bit}", residual <= AGREEMENT_TOL, residual))
         norms.append(float(np.linalg.norm(va) ** 2))
     balance = abs(norms[0] - norms[1])
-    checks.append(("equal_outcome_weights", balance <= tol, balance))
+    checks.append(("equal_outcome_weights", balance <= AGREEMENT_TOL, balance))
     valid = all(ok for _, ok, _ in checks)
     return ValidationReport(
         valid=valid,
@@ -451,8 +452,8 @@ def honest_state_kparty(protocol: KPartyProtocol, j: int | None = None) -> State
     return StateVector(layout, amps)
 
 
-def validate_kparty(protocol: KPartyProtocol, tol: float = AGREEMENT_TOL) -> ValidationReport:
-    """Pairwise agreement and balance conditions on the honest final state."""
+def validate_kparty(protocol: KPartyProtocol) -> ValidationReport:
+    """Pairwise agreement and balance conditions on the honest final state, within AGREEMENT_TOL."""
     final = honest_state_kparty(protocol)
     dims = final.layout.factor_dims
     checks = []
@@ -465,10 +466,10 @@ def validate_kparty(protocol: KPartyProtocol, tol: float = AGREEMENT_TOL) -> Val
         for i in range(protocol.k):
             for i2 in range(i + 1, protocol.k):
                 residual = float(np.linalg.norm(projected[(i, bit)] - projected[(i2, bit)]))
-                checks.append((f"agreement_{i}_{i2}_outcome_{bit}", residual <= tol, residual))
+                checks.append((f"agreement_{i}_{i2}_outcome_{bit}", residual <= AGREEMENT_TOL, residual))
     p0 = float(np.linalg.norm(projected[(0, 0)]) ** 2)
     p1 = float(np.linalg.norm(projected[(0, 1)]) ** 2)
-    checks.append(("equal_outcome_weights", abs(p0 - p1) <= tol, abs(p0 - p1)))
+    checks.append(("equal_outcome_weights", abs(p0 - p1) <= AGREEMENT_TOL, abs(p0 - p1)))
     return ValidationReport(
         valid=all(ok for _, ok, _ in checks),
         checks=tuple(checks),

@@ -1,11 +1,15 @@
 """Exact quantum states on small tensor-factored Hilbert spaces.
 
-Dense complex vectors and matrices only, no sparse representations.  Joint
-states (up to a few thousand dimensions) stay vectors: operators act on them
-through ``apply_local``, mixed marginals come from ``StateVector.reduced`` and
-the parts of a product state from ``StateVector.split``, all three on one
-(kept, rest) reshape of the amplitudes, so only round-local operators and
-kept marginals are ever dense matrices.
+Pure states (``StateVector``), mixed marginals (``DensityMatrix``), unitaries
+on chosen factors, computational-basis measurements and the Helstrom
+measurement, plus the raw-array helpers the SDP and protocol layers build
+operators with.  Dense complex vectors and matrices only, no sparse
+representations.  Joint states (up to a few thousand dimensions) stay
+vectors: operators act on them through ``apply_local``, mixed marginals come
+from ``StateVector.reduced`` and the parts of a product state from
+``StateVector.split``, all three on one (kept, rest) reshape of the
+amplitudes, so only round-local operators and kept marginals are ever dense
+matrices.
 
 All values are immutable after construction.  Every stochastic operation
 takes an explicit ``numpy.random.Generator`` stream, so results are
@@ -19,8 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PSD_TOL = 1e-9
-HERMITICITY_TOL = 1e-12
 NORM_TOL = 1e-6
 STATE_HERMITICITY_TOL = 1e-9
 STATE_EIGENVALUE_TOL = 1e-8
@@ -128,10 +130,6 @@ class StateVector:
     def fidelity(self, other: "StateVector") -> float:
         return abs(self.overlap(other)) ** 2
 
-    def density_matrix(self) -> "DensityMatrix":
-        rho = np.outer(self.amplitudes, self.amplitudes.conj())
-        return DensityMatrix(self.layout, rho, subnormalized=self.subnormalized)
-
     def reduced(self, keep) -> "DensityMatrix":
         """Marginal on ``keep``, in the original factor order, without the
         full outer product: M M^dagger of the (kept, rest) cut matrix.
@@ -166,9 +164,6 @@ class StateVector:
             return kept, None
         return kept, StateVector(self.layout.subset(rest), sing[0] * phase * vh[0],
                                  subnormalized=self.subnormalized)
-
-    def normalized(self) -> "StateVector":
-        return StateVector(self.layout, self.amplitudes / self.norm)
 
 
 @dataclass(frozen=True)
@@ -207,31 +202,11 @@ class DensityMatrix:
         return float(np.real(np.trace(self.matrix)))
 
 
-@dataclass(frozen=True)
-class HermitianOperator:
-    """Hermitian observable/multiplier over a HilbertLayout."""
-
-    layout: HilbertLayout
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        mat = _frozen(self.matrix)
-        d = self.layout.dim
-        if mat.shape != (d, d):
-            raise ValueError(f"matrix shape {mat.shape} != ({d}, {d})")
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITICITY_TOL:
-            raise ValueError("operator is not Hermitian")
-        object.__setattr__(self, "matrix", mat)
-
-    @classmethod
-    def identity(cls, layout: HilbertLayout) -> "HermitianOperator":
-        return cls(layout, np.eye(layout.dim))
-
-
 # ---------------------------------------------------------------------------
 # raw-array helpers (shared by the SDP and protocol machinery)
 
 
+# only partial_trace calls this (see there for why both stay)
 def ptrace(mat: np.ndarray, dims, keep) -> np.ndarray:
     """Partial trace of a square matrix over the factors not in ``keep``.
 
@@ -285,25 +260,18 @@ def embed_operator(op: np.ndarray, dims, factors) -> np.ndarray:
 # spec operations
 
 
-def tensor(a, b):
-    """Kronecker product of two StateVectors or two HermitianOperators."""
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(
-            a.layout.concat(b.layout),
-            np.kron(a.amplitudes, b.amplitudes),
-            subnormalized=a.subnormalized or b.subnormalized,
-        )
-    if isinstance(a, HermitianOperator) and isinstance(b, HermitianOperator):
-        return HermitianOperator(a.layout.concat(b.layout), np.kron(a.matrix, b.matrix))
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        return DensityMatrix(
-            a.layout.concat(b.layout),
-            np.kron(a.matrix, b.matrix),
-            subnormalized=a.subnormalized or b.subnormalized,
-        )
-    raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
+def tensor(a: StateVector, b: StateVector) -> StateVector:
+    """Kronecker product of two StateVectors."""
+    if not (isinstance(a, StateVector) and isinstance(b, StateVector)):
+        raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
+    return StateVector(
+        a.layout.concat(b.layout),
+        np.kron(a.amplitudes, b.amplitudes),
+        subnormalized=a.subnormalized or b.subnormalized,
+    )
 
 
+# no library path calls this; perfbench/tracing.py traces it by name, so it stays
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out all factors not in ``keep`` (kept factors keep their order)."""
     keep = rho.layout.check_factors(keep)
@@ -313,14 +281,6 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     else:
         layout = rho.layout.subset(sorted(keep))
     return DensityMatrix(layout, reduced, subnormalized=rho.subnormalized)
-
-
-def trace_distance(rho: DensityMatrix, sigma: DensityMatrix) -> float:
-    """Trace norm of rho - sigma: sum of absolute eigenvalues."""
-    if rho.layout.dim != sigma.layout.dim:
-        raise ValueError("dimension mismatch")
-    diff = rho.matrix - sigma.matrix
-    return float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
 @dataclass(frozen=True)
@@ -412,28 +372,13 @@ def measure(state: StateVector, factors, rng: np.random.Generator):
     return tuple(int(o) for o in outcome), StateVector(state.layout, amps)
 
 
-@dataclass(frozen=True)
-class PsdReport:
-    is_psd: bool
-    lambda_min: float
-
-
-def is_psd(op: HermitianOperator | np.ndarray, tol: float = PSD_TOL) -> PsdReport:
-    """PSD check with the minimum eigenvalue reported; true iff lambda_min >= -tol."""
-    mat = op.matrix if isinstance(op, HermitianOperator) else np.asarray(op, dtype=complex)
-    if np.max(np.abs(mat - mat.conj().T)) > 1e-9:
-        raise ValueError("is_psd requires a Hermitian input")
-    lam = float(np.linalg.eigvalsh(mat)[0])
-    return PsdReport(lam >= -tol, lam)
-
-
 def projector(state: StateVector) -> np.ndarray:
     return np.outer(state.amplitudes, state.amplitudes.conj())
 
 
 # ---------------------------------------------------------------------------
 # JSON encoding of complex vectors/matrices: row-major nested lists of
-# [re, im] pairs.  Reused by the SDP fixtures, protocol files and the CLI.
+# [re, im] pairs, the encoding of protocol files.
 
 
 def complex_to_json(array: np.ndarray):

@@ -30,12 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .quantum import (
-    HilbertLayout,
-    complex_from_json,
-    complex_to_json,
-    grouping_permutation,
-)
+from .quantum import HilbertLayout, grouping_permutation
 
 FEAS_TOL = 1e-8
 CERT_TOL = 1e-9
@@ -416,15 +411,10 @@ def _max_step(l: np.ndarray, dx: np.ndarray) -> float:
     return -1.0 / lam
 
 
-def solve(
-    problem: SdpProblem,
-    tol: float = GAP_TOL,
-    feas_tol: float = FEAS_TOL,
-    max_iter: int = MAX_ITER,
-) -> SdpSolution:
+def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -> SdpSolution:
     """Solve the block SDP; returns the best iterate with a status flag.
 
-    status is "converged" when primal/dual feasibility reaches ``feas_tol``
+    status is "converged" when primal/dual feasibility reaches ``FEAS_TOL``
     and the relative duality gap reaches ``tol``, and the iterate returned is
     then the one that passed; "infeasible" when the equality constraints are
     inconsistent (detected up-front for problems small enough to
@@ -480,7 +470,7 @@ def solve(
             dinf = max(np.linalg.norm(r) for r in rd) / c_scale
             relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
             err = max(prinf, dinf, relgap)
-            converged = prinf <= feas_tol and dinf <= feas_tol and relgap <= tol
+            converged = prinf <= FEAS_TOL and dinf <= FEAS_TOL and relgap <= tol
             if err < 0.999 * best_err:
                 best_err = err
                 best_iteration = iteration
@@ -594,91 +584,3 @@ def duality_gap(problem: SdpProblem, solution: SdpSolution, cert: DualCertificat
         raise ValueError(f"solution status is {solution.status!r}, not converged")
     return report.bound - solution.primal_value
 
-
-# ---------------------------------------------------------------------------
-# JSON round-trip (regression fixtures)
-
-
-def _layout_to_json(layout: HilbertLayout):
-    return list(layout.factor_dims)
-
-
-def problem_to_json(problem: SdpProblem) -> dict:
-    return {
-        "blocks": [[name, _layout_to_json(layout)] for name, layout in problem.blocks],
-        "objective": {name: complex_to_json(mat) for name, mat in problem.objective.items()},
-        "objective_constant": problem.objective_constant,
-        "constraints": [
-            {
-                "name": con.name,
-                "rhs": complex_to_json(con.rhs),
-                "terms": [
-                    {
-                        "block": t.block,
-                        "coeff": t.coeff,
-                        "op": None if t.op is None else complex_to_json(t.op),
-                        "image_dims": None if t.image_layout is None else _layout_to_json(t.image_layout),
-                        "keep": None if t.keep is None else list(t.keep),
-                    }
-                    for t in con.terms
-                ],
-            }
-            for con in problem.constraints
-        ],
-    }
-
-
-def problem_from_json(data: dict) -> SdpProblem:
-    blocks = tuple((name, HilbertLayout(tuple(dims))) for name, dims in data["blocks"])
-    objective = {name: complex_from_json(mat) for name, mat in data["objective"].items()}
-    constraints = []
-    for con in data["constraints"]:
-        terms = tuple(
-            LinearTerm(
-                block=t["block"],
-                coeff=t["coeff"],
-                op=None if t["op"] is None else complex_from_json(t["op"]),
-                image_layout=None if t["image_dims"] is None else HilbertLayout(tuple(t["image_dims"])),
-                keep=None if t["keep"] is None else tuple(t["keep"]),
-            )
-            for t in con["terms"]
-        )
-        constraints.append(Constraint(con["name"], terms, complex_from_json(con["rhs"])))
-    return SdpProblem(
-        blocks=blocks,
-        objective=objective,
-        constraints=tuple(constraints),
-        objective_constant=data.get("objective_constant", 0.0),
-    )
-
-
-def solution_to_json(solution: SdpSolution) -> dict:
-    return {
-        "primal_value": solution.primal_value,
-        "dual_value": solution.dual_value,
-        "status": solution.status,
-        "iterations": solution.iterations,
-        "residuals": solution.residuals,
-        "primal_blocks": {name: complex_to_json(mat) for name, mat in solution.primal_blocks.items()},
-        "dual_multipliers": {
-            name: (val if isinstance(val, float) else complex_to_json(val))
-            for name, val in solution.dual_multipliers.items()
-        },
-    }
-
-
-def certificate_to_json(cert: DualCertificate) -> dict:
-    return {
-        "claimed_value": cert.claimed_value,
-        "multipliers": {
-            name: (val if isinstance(val, (int, float)) else complex_to_json(val))
-            for name, val in cert.multipliers.items()
-        },
-    }
-
-
-def certificate_from_json(data: dict) -> DualCertificate:
-    multipliers = {}
-    for name, val in data["multipliers"].items():
-        multipliers[name] = val if isinstance(val, (int, float)) else complex_from_json(val)
-    return DualCertificate(multipliers=multipliers, claimed_value=data["claimed_value"])

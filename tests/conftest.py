@@ -11,6 +11,12 @@ def random_state(layout: HilbertLayout, rng) -> StateVector:
     return StateVector(layout, amps / np.linalg.norm(amps))
 
 
+def density_matrix(state: StateVector) -> DensityMatrix:
+    """|psi><psi| as a DensityMatrix (sub-normalized states keep their flag)."""
+    rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    return DensityMatrix(state.layout, rho, subnormalized=state.subnormalized)
+
+
 def random_density(layout: HilbertLayout, rng, rank: int | None = None) -> DensityMatrix:
     d = layout.dim
     rank = d if rank is None else rank

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import alloc_peak_bytes, random_state
+from conftest import alloc_peak_bytes, density_matrix, random_state
 from qcoinflip.broadcast import (
     EPR,
+    HADAMARD,
     BroadcastState,
+    PartyRole,
+    apply_strategy,
     broadcast_qubit,
-    cheat_hadamard_collapse,
     classical_broadcast,
     emulate_broadcast_pairwise,
     establish_epr,
@@ -19,6 +21,7 @@ from qcoinflip.broadcast import (
 from qcoinflip.quantum import (
     HilbertLayout,
     StateVector,
+    apply_unitary,
     as_rng,
     measure,
     partial_trace,
@@ -206,8 +209,21 @@ class TestChannelViaBroadcast:
         received, uses, _ = simulate_quantum_channel_via_qbc(0, 3, half, 4, rng)
         assert uses == 5
         assert received.fidelity(EPR) > 1.0 - 1e-12
-        reduced = partial_trace(received.density_matrix(), keep=(0,))
+        reduced = partial_trace(density_matrix(received), keep=(0,))
         np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-10)
+
+
+def coalition_rotates_and_measures(shared: BroadcastState, cheaters, rng):
+    """One party owning every cheater's qubit rotates each to the +/- basis and
+    measures it, in the order given.  Returns (the honest party's conditional
+    pure state, the outcomes)."""
+    (honest,) = [p for p in range(shared.k) if p not in cheaters]
+    owner = {f: cheaters[0] if f in cheaters else f for f in range(shared.k)}
+    schedule = tuple(step for c in cheaters for step in (("unitary", HADAMARD, (c,)), ("measure", (c,))))
+    after, outcomes = apply_strategy(
+        BroadcastState(shared.k, shared.state, owner), PartyRole(cheaters[0], "cheating", schedule), rng
+    )
+    return after.state.split((honest,))[0], outcomes
 
 
 class TestCheatCollapse:
@@ -215,7 +231,7 @@ class TestCheatCollapse:
         shared = broadcast_qubit(1 / math.sqrt(2), 1 / math.sqrt(2), 2)
         seen = set()
         for seed in range(50):
-            state, outcomes = cheat_hadamard_collapse(shared, [1], as_rng(seed))
+            state, outcomes = coalition_rotates_and_measures(shared, [1], as_rng(seed))
             sign = 1.0 if outcomes[0] == 0 else -1.0
             expected = np.array([1.0, sign]) / math.sqrt(2)
             np.testing.assert_allclose(state.amplitudes, expected, atol=1e-12)
@@ -225,7 +241,7 @@ class TestCheatCollapse:
     def test_three_party_outcome_parity_sets_phase(self):
         shared = broadcast_qubit(1 / math.sqrt(2), 1 / math.sqrt(2), 3)
         for seed in range(50):
-            state, outcomes = cheat_hadamard_collapse(shared, [0, 2], as_rng(seed))
+            state, outcomes = coalition_rotates_and_measures(shared, [0, 2], as_rng(seed))
             sign = 1.0 if sum(outcomes) % 2 == 0 else -1.0
             np.testing.assert_allclose(
                 state.amplitudes, np.array([1.0, sign]) / math.sqrt(2), atol=1e-12
@@ -238,7 +254,7 @@ class TestCheatCollapse:
         shared = broadcast_qubit(0.6, 0.8, 2)
         collapse_states = set()
         for seed in range(40):
-            state, _ = cheat_hadamard_collapse(shared, [1], as_rng(seed))
+            state, _ = coalition_rotates_and_measures(shared, [1], as_rng(seed))
             collapse_states.add(tuple(np.round(np.abs(state.amplitudes), 9)))
         assert collapse_states == {(0.6, 0.8)}  # amplitudes fixed, phase random
 
@@ -247,7 +263,7 @@ class TestCheatCollapse:
         for seed in range(20):
             rng = as_rng(seed)
             (bit,), post = measure(shared.state, (0,), rng)
-            reduced = partial_trace(post.density_matrix(), keep=(1,))
+            reduced = partial_trace(density_matrix(post), keep=(1,))
             np.testing.assert_allclose(
                 np.diag(reduced.matrix).real, np.eye(2)[bit], atol=1e-12
             )
@@ -262,9 +278,6 @@ class TestOwnership:
 
 class TestDeclarativeStrategies:
     def test_schedule_reproduces_rotate_and_measure(self):
-        from qcoinflip.broadcast import PartyRole, apply_strategy
-        from qcoinflip.broadcast import HADAMARD
-
         shared = broadcast_qubit(1 / math.sqrt(2), 1 / math.sqrt(2), 2)
         role = PartyRole(
             id=1,
@@ -273,15 +286,16 @@ class TestDeclarativeStrategies:
         )
         for seed in range(30):
             after, outcomes = apply_strategy(shared, role, as_rng(seed))
-            direct, direct_outcomes = cheat_hadamard_collapse(shared, [1], as_rng(seed))
-            honest = partial_trace(after.state.density_matrix(), keep=(0,))
+            # oracle: the same rotation and measurement applied to the state directly
+            direct = apply_unitary(shared.state, HADAMARD, (1,))
+            direct_outcomes, direct = measure(direct, (1,), as_rng(seed))
+            direct = direct.split((0,))[0]
+            honest = partial_trace(density_matrix(after.state), keep=(0,))
             overlap = np.vdot(direct.amplitudes, honest.matrix @ direct.amplitudes)
             assert abs(overlap - 1.0) < 1e-10
             assert outcomes == list(direct_outcomes)
 
     def test_schedule_cannot_touch_other_factors(self):
-        from qcoinflip.broadcast import PartyRole, apply_strategy
-
         shared = broadcast_qubit(1.0, 0.0, 2)
         role = PartyRole(id=0, honesty="cheating", strategy=(("measure", (1,)),))
         with pytest.raises(ValueError):

@@ -14,6 +14,27 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tournament", "--k", "64", "--g", "8", "--bins", "1", "--runs", "10"),
+        ("tournament", "--k", "64", "--g", "8", "--runs", "-5"),
+        ("tournament", "--k", "64", "--g", "1", "--runs", "-5"),
+        ("tournament", "--k", "64", "--g", "8", "--threshold-factor", "-1"),
+        ("tournament", "--g", "8", "--sweep", "k=2..16x2"),
+        ("lowerbound", "--analytic", "--k", "4", "--g", "9"),
+        ("lowerbound", "--analytic", "--k", "4", "--g", "0"),
+        ("penalty", "--v", "nan"),
+        ("penalty", "--v", "inf"),
+    ],
+)
+def test_bad_argument_exits_2_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 class TestPenaltyCommand:
     def test_v16_record(self, capsys):
         code, out, _ = run_cli(capsys, "penalty", "--v", "16")
@@ -227,14 +248,6 @@ class TestSchemas:
         from qcoinflip.protocols import kparty_to_json
 
         jsonschema.validate(kparty_to_json(announce_kparty(3)), schema)
-
-    def test_sdp_fixture_schema(self):
-        jsonschema = pytest.importorskip("jsonschema")
-        from qcoinflip.penalty import PenaltyGame, alice_attack_sdp
-        from qcoinflip.sdp import problem_to_json
-
-        schema = self._load_schema("sdp_fixture.schema.json")
-        jsonschema.validate(problem_to_json(alice_attack_sdp(PenaltyGame(4.0))), schema)
 
 
 class TestCommitteeMonteCarloPath:

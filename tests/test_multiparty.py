@@ -22,10 +22,8 @@ from qcoinflip.multiparty import (
     expected_fix_probability,
     honest_adversary,
     lightest_bin_select,
-    naive_fix_probability,
     naive_tournament_bound,
     pile_strategy,
-    recurrence_step,
     simulate_tournament,
     split_strategy,
     survival_product_constant,
@@ -59,28 +57,9 @@ SURVIVAL_CONSTANT = 0.0298533420561977
 
 class TestRecurrence:
     def test_round_with_penalty_seven(self):
-        q = 0.5 + 1 / math.sqrt(7)
-        out = recurrence_step(63 / 64, q)
-        assert abs(out - (1 - (1 / 64) * (0.5 - 1 / math.sqrt(7)))) < 1e-15
-
-    def test_no_cheating_power(self):
-        assert recurrence_step(0.75, 0.0) == 0.75
-
-    def test_total_cheating_power(self):
-        assert recurrence_step(0.25, 1.0) == 1.0
-
-    def test_monotone_in_both_arguments(self):
-        grid = np.linspace(0.0, 1.0, 9)
-        for p1 in grid:
-            for p2 in grid:
-                if p1 <= p2:
-                    for q in grid:
-                        assert recurrence_step(p1, q) <= recurrence_step(p2, q) + 1e-15
-                        assert recurrence_step(q, p1) <= recurrence_step(q, p2) + 1e-15
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            recurrence_step(1.5, 0.5)
+        # k = 16: one penalty-7 round, P_4 = 1 - (1 - P_3)(1 - Q_7), before the 8-player finish P_3 = 63/64
+        not_fixed, _ = tournament_bound(16)
+        assert abs((1 - not_fixed) - (1 - (1 / 64) * (0.5 - 1 / math.sqrt(7)))) < 1e-15
 
 
 class TestTournamentBound:
@@ -93,8 +72,8 @@ class TestTournamentBound:
         value = survival_product_constant()
         assert value > 0
         assert abs(value - SURVIVAL_CONSTANT) < 1e-10
-        # truncation is converged: pushing the tolerance changes nothing visible
-        assert abs(value - survival_product_constant(1e-14)) < 1e-10
+        # truncation is converged: a 400-term product changes nothing visible
+        assert abs(value - math.prod(1 - 2 / math.sqrt(2.0**j - 1) for j in range(3, 400))) < 1e-10
 
     def test_scaled_margin_bounded_below_up_to_2_20(self):
         c = tournament_constant()
@@ -116,11 +95,11 @@ class TestNaiveBound:
         assert abs(naive_tournament_bound(2) - 0.25) < 1e-15
 
     def test_k1024_comparison(self):
-        assert naive_fix_probability(1024) <= 1 - 1 / (4 * 1024**1.78)
+        assert 0.5 + naive_tournament_bound(1024) <= 1 - 1 / (4 * 1024**1.78)
 
     def test_monotone_closed_form_comparison(self):
         for k in (2, 3, 8, 50, 400, 1 << 14):
-            assert naive_fix_probability(k) <= 1 - 1 / (4 * k**1.78) + 1e-15
+            assert 0.5 + naive_tournament_bound(k) <= 1 - 1 / (4 * k**1.78) + 1e-15
 
     def test_margin_weakly_decreasing(self):
         # the defence margin 1/2 - bias shrinks monotonically as the

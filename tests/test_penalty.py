@@ -11,13 +11,11 @@ from qcoinflip.penalty import (
     commit_state,
     dual_certificate,
     expected_win_bound,
-    honest_strategy_blocks,
     lambda_ceiling,
-    objective_value,
     received_register_state,
     run_honest,
 )
-from qcoinflip.quantum import HilbertLayout, StateVector, as_rng, trace_distance
+from qcoinflip.quantum import HilbertLayout, StateVector, as_rng, projector
 from qcoinflip.sdp import duality_gap, solve, verify_dual
 
 
@@ -29,8 +27,9 @@ class TestGame:
             assert 0 < game.delta <= 1
 
     def test_small_penalty_rejected(self):
-        with pytest.raises(ValueError):
-            PenaltyGame(3.9)
+        for v in (3.9, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                PenaltyGame(v)
 
 
 class TestCommitState:
@@ -94,7 +93,8 @@ class TestBobAttack:
         game = PenaltyGame(16.0)
         r0, r1 = received_register_state(0, game), received_register_state(1, game)
         np.testing.assert_allclose(r0.matrix, np.diag([0.5, 0.0, 0.5]), atol=1e-12)
-        assert abs(trace_distance(r0, r1) - 2 * game.delta) < 1e-12
+        trace_norm = np.sum(np.abs(np.linalg.eigvalsh(r0.matrix - r1.matrix)))
+        assert abs(trace_norm - 2 * game.delta) < 1e-12
 
     def test_monotone_in_penalty(self):
         wins = [bob_attack(PenaltyGame(v)).expected_win for v in (4, 9, 16, 25, 100, 10_000)]
@@ -106,7 +106,16 @@ class TestAliceSdp:
     def test_honest_play_scores_half(self):
         for v in (4.0, 16.0):
             game = PenaltyGame(v)
-            value = objective_value(alice_attack_sdp(game), honest_strategy_blocks(game))
+            problem = alice_attack_sdp(game)
+            # the feasible point of honest play: she sends her commitment's second
+            # register and opens the bit she committed to, whatever he says
+            blocks = {f"rho_{b}{a}": 0.5 * projector(commit_state(a, game)) for b in (0, 1) for a in (0, 1)}
+            blocks["tau"] = 0.5 * (
+                received_register_state(0, game).matrix + received_register_state(1, game).matrix
+            )
+            value = problem.objective_constant + sum(
+                float(np.real(np.trace(np.asarray(c) @ blocks[name]))) for name, c in problem.objective.items()
+            )
             assert abs(value - 0.5) < 1e-12
 
     @pytest.mark.parametrize(

@@ -1,4 +1,3 @@
-import json
 import warnings
 
 import numpy as np
@@ -13,12 +12,7 @@ from qcoinflip.sdp import (
     LinearTerm,
     SdpProblem,
     _Compiled,
-    certificate_from_json,
-    certificate_to_json,
     duality_gap,
-    problem_from_json,
-    problem_to_json,
-    solution_to_json,
     solve,
     verify_dual,
 )
@@ -372,26 +366,3 @@ class TestCertificates:
         with pytest.raises(KeyError):
             verify_dual(prob, DualCertificate(multipliers={}, claimed_value=0.0))
 
-
-class TestJsonFixtures:
-    def test_problem_roundtrip(self, rng):
-        prob = random_structured_problem(rng)
-        data = json.loads(json.dumps(problem_to_json(prob)))
-        back = problem_from_json(data)
-        a, b = solve(prob), solve(back)
-        assert abs(a.primal_value - b.primal_value) < 1e-7
-
-    def test_solution_and_certificate_serialize(self, rng):
-        prob = trivial_problem(0.5)
-        sol = solve(prob)
-        payload = json.dumps(solution_to_json(sol), sort_keys=True)
-        assert json.loads(payload)["status"] == "converged"
-        cert = DualCertificate(multipliers={"pin": 1.0}, claimed_value=0.5)
-        back = certificate_from_json(json.loads(json.dumps(certificate_to_json(cert))))
-        assert back.claimed_value == 0.5
-
-    def test_schema_keys_stable(self):
-        data = problem_to_json(trivial_problem())
-        assert sorted(data) == ["blocks", "constraints", "objective", "objective_constant"]
-        assert sorted(data["constraints"][0]) == ["name", "rhs", "terms"]
-        assert sorted(data["constraints"][0]["terms"][0]) == ["block", "coeff", "image_dims", "keep", "op"]
