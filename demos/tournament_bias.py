@@ -34,7 +34,7 @@ for k in (8, 32):
     bound = 1 - tournament_bound(k)[0]
     print(f"k = {k}: analytic fix-probability bound {bound:.6f}")
     for name, preset in ADVERSARY_PRESETS.items():
-        report = simulate_tournament(config, 0, preset, as_rng(11), runs)
+        report = simulate_tournament(config, preset, as_rng(11), runs)
         exact = expected_fix_probability(config, preset)
         print(f"  {name:>10}: simulated {report.mc_estimate:.6f} (+-{report.stderr:.6f}),"
               f" closed form {exact:.6f}")

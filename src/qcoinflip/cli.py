@@ -222,7 +222,6 @@ def cmd_tournament(args, out) -> int:
             if args.runs:
                 rep = simulate_tournament(
                     TournamentConfig.for_players(ksub),
-                    0,
                     ADVERSARY_PRESETS[args.adversary],
                     as_rng(args.seed),
                     args.runs,

@@ -5,8 +5,9 @@ the honest party is a semidefinite program over the honest party's view
 rho_0..rho_N: the message marginal evolves through the honest unitaries
 while the cheater rewrites the message register arbitrarily between rounds.
 The SDP lives on the reachable supports S_j of the honest private register
-(isometries W_j), and so do its dual variables, a chain Z_0..Z_N with Z_j on
-S_j:
+(isometries W_j), each block ordered private first, S_j (x) M, whichever side
+cheats (an honest Bob's round unitaries are reordered from M (x) B once).  So
+do its dual variables, a chain Z_0..Z_N with Z_j on S_j:
 
     Z_N = W_N^dag P W_N,   Z_j (x) 1 >= K_{j+1}^dag (Z_{j+1} (x) 1) K_{j+1},
 
@@ -35,7 +36,7 @@ from .protocols import (
     validate_kparty,
     validate_protocol,
 )
-from .quantum import HilbertLayout, embed_operator
+from .quantum import HilbertLayout, embed_operator, grouping_permutation
 from .sdp import (
     CERT_TOL,
     Constraint,
@@ -52,46 +53,29 @@ PRODUCT_SLACK = 1e-5  # solver accuracy allowed in the product checks
 
 @dataclass(frozen=True)
 class CheatResult:
-    cheater: str  # "alice" | "bob"
-    target_bit: int
     probability: float
-    status: str
-    residuals: dict
 
     def __post_init__(self):
         if not -1e-6 <= self.probability <= 1.0 + 1e-6:
             raise ValueError(f"cheat probability {self.probability} outside [0, 1]")
 
 
-def _honest_side_pieces(protocol: TwoPartyProtocol, cheater: str):
-    """Layout, unitaries, projectors and factor bookkeeping of the honest view.
+def _honest_view(protocol: TwoPartyProtocol, cheater: str):
+    """The honest party's private layout, the message dimension, its round
+    unitaries on private (x) message and its outcome projectors.
 
-    The honest view is A (x) M when the cheater is Bob, M (x) B when the
-    cheater is Alice (matching the order the round unitaries act on).
+    This is the only place that knows the factor order: Alice's unitaries
+    already act on A (x) M, Bob's act on M (x) B and are reordered to B (x) M
+    here, so every cheat SDP is built private-first whichever side cheats.
     """
+    d_msg = protocol.layout_m.dim
     if cheater == "bob":
-        layout = protocol.layout_a.concat(protocol.layout_m)
-        priv = tuple(range(protocol.layout_a.nfactors))
-        unitaries = protocol.unitaries_a
-        proj = protocol.proj_a
-        d_priv = protocol.layout_a.dim
-    elif cheater == "alice":
-        layout = protocol.layout_m.concat(protocol.layout_b)
-        nm = protocol.layout_m.nfactors
-        priv = tuple(range(nm, nm + protocol.layout_b.nfactors))
-        unitaries = protocol.unitaries_b
-        proj = protocol.proj_b
-        d_priv = protocol.layout_b.dim
-    else:
-        raise ValueError("cheater must be 'alice' or 'bob'")
-    return layout, priv, unitaries, proj, d_priv
-
-
-def _priv_kron(cheater: str, priv_mat: np.ndarray, msg_mat: np.ndarray) -> np.ndarray:
-    """Kronecker in the honest view's factor order (private first vs last)."""
-    if cheater == "bob":  # honest Alice: (A, M)
-        return np.kron(priv_mat, msg_mat)
-    return np.kron(msg_mat, priv_mat)
+        return protocol.layout_a, d_msg, protocol.unitaries_a, protocol.proj_a
+    if cheater == "alice":
+        perm = grouping_permutation((d_msg, protocol.layout_b.dim), (1,))
+        unitaries = tuple(u[np.ix_(perm, perm)] for u in protocol.unitaries_b)
+        return protocol.layout_b, d_msg, unitaries, protocol.proj_b
+    raise ValueError("cheater must be 'alice' or 'bob'")
 
 
 def reachable_supports(protocol: TwoPartyProtocol, cheater: str):
@@ -105,30 +89,20 @@ def reachable_supports(protocol: TwoPartyProtocol, cheater: str):
     without loss; this keeps the feasible set's interior nonempty (the full
     formulation pins marginals onto rank-deficient targets).
     """
-    layout, priv, unitaries, proj, d_priv = _honest_side_pieces(protocol, cheater)
-    d_msg = layout.dim // d_priv
-    basis = np.zeros((d_priv, 1), dtype=complex)
+    layout, d_msg, unitaries, _ = _honest_view(protocol, cheater)
+    basis = np.zeros((layout.dim, 1), dtype=complex)
     basis[0, 0] = 1.0
     supports = [basis]
     eye_m = np.eye(d_msg, dtype=complex)
     for u in unitaries:
-        span = u @ _priv_kron(cheater, supports[-1], eye_m)
-        if cheater == "bob":
-            components = span.reshape(d_priv, -1)
-        else:
-            components = span.reshape(d_msg, d_priv, -1).transpose(1, 0, 2).reshape(d_priv, -1)
+        components = (u @ np.kron(supports[-1], eye_m)).reshape(layout.dim, -1)
         svec, svals, _ = np.linalg.svd(components, full_matrices=False)
         rank = int(np.sum(svals > SUPPORT_TOL * max(svals[0], 1.0)))
         supports.append(svec[:, :rank])
     return supports
 
 
-def cheat_sdp(
-    protocol: TwoPartyProtocol,
-    cheater: str,
-    target: int,
-    reduce: bool = True,
-) -> SdpProblem:
+def cheat_sdp(protocol: TwoPartyProtocol, cheater: str, target: int) -> SdpProblem:
     """The cheater's optimal-strategy SDP over the honest party's view.
 
     Variables rho_j live on the honest private space tensor the message
@@ -139,82 +113,38 @@ def cheat_sdp(
 
     Objective: the honest party's target-outcome projector on rho_N.
 
-    With ``reduce`` each block is compressed onto its reachable private
-    support (see ``reachable_supports``); the optimum is unchanged and the
-    solver sees small, strictly feasible blocks.  The round-j multiplier
-    then lives on S_j, which is where ``extract_dual_chain`` keeps the dual
-    chain.  The unreduced form on the full private space is the reference
-    the reduction is tested against.
+    Each block is compressed onto its reachable private support S_j (see
+    ``reachable_supports``) and ordered private first, S_j (x) M, whichever
+    side cheats; the optimum is unchanged and the solver sees small,
+    strictly feasible blocks.  The round-j multiplier lives on S_j, which is
+    where ``extract_dual_chain`` keeps the dual chain.
     """
     if target not in (0, 1):
         raise ValueError("target bit must be 0 or 1")
-    layout, priv, unitaries, proj, d_priv = _honest_side_pieces(protocol, cheater)
-    n = len(unitaries)
-    d_msg = layout.dim // d_priv
-    e0 = np.zeros((d_priv, 1), dtype=complex)
-    e0[0, 0] = 1.0
+    _, d_msg, unitaries, proj = _honest_view(protocol, cheater)
+    supports = reachable_supports(protocol, cheater)
     eye_m = np.eye(d_msg, dtype=complex)
-
-    if reduce:
-        supports = reachable_supports(protocol, cheater)
-        blocks = []
-        constraints = []
-        for j in range(n + 1):
-            s_j = supports[j].shape[1]
-            if cheater == "bob":
-                block_layout = HilbertLayout((s_j, d_msg))
-                keep = (0,)
-            else:
-                block_layout = HilbertLayout((d_msg, s_j))
-                keep = (1,)
-            blocks.append((f"rho_{j}", block_layout))
-            if j == 0:
-                constraints.append(
-                    Constraint(
-                        "round_0",
-                        (LinearTerm("rho_0", 1.0, None, None, ()),),
-                        np.array([[1.0]]),
-                    )
-                )
-            else:
-                lift_prev = _priv_kron(cheater, supports[j - 1], eye_m)
-                compress = _priv_kron(cheater, supports[j], eye_m).conj().T
-                kmat = compress @ unitaries[j - 1] @ lift_prev
-                constraints.append(
-                    Constraint(
-                        f"round_{j}",
-                        (
-                            LinearTerm(f"rho_{j}", 1.0, None, None, keep),
-                            LinearTerm(f"rho_{j - 1}", -1.0, kmat, blocks[-1][1], keep),
-                        ),
-                        np.zeros((s_j, s_j), dtype=complex),
-                    )
-                )
-        w_n = supports[n]
-        objective = {
-            f"rho_{n}": _priv_kron(cheater, w_n.conj().T @ proj[target] @ w_n, eye_m)
-        }
-        return SdpProblem(blocks=tuple(blocks), objective=objective, constraints=tuple(constraints))
-
-    blocks = [("rho_0", layout)]
+    lifts = [np.kron(w, eye_m) for w in supports]  # S_j (x) M into private (x) M
+    blocks = tuple((f"rho_{j}", HilbertLayout((w.shape[1], d_msg))) for j, w in enumerate(supports))
     constraints = [
-        Constraint("round_0", (LinearTerm("rho_0", 1.0, None, None, priv),), e0 @ e0.conj().T)
+        Constraint("round_0", (LinearTerm("rho_0", 1.0, None, None, ()),), np.array([[1.0]]))
     ]
-    for j in range(1, n + 1):
-        name = f"rho_{j}"
-        blocks.append((name, layout))
+    for j in range(1, len(supports)):
+        s_j = supports[j].shape[1]
+        kmat = lifts[j].conj().T @ unitaries[j - 1] @ lifts[j - 1]
         constraints.append(
             Constraint(
                 f"round_{j}",
                 (
-                    LinearTerm(name, 1.0, None, None, priv),
-                    LinearTerm(f"rho_{j - 1}", -1.0, unitaries[j - 1], layout, priv),
+                    LinearTerm(f"rho_{j}", 1.0, None, None, (0,)),
+                    LinearTerm(f"rho_{j - 1}", -1.0, kmat, blocks[j][1], (0,)),
                 ),
-                np.zeros((d_priv, d_priv), dtype=complex),
+                np.zeros((s_j, s_j), dtype=complex),
             )
         )
-    objective = {f"rho_{n}": embed_operator(proj[target], layout.factor_dims, priv)}
-    return SdpProblem(blocks=tuple(blocks), objective=objective, constraints=tuple(constraints))
+    w_n = supports[-1]
+    objective = {blocks[-1][0]: np.kron(w_n.conj().T @ proj[target] @ w_n, eye_m)}
+    return SdpProblem(blocks=blocks, objective=objective, constraints=tuple(constraints))
 
 
 def optimal_cheat(protocol: TwoPartyProtocol, cheater: str, target: int) -> CheatResult:
@@ -224,13 +154,7 @@ def optimal_cheat(protocol: TwoPartyProtocol, cheater: str, target: int) -> Chea
         raise RuntimeError(
             f"cheat SDP ({cheater} forcing {target}) did not converge (status {solution.status})"
         )
-    return CheatResult(
-        cheater=cheater,
-        target_bit=target,
-        probability=solution.primal_value,
-        status=solution.status,
-        residuals=solution.residuals,
-    )
+    return CheatResult(probability=solution.primal_value)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +176,7 @@ def extract_dual_chain(protocol: TwoPartyProtocol, cheater: str, target: int):
     """
     problem = cheat_sdp(protocol, cheater, target)
     solution = solve(problem)
-    proj = _honest_side_pieces(protocol, cheater)[3]
+    proj = _honest_view(protocol, cheater)[3]
     w_n = reachable_supports(protocol, cheater)[-1]
     n = protocol.rounds
     chain = {

@@ -131,13 +131,8 @@ ADVERSARY_PRESETS = {
 
 @dataclass(frozen=True)
 class BiasReport:
-    k: int
-    g: int
-    analytic_not_fixed: float  # lower bound on 1 - P
-    bias_bound: float
-    mc_estimate: float | None
-    stderr: float | None
-    runs: int
+    mc_estimate: float
+    stderr: float
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +197,6 @@ def naive_tournament_bound(k: int) -> float:
 
 def simulate_tournament(
     config: TournamentConfig,
-    honest_id: int,
     adversary,
     rng,
     runs: int,
@@ -221,8 +215,6 @@ def simulate_tournament(
     multinomial, each final round takes a binomial share of them.
     """
     rng = as_rng(rng)
-    if not 0 <= honest_id < config.k:
-        raise ValueError("honest player id out of range")
     models = []
     for i in range(config.penalty_rounds):
         v = config.penalty_schedule[i]
@@ -242,16 +234,7 @@ def simulate_tournament(
 
     phat = fixed / runs
     stderr = math.sqrt(max(phat * (1.0 - phat), 1e-300) / runs)
-    not_fixed, bias = tournament_bound(config.k)
-    return BiasReport(
-        k=config.k,
-        g=1,
-        analytic_not_fixed=not_fixed,
-        bias_bound=bias,
-        mc_estimate=phat,
-        stderr=stderr,
-        runs=runs,
-    )
+    return BiasReport(mc_estimate=phat, stderr=stderr)
 
 
 def expected_fix_probability(config: TournamentConfig, adversary) -> float:

@@ -402,9 +402,13 @@ def _nt_scaling(lx: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def _max_step(l: np.ndarray, dx: np.ndarray) -> float:
-    """Largest t with X + t dX >= 0; ``l`` is X's Cholesky factor."""
-    a = sla.solve_triangular(l, dx, lower=True)
-    g = sla.solve_triangular(l, a.conj().T, lower=True).conj().T
+    """Largest t with X + t dX >= 0; ``l`` is X's Cholesky factor.
+
+    ``solve`` checks every direction for finite entries before it gets here,
+    so scipy's own finiteness scan is skipped.
+    """
+    a = sla.solve_triangular(l, dx, lower=True, check_finite=False)
+    g = sla.solve_triangular(l, a.conj().T, lower=True, check_finite=False).conj().T
     lam = float(np.linalg.eigvalsh((g + g.conj().T) / 2)[0])
     if lam >= -1e-14:
         return np.inf
@@ -517,6 +521,8 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
 
             # predictor (affine scaling) fixes the centering weight
             dy_a, dx_a, ds_a = direction(0.0)
+            if not all(np.all(np.isfinite(d)) for d in dx_a + ds_a):
+                break
             ap = min(1.0, min((_max_step(lx[i], dx_a[i]) for i in range(comp.nblocks)), default=1.0))
             ad = min(1.0, min((_max_step(ls[i], ds_a[i]) for i in range(comp.nblocks)), default=1.0))
             mu_aff = sum(

@@ -3,7 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcoinflip.quantum import DensityMatrix, HilbertLayout, StateVector
+from qcoinflip.quantum import DensityMatrix, HilbertLayout, StateVector, embed_operator
+from qcoinflip.sdp import Constraint, LinearTerm, SdpProblem
 
 
 def random_state(layout: HilbertLayout, rng) -> StateVector:
@@ -72,6 +73,40 @@ def lightest_bin_per_player(k: int, g: int, bins: int, threshold: int, rng, choi
         honest = honest[keep]
         current_round += 1
     return players.size, int(honest.sum())
+
+
+def full_space_cheat_sdp(protocol, cheater: str, target: int) -> SdpProblem:
+    """Oracle of ``lowerbound.cheat_sdp`` on the whole honest view, unreduced.
+
+    Built from the protocol's own fields in the factor order its unitaries
+    act on: A (x) M for a cheating Bob, M (x) B for a cheating Alice.  So it
+    checks both the support reduction and the library's reordering of Bob's
+    factors.  The private marginals are pinned to rank-deficient targets, so
+    the solver may stall here where the reduced form converges.
+    """
+    if cheater == "bob":
+        layout = protocol.layout_a.concat(protocol.layout_m)
+        priv = tuple(range(protocol.layout_a.nfactors))
+        unitaries, proj = protocol.unitaries_a, protocol.proj_a
+    else:
+        layout = protocol.layout_m.concat(protocol.layout_b)
+        nm = protocol.layout_m.nfactors
+        priv = tuple(range(nm, nm + protocol.layout_b.nfactors))
+        unitaries, proj = protocol.unitaries_b, protocol.proj_b
+    d_priv = proj[0].shape[0]
+    e0 = np.zeros((d_priv, d_priv), dtype=complex)
+    e0[0, 0] = 1.0
+    n = len(unitaries)
+    blocks = tuple((f"rho_{j}", layout) for j in range(n + 1))
+    constraints = [Constraint("round_0", (LinearTerm("rho_0", 1.0, None, None, priv),), e0)]
+    for j in range(1, n + 1):
+        terms = (
+            LinearTerm(f"rho_{j}", 1.0, None, None, priv),
+            LinearTerm(f"rho_{j - 1}", -1.0, unitaries[j - 1], layout, priv),
+        )
+        constraints.append(Constraint(f"round_{j}", terms, np.zeros((d_priv, d_priv), dtype=complex)))
+    objective = {f"rho_{n}": embed_operator(proj[target], layout.factor_dims, priv)}
+    return SdpProblem(blocks=blocks, objective=objective, constraints=tuple(constraints))
 
 
 def alloc_peak_bytes(fn) -> int:

@@ -167,7 +167,7 @@ def test_criterion_6_tournament_monte_carlo():
             config = TournamentConfig.for_players(k)
             bound = 1.0 - tournament_bound(k)[0]
             for name, preset in ADVERSARY_PRESETS.items():
-                report = simulate_tournament(config, 0, preset, as_rng(606), runs)
+                report = simulate_tournament(config, preset, as_rng(606), runs)
                 assert report.mc_estimate <= bound + 4 * report.stderr, (k, name)
     _report(6, clock, f"{len(ADVERSARY_PRESETS)} presets x k in 8..64, 1e5 runs each, under bound + 4 sigma")
 

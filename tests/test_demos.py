@@ -1,18 +1,25 @@
-"""The demos, the README's library tour and the benchmark's hooks work
-against the package in ``src/``.
+"""The demos, the README's library tour and command lines, and the
+benchmark's hooks work against the package in ``src/``.
 
 ``lower_bound_toolkit.py`` solves the v16 cheat SDPs and takes about 5 s;
 the others take under a second.
 """
 
+import csv
 import importlib
 import importlib.util
+import io
+import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from qcoinflip import cli
+from qcoinflip.protocols import alice_announces, save_protocol
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,6 +50,29 @@ def test_readme_library_tour_runs():
     code = tour.split("```python\n", 1)[1].split("```", 1)[0]
     result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
+
+
+def readme_command_lines():
+    block = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    code = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split("#", 1)[0].strip() for line in code.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("line", readme_command_lines())
+def test_readme_command_line_runs(line, tmp_path, monkeypatch, capsys):
+    # the block's `lowerbound protocol.json` reads a saved protocol from the current directory
+    monkeypatch.chdir(tmp_path)
+    save_protocol(alice_announces(), "protocol.json")
+    program, *argv = shlex.split(line)
+    assert program == "qcoinflip"
+    assert cli.main(argv) == 0
+    text = capsys.readouterr().out
+    if "--format" in argv and argv[argv.index("--format") + 1] == "csv":
+        records = list(csv.DictReader(io.StringIO(text)))
+    else:
+        records = [json.loads(row) for row in text.splitlines()]
+    assert records
+    assert all(record["command"].split()[0] == argv[0] for record in records)
 
 
 def test_benchmark_hooks_resolve():

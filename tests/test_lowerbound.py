@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import full_space_cheat_sdp
+from qcoinflip import lowerbound
 from qcoinflip.lowerbound import (
     cheat_product_check,
     cheat_sdp,
@@ -25,7 +27,15 @@ from qcoinflip.protocols import (
     validate_protocol,
 )
 from qcoinflip.quantum import HilbertLayout, projector
-from qcoinflip.sdp import Constraint, DualCertificate, LinearTerm, SdpProblem, solve, verify_dual
+from qcoinflip.sdp import (
+    Constraint,
+    DualCertificate,
+    LinearTerm,
+    SdpProblem,
+    SdpSolution,
+    solve,
+    verify_dual,
+)
 
 
 def penalty_forcing_oracle(v: float, target: int) -> float:
@@ -94,10 +104,42 @@ class TestOptimalCheat:
         assert abs(value - oracle) < 1e-4
 
     def test_reduction_does_not_change_values(self):
-        p = penalty_protocol_compact4()
-        full = solve(cheat_sdp(p, "bob", 1, reduce=False)).primal_value
-        reduced = optimal_cheat(p, "bob", 1).probability
-        assert abs(full - reduced) < 1e-5
+        # the full-space form in the protocol's own factor order checks the
+        # support reduction and the reordering of an honest Bob's factors;
+        # compact4 with a cheating Alice is left out because its full-space
+        # form stalls short of the tolerances
+        announces = alice_announces()
+        cases = [(announces, cheater, target) for cheater in ("alice", "bob") for target in (0, 1)]
+        cases.append((penalty_protocol_compact4(), "bob", 1))
+        for protocol, cheater, target in cases:
+            full = solve(full_space_cheat_sdp(protocol, cheater, target))
+            assert full.status == "converged", (protocol.name, cheater, target)
+            reduced = optimal_cheat(protocol, cheater, target).probability
+            assert abs(full.primal_value - reduced) < 1e-6, (protocol.name, cheater, target)
+
+    def test_blocks_are_private_first_for_either_cheater(self):
+        p = penalty_protocol(16.0)
+        d_msg = p.layout_m.dim
+        for cheater in ("alice", "bob"):
+            supports = reachable_supports(p, cheater)
+            blocks = cheat_sdp(p, cheater, 1).blocks
+            assert [layout.factor_dims for _, layout in blocks] == [(w.shape[1], d_msg) for w in supports]
+
+    def test_probability_outside_unit_interval_raises(self, monkeypatch):
+        def overshoot(problem):
+            return SdpSolution(
+                primal_value=1.5,
+                dual_value=1.5,
+                primal_blocks={},
+                dual_multipliers={},
+                status="converged",
+                iterations=1,
+                residuals={},
+            )
+
+        monkeypatch.setattr(lowerbound, "solve", overshoot)
+        with pytest.raises(ValueError, match="outside"):
+            optimal_cheat(alice_announces(), "bob", 1)
 
     def test_cheat_sdp_weak_duality_both_sides(self):
         # solve primal and dual numerically and check the gap sign

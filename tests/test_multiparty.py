@@ -143,7 +143,7 @@ class TestSimulation:
         for k in (8, 16, 64):
             config = TournamentConfig.for_players(k)
             for name, preset in ADVERSARY_PRESETS.items():
-                report = simulate_tournament(config, 0, preset, as_rng(17), runs)
+                report = simulate_tournament(config, preset, as_rng(17), runs)
                 exact = expected_fix_probability(config, preset)
                 assert abs(report.mc_estimate - exact) <= 4 * report.stderr, (k, name)
 
@@ -155,7 +155,7 @@ class TestSimulation:
         config = TournamentConfig.for_players(k)
         for name, preset in ADVERSARY_PRESETS.items():
             exact = expected_fix_probability(config, preset)
-            report = simulate_tournament(config, 0, preset, as_rng(k), runs)
+            report = simulate_tournament(config, preset, as_rng(k), runs)
             sigma = math.sqrt(exact * (1 - exact) / runs)
             assert abs(report.mc_estimate - exact) <= 4 * sigma, (k, name)
 
@@ -165,13 +165,13 @@ class TestSimulation:
             config = TournamentConfig.for_players(k)
             bound = 1.0 - tournament_bound(k)[0]
             for name, preset in ADVERSARY_PRESETS.items():
-                report = simulate_tournament(config, 0, preset, as_rng(29), runs)
+                report = simulate_tournament(config, preset, as_rng(29), runs)
                 assert report.mc_estimate <= bound + 4 * report.stderr, (k, name)
 
     def test_always_catch_adversary_never_fixes(self):
         config = TournamentConfig.for_players(32)
         catcher = AdversaryModel(0.0, 0.0, 1.0)
-        report = simulate_tournament(config, 0, catcher, as_rng(3), 20_000)
+        report = simulate_tournament(config, catcher, as_rng(3), 20_000)
         # honest survives both penalty rounds via catches; only the final
         # phase rounds remain fixable
         assert abs(report.mc_estimate - 0.0) < 1e-12
@@ -189,7 +189,7 @@ class TestSimulation:
         config = TournamentConfig.for_players(16)
         greedy = AdversaryModel(0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
-            simulate_tournament(config, 0, greedy, as_rng(0), 10)
+            simulate_tournament(config, greedy, as_rng(0), 10)
 
 
 class TestLightestBin:
