@@ -26,7 +26,7 @@ print("=== a protocol is a tuple of round unitaries plus outcome projectors ==="
 for protocol in (alice_announces(), penalty_protocol_compact4(), penalty_protocol(16.0)):
     report = validate_protocol(protocol)
     print(f"  {protocol.name:<18} valid={report.valid}  p0={report.p0:.3f} p1={report.p1:.3f}"
-          f"  dims A/M/B = {protocol.layout_a.dim}/{protocol.layout_m.dim}/{protocol.layout_b.dim}")
+          f"  dims A/M/B = {protocol.layouts[0].dim}/{protocol.layout_m.dim}/{protocol.layouts[1].dim}")
 
 print("\n=== optimal cheating is a semidefinite program over the honest view ===")
 p = alice_announces()

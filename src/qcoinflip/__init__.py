@@ -52,7 +52,6 @@ from .penalty import (
 )
 from .protocols import (
     KPartyProtocol,
-    TwoPartyProtocol,
     alice_announces,
     announce_kparty,
     honest_state,
@@ -60,7 +59,7 @@ from .protocols import (
     penalty_protocol,
     penalty_protocol_compact4,
     save_protocol,
-    validate_kparty,
+    two_party,
     validate_protocol,
 )
 from .quantum import (

@@ -11,7 +11,8 @@ Records are machine-first (JSON by default, CSV or a rendered table on
 request), embed the seed, version and full parameter echo, and are
 deterministic under a fixed --seed.  Relative --output paths resolve under
 $QCOINFLIP_OUTPUT_DIR when that is set.  Exit codes: 0 success, 2 invalid
-arguments, 3 solver non-convergence, 4 malformed input file.
+arguments or unwritable --output, 3 solver non-convergence, 4 unreadable or
+malformed input file.
 """
 
 from __future__ import annotations
@@ -60,13 +61,7 @@ from .penalty import (
     dual_certificate,
     expected_win_bound,
 )
-from .protocols import (
-    ProtocolFormatError,
-    TwoPartyProtocol,
-    load_protocol,
-    validate_kparty,
-    validate_protocol,
-)
+from .protocols import ProtocolFormatError, load_protocol, validate_protocol
 from .quantum import StateVector, as_rng, qubits
 from .sdp import solve, verify_dual
 
@@ -77,17 +72,12 @@ EXIT_BADFILE = 4
 
 
 def _emit(record: dict, fmt: str, out):
-    if fmt == "json":
-        json.dump(record, out, sort_keys=True)
-        out.write("\n")
-    elif fmt == "csv":
-        keys = sorted(record)
-        out.write(",".join(keys) + "\n")
-        out.write(",".join(_csv_cell(record[k]) for k in keys) + "\n")
-    else:
-        width = max(len(k) for k in record)
-        for key in sorted(record):
-            out.write(f"{key:<{width}}  {record[key]}\n")
+    if fmt != "table":
+        _emit_rows([record], fmt, out)
+        return
+    width = max(len(k) for k in record)
+    for key in sorted(record):
+        out.write(f"{key:<{width}}  {record[key]}\n")
 
 
 def _emit_rows(rows: list, fmt: str, out):
@@ -246,6 +236,25 @@ def cmd_tournament(args, out) -> int:
     return EXIT_OK
 
 
+def _product_fields(protocol) -> dict:
+    """The product-bound fields of a ``lowerbound FILE`` record; RuntimeError if a cheat SDP did not converge."""
+    if protocol.k == 2:
+        check = cheat_product_check(protocol)
+        return {
+            "p_alice_forces_1": check.p_alice_forces,
+            "p_bob_forces_1": check.p_bob_forces,
+            "product": check.product,
+            "product_check_passed": check.passed,
+            "balanced_max_ok": check.balanced_max_ok,
+        }
+    check = kparty_product_check(protocol)
+    return {
+        "forcing_probabilities": {f"{i}:{b}": p for (i, b), p in check.probabilities.items()},
+        "products": list(check.products),
+        "product_check_passed": check.passed,
+    }
+
+
 def cmd_lowerbound(args, out) -> int:
     record = _base_record(args, "lowerbound")
     if args.analytic:
@@ -271,67 +280,33 @@ def cmd_lowerbound(args, out) -> int:
         return EXIT_USAGE
     try:
         protocol = load_protocol(args.protocol)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.protocol}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: cannot read {args.protocol}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_BADFILE
     except ProtocolFormatError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
         return EXIT_BADFILE
-    record["file"] = args.protocol
-    if isinstance(protocol, TwoPartyProtocol):
-        report = validate_protocol(protocol)
-        record.update(
-            {
-                "kind": "two-party",
-                "name": protocol.name,
-                "valid": report.valid,
-                "p0": report.p0,
-                "p1": report.p1,
-                "p_abort": report.p_abort,
-                "conditions": {name: ok for name, ok, _ in report.checks},
-            }
-        )
-        if report.valid:
-            try:
-                check = cheat_product_check(protocol)
-            except RuntimeError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_SOLVER
-            record.update(
-                {
-                    "p_alice_forces_1": check.p_alice_forces,
-                    "p_bob_forces_1": check.p_bob_forces,
-                    "product": check.product,
-                    "product_check_passed": check.passed,
-                    "balanced_max_ok": check.balanced_max_ok,
-                }
-            )
-    else:
-        report = validate_kparty(protocol)
-        record.update(
-            {
-                "kind": "k-party",
-                "name": protocol.name,
-                "valid": report.valid,
-                "p0": report.p0,
-                "p1": report.p1,
-                "conditions": {name: ok for name, ok, _ in report.checks},
-            }
-        )
-        if report.valid:
-            try:
-                check = kparty_product_check(protocol)
-            except RuntimeError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_SOLVER
-            record.update(
-                {
-                    "forcing_probabilities": {f"{i}:{b}": p for (i, b), p in check.probabilities.items()},
-                    "products": list(check.products),
-                    "product_check_passed": check.passed,
-                }
-            )
+    report = validate_protocol(protocol)
+    record.update(
+        {
+            "file": args.protocol,
+            "kind": "two-party" if protocol.k == 2 else "k-party",
+            "name": protocol.name,
+            "valid": report.valid,
+            "p0": report.p0,
+            "p1": report.p1,
+            "conditions": {name: ok for name, ok, _ in report.checks},
+        }
+    )
+    if protocol.k == 2:
+        record["p_abort"] = report.p_abort
+    if report.valid:
+        try:
+            record.update(_product_fields(protocol))
+        except RuntimeError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_SOLVER
     _emit(record, args.format, out)
     return EXIT_OK
 
@@ -424,7 +399,11 @@ def main(argv=None) -> int:
         outdir = os.environ.get("QCOINFLIP_OUTPUT_DIR")
         if outdir and not os.path.isabs(path):
             path = os.path.join(outdir, path)
-        out = open(path, "w", encoding="utf-8")
+        try:
+            out = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+            return EXIT_USAGE
         close = True
     try:
         return handlers[args.verb](args, out)

@@ -1,25 +1,27 @@
 """Optimal cheating strategies and the product lower bound on bias.
 
-For a fixed two-party protocol, the best an unbounded cheater can do against
-the honest party is a semidefinite program over the honest party's view
-rho_0..rho_N: the message marginal evolves through the honest unitaries
-while the cheater rewrites the message register arbitrarily between rounds.
-The SDP lives on the reachable supports S_j of the honest private register
-(isometries W_j), each block ordered private first, S_j (x) M, whichever side
-cheats (an honest Bob's round unitaries are reordered from M (x) B once).  So
+For a fixed two-party protocol (``KPartyProtocol`` with k = 2), the best an
+unbounded cheater can do against the honest party is a semidefinite program
+over the honest party's view rho_0..rho_N, one block per honest turn: the
+message marginal evolves through the honest unitaries while the cheater
+rewrites the message register arbitrarily between them.  The SDP lives on
+the reachable supports S_j of the honest private register (isometries W_j),
+each block ordered S_j (x) M, the order every party's unitaries act in.  So
 do its dual variables, a chain Z_0..Z_N with Z_j on S_j:
 
     Z_N = W_N^dag P W_N,   Z_j (x) 1 >= K_{j+1}^dag (Z_{j+1} (x) 1) K_{j+1},
 
-where K_{j+1} = (W_{j+1} (x) 1)^dag U_{j+1} (W_j (x) 1) is the compressed round
-unitary.  These are exactly the dual constraints of ``cheat_sdp``, so
-``verify_dual`` checks a chain.  With the lifted multipliers W_j Z_j W_j^dag,
-the scalar sequence F_j = <state_j| Z_{A,j} (x) 1 (x) Z_{B,j} |state_j>
-interpolates monotonically from the product of the two cheat values down to
-the honest outcome probability: hence p_alice * p_bob >= p_outcome, the
-two-party bias bound.  Merging all cheaters into one adversary extends the
-bound to k parties: prod_i p_i >= p_outcome, so some player can be forced
-with probability at least (1/2)^(1/k).
+where K_{j+1} = (W_{j+1} (x) 1)^dag U_{j+1} (W_j (x) 1) is the compressed
+unitary of honest turn j + 1.  These are exactly the dual constraints of
+``cheat_sdp``, so ``verify_dual`` checks a chain.  On a protocol whose turns
+alternate 0, 1, 0, 1, ..., with the lifted multipliers W_j Z_j W_j^dag the
+scalar sequence F_j = <state_j| Z_{A,j} (x) Z_{B,j} (x) 1 |state_j> over
+round pairs j interpolates monotonically from the product of the two cheat
+values down to the honest outcome probability: hence
+p_alice * p_bob >= p_outcome, the two-party bias bound.  Merging all
+cheaters into one adversary (``merge_cheaters``) extends the bound to k
+parties: prod_i p_i >= p_outcome, so some player can be forced with
+probability at least (1/2)^(1/k).
 """
 
 from __future__ import annotations
@@ -29,14 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocols import (
-    KPartyProtocol,
-    TwoPartyProtocol,
-    honest_state,
-    validate_kparty,
-    validate_protocol,
-)
-from .quantum import HilbertLayout, embed_operator, grouping_permutation
+from .protocols import KPartyProtocol, honest_state, validate_protocol
+from .quantum import HilbertLayout, embed_operator
 from .sdp import (
     CERT_TOL,
     Constraint,
@@ -60,25 +56,23 @@ class CheatResult:
             raise ValueError(f"cheat probability {self.probability} outside [0, 1]")
 
 
-def _honest_view(protocol: TwoPartyProtocol, cheater: str):
-    """The honest party's private layout, the message dimension, its round
-    unitaries on private (x) message and its outcome projectors.
+def _honest_view(protocol: KPartyProtocol, cheater: str):
+    """The honest party's private layout, the message dimension, its
+    unitaries on private (x) message in turn order, and its outcome projectors.
 
-    This is the only place that knows the factor order: Alice's unitaries
-    already act on A (x) M, Bob's act on M (x) B and are reordered to B (x) M
-    here, so every cheat SDP is built private-first whichever side cheats.
+    The cheater is party 0 ("alice") or party 1 ("bob") of a two-party
+    protocol; the other party is honest.
     """
-    d_msg = protocol.layout_m.dim
-    if cheater == "bob":
-        return protocol.layout_a, d_msg, protocol.unitaries_a, protocol.proj_a
-    if cheater == "alice":
-        perm = grouping_permutation((d_msg, protocol.layout_b.dim), (1,))
-        unitaries = tuple(u[np.ix_(perm, perm)] for u in protocol.unitaries_b)
-        return protocol.layout_b, d_msg, unitaries, protocol.proj_b
-    raise ValueError("cheater must be 'alice' or 'bob'")
+    if protocol.k != 2:
+        raise ValueError("cheat SDPs take a two-party protocol; merge_cheaters fuses k parties into two")
+    if cheater not in ("alice", "bob"):
+        raise ValueError("cheater must be 'alice' or 'bob'")
+    honest = 1 if cheater == "alice" else 0
+    unitaries = tuple(u for t, u in zip(protocol.turns, protocol.unitaries) if t == honest)
+    return protocol.layouts[honest], protocol.layout_m.dim, unitaries, protocol.projectors[honest]
 
 
-def reachable_supports(protocol: TwoPartyProtocol, cheater: str):
+def reachable_supports(protocol: KPartyProtocol, cheater: str):
     """Orthonormal bases of the private-space subspaces the rounds can reach.
 
     The honest private register starts at |0> and is only ever touched by
@@ -102,20 +96,22 @@ def reachable_supports(protocol: TwoPartyProtocol, cheater: str):
     return supports
 
 
-def cheat_sdp(protocol: TwoPartyProtocol, cheater: str, target: int) -> SdpProblem:
+def cheat_sdp(protocol: KPartyProtocol, cheater: str, target: int) -> SdpProblem:
     """The cheater's optimal-strategy SDP over the honest party's view.
 
-    Variables rho_j live on the honest private space tensor the message
-    space; the message marginal is free (the cheater rewrites it), the
-    private marginal follows the honest unitaries:
+    ``cheater`` is "alice" (party 0) or "bob" (party 1) of a two-party
+    protocol.  Variables rho_j, one per honest turn and rho_0 before the
+    first, live on the honest private space tensor the message space; the
+    message marginal is free (the cheater rewrites it between honest turns),
+    the private marginal follows the honest unitaries:
 
         tr_msg(rho_0) = |0><0|,   tr_msg(rho_j) = tr_msg(U_j rho_{j-1} U_j^dag).
 
     Objective: the honest party's target-outcome projector on rho_N.
 
     Each block is compressed onto its reachable private support S_j (see
-    ``reachable_supports``) and ordered private first, S_j (x) M, whichever
-    side cheats; the optimum is unchanged and the solver sees small,
+    ``reachable_supports``) and ordered S_j (x) M, as the protocol's
+    unitaries act; the optimum is unchanged and the solver sees small,
     strictly feasible blocks.  The round-j multiplier lives on S_j, which is
     where ``extract_dual_chain`` keeps the dual chain.
     """
@@ -147,7 +143,7 @@ def cheat_sdp(protocol: TwoPartyProtocol, cheater: str, target: int) -> SdpProbl
     return SdpProblem(blocks=blocks, objective=objective, constraints=tuple(constraints))
 
 
-def optimal_cheat(protocol: TwoPartyProtocol, cheater: str, target: int) -> CheatResult:
+def optimal_cheat(protocol: KPartyProtocol, cheater: str, target: int) -> CheatResult:
     """The cheater's optimal probability of forcing ``target``; RuntimeError unless the solve converged."""
     solution = solve(cheat_sdp(protocol, cheater, target))
     if solution.status != "converged":
@@ -161,7 +157,7 @@ def optimal_cheat(protocol: TwoPartyProtocol, cheater: str, target: int) -> Chea
 # dual chains and the interpolating sequence
 
 
-def extract_dual_chain(protocol: TwoPartyProtocol, cheater: str, target: int):
+def extract_dual_chain(protocol: KPartyProtocol, cheater: str, target: int):
     """Solve the cheat SDP and return a feasible multiplier chain Z_0..Z_N.
 
     The chain lives where ``cheat_sdp`` does, on the reachable supports:
@@ -177,8 +173,8 @@ def extract_dual_chain(protocol: TwoPartyProtocol, cheater: str, target: int):
     problem = cheat_sdp(protocol, cheater, target)
     solution = solve(problem)
     proj = _honest_view(protocol, cheater)[3]
-    w_n = reachable_supports(protocol, cheater)[-1]
-    n = protocol.rounds
+    supports = reachable_supports(protocol, cheater)
+    w_n, n = supports[-1], len(supports) - 1
     chain = {
         f"round_{j}": np.atleast_2d(solution.dual_multipliers[f"round_{j}"]).astype(complex)
         for j in range(n)
@@ -194,7 +190,7 @@ def extract_dual_chain(protocol: TwoPartyProtocol, cheater: str, target: int):
 
 
 def dual_bound_sequence(
-    protocol: TwoPartyProtocol,
+    protocol: KPartyProtocol,
     cert_honest_alice: DualCertificate,
     cert_honest_bob: DualCertificate,
     target: int = 1,
@@ -204,15 +200,18 @@ def dual_bound_sequence(
     cert_honest_alice is the chain for a cheating Bob (multipliers on A's
     supports); cert_honest_bob the chain for a cheating Alice (multipliers
     on B's supports); both must aim at the same ``target`` outcome and pass
-    ``verify_dual`` on their ``cheat_sdp``.  F_j is evaluated with the
-    lifted chain W_j Z_j W_j^dag: the honest state after round j lies in
-    S_j (x) M (x) S_j, and U_j maps S_{j-1} (x) M into S_j (x) M, so the
-    step inequalities on the supports are all the ordering needs.  F_0
-    equals the product of the two chain values, F_j never increases, and
-    F_N >= p_target, with equality when both chains are pinned to the
+    ``verify_dual`` on their ``cheat_sdp``.  The turns must alternate
+    0, 1, 0, 1, ...; round pair j ends at turn 2j.  F_j is evaluated with
+    the lifted chain W_j Z_j W_j^dag: the honest state after round pair j
+    lies in S_j (x) S_j (x) M, and U_j maps S_{j-1} (x) M into S_j (x) M,
+    so the step inequalities on the supports are all the ordering needs.
+    F_0 equals the product of the two chain values, F_j never increases,
+    and F_N >= p_target, with equality when both chains are pinned to the
     target projector (as ``extract_dual_chain`` pins them).
     """
-    n = protocol.rounds
+    n = len(protocol.turns) // 2
+    if protocol.k != 2 or protocol.turns != (0, 1) * n:
+        raise ValueError("the interpolating sequence needs two parties taking turns 0, 1, 0, 1, ...")
     supports = {}
     for label, cheater, cert in (
         ("honest-alice", "bob", cert_honest_alice),
@@ -223,15 +222,15 @@ def dual_bound_sequence(
             bad = [j for j in range(n + 1) if report.lambda_min[f"rho_{j}"] < -CERT_TOL]
             raise ValueError(f"{label} chain infeasible: rounds {bad} violate the step inequality")
         supports[cheater] = reachable_supports(protocol, cheater)
-    shape = (protocol.layout_a.dim, protocol.layout_m.dim, protocol.layout_b.dim)
+    shape = (protocol.layouts[0].dim, protocol.layouts[1].dim, protocol.layout_m.dim)
     values = []
     for j in range(n + 1):
         w_a, w_b = supports["bob"][j], supports["alice"][j]
         za = w_a @ np.atleast_2d(cert_honest_alice.multipliers[f"round_{j}"]) @ w_a.conj().T
         zb = w_b @ np.atleast_2d(cert_honest_bob.multipliers[f"round_{j}"]) @ w_b.conj().T
-        psi = honest_state(protocol, j).amplitudes.reshape(shape)
+        psi = honest_state(protocol, 2 * j).amplitudes.reshape(shape)
         values.append(
-            float(np.real(np.einsum("amb,ax,by,xmy->", psi.conj(), za, zb, psi, optimize=True)))
+            float(np.real(np.einsum("abm,ax,by,xym->", psi.conj(), za, zb, psi, optimize=True)))
         )
     return values
 
@@ -250,7 +249,7 @@ class ProductCheck:
     balanced_max_ok: bool | None  # None when the protocol is not balanced
 
 
-def cheat_product_check(protocol: TwoPartyProtocol, target: int = 1) -> ProductCheck:
+def cheat_product_check(protocol: KPartyProtocol, target: int = 1) -> ProductCheck:
     """Check p_alice * p_bob >= p_target - PRODUCT_SLACK on a validated protocol.
 
     For balanced protocols (p_target = 1/2) additionally checks
@@ -278,79 +277,52 @@ def cheat_product_check(protocol: TwoPartyProtocol, target: int = 1) -> ProductC
 # k-party reduction
 
 
-def merge_cheaters(protocol: KPartyProtocol, honest: int) -> TwoPartyProtocol:
+def merge_cheaters(protocol: KPartyProtocol, honest: int) -> KPartyProtocol:
     """Fuse every party but ``honest`` into a single adversary.
 
-    The honest party keeps its unitaries; consecutive adversary turns
-    compose into one unitary on message (x) fused-space; identity rounds pad
-    the sequence into strict alternation starting with the honest side.  The
-    honest run of the merged protocol reproduces the k-party run exactly (up
-    to factor ordering).
+    Returns the two-party protocol whose party 0 is the honest party and
+    whose party 1 holds the other parties' spaces in ascending order.  The
+    honest party keeps its unitaries; each run of adjacent turns by other
+    parties composes into one unitary on (others..., M).  The honest run of
+    the merged protocol reproduces the k-party run exactly (up to factor
+    ordering).
     """
     if not 0 <= honest < protocol.k:
         raise ValueError("honest party index out of range")
     others = [i for i in range(protocol.k) if i != honest]
-    layout_b = protocol.layouts[others[0]]
+    fused = protocol.layouts[others[0]]
     for i in others[1:]:
-        layout_b = layout_b.concat(protocol.layouts[i])
-    dm = protocol.layout_m.dim
-    db = layout_b.dim
-    nm = protocol.layout_m.nfactors
-
-    # fused-side dims ordered (message, then the other parties ascending)
-    fused_dims = protocol.layout_m.factor_dims + layout_b.factor_dims
-    offset = {}  # party -> first factor index within fused_dims
-    pos = nm
+        fused = fused.concat(protocol.layouts[i])
+    fused_dims = fused.factor_dims + protocol.layout_m.factor_dims
+    message = tuple(range(fused.nfactors, len(fused_dims)))
+    factors = {}  # party -> its factors within the fused space
     for i in others:
-        offset[i] = pos
-        pos += protocol.layouts[i].nfactors
+        start = sum(len(f) for f in factors.values())
+        factors[i] = tuple(range(start, start + protocol.layouts[i].nfactors))
 
-    tokens = []  # ("A", U on A (x) M) | ("B", U on M (x) fused), adjacent B's merged
+    turns, unitaries = [], []
     for turn, u in zip(protocol.turns, protocol.unitaries):
         if turn == honest:
-            tokens.append(("A", u))
+            turns.append(0)
+            unitaries.append(u)
+            continue
+        u = embed_operator(u, fused_dims, factors[turn] + message)
+        if turns and turns[-1] == 1:
+            unitaries[-1] = u @ unitaries[-1]
         else:
-            nfac = protocol.layouts[turn].nfactors
-            factors = tuple(range(offset[turn], offset[turn] + nfac)) + tuple(range(nm))
-            big = embed_operator(u, fused_dims, factors)
-            if tokens and tokens[-1][0] == "B":
-                tokens[-1] = ("B", big @ tokens[-1][1])
-            else:
-                tokens.append(("B", big))
-
-    da = protocol.layouts[honest].dim
-    eye_a = np.eye(da * dm, dtype=complex)
-    eye_b = np.eye(dm * db, dtype=complex)
-    unitaries_a, unitaries_b = [], []
-    i = 0
-    while i < len(tokens):
-        if tokens[i][0] == "A":
-            unitaries_a.append(tokens[i][1])
-            i += 1
-            if i < len(tokens) and tokens[i][0] == "B":
-                unitaries_b.append(tokens[i][1])
-                i += 1
-            else:
-                unitaries_b.append(eye_b)
-        else:
-            unitaries_a.append(eye_a)
-            unitaries_b.append(tokens[i][1])
-            i += 1
+            turns.append(1)
+            unitaries.append(u)
 
     rep = others[0]  # any fused party's projector represents the coalition outcome
-    rep_factors = tuple(range(offset[rep] - nm, offset[rep] - nm + protocol.layouts[rep].nfactors))
-    proj_b_pair = [
-        embed_operator(protocol.projectors[rep][bit], layout_b.factor_dims, rep_factors)
-        for bit in (0, 1)
-    ]
-    return TwoPartyProtocol(
-        layout_a=protocol.layouts[honest],
+    return KPartyProtocol(
+        layouts=(protocol.layouts[honest], fused),
         layout_m=protocol.layout_m,
-        layout_b=layout_b,
-        unitaries_a=tuple(unitaries_a),
-        unitaries_b=tuple(unitaries_b),
-        proj_a=protocol.projectors[honest],
-        proj_b=tuple(proj_b_pair),
+        turns=tuple(turns),
+        unitaries=tuple(unitaries),
+        projectors=(
+            protocol.projectors[honest],
+            tuple(embed_operator(p, fused.factor_dims, factors[rep]) for p in protocol.projectors[rep]),
+        ),
         name=f"{protocol.name}-honest{honest}",
     )
 
@@ -366,7 +338,7 @@ class KPartyCheck:
 
 def kparty_product_check(protocol: KPartyProtocol) -> KPartyCheck:
     """prod_i p_{i,b} >= p_b - PRODUCT_SLACK for both outcome bits, via merged-cheater SDPs."""
-    report = validate_kparty(protocol)
+    report = validate_protocol(protocol)
     if not report.valid:
         raise ValueError("k-party protocol fails its honest-run conditions")
     probabilities = {}

@@ -1,11 +1,13 @@
-"""Unitary-round coin-flipping protocols and concrete encodings.
+"""Turn-based coin-flipping protocols and concrete encodings.
 
-A 2N-round two-party protocol is a tuple of round unitaries U_{A,j} on
-A (x) M and U_{B,j} on M (x) B plus final projector pairs on each private
-space; starting from |0...0> and alternating the unitaries must leave a
-state on which both parties' outcome projectors agree and give each outcome
-equal weight.  The k-party variant has one private space per party and a
-turn sequence saying who touches the message space when.
+A protocol has one private space per party and a message space M, laid out
+P_0 (x) ... (x) P_{k-1} (x) M.  Turn j lets party turns[j] apply unitaries[j]
+on its private space (x) M; each party ends with an outcome projector pair
+on its private space.  Starting from |0...0>, the turns must leave a state
+on which every party's outcome projectors agree and give each outcome equal
+weight.  A two-party protocol is the k = 2 case with turns 0, 1, 0, 1, ...:
+``two_party`` builds it from Alice's unitaries on A (x) M and Bob's on
+M (x) B, reordering Bob's to B (x) M once.
 
 Encodings provided:
 
@@ -37,6 +39,7 @@ from .quantum import (
     complex_from_json,
     complex_to_json,
     embed_operator,
+    grouping_permutation,
     projector,
 )
 
@@ -55,7 +58,7 @@ class ProtocolFormatError(ValueError):
 def _check_unitary(u: np.ndarray, dim: int, label: str):
     if u.shape != (dim, dim):
         raise ValueError(f"{label}: expected shape ({dim}, {dim}), got {u.shape}")
-    if np.max(np.abs(u.conj().T @ u - np.eye(dim))) > UNITARITY_TOL:
+    if not np.max(np.abs(u.conj().T @ u - np.eye(dim))) <= UNITARITY_TOL:  # NaN fails too
         raise ValueError(f"{label}: not unitary within {UNITARITY_TOL}")
 
 
@@ -63,62 +66,99 @@ def _check_projector_pair(p0: np.ndarray, p1: np.ndarray, dim: int, label: str):
     for tag, p in (("0", p0), ("1", p1)):
         if p.shape != (dim, dim):
             raise ValueError(f"{label}{tag}: wrong shape {p.shape}")
-        if np.max(np.abs(p - p.conj().T)) > 1e-10 or np.max(np.abs(p @ p - p)) > 1e-9:
+        if not (np.max(np.abs(p - p.conj().T)) <= 1e-10 and np.max(np.abs(p @ p - p)) <= 1e-9):
             raise ValueError(f"{label}{tag}: not an orthogonal projector")
-    if np.max(np.abs(p0 @ p1)) > 1e-9:
+    if not np.max(np.abs(p0 @ p1)) <= 1e-9:
         raise ValueError(f"{label}: outcome projectors overlap")
 
 
 @dataclass(frozen=True)
-class TwoPartyProtocol:
-    """2N-round protocol: alternating unitaries plus outcome projectors."""
+class KPartyProtocol:
+    """Turn-based protocol: party turns[j] applies unitaries[j] on its space (x) M."""
 
-    layout_a: HilbertLayout
+    layouts: tuple  # one HilbertLayout per party
     layout_m: HilbertLayout
-    layout_b: HilbertLayout
-    unitaries_a: tuple
-    unitaries_b: tuple
-    proj_a: tuple  # (outcome-0 projector, outcome-1 projector) on A
-    proj_b: tuple
+    turns: tuple
+    unitaries: tuple
+    projectors: tuple  # one (outcome-0, outcome-1) pair per party
     name: str = ""
 
     def __post_init__(self):
-        da, dm, db = self.layout_a.dim, self.layout_m.dim, self.layout_b.dim
-        if len(self.unitaries_a) != len(self.unitaries_b):
-            raise ValueError("need the same number of rounds on both sides")
-        object.__setattr__(self, "unitaries_a", tuple(np.asarray(u, dtype=complex) for u in self.unitaries_a))
-        object.__setattr__(self, "unitaries_b", tuple(np.asarray(u, dtype=complex) for u in self.unitaries_b))
-        object.__setattr__(self, "proj_a", tuple(np.asarray(p, dtype=complex) for p in self.proj_a))
-        object.__setattr__(self, "proj_b", tuple(np.asarray(p, dtype=complex) for p in self.proj_b))
-        for j, u in enumerate(self.unitaries_a):
-            _check_unitary(u, da * dm, f"U_A[{j}]")
-        for j, u in enumerate(self.unitaries_b):
-            _check_unitary(u, dm * db, f"U_B[{j}]")
-        _check_projector_pair(*self.proj_a, da, "proj_a ")
-        _check_projector_pair(*self.proj_b, db, "proj_b ")
+        k = len(self.layouts)
+        object.__setattr__(self, "turns", tuple(int(t) for t in self.turns))
+        object.__setattr__(self, "unitaries", tuple(np.asarray(u, dtype=complex) for u in self.unitaries))
+        object.__setattr__(
+            self,
+            "projectors",
+            tuple(tuple(np.asarray(p, dtype=complex) for p in pair) for pair in self.projectors),
+        )
+        if k < 2:
+            raise ValueError("need at least two parties")
+        if len(self.turns) != len(self.unitaries):
+            raise ValueError("one unitary per turn required")
+        if len(self.projectors) != k:
+            raise ValueError("one projector pair per party required")
+        for j, (t, u) in enumerate(zip(self.turns, self.unitaries)):
+            if not 0 <= t < k:
+                raise ValueError(f"turn {j}: party index {t} out of range")
+            _check_unitary(u, self.layouts[t].dim * self.layout_m.dim, f"U[{j}]")
+        for i, pair in enumerate(self.projectors):
+            _check_projector_pair(*pair, self.layouts[i].dim, f"projector[{i}] ")
 
     @property
-    def rounds(self) -> int:
-        return len(self.unitaries_a)
+    def k(self) -> int:
+        return len(self.layouts)
 
     @property
     def full_layout(self) -> HilbertLayout:
-        return self.layout_a.concat(self.layout_m).concat(self.layout_b)
+        layout = self.layouts[0]
+        for extra in self.layouts[1:]:
+            layout = layout.concat(extra)
+        return layout.concat(self.layout_m)
+
+    def party_factors(self, i: int):
+        start = sum(self.layouts[p].nfactors for p in range(i))
+        return tuple(range(start, start + self.layouts[i].nfactors))
+
+    def message_factors(self):
+        start = sum(lay.nfactors for lay in self.layouts)
+        return tuple(range(start, start + self.layout_m.nfactors))
 
 
-def honest_state(protocol: TwoPartyProtocol, j: int) -> StateVector:
-    """Joint state from |0> after round pair j (0 <= j <= rounds)."""
-    if not 0 <= j <= protocol.rounds:
-        raise ValueError(f"round index {j} out of range")
+def two_party(layout_a, layout_m, layout_b, unitaries_a, unitaries_b, proj_a, proj_b, name="") -> KPartyProtocol:
+    """The k = 2 protocol with turns 0, 1, 0, 1, ...: one round pair per U_A[j], U_B[j].
+
+    Alice's unitaries act on A (x) M and Bob's on M (x) B; Bob's are reordered
+    to B (x) M here, once, so each party's unitaries act on its space (x) M.
+    """
+    if len(unitaries_a) != len(unitaries_b):
+        raise ValueError("need the same number of rounds on both sides")
+    dm, db = layout_m.dim, layout_b.dim
+    perm = grouping_permutation((dm, db), (1,))
+    reordered = []
+    for j, u in enumerate(unitaries_b):
+        u = np.asarray(u, dtype=complex)
+        _check_unitary(u, dm * db, f"U_B[{j}]")
+        reordered.append(u[np.ix_(perm, perm)])
+    return KPartyProtocol(
+        layouts=(layout_a, layout_b),
+        layout_m=layout_m,
+        turns=(0, 1) * len(reordered),
+        unitaries=tuple(u for pair in zip(unitaries_a, reordered) for u in pair),
+        projectors=(proj_a, proj_b),
+        name=name,
+    )
+
+
+def honest_state(protocol: KPartyProtocol, j: int) -> StateVector:
+    """Joint state from |0> after the first j turns (0 <= j <= len(turns))."""
+    if not 0 <= j <= len(protocol.turns):
+        raise ValueError(f"turn index {j} out of range")
     layout = protocol.full_layout
-    dims = layout.factor_dims
-    na, nm = protocol.layout_a.nfactors, protocol.layout_m.nfactors
-    a_factors = tuple(range(na + nm))
-    b_factors = tuple(range(na, layout.nfactors))
     amps = StateVector.basis(layout, (0,) * layout.nfactors).amplitudes
     for r in range(j):  # the unitaries were checked when the protocol was built
-        amps = apply_local(protocol.unitaries_a[r], amps, dims, a_factors)
-        amps = apply_local(protocol.unitaries_b[r], amps, dims, b_factors)
+        factors = protocol.party_factors(protocol.turns[r]) + protocol.message_factors()
+        amps = apply_local(protocol.unitaries[r], amps, layout.factor_dims, factors)
     return StateVector(layout, amps)
 
 
@@ -131,40 +171,35 @@ class ValidationReport:
     p_abort: float
 
 
-def _outcome_amplitudes(protocol: TwoPartyProtocol, state: StateVector, bit: int):
-    dims, n = state.layout.factor_dims, state.layout.nfactors
-    a_factors = tuple(range(protocol.layout_a.nfactors))
-    b_factors = tuple(range(n - protocol.layout_b.nfactors, n))
-    return (
-        apply_local(protocol.proj_a[bit], state.amplitudes, dims, a_factors),
-        apply_local(protocol.proj_b[bit], state.amplitudes, dims, b_factors),
-    )
-
-
-def validate_protocol(protocol: TwoPartyProtocol) -> ValidationReport:
+def validate_protocol(protocol: KPartyProtocol) -> ValidationReport:
     """Check the honest-run conditions; violations are reported, not raised.
 
-    Conditions per outcome bit: Alice's and Bob's projections of the final
-    state coincide; and the two outcomes carry equal weight (both within
-    AGREEMENT_TOL).
+    Conditions per outcome bit: every pair of parties' projections of the
+    final state coincide; and the two outcomes carry equal weight (both
+    within AGREEMENT_TOL).  p0 and p1 are party 0's outcome weights.
     """
-    final = honest_state(protocol, protocol.rounds)
+    final = honest_state(protocol, len(protocol.turns))
+    dims = final.layout.factor_dims
+    projected = {
+        (i, bit): apply_local(protocol.projectors[i][bit], final.amplitudes, dims, protocol.party_factors(i))
+        for i in range(protocol.k)
+        for bit in (0, 1)
+    }
     checks = []
-    norms = []
     for bit in (0, 1):
-        va, vb = _outcome_amplitudes(protocol, final, bit)
-        residual = float(np.linalg.norm(va - vb))
-        checks.append((f"agreement_outcome_{bit}", residual <= AGREEMENT_TOL, residual))
-        norms.append(float(np.linalg.norm(va) ** 2))
-    balance = abs(norms[0] - norms[1])
-    checks.append(("equal_outcome_weights", balance <= AGREEMENT_TOL, balance))
-    valid = all(ok for _, ok, _ in checks)
+        for i in range(protocol.k):
+            for i2 in range(i + 1, protocol.k):
+                residual = float(np.linalg.norm(projected[(i, bit)] - projected[(i2, bit)]))
+                checks.append((f"agreement_{i}_{i2}_outcome_{bit}", residual <= AGREEMENT_TOL, residual))
+    p0 = float(np.linalg.norm(projected[(0, 0)]) ** 2)
+    p1 = float(np.linalg.norm(projected[(0, 1)]) ** 2)
+    checks.append(("equal_outcome_weights", abs(p0 - p1) <= AGREEMENT_TOL, abs(p0 - p1)))
     return ValidationReport(
-        valid=valid,
+        valid=all(ok for _, ok, _ in checks),
         checks=tuple(checks),
-        p0=norms[0],
-        p1=norms[1],
-        p_abort=max(0.0, 1.0 - norms[0] - norms[1]),
+        p0=p0,
+        p1=p1,
+        p_abort=max(0.0, 1.0 - p0 - p1),
     )
 
 
@@ -232,13 +267,13 @@ def unitary_with_first_column(vec: np.ndarray) -> np.ndarray:
 # encodings
 
 
-def alice_announces() -> TwoPartyProtocol:
+def alice_announces() -> KPartyProtocol:
     """One round pair: flip locally, copy to the message, copy to the peer."""
     h_then_copy = controlled_by_factor((2, 2), 0, {1: (np.array([[0, 1], [1, 0]], dtype=complex), (1,))})
     u_a = h_then_copy @ embed_operator(HADAMARD, (2, 2), (0,))
     u_b = xor_gate()  # message controls, private target
     pa = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
-    return TwoPartyProtocol(
+    return two_party(
         layout_a=HilbertLayout((2,)),
         layout_m=HilbertLayout((2,)),
         layout_b=HilbertLayout((2,)),
@@ -250,7 +285,7 @@ def alice_announces() -> TwoPartyProtocol:
     )
 
 
-def penalty_protocol(v: float) -> TwoPartyProtocol:
+def penalty_protocol(v: float) -> KPartyProtocol:
     """The commit/reveal penalty game in unitary-round form.
 
     Factor plan (outcome register o holds the sender's bit, then gets the
@@ -321,7 +356,7 @@ def penalty_protocol(v: float) -> TwoPartyProtocol:
             total += pair @ mark_b @ mark_a
         proj_b.append(total)
 
-    return TwoPartyProtocol(
+    return two_party(
         layout_a=lay_a,
         layout_m=lay_m,
         layout_b=lay_b,
@@ -333,7 +368,7 @@ def penalty_protocol(v: float) -> TwoPartyProtocol:
     )
 
 
-def penalty_protocol_compact4() -> TwoPartyProtocol:
+def penalty_protocol_compact4() -> KPartyProtocol:
     """Penalty game at v = 4: orthogonal qubit commitments, minimal spaces.
 
     With the commitments |00> and |11> orthogonal, the verifier can read the
@@ -374,7 +409,7 @@ def penalty_protocol_compact4() -> TwoPartyProtocol:
             total += pair @ mark_b
         proj_b.append(total)
 
-    return TwoPartyProtocol(
+    return two_party(
         layout_a=lay_a,
         layout_m=lay_m,
         layout_b=lay_b,
@@ -386,103 +421,8 @@ def penalty_protocol_compact4() -> TwoPartyProtocol:
     )
 
 
-# ---------------------------------------------------------------------------
-# k-party protocols
-
-
-@dataclass(frozen=True)
-class KPartyProtocol:
-    """Turn-based protocol: party turns[j] applies unitaries[j] on its space (x) M."""
-
-    layouts: tuple  # one HilbertLayout per party
-    layout_m: HilbertLayout
-    turns: tuple
-    unitaries: tuple
-    projectors: tuple  # one (outcome-0, outcome-1) pair per party
-    name: str = ""
-
-    def __post_init__(self):
-        k = len(self.layouts)
-        object.__setattr__(self, "turns", tuple(int(t) for t in self.turns))
-        object.__setattr__(self, "unitaries", tuple(np.asarray(u, dtype=complex) for u in self.unitaries))
-        object.__setattr__(
-            self,
-            "projectors",
-            tuple(tuple(np.asarray(p, dtype=complex) for p in pair) for pair in self.projectors),
-        )
-        if len(self.turns) != len(self.unitaries):
-            raise ValueError("one unitary per turn required")
-        if len(self.projectors) != k:
-            raise ValueError("one projector pair per party required")
-        for j, (t, u) in enumerate(zip(self.turns, self.unitaries)):
-            if not 0 <= t < k:
-                raise ValueError(f"turn {j}: party index {t} out of range")
-            _check_unitary(u, self.layouts[t].dim * self.layout_m.dim, f"U[{j}]")
-        for i, pair in enumerate(self.projectors):
-            _check_projector_pair(*pair, self.layouts[i].dim, f"projector[{i}] ")
-
-    @property
-    def k(self) -> int:
-        return len(self.layouts)
-
-    @property
-    def full_layout(self) -> HilbertLayout:
-        layout = self.layouts[0]
-        for extra in self.layouts[1:]:
-            layout = layout.concat(extra)
-        return layout.concat(self.layout_m)
-
-    def party_factors(self, i: int):
-        start = sum(self.layouts[p].nfactors for p in range(i))
-        return tuple(range(start, start + self.layouts[i].nfactors))
-
-    def message_factors(self):
-        start = sum(lay.nfactors for lay in self.layouts)
-        return tuple(range(start, start + self.layout_m.nfactors))
-
-
-def honest_state_kparty(protocol: KPartyProtocol, j: int | None = None) -> StateVector:
-    if j is None:
-        j = len(protocol.turns)
-    layout = protocol.full_layout
-    amps = StateVector.basis(layout, (0,) * layout.nfactors).amplitudes
-    for r in range(j):  # the unitaries were checked when the protocol was built
-        factors = protocol.party_factors(protocol.turns[r]) + protocol.message_factors()
-        amps = apply_local(protocol.unitaries[r], amps, layout.factor_dims, factors)
-    return StateVector(layout, amps)
-
-
-def validate_kparty(protocol: KPartyProtocol) -> ValidationReport:
-    """Pairwise agreement and balance conditions on the honest final state, within AGREEMENT_TOL."""
-    final = honest_state_kparty(protocol)
-    dims = final.layout.factor_dims
-    checks = []
-    projected = {}
-    for i in range(protocol.k):
-        for bit in (0, 1):
-            op = protocol.projectors[i][bit]
-            projected[(i, bit)] = apply_local(op, final.amplitudes, dims, protocol.party_factors(i))
-    for bit in (0, 1):
-        for i in range(protocol.k):
-            for i2 in range(i + 1, protocol.k):
-                residual = float(np.linalg.norm(projected[(i, bit)] - projected[(i2, bit)]))
-                checks.append((f"agreement_{i}_{i2}_outcome_{bit}", residual <= AGREEMENT_TOL, residual))
-    p0 = float(np.linalg.norm(projected[(0, 0)]) ** 2)
-    p1 = float(np.linalg.norm(projected[(0, 1)]) ** 2)
-    checks.append(("equal_outcome_weights", abs(p0 - p1) <= AGREEMENT_TOL, abs(p0 - p1)))
-    return ValidationReport(
-        valid=all(ok for _, ok, _ in checks),
-        checks=tuple(checks),
-        p0=p0,
-        p1=p1,
-        p_abort=max(0.0, 1.0 - p0 - p1),
-    )
-
-
 def announce_kparty(k: int = 3) -> KPartyProtocol:
     """Party 0 flips locally and announces; everyone copies the message."""
-    if k < 2:
-        raise ValueError("need at least two parties")
     flip_and_copy = xor_gate() @ embed_operator(HADAMARD, (2, 2), (0,))
     copy_from_message = embed_operator(xor_gate(), (2, 2), (1, 0))
     pa = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
@@ -500,25 +440,7 @@ def announce_kparty(k: int = 3) -> KPartyProtocol:
 # JSON protocol files
 
 
-def two_party_to_json(protocol: TwoPartyProtocol) -> dict:
-    return {
-        "kind": "two-party",
-        "name": protocol.name,
-        "dims": {
-            "a": list(protocol.layout_a.factor_dims),
-            "m": list(protocol.layout_m.factor_dims),
-            "b": list(protocol.layout_b.factor_dims),
-        },
-        "unitaries_a": [complex_to_json(u) for u in protocol.unitaries_a],
-        "unitaries_b": [complex_to_json(u) for u in protocol.unitaries_b],
-        "projectors": {
-            "a": [complex_to_json(p) for p in protocol.proj_a],
-            "b": [complex_to_json(p) for p in protocol.proj_b],
-        },
-    }
-
-
-def kparty_to_json(protocol: KPartyProtocol) -> dict:
+def protocol_to_json(protocol: KPartyProtocol) -> dict:
     return {
         "kind": "k-party",
         "name": protocol.name,
@@ -532,80 +454,73 @@ def kparty_to_json(protocol: KPartyProtocol) -> dict:
     }
 
 
-def _require(data: dict, key: str, problems: list):
-    if key not in data:
-        problems.append(f"missing field {key!r}")
-        return None
-    return data[key]
+# required fields per kind, with the keys each object-valued field needs
+_FIELDS = {
+    "two-party": {"dims": ("a", "m", "b"), "unitaries_a": (), "unitaries_b": (), "projectors": ("a", "b")},
+    "k-party": {"dims": ("parties", "m"), "turns": (), "unitaries": (), "projectors": ()},
+}
 
 
-def protocol_from_json(data: dict):
+def protocol_from_json(data) -> KPartyProtocol:
     """Parse a protocol description; raises ProtocolFormatError naming every
-    missing or malformed field."""
+    missing or malformed field.
+
+    ``"two-party"`` descriptions (Bob's unitaries on M (x) B) are read
+    through ``two_party``; ``protocol_to_json`` writes ``"k-party"`` only.
+    """
+    if not isinstance(data, dict):
+        raise ProtocolFormatError([f"expected a JSON object, got {type(data).__name__}"])
+    if "kind" not in data:
+        raise ProtocolFormatError(["missing field 'kind'"])
+    kind = data["kind"]
+    fields = _FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ProtocolFormatError([f"unknown protocol kind {kind!r}"])
     problems = []
-    kind = _require(data, "kind", problems)
+    for key, parts in fields.items():
+        if key not in data:
+            problems.append(f"missing field {key!r}")
+        elif parts and not isinstance(data[key], dict):
+            problems.append(f"field {key!r} must be an object")
+        else:
+            problems.extend(f"missing field {key}.{part!r}" for part in parts if part not in data[key])
     if problems:
         raise ProtocolFormatError(problems)
-    if kind == "two-party":
-        dims = _require(data, "dims", problems) or {}
-        for part in ("a", "m", "b"):
-            if part not in dims:
-                problems.append(f"missing field dims.{part!r}")
-        ua = _require(data, "unitaries_a", problems)
-        ub = _require(data, "unitaries_b", problems)
-        projs = _require(data, "projectors", problems) or {}
-        for part in ("a", "b"):
-            if part not in projs:
-                problems.append(f"missing field projectors.{part!r}")
-        if problems:
-            raise ProtocolFormatError(problems)
-        try:
-            return TwoPartyProtocol(
+    dims, projectors = data["dims"], data["projectors"]
+    try:
+        if kind == "two-party":
+            return two_party(
                 layout_a=HilbertLayout(tuple(dims["a"])),
                 layout_m=HilbertLayout(tuple(dims["m"])),
                 layout_b=HilbertLayout(tuple(dims["b"])),
-                unitaries_a=tuple(complex_from_json(u) for u in ua),
-                unitaries_b=tuple(complex_from_json(u) for u in ub),
-                proj_a=tuple(complex_from_json(p) for p in projs["a"]),
-                proj_b=tuple(complex_from_json(p) for p in projs["b"]),
+                unitaries_a=tuple(complex_from_json(u) for u in data["unitaries_a"]),
+                unitaries_b=tuple(complex_from_json(u) for u in data["unitaries_b"]),
+                proj_a=tuple(complex_from_json(p) for p in projectors["a"]),
+                proj_b=tuple(complex_from_json(p) for p in projectors["b"]),
                 name=data.get("name", ""),
             )
-        except ValueError as exc:
-            raise ProtocolFormatError([str(exc)]) from exc
-    if kind == "k-party":
-        dims = _require(data, "dims", problems) or {}
-        for part in ("parties", "m"):
-            if part not in dims:
-                problems.append(f"missing field dims.{part!r}")
-        turns = _require(data, "turns", problems)
-        unitaries = _require(data, "unitaries", problems)
-        projectors = _require(data, "projectors", problems)
-        if problems:
-            raise ProtocolFormatError(problems)
-        try:
-            return KPartyProtocol(
-                layouts=tuple(HilbertLayout(tuple(d)) for d in dims["parties"]),
-                layout_m=HilbertLayout(tuple(dims["m"])),
-                turns=tuple(turns),
-                unitaries=tuple(complex_from_json(u) for u in unitaries),
-                projectors=tuple(tuple(complex_from_json(p) for p in pair) for pair in projectors),
-                name=data.get("name", ""),
-            )
-        except ValueError as exc:
-            raise ProtocolFormatError([str(exc)]) from exc
-    raise ProtocolFormatError([f"unknown protocol kind {kind!r}"])
+        return KPartyProtocol(
+            layouts=tuple(HilbertLayout(tuple(d)) for d in dims["parties"]),
+            layout_m=HilbertLayout(tuple(dims["m"])),
+            turns=tuple(data["turns"]),
+            unitaries=tuple(complex_from_json(u) for u in data["unitaries"]),
+            projectors=tuple(tuple(complex_from_json(p) for p in pair) for pair in projectors),
+            name=data.get("name", ""),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ProtocolFormatError([str(exc)]) from exc
 
 
-def load_protocol(path):
+def load_protocol(path) -> KPartyProtocol:
+    """Read a protocol file; OSError if it cannot be opened, else ProtocolFormatError if malformed."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ProtocolFormatError([f"not valid JSON: {exc}"]) from exc
     return protocol_from_json(data)
 
 
-def save_protocol(protocol, path):
-    data = two_party_to_json(protocol) if isinstance(protocol, TwoPartyProtocol) else kparty_to_json(protocol)
+def save_protocol(protocol: KPartyProtocol, path):
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle)
+        json.dump(protocol_to_json(protocol), handle)

@@ -389,6 +389,6 @@ def complex_to_json(array: np.ndarray):
 
 def complex_from_json(data) -> np.ndarray:
     arr = np.asarray(data, dtype=float)
-    if arr.shape[-1] != 2:
+    if arr.ndim == 0 or arr.shape[-1] != 2:
         raise ValueError("expected trailing [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]

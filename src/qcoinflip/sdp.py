@@ -291,14 +291,6 @@ class _Compiled:
             mats.append(np.asarray(multipliers[name]).reshape(d, d))
         return mats
 
-    def y_from_multipliers(self, multipliers: dict) -> np.ndarray:
-        mats = self.multiplier_matrices(multipliers)
-        if self.dtype.kind == "f":
-            if not all(_is_real(z) for z in mats):
-                raise ValueError("complex multipliers have no coordinates on real data; verify_dual checks them")
-            mats = [z.real for z in mats]
-        return self._coordinates(mats)
-
     def dense_rows(self) -> np.ndarray:
         """A as an explicit matrix: row r is conj(vec(A*(e_r))), so rows @ vec(X) = A(X).
 

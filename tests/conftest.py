@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcoinflip.quantum import DensityMatrix, HilbertLayout, StateVector, embed_operator
+from qcoinflip.quantum import DensityMatrix, HilbertLayout, StateVector, complex_to_json, embed_operator
 from qcoinflip.sdp import Constraint, LinearTerm, SdpProblem
 
 
@@ -78,21 +78,17 @@ def lightest_bin_per_player(k: int, g: int, bins: int, threshold: int, rng, choi
 def full_space_cheat_sdp(protocol, cheater: str, target: int) -> SdpProblem:
     """Oracle of ``lowerbound.cheat_sdp`` on the whole honest view, unreduced.
 
-    Built from the protocol's own fields in the factor order its unitaries
-    act on: A (x) M for a cheating Bob, M (x) B for a cheating Alice.  So it
-    checks both the support reduction and the library's reordering of Bob's
-    factors.  The private marginals are pinned to rank-deficient targets, so
-    the solver may stall here where the reduced form converges.
+    Built from the protocol's own fields: the honest party's turns, whose
+    unitaries act on its private space (x) M, and its projectors placed with
+    ``embed_operator``.  So it checks the support reduction.  The private
+    marginals are pinned to rank-deficient targets, so the solver may stall
+    here where the reduced form converges.
     """
-    if cheater == "bob":
-        layout = protocol.layout_a.concat(protocol.layout_m)
-        priv = tuple(range(protocol.layout_a.nfactors))
-        unitaries, proj = protocol.unitaries_a, protocol.proj_a
-    else:
-        layout = protocol.layout_m.concat(protocol.layout_b)
-        nm = protocol.layout_m.nfactors
-        priv = tuple(range(nm, nm + protocol.layout_b.nfactors))
-        unitaries, proj = protocol.unitaries_b, protocol.proj_b
+    honest = {"bob": 0, "alice": 1}[cheater]
+    layout = protocol.layouts[honest].concat(protocol.layout_m)
+    priv = tuple(range(protocol.layouts[honest].nfactors))
+    unitaries = [u for t, u in zip(protocol.turns, protocol.unitaries) if t == honest]
+    proj = protocol.projectors[honest]
     d_priv = proj[0].shape[0]
     e0 = np.zeros((d_priv, d_priv), dtype=complex)
     e0[0, 0] = 1.0
@@ -107,6 +103,30 @@ def full_space_cheat_sdp(protocol, cheater: str, target: int) -> SdpProblem:
         constraints.append(Constraint(f"round_{j}", terms, np.zeros((d_priv, d_priv), dtype=complex)))
     objective = {f"rho_{n}": embed_operator(proj[target], layout.factor_dims, priv)}
     return SdpProblem(blocks=blocks, objective=objective, constraints=tuple(constraints))
+
+
+def two_party_dict(protocol) -> dict:
+    """The legacy ``"two-party"`` file of a protocol with turns 0, 1, 0, 1, ...
+
+    That format keeps Bob's unitaries on M (x) B; they are moved there from
+    the protocol's B (x) M by an index transpose, independently of the
+    reordering the library applies when it reads the file.
+    """
+    assert protocol.turns == (0, 1) * (len(protocol.turns) // 2)
+    (lay_a, lay_b), lay_m = protocol.layouts, protocol.layout_m
+    db, dm = lay_b.dim, lay_m.dim
+
+    def message_first(u):
+        return u.reshape(db, dm, db, dm).transpose(1, 0, 3, 2).reshape(dm * db, dm * db)
+
+    return {
+        "kind": "two-party",
+        "name": protocol.name,
+        "dims": {"a": list(lay_a.factor_dims), "m": list(lay_m.factor_dims), "b": list(lay_b.factor_dims)},
+        "unitaries_a": [complex_to_json(u) for u in protocol.unitaries[0::2]],
+        "unitaries_b": [complex_to_json(message_first(u)) for u in protocol.unitaries[1::2]],
+        "projectors": {side: [complex_to_json(p) for p in pair] for side, pair in zip("ab", protocol.projectors)},
+    }
 
 
 def alloc_peak_bytes(fn) -> int:

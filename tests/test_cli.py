@@ -4,8 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from conftest import two_party_dict
 from qcoinflip.cli import main
-from qcoinflip.protocols import alice_announces, announce_kparty, save_protocol, two_party_to_json
+from qcoinflip.protocols import (
+    alice_announces,
+    announce_kparty,
+    penalty_protocol_compact4,
+    protocol_to_json,
+    save_protocol,
+)
 
 
 def run_cli(capsys, *argv):
@@ -26,9 +33,11 @@ def run_cli(capsys, *argv):
         ("lowerbound", "--analytic", "--k", "4", "--g", "0"),
         ("penalty", "--v", "nan"),
         ("penalty", "--v", "inf"),
+        ("lowerbound", "--analytic", "--k", "2", "--output", "no-such-dir/x.json"),
     ],
 )
-def test_bad_argument_exits_2_with_one_line(capsys, argv):
+def test_bad_argument_exits_2_with_one_line(capsys, argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -158,9 +167,25 @@ class TestLowerboundCommand:
         assert code == 0
         assert record["product_check_passed"] is True
 
+    def test_legacy_two_party_file_gives_the_same_record(self, capsys, tmp_path):
+        records = []
+        for name, data in (
+            ("legacy.json", two_party_dict(penalty_protocol_compact4())),
+            ("kparty.json", protocol_to_json(penalty_protocol_compact4())),
+        ):
+            path = tmp_path / name
+            path.write_text(json.dumps(data))
+            code, out, _ = run_cli(capsys, "lowerbound", str(path))
+            assert code == 0
+            record = json.loads(out)
+            assert record.pop("file") == str(path)
+            records.append(record)
+        assert records[0] == records[1]
+        assert records[0]["kind"] == "two-party" and records[0]["product_check_passed"] is True
+
     def test_truncated_file_exits_4_naming_problem(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
-        data = two_party_to_json(alice_announces())
+        data = two_party_dict(alice_announces())
         del data["projectors"]
         path.write_text(json.dumps(data))
         code, _, err = run_cli(capsys, "lowerbound", str(path))
@@ -170,6 +195,43 @@ class TestLowerboundCommand:
     def test_missing_file_exits_4(self, capsys):
         code, _, _ = run_cli(capsys, "lowerbound", "/nonexistent/protocol.json")
         assert code == 4
+
+
+def _legacy_with(**fields):
+    return json.dumps({**two_party_dict(alice_announces()), **fields}).encode()
+
+
+def _one_party():
+    # party 0's own turn of announce_kparty(2): a valid honest run with nobody to merge
+    data = protocol_to_json(announce_kparty(2))
+    data.update(dims={"parties": [[2]], "m": [2]}, turns=[0], unitaries=data["unitaries"][:1])
+    data["projectors"] = data["projectors"][:1]
+    return json.dumps(data).encode()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"5",
+        _legacy_with(unitaries_a=5),
+        _legacy_with(unitaries_a=[5]),
+        _legacy_with(unitaries_a=[[[[float("nan"), 0.0]] * 4] * 4]),
+        _one_party(),
+        b"\xff\xfe{not utf-8",
+        None,  # a directory
+    ],
+    ids=["json-number", "unitaries-not-a-list", "unitary-not-a-matrix", "nan-unitary", "one-party", "not-utf8", "directory"],
+)
+def test_malformed_protocol_file_exits_4(capsys, tmp_path, content):
+    path = tmp_path / "protocol.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    code, out, err = run_cli(capsys, "lowerbound", str(path))
+    assert code == 4
+    assert out == ""
+    assert err and all(line.startswith("error: ") for line in err.splitlines()), err
 
 
 class TestBroadcastCommand:
@@ -244,10 +306,8 @@ class TestSchemas:
     def test_protocol_file_schema(self):
         jsonschema = pytest.importorskip("jsonschema")
         schema = self._load_schema("protocol.schema.json")
-        jsonschema.validate(two_party_to_json(alice_announces()), schema)
-        from qcoinflip.protocols import kparty_to_json
-
-        jsonschema.validate(kparty_to_json(announce_kparty(3)), schema)
+        jsonschema.validate(two_party_dict(alice_announces()), schema)
+        jsonschema.validate(protocol_to_json(announce_kparty(3)), schema)
 
 
 class TestCommitteeMonteCarloPath:

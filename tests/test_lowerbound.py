@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from qcoinflip.penalty import PenaltyGame, bob_attack, commit_state
 from qcoinflip.protocols import (
     alice_announces,
     announce_kparty,
-    honest_state_kparty,
+    honest_state,
     penalty_protocol,
     penalty_protocol_compact4,
     validate_protocol,
@@ -165,7 +166,7 @@ class TestReachableSupports:
     def test_dimensions_never_exceed_space(self):
         p = penalty_protocol(16.0)
         for cheater in ("alice", "bob"):
-            _, priv_dim = (p.layout_b.dim, p.layout_b.dim) if cheater == "alice" else (0, p.layout_a.dim)
+            priv_dim = p.layouts[1 if cheater == "alice" else 0].dim
             for w in reachable_supports(p, cheater):
                 assert w.shape[0] == priv_dim
                 assert w.shape[1] <= priv_dim
@@ -193,17 +194,7 @@ class TestProductCheck:
 
     def test_invalid_protocol_rejected(self):
         base = alice_announces()
-        from qcoinflip.protocols import TwoPartyProtocol
-
-        broken = TwoPartyProtocol(
-            layout_a=base.layout_a,
-            layout_m=base.layout_m,
-            layout_b=base.layout_b,
-            unitaries_a=base.unitaries_a,
-            unitaries_b=base.unitaries_b,
-            proj_a=base.proj_a,
-            proj_b=(base.proj_b[1], base.proj_b[0]),
-        )
+        broken = replace(base, projectors=(base.projectors[0], base.projectors[1][::-1]))
         with pytest.raises(ValueError):
             cheat_product_check(broken)
 
@@ -266,6 +257,14 @@ class TestDualChains:
             dual_bound_sequence(p, bad, cert_b, target=1)
         assert "rounds [0]" in str(err.value)
 
+    def test_turns_must_alternate(self):
+        # merging around party 1 gives turns (1, 0, 1): no round pairs to walk
+        merged = merge_cheaters(announce_kparty(3), 1)
+        cert_a, _ = extract_dual_chain(merged, "bob", 1)
+        cert_b, _ = extract_dual_chain(merged, "alice", 1)
+        with pytest.raises(ValueError, match="0, 1, 0, 1"):
+            dual_bound_sequence(merged, cert_a, cert_b, target=1)
+
 
 class TestMergeCheaters:
     def test_two_party_merge_preserves_everything(self):
@@ -274,12 +273,18 @@ class TestMergeCheaters:
         report = validate_protocol(merged)
         assert report.valid
         assert abs(report.p0 - 0.5) < 1e-12
-        assert merged.rounds == 1
+        assert merged.turns == (0, 1)
 
     def test_consecutive_cheaters_fuse(self):
         kp = announce_kparty(3)
         merged = merge_cheaters(kp, 0)
-        assert merged.rounds == 1  # both cheater turns composed into one
+        assert merged.turns == (0, 1)  # both cheater turns composed into one
+
+    def test_no_padding_turns(self):
+        # each turn keeps its place; a cheater run before the honest turn stays first
+        kp = announce_kparty(3)
+        assert merge_cheaters(kp, 1).turns == (1, 0, 1)
+        assert merge_cheaters(kp, 2).turns == (1, 0)
 
     def test_honest_run_probabilities_preserved(self):
         kp = announce_kparty(3)
@@ -294,11 +299,9 @@ class TestMergeCheaters:
         kp = announce_kparty(3)
         honest = 1
         merged = merge_cheaters(kp, honest)
-        from qcoinflip.protocols import honest_state
-
-        psi_k = honest_state_kparty(kp).amplitudes.reshape(2, 2, 2, 2)  # A1 A2 A3 M
-        psi_m = honest_state(merged, merged.rounds).amplitudes.reshape(2, 2, 2, 2)  # A2 M A1 A3
-        np.testing.assert_allclose(psi_m, np.transpose(psi_k, (1, 3, 0, 2)), atol=1e-10)
+        psi_k = honest_state(kp, len(kp.turns)).amplitudes.reshape(2, 2, 2, 2)  # A1 A2 A3 M
+        psi_m = honest_state(merged, len(merged.turns)).amplitudes.reshape(2, 2, 2, 2)  # A2 A1 A3 M
+        np.testing.assert_allclose(psi_m, np.transpose(psi_k, (1, 0, 2, 3)), atol=1e-10)
 
 
 class TestKPartyProduct:
@@ -357,9 +360,9 @@ class TestEncodingSideChannel:
         from qcoinflip.penalty import PenaltyGame, commit_state
         from qcoinflip.protocols import (
             HADAMARD,
-            TwoPartyProtocol,
             controlled_by_factor,
             swap_gate,
+            two_party,
             unitary_with_first_column,
             xor_gate,
         )
@@ -402,7 +405,7 @@ class TestEncodingSideChannel:
                     @ embed_operator(np.diag([1.0 - a, 1.0 * a]).astype(complex), dims_b, (3,))
                 )
             proj_b.append(total)
-        flawed = TwoPartyProtocol(
+        flawed = two_party(
             layout_a=HilbertLayout((2, 3)),
             layout_m=HilbertLayout((3, 2)),
             layout_b=HilbertLayout((3, 2, 3, 2)),

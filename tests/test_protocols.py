@@ -1,27 +1,24 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import alloc_peak_bytes, random_state
+from conftest import alloc_peak_bytes, random_state, two_party_dict
 from qcoinflip.protocols import (
     KPartyProtocol,
     ProtocolFormatError,
-    TwoPartyProtocol,
     alice_announces,
     announce_kparty,
     honest_state,
-    honest_state_kparty,
-    kparty_to_json,
     load_protocol,
     penalty_protocol,
     penalty_protocol_compact4,
     protocol_from_json,
     save_protocol,
     swap_gate,
-    two_party_to_json,
+    two_party,
     unitary_with_first_column,
-    validate_kparty,
     validate_protocol,
     xor_gate,
 )
@@ -77,45 +74,34 @@ class TestTwoPartyValidation:
 
     def test_mismatched_projectors_fail_agreement(self):
         base = alice_announces()
-        flipped = TwoPartyProtocol(
-            layout_a=base.layout_a,
-            layout_m=base.layout_m,
-            layout_b=base.layout_b,
-            unitaries_a=base.unitaries_a,
-            unitaries_b=base.unitaries_b,
-            proj_a=base.proj_a,
-            proj_b=(base.proj_b[1], base.proj_b[0]),  # swapped outcomes
-        )
+        proj_a, proj_b = base.projectors
+        flipped = replace(base, projectors=(proj_a, proj_b[::-1]))  # swapped outcomes
         report = validate_protocol(flipped)
         assert not report.valid
         failed = {name for name, ok, _ in report.checks if not ok}
-        assert "agreement_outcome_0" in failed and "agreement_outcome_1" in failed
+        assert "agreement_0_1_outcome_0" in failed and "agreement_0_1_outcome_1" in failed
 
     def test_non_unitary_round_rejected(self):
-        base = alice_announces()
-        with pytest.raises(ValueError):
-            TwoPartyProtocol(
-                layout_a=base.layout_a,
-                layout_m=base.layout_m,
-                layout_b=base.layout_b,
-                unitaries_a=(np.diag([1.0, 1.0, 1.0, 2.0]),),
-                unitaries_b=base.unitaries_b,
-                proj_a=base.proj_a,
-                proj_b=base.proj_b,
-            )
+        layout = HilbertLayout((2,))
+        proj = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        bad = np.diag([1.0, 1.0, 1.0, 2.0])
+        for unitaries_a, unitaries_b in (((bad,), (xor_gate(),)), ((xor_gate(),), (bad,))):
+            with pytest.raises(ValueError, match="not unitary"):
+                two_party(layout, layout, layout, unitaries_a, unitaries_b, proj, proj)
 
     def test_overlapping_projectors_rejected(self):
         base = alice_announces()
         with pytest.raises(ValueError):
-            TwoPartyProtocol(
-                layout_a=base.layout_a,
-                layout_m=base.layout_m,
-                layout_b=base.layout_b,
-                unitaries_a=base.unitaries_a,
-                unitaries_b=base.unitaries_b,
-                proj_a=(np.eye(2), np.eye(2)),
-                proj_b=base.proj_b,
-            )
+            replace(base, projectors=((np.eye(2), np.eye(2)), base.projectors[1]))
+
+    def test_two_party_reorders_bob_to_private_first(self):
+        # U_B = CNOT with the message (first factor of M (x) B) as control
+        # becomes CNOT with the message (second factor of B (x) M) as control
+        layout = HilbertLayout((2,))
+        proj = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+        p = two_party(layout, layout, layout, (np.eye(4),), (xor_gate(),), proj, proj)
+        assert p.turns == (0, 1)
+        np.testing.assert_array_equal(p.unitaries[1], swap_gate(2) @ xor_gate() @ swap_gate(2))
 
 
 class TestHonestStates:
@@ -126,23 +112,23 @@ class TestHonestStates:
 
     def test_norm_one_every_round(self):
         p = penalty_protocol(9.0)
-        for j in range(p.rounds + 1):
+        for j in range(len(p.turns) + 1):
             assert abs(honest_state(p, j).norm - 1.0) < 1e-12
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            honest_state(alice_announces(), 2)
+            honest_state(alice_announces(), 3)
 
 
 class TestKParty:
     def test_announce_valid(self):
         for k in (2, 3, 4):
-            report = validate_kparty(announce_kparty(k))
+            report = validate_protocol(announce_kparty(k))
             assert report.valid
             assert abs(report.p0 - 0.5) < 1e-12
 
     def test_final_state_is_shared_coin(self):
-        state = honest_state_kparty(announce_kparty(3))
+        state = honest_state(announce_kparty(3), 3)
         amps = state.amplitudes.reshape(2, 2, 2, 2)
         assert abs(abs(amps[0, 0, 0, 0]) - 1 / np.sqrt(2)) < 1e-12
         assert abs(abs(amps[1, 1, 1, 1]) - 1 / np.sqrt(2)) < 1e-12
@@ -164,11 +150,20 @@ class TestJsonFormat:
         p = penalty_protocol_compact4()
         path = tmp_path / "protocol.json"
         save_protocol(p, path)
+        assert json.loads(path.read_text())["kind"] == "k-party"
         loaded = load_protocol(path)
-        assert isinstance(loaded, TwoPartyProtocol)
+        assert loaded.k == 2 and loaded.turns == p.turns
         assert validate_protocol(loaded).valid
-        for a, b in zip(p.unitaries_a, loaded.unitaries_a):
+        for a, b in zip(p.unitaries, loaded.unitaries):
             np.testing.assert_allclose(a, b, atol=1e-15)
+
+    @pytest.mark.parametrize("make", [alice_announces, penalty_protocol_compact4])
+    def test_legacy_two_party_file_matches_constructor(self, make):
+        p = make()
+        loaded = protocol_from_json(two_party_dict(p))
+        assert loaded.turns == p.turns and loaded.name == p.name
+        for a, b in zip(p.unitaries, loaded.unitaries):
+            np.testing.assert_array_equal(a, b)
 
     def test_kparty_roundtrip(self, tmp_path):
         p = announce_kparty(3)
@@ -176,7 +171,7 @@ class TestJsonFormat:
         save_protocol(p, path)
         loaded = load_protocol(path)
         assert isinstance(loaded, KPartyProtocol)
-        assert validate_kparty(loaded).valid
+        assert validate_protocol(loaded).valid
 
     def test_missing_fields_named(self):
         with pytest.raises(ProtocolFormatError) as err:
@@ -191,13 +186,13 @@ class TestJsonFormat:
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "broken.json"
-        path.write_text(json.dumps(two_party_to_json(alice_announces()))[:40])
+        path.write_text(json.dumps(two_party_dict(alice_announces()))[:40])
         with pytest.raises(ProtocolFormatError) as err:
             load_protocol(path)
         assert "JSON" in err.value.problems[0]
 
     def test_invalid_unitary_reported(self):
-        data = two_party_to_json(alice_announces())
+        data = two_party_dict(alice_announces())
         data["unitaries_a"][0][0][0] = [5.0, 0.0]
         with pytest.raises(ProtocolFormatError) as err:
             protocol_from_json(data)

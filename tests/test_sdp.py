@@ -98,10 +98,23 @@ def rotate_phases(problem, rng):
     )
 
 
+def y_from_multipliers(comp, multipliers: dict) -> np.ndarray:
+    """Oracle inverse of ``_Compiled.multipliers_from_y``: the coordinates of one multiplier per constraint.
+
+    On real data a complex multiplier has no coordinates and is refused.
+    """
+    mats = comp.multiplier_matrices(multipliers)
+    if comp.dtype.kind == "f":
+        if any(np.any(np.imag(z)) for z in mats):
+            raise ValueError("complex multipliers have no coordinates on real data")
+        mats = [z.real for z in mats]
+    return comp._coordinates(mats)
+
+
 def _random_multiplier_coords(comp, rng):
     real = comp.dtype == np.float64
     mats = {name: _random_hermitian(d, rng, real) for (name, _), d in zip(comp.constraints, comp.con_dims)}
-    return comp.y_from_multipliers(mats)
+    return y_from_multipliers(comp, mats)
 
 
 DATA = pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
@@ -131,7 +144,7 @@ class TestCompiled:
         comp = _Compiled(random_structured_problem(rng, real=real))
         mults = {name: _random_hermitian(d, rng, real) for (name, _), d in zip(comp.constraints, comp.con_dims)}
         mults["norm"] = 0.25
-        back = comp.multipliers_from_y(comp.y_from_multipliers(mults))
+        back = comp.multipliers_from_y(y_from_multipliers(comp, mults))
         assert back.keys() == mults.keys()
         assert isinstance(back["norm"], float) and back["norm"] == 0.25
         for name in ("marginal", "sandwich"):
@@ -140,10 +153,10 @@ class TestCompiled:
         if real:
             # a complex multiplier has no real coordinates; it is refused, never cast
             with pytest.raises(ValueError):
-                comp.y_from_multipliers({**mults, "marginal": mults["marginal"] + 1j * np.eye(3)})
+                y_from_multipliers(comp, {**mults, "marginal": mults["marginal"] + 1j * np.eye(3)})
         else:
             # a non-Hermitian y comes back as its Hermitian part
-            skew = comp.y_from_multipliers({**mults, "marginal": mults["marginal"] + 1j * np.eye(3)})
+            skew = y_from_multipliers(comp, {**mults, "marginal": mults["marginal"] + 1j * np.eye(3)})
             np.testing.assert_allclose(comp.multipliers_from_y(skew)["marginal"], mults["marginal"], atol=1e-14)
 
     @DATA
