@@ -3,14 +3,9 @@
 Run:  python demos/lower_bound_toolkit.py
 """
 
-import numpy as np
-
 from qcoinflip.lowerbound import (
     cheat_product_check,
     dual_bound_sequence,
-    extract_dual_chain,
-    kparty_product_check,
-    merge_cheaters,
     multiparty_bias_bound,
     optimal_cheat,
 )
@@ -31,34 +26,35 @@ for protocol in (alice_announces(), penalty_protocol_compact4(), penalty_protoco
 print("\n=== optimal cheating is a semidefinite program over the honest view ===")
 p = alice_announces()
 print("alice-announces: the announcer forces any outcome, the listener nothing:")
-print(f"  opener forces 1:   {optimal_cheat(p, 'alice', 1).probability:.6f}")
-print(f"  listener forces 1: {optimal_cheat(p, 'bob', 1).probability:.6f}")
+print(f"  opener forces 1:   {optimal_cheat(p, 1, 1).probability:.6f}   (against an honest listener, party 1)")
+print(f"  listener forces 1: {optimal_cheat(p, 0, 1).probability:.6f}   (against an honest opener, party 0)")
 
 print("\npenalty game at v = 16 (forcing, no penalty in the objective):")
 pv = penalty_protocol(16.0)
 check = cheat_product_check(pv)
-print(f"  opener forces 1:    {check.p_alice_forces:.6f}")
-print(f"  responder forces 1: {check.p_bob_forces:.6f}   (= the measurement-attack value)")
+bob_honest, alice_honest = check.cheats
+print(f"  opener forces 1:    {alice_honest.probability:.6f}")
+print(f"  responder forces 1: {bob_honest.probability:.6f}   (= the measurement-attack value)")
 print(f"  product {check.product:.6f} >= honest p1 = {check.p_honest:.3f}:"
       f" the product bound in action")
 
 print("\n=== the interpolating certificate sequence ===")
-cert_a, _ = extract_dual_chain(pv, "bob", 1)
-cert_b, _ = extract_dual_chain(pv, "alice", 1)
-values = dual_bound_sequence(pv, cert_a, cert_b, target=1)
-print(f"penalty game at v = 16: chain values ({cert_a.claimed_value:.5f}, {cert_b.claimed_value:.5f})")
+# each cheat SDP's solve also returned its dual chain, made exactly feasible
+values = dual_bound_sequence(pv, bob_honest.chain, alice_honest.chain, target=1)
+print(f"penalty game at v = 16: chain values ({bob_honest.bound:.5f}, {alice_honest.bound:.5f})")
 print(f"F_j = {[round(v, 5) for v in values]}")
 print("F_0 = 3/4 * 3/4 bounds the cheat product, F_N is the honest outcome")
 print("probability 1/2; the sequence never increases, so cheat products can")
 print("never beat honest odds: p_alice * p_bob >= p_1.")
 
-print("\n=== k parties: merge the cheaters, reuse the two-party machinery ===")
+print("\n=== k parties: the others cheat as one coalition against each honest party ===")
 kp = announce_kparty(3)
-check3 = kparty_product_check(kp)
+checks = [cheat_product_check(kp, bit) for bit in (0, 1)]
 print("3-party announce protocol, per-party forcing probabilities:")
-for (party, bit), prob in sorted(check3.probabilities.items()):
-    print(f"  party {party} forced to {bit}: {prob:.4f}")
-print(f"products {tuple(round(x, 4) for x in check3.products)} >= 1/2: the bound holds")
+for party in range(kp.k):
+    for bit, check3 in enumerate(checks):
+        print(f"  party {party} forced to {bit}: {check3.cheats[party].probability:.4f}")
+print(f"products {tuple(round(c.product, 4) for c in checks)} >= 1/2: the bound holds")
 
 print("\n=== what that means for the best possible bias ===")
 for k in (2, 4, 16, 64):

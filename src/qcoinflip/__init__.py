@@ -25,10 +25,7 @@ from .broadcast import (
 from .lowerbound import (
     cheat_product_check,
     dual_bound_sequence,
-    extract_dual_chain,
     group_players,
-    kparty_product_check,
-    merge_cheaters,
     multiparty_bias_bound,
     optimal_cheat,
 )

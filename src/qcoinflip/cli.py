@@ -35,12 +35,7 @@ from .broadcast import (
     simulate_quantum_channel_via_qbc,
     teleport,
 )
-from .lowerbound import (
-    cheat_product_check,
-    group_players,
-    kparty_product_check,
-    multiparty_bias_bound,
-)
+from .lowerbound import cheat_product_check, group_players, multiparty_bias_bound
 from .multiparty import (
     ADVERSARY_PRESETS,
     BIN_STRATEGIES,
@@ -237,21 +232,36 @@ def cmd_tournament(args, out) -> int:
 
 
 def _product_fields(protocol) -> dict:
-    """The product-bound fields of a ``lowerbound FILE`` record; RuntimeError if a cheat SDP did not converge."""
+    """The product-bound fields of a ``lowerbound FILE`` record; RuntimeError if a cheat SDP did not converge.
+
+    p_i is the probability that the other parties force the outcome on an
+    honest party i; each comes with the certified bound of its dual chain.
+    """
     if protocol.k == 2:
-        check = cheat_product_check(protocol)
+        check = cheat_product_check(protocol, 1)
+        bob_honest, alice_honest = check.cheats
         return {
-            "p_alice_forces_1": check.p_alice_forces,
-            "p_bob_forces_1": check.p_bob_forces,
+            "p_alice_forces_1": alice_honest.probability,
+            "p_alice_forces_1_bound": alice_honest.bound,
+            "p_bob_forces_1": bob_honest.probability,
+            "p_bob_forces_1_bound": bob_honest.bound,
             "product": check.product,
             "product_check_passed": check.passed,
             "balanced_max_ok": check.balanced_max_ok,
         }
-    check = kparty_product_check(protocol)
+    probabilities, bounds, products, passed = {}, {}, [], True
+    for bit in (0, 1):
+        check = cheat_product_check(protocol, bit)
+        for i, cheat in enumerate(check.cheats):
+            probabilities[f"{i}:{bit}"] = cheat.probability
+            bounds[f"{i}:{bit}"] = cheat.bound
+        products.append(check.product)
+        passed = passed and check.passed
     return {
-        "forcing_probabilities": {f"{i}:{b}": p for (i, b), p in check.probabilities.items()},
-        "products": list(check.products),
-        "product_check_passed": check.passed,
+        "forcing_probabilities": probabilities,
+        "forcing_bounds": bounds,
+        "products": products,
+        "product_check_passed": passed,
     }
 
 

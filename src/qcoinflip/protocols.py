@@ -85,6 +85,9 @@ class KPartyProtocol:
 
     def __post_init__(self):
         k = len(self.layouts)
+        for j, t in enumerate(self.turns):
+            if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+                raise ValueError(f"turns[{j}]: party index {t!r} is not an integer")
         object.__setattr__(self, "turns", tuple(int(t) for t in self.turns))
         object.__setattr__(self, "unitaries", tuple(np.asarray(u, dtype=complex) for u in self.unitaries))
         object.__setattr__(
@@ -454,10 +457,27 @@ def protocol_to_json(protocol: KPartyProtocol) -> dict:
     }
 
 
-# required fields per kind, with the keys each object-valued field needs
+def _matrices(items) -> tuple:
+    return tuple(complex_from_json(m) for m in items)
+
+
+# required fields per kind: the keys an object-valued field needs, and the field's parser
 _FIELDS = {
-    "two-party": {"dims": ("a", "m", "b"), "unitaries_a": (), "unitaries_b": (), "projectors": ("a", "b")},
-    "k-party": {"dims": ("parties", "m"), "turns": (), "unitaries": (), "projectors": ()},
+    "two-party": {
+        "dims": (("a", "m", "b"), lambda dims: tuple(HilbertLayout(tuple(dims[side])) for side in "amb")),
+        "unitaries_a": ((), _matrices),
+        "unitaries_b": ((), _matrices),
+        "projectors": (("a", "b"), lambda proj: (_matrices(proj["a"]), _matrices(proj["b"]))),
+    },
+    "k-party": {
+        "dims": (
+            ("parties", "m"),
+            lambda dims: (tuple(HilbertLayout(tuple(d)) for d in dims["parties"]), HilbertLayout(tuple(dims["m"]))),
+        ),
+        "turns": ((), tuple),
+        "unitaries": ((), _matrices),
+        "projectors": ((), lambda proj: tuple(_matrices(pair) for pair in proj)),
+    },
 }
 
 
@@ -476,37 +496,28 @@ def protocol_from_json(data) -> KPartyProtocol:
     fields = _FIELDS.get(kind) if isinstance(kind, str) else None
     if fields is None:
         raise ProtocolFormatError([f"unknown protocol kind {kind!r}"])
-    problems = []
-    for key, parts in fields.items():
+    problems, parsed = [], {}
+    for key, (parts, parse) in fields.items():
         if key not in data:
             problems.append(f"missing field {key!r}")
         elif parts and not isinstance(data[key], dict):
             problems.append(f"field {key!r} must be an object")
-        else:
+        elif any(part not in data[key] for part in parts):
             problems.extend(f"missing field {key}.{part!r}" for part in parts if part not in data[key])
+        else:
+            try:
+                parsed[key] = parse(data[key])
+            except (TypeError, ValueError) as exc:
+                problems.append(f"field {key!r}: {exc}")
     if problems:
         raise ProtocolFormatError(problems)
-    dims, projectors = data["dims"], data["projectors"]
+    name = data.get("name", "")
     try:
         if kind == "two-party":
-            return two_party(
-                layout_a=HilbertLayout(tuple(dims["a"])),
-                layout_m=HilbertLayout(tuple(dims["m"])),
-                layout_b=HilbertLayout(tuple(dims["b"])),
-                unitaries_a=tuple(complex_from_json(u) for u in data["unitaries_a"]),
-                unitaries_b=tuple(complex_from_json(u) for u in data["unitaries_b"]),
-                proj_a=tuple(complex_from_json(p) for p in projectors["a"]),
-                proj_b=tuple(complex_from_json(p) for p in projectors["b"]),
-                name=data.get("name", ""),
-            )
-        return KPartyProtocol(
-            layouts=tuple(HilbertLayout(tuple(d)) for d in dims["parties"]),
-            layout_m=HilbertLayout(tuple(dims["m"])),
-            turns=tuple(data["turns"]),
-            unitaries=tuple(complex_from_json(u) for u in data["unitaries"]),
-            projectors=tuple(tuple(complex_from_json(p) for p in pair) for pair in projectors),
-            name=data.get("name", ""),
-        )
+            proj_a, proj_b = parsed["projectors"]
+            return two_party(*parsed["dims"], parsed["unitaries_a"], parsed["unitaries_b"], proj_a, proj_b, name)
+        layouts, layout_m = parsed["dims"]
+        return KPartyProtocol(layouts, layout_m, parsed["turns"], parsed["unitaries"], parsed["projectors"], name)
     except (TypeError, ValueError) as exc:
         raise ProtocolFormatError([str(exc)]) from exc
 

@@ -83,7 +83,9 @@ class SdpSolution:
     dual_value: float
     primal_blocks: dict
     dual_multipliers: dict
-    status: str  # converged | max-iterations | infeasible
+    # converged | infeasible | max-iterations, or the guard that stopped the loop early:
+    # stall | non-finite-schur | schur-cholesky-failed | non-finite-direction | mu-blowup
+    status: str
     iterations: int
     residuals: dict
 
@@ -414,7 +416,16 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
     and the relative duality gap reaches ``tol``, and the iterate returned is
     then the one that passed; "infeasible" when the equality constraints are
     inconsistent (detected up-front for problems small enough to
-    materialize); otherwise "max-iterations".
+    materialize); "max-iterations" when ``max_iter`` iterations ran out.
+    Otherwise it names the guard that stopped the loop early, and the best
+    iterate is returned:
+
+    - "stall": the residual has not improved by 0.1 % in 60 iterations;
+    - "non-finite-schur": the Schur matrix has a NaN or infinite entry;
+    - "schur-cholesky-failed": the Schur matrix did not factor after six
+      jitters, each 100 times the last;
+    - "non-finite-direction": a search direction has a NaN or infinite entry;
+    - "mu-blowup": the complementarity measure mu is not finite or exceeds 1e14.
     """
     comp = _Compiled(problem)
     dims = comp.block_dims
@@ -477,6 +488,7 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
                 status = "converged"
                 break
             if iteration - best_iteration > 60:  # stalled; keep the best iterate
+                status = "stall"
                 break
 
             # one Cholesky factor per block, shared by NT scaling, S^-1 and the step lengths
@@ -485,6 +497,7 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
             w = [_nt_scaling(lx[i], s[i]) for i in range(comp.nblocks)]
             mmat = comp.schur(w)
             if not np.all(np.isfinite(mmat)):
+                status = "non-finite-schur"
                 break
             jitter = max(float(np.mean(np.diag(mmat)).real), 1.0) * 1e-13
             for _ in range(6):
@@ -494,6 +507,7 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
                 except np.linalg.LinAlgError:
                     jitter *= 100.0
             else:
+                status = "schur-cholesky-failed"
                 break
 
             sinv = [sla.cho_solve((l, True), np.eye(l.shape[0], dtype=comp.dtype)) for l in ls]
@@ -514,6 +528,7 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
             # predictor (affine scaling) fixes the centering weight
             dy_a, dx_a, ds_a = direction(0.0)
             if not all(np.all(np.isfinite(d)) for d in dx_a + ds_a):
+                status = "non-finite-direction"
                 break
             ap = min(1.0, min((_max_step(lx[i], dx_a[i]) for i in range(comp.nblocks)), default=1.0))
             ad = min(1.0, min((_max_step(ls[i], ds_a[i]) for i in range(comp.nblocks)), default=1.0))
@@ -524,6 +539,7 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
 
             dy, dx, ds = direction(sigma * mu)
             if not all(np.all(np.isfinite(d)) for d in dx + ds):
+                status = "non-finite-direction"
                 break
             ap = min(1.0, 0.98 * min((_max_step(lx[i], dx[i]) for i in range(comp.nblocks)), default=1.0))
             ad = min(1.0, 0.98 * min((_max_step(ls[i], ds[i]) for i in range(comp.nblocks)), default=1.0))
@@ -534,6 +550,7 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
             x = [(xi + xi.conj().T) / 2 for xi in x]
             s = [(si + si.conj().T) / 2 for si in s]
             if not np.isfinite(mu) or mu > 1e14:
+                status = "mu-blowup"
                 break
 
     pobj, dobj, xbest, ybest, prinf, dinf, relgap = best

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qcoinflip.protocols import KPartyProtocol
 from qcoinflip.quantum import DensityMatrix, HilbertLayout, StateVector, complex_to_json, embed_operator
 from qcoinflip.sdp import Constraint, LinearTerm, SdpProblem
 
@@ -75,7 +76,7 @@ def lightest_bin_per_player(k: int, g: int, bins: int, threshold: int, rng, choi
     return players.size, int(honest.sum())
 
 
-def full_space_cheat_sdp(protocol, cheater: str, target: int) -> SdpProblem:
+def full_space_cheat_sdp(protocol, honest: int, target: int) -> SdpProblem:
     """Oracle of ``lowerbound.cheat_sdp`` on the whole honest view, unreduced.
 
     Built from the protocol's own fields: the honest party's turns, whose
@@ -84,7 +85,6 @@ def full_space_cheat_sdp(protocol, cheater: str, target: int) -> SdpProblem:
     marginals are pinned to rank-deficient targets, so the solver may stall
     here where the reduced form converges.
     """
-    honest = {"bob": 0, "alice": 1}[cheater]
     layout = protocol.layouts[honest].concat(protocol.layout_m)
     priv = tuple(range(protocol.layouts[honest].nfactors))
     unitaries = [u for t, u in zip(protocol.turns, protocol.unitaries) if t == honest]
@@ -103,6 +103,54 @@ def full_space_cheat_sdp(protocol, cheater: str, target: int) -> SdpProblem:
         constraints.append(Constraint(f"round_{j}", terms, np.zeros((d_priv, d_priv), dtype=complex)))
     objective = {f"rho_{n}": embed_operator(proj[target], layout.factor_dims, priv)}
     return SdpProblem(blocks=blocks, objective=objective, constraints=tuple(constraints))
+
+
+def merge_cheaters(protocol: KPartyProtocol, honest: int) -> KPartyProtocol:
+    """Oracle of the coalition view: fuse every party but ``honest`` into one.
+
+    Returns the two-party protocol whose party 0 is the honest party and
+    whose party 1 holds the other parties' spaces in ascending order.  The
+    honest party keeps its unitaries; each run of adjacent turns by other
+    parties composes into one unitary on (others..., M).  Its cheat SDP with
+    party 0 honest is built from the same honest turns as the k-party one,
+    and its honest run reproduces the k-party run (up to factor ordering).
+    """
+    others = [i for i in range(protocol.k) if i != honest]
+    fused = protocol.layouts[others[0]]
+    for i in others[1:]:
+        fused = fused.concat(protocol.layouts[i])
+    fused_dims = fused.factor_dims + protocol.layout_m.factor_dims
+    message = tuple(range(fused.nfactors, len(fused_dims)))
+    factors = {}  # party -> its factors within the fused space
+    for i in others:
+        start = sum(len(f) for f in factors.values())
+        factors[i] = tuple(range(start, start + protocol.layouts[i].nfactors))
+
+    turns, unitaries = [], []
+    for turn, u in zip(protocol.turns, protocol.unitaries):
+        if turn == honest:
+            turns.append(0)
+            unitaries.append(u)
+            continue
+        u = embed_operator(u, fused_dims, factors[turn] + message)
+        if turns and turns[-1] == 1:
+            unitaries[-1] = u @ unitaries[-1]
+        else:
+            turns.append(1)
+            unitaries.append(u)
+
+    rep = others[0]  # any fused party's projector represents the coalition outcome
+    return KPartyProtocol(
+        layouts=(protocol.layouts[honest], fused),
+        layout_m=protocol.layout_m,
+        turns=tuple(turns),
+        unitaries=tuple(unitaries),
+        projectors=(
+            protocol.projectors[honest],
+            tuple(embed_operator(p, fused.factor_dims, factors[rep]) for p in protocol.projectors[rep]),
+        ),
+        name=f"{protocol.name}-honest{honest}",
+    )
 
 
 def two_party_dict(protocol) -> dict:

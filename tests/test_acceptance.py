@@ -21,12 +21,7 @@ from qcoinflip.broadcast import (
     simulate_quantum_channel_via_qbc,
     teleport,
 )
-from qcoinflip.lowerbound import (
-    cheat_product_check,
-    kparty_product_check,
-    multiparty_bias_bound,
-    optimal_cheat,
-)
+from qcoinflip.lowerbound import cheat_product_check, multiparty_bias_bound
 from qcoinflip.multiparty import (
     ADVERSARY_PRESETS,
     BIN_STRATEGIES,
@@ -200,10 +195,10 @@ def test_criterion_8_product_lower_bound_suite():
         # cross-module consistency: round-based responder attack equals the
         # measurement attack computed from the commitment states
         helstrom_value = bob_attack(PenaltyGame(16.0)).expected_win
-        round_based_value = results["penalty-v16"].p_bob_forces
+        round_based_value = results["penalty-v16"].cheats[0].probability  # Bob cheats
         assert abs(round_based_value - helstrom_value) < 1e-4
     detail = "; ".join(
-        f"{name}: {c.p_alice_forces:.4f}*{c.p_bob_forces:.4f}>={c.p_honest:.3f}"
+        f"{name}: {c.cheats[1].probability:.4f}*{c.cheats[0].probability:.4f}>={c.p_honest:.3f}"
         for name, c in results.items()
     )
     _report(8, clock, detail)
@@ -215,9 +210,12 @@ def test_criterion_9_kparty_bound():
             bound = multiparty_bias_bound(k)
             assert abs(bound.q_min**k - 0.5) < 1e-12, k
             assert bound.q_min >= 1 - math.log(2) / k, k
-        check = kparty_product_check(announce_kparty(3))
-        assert check.passed
-    _report(9, clock, f"q_min^k = 1/2 to 1e-12 up to k=64; 3-party merged products {check.products}")
+        products = []
+        for bit in (0, 1):
+            check = cheat_product_check(announce_kparty(3), bit)
+            assert check.passed
+            products.append(check.product)
+    _report(9, clock, f"q_min^k = 1/2 to 1e-12 up to k=64; 3-party coalition products {tuple(products)}")
 
 
 def test_criterion_10_theta_g_over_k_window():

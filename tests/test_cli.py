@@ -234,6 +234,46 @@ def test_malformed_protocol_file_exits_4(capsys, tmp_path, content):
     assert err and all(line.startswith("error: ") for line in err.splitlines()), err
 
 
+def _with_field(data, **fields):
+    return json.dumps({**data, **fields}).encode()
+
+
+@pytest.mark.parametrize(
+    "content, field",
+    [
+        (_with_field(protocol_to_json(announce_kparty(3)), turns=[0, 1.7, 2.2]), "turns"),
+        (_with_field(protocol_to_json(announce_kparty(3)), turns=[0, True, 2]), "turns"),
+        (_with_field(protocol_to_json(announce_kparty(3)), turns=5), "turns"),
+        (_with_field(protocol_to_json(announce_kparty(3)), unitaries=5), "unitaries"),
+        (_with_field(protocol_to_json(announce_kparty(3)), dims={"parties": 5, "m": [2]}), "dims"),
+        (_with_field(protocol_to_json(announce_kparty(3)), projectors=[[5]]), "projectors"),
+        (_legacy_with(unitaries_a=5), "unitaries_a"),
+        (_legacy_with(unitaries_b=[5]), "unitaries_b"),
+        (_legacy_with(dims={"a": 5, "m": [2], "b": [2]}), "dims"),
+        (_legacy_with(projectors={"a": 5, "b": []}), "projectors"),
+    ],
+    ids=[
+        "kparty-fractional-turns",
+        "kparty-bool-turn",
+        "kparty-turns-not-a-list",
+        "kparty-unitaries",
+        "kparty-dims",
+        "kparty-projectors",
+        "two-party-unitaries_a",
+        "two-party-unitaries_b",
+        "two-party-dims",
+        "two-party-projectors",
+    ],
+)
+def test_wrongly_typed_field_is_named(capsys, tmp_path, content, field):
+    path = tmp_path / "protocol.json"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, "lowerbound", str(path))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and field in err, err
+
+
 class TestBroadcastCommand:
     def test_emulate_counts(self, capsys):
         code, out, _ = run_cli(capsys, "broadcast", "emulate", "--k", "4")
@@ -303,6 +343,22 @@ class TestSchemas:
         _, out, _ = run_cli(capsys, "broadcast", "epr", "--k", "4")
         jsonschema.validate(json.loads(out), self._load_schema("broadcast_record.schema.json"))
 
+    def test_lowerbound_record_schema(self, capsys, tmp_path):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = self._load_schema("lowerbound_record.schema.json")
+        _, out, _ = run_cli(capsys, "lowerbound", "--analytic", "--k", "64", "--g", "8")
+        jsonschema.validate(json.loads(out), schema)
+        for protocol in (alice_announces(), announce_kparty(3)):
+            path = tmp_path / f"{protocol.name}.json"
+            save_protocol(protocol, path)
+            _, out, _ = run_cli(capsys, "lowerbound", str(path))
+            record = json.loads(out)
+            jsonschema.validate(record, schema)
+            # a file record's certified bounds are required
+            record.pop("p_bob_forces_1_bound" if protocol.k == 2 else "forcing_bounds")
+            with pytest.raises(jsonschema.ValidationError):
+                jsonschema.validate(record, schema)
+
     def test_protocol_file_schema(self):
         jsonschema = pytest.importorskip("jsonschema")
         schema = self._load_schema("protocol.schema.json")
@@ -355,3 +411,14 @@ class TestSolverFailureExitCode:
         assert code == 3
         assert out == ""
         assert "status max-iterations" in err
+
+    def test_lowerbound_stalled_cheat_sdp_names_the_stall(self, capsys, monkeypatch, tmp_path):
+        import qcoinflip.sdp as sdp
+
+        monkeypatch.setattr(sdp, "_max_step", lambda l, dx: 0.0)  # no step ever moves the iterate
+        path = tmp_path / "protocol.json"
+        save_protocol(alice_announces(), path)
+        code, out, err = run_cli(capsys, "lowerbound", str(path))
+        assert code == 3
+        assert out == ""
+        assert "status stall" in err

@@ -1,8 +1,8 @@
 """The demos, the README's library tour and command lines, and the
 benchmark's hooks work against the package in ``src/``.
 
-``lower_bound_toolkit.py`` solves the v16 cheat SDPs and takes about 5 s;
-the others take under a second.
+``lower_bound_toolkit.py`` solves each of its cheat SDPs once, the v16 ones
+included, and takes about 3 s; the others take under a second.
 """
 
 import csv

@@ -4,16 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import full_space_cheat_sdp
+from conftest import full_space_cheat_sdp, merge_cheaters
 from qcoinflip import lowerbound
 from qcoinflip.lowerbound import (
     cheat_product_check,
     cheat_sdp,
     dual_bound_sequence,
-    extract_dual_chain,
     group_players,
-    kparty_product_check,
-    merge_cheaters,
     multiparty_bias_bound,
     optimal_cheat,
     reachable_supports,
@@ -33,7 +30,6 @@ from qcoinflip.sdp import (
     DualCertificate,
     LinearTerm,
     SdpProblem,
-    SdpSolution,
     solve,
     verify_dual,
 )
@@ -67,88 +63,104 @@ def penalty_forcing_oracle(v: float, target: int) -> float:
     return sol.primal_value
 
 
+@pytest.fixture(scope="module")
+def v16_check():
+    """The product check of penalty_protocol(16) at target 1: its two cheat
+    SDPs (the Alice-cheat one takes about 2 s) are solved once for the module."""
+    return cheat_product_check(penalty_protocol(16.0))
+
+
 class TestOptimalCheat:
+    # party 0 (Alice) opens, party 1 (Bob) responds; optimal_cheat takes the honest one
     def test_announcer_controls_everything(self):
         p = alice_announces()
-        assert abs(optimal_cheat(p, "alice", 1).probability - 1.0) < 1e-6
-        assert abs(optimal_cheat(p, "alice", 0).probability - 1.0) < 1e-6
+        assert abs(optimal_cheat(p, 1, 1).probability - 1.0) < 1e-6
+        assert abs(optimal_cheat(p, 1, 0).probability - 1.0) < 1e-6
 
     def test_listener_controls_nothing(self):
         p = alice_announces()
-        assert abs(optimal_cheat(p, "bob", 1).probability - 0.5) < 1e-6
+        assert abs(optimal_cheat(p, 0, 1).probability - 0.5) < 1e-6
 
     def test_cheating_beats_honest_probability(self):
         for protocol in (alice_announces(), penalty_protocol_compact4()):
             report = validate_protocol(protocol)
-            for side in ("alice", "bob"):
+            for honest in (0, 1):
                 for bit in (0, 1):
-                    honest = report.p1 if bit else report.p0
-                    assert optimal_cheat(protocol, side, bit).probability >= honest - 1e-6
+                    p_honest = report.p1 if bit else report.p0
+                    assert optimal_cheat(protocol, honest, bit).probability >= p_honest - 1e-6
 
-    def test_penalty_v16_bob_matches_helstrom(self):
+    def test_penalty_v16_bob_matches_helstrom(self, v16_check):
         # cross-module consistency: the round-based SDP equals the
         # measurement attack value computed from the states themselves
-        p = penalty_protocol(16.0)
-        value = optimal_cheat(p, "bob", 1).probability
+        value = v16_check.cheats[0].probability
         assert abs(value - bob_attack(PenaltyGame(16.0)).expected_win) < 1e-4
 
-    def test_penalty_v16_alice_matches_direct_formulation(self):
-        p = penalty_protocol(16.0)
-        value = optimal_cheat(p, "alice", 1).probability
+    def test_penalty_v16_alice_matches_direct_formulation(self, v16_check):
+        value = v16_check.cheats[1].probability
         oracle = penalty_forcing_oracle(16.0, 1)
         assert abs(value - oracle) < 1e-4
 
     def test_compact4_alice_matches_direct_formulation(self):
         p = penalty_protocol_compact4()
-        value = optimal_cheat(p, "alice", 1).probability
+        value = optimal_cheat(p, 1, 1).probability
         oracle = penalty_forcing_oracle(4.0, 1)
         assert abs(value - oracle) < 1e-4
 
     def test_reduction_does_not_change_values(self):
         # the full-space form in the protocol's own factor order checks the
         # support reduction and the reordering of an honest Bob's factors;
-        # compact4 with a cheating Alice is left out because its full-space
+        # compact4 against an honest Bob is left out because its full-space
         # form stalls short of the tolerances
         announces = alice_announces()
-        cases = [(announces, cheater, target) for cheater in ("alice", "bob") for target in (0, 1)]
-        cases.append((penalty_protocol_compact4(), "bob", 1))
-        for protocol, cheater, target in cases:
-            full = solve(full_space_cheat_sdp(protocol, cheater, target))
-            assert full.status == "converged", (protocol.name, cheater, target)
-            reduced = optimal_cheat(protocol, cheater, target).probability
-            assert abs(full.primal_value - reduced) < 1e-6, (protocol.name, cheater, target)
+        cases = [(announces, honest, target) for honest in (1, 0) for target in (0, 1)]
+        cases.append((penalty_protocol_compact4(), 0, 1))
+        for protocol, honest, target in cases:
+            full = solve(full_space_cheat_sdp(protocol, honest, target))
+            assert full.status == "converged", (protocol.name, honest, target)
+            reduced = optimal_cheat(protocol, honest, target).probability
+            assert abs(full.primal_value - reduced) < 1e-6, (protocol.name, honest, target)
 
     def test_blocks_are_private_first_for_either_cheater(self):
         p = penalty_protocol(16.0)
         d_msg = p.layout_m.dim
-        for cheater in ("alice", "bob"):
-            supports = reachable_supports(p, cheater)
-            blocks = cheat_sdp(p, cheater, 1).blocks
+        for honest in (0, 1):
+            supports = reachable_supports(p, honest)
+            blocks = cheat_sdp(p, honest, 1).blocks
             assert [layout.factor_dims for _, layout in blocks] == [(w.shape[1], d_msg) for w in supports]
 
+    @pytest.mark.parametrize("honest", [-1, 2, "alice"])
+    def test_honest_index_out_of_range_raises(self, honest):
+        with pytest.raises(ValueError, match="out of range"):
+            cheat_sdp(alice_announces(), honest, 1)
+
     def test_probability_outside_unit_interval_raises(self, monkeypatch):
+        real_solve = lowerbound.solve
+
         def overshoot(problem):
-            return SdpSolution(
-                primal_value=1.5,
-                dual_value=1.5,
-                primal_blocks={},
-                dual_multipliers={},
-                status="converged",
-                iterations=1,
-                residuals={},
-            )
+            return replace(real_solve(problem), primal_value=1.5)
 
         monkeypatch.setattr(lowerbound, "solve", overshoot)
         with pytest.raises(ValueError, match="outside"):
-            optimal_cheat(alice_announces(), "bob", 1)
+            optimal_cheat(alice_announces(), 0, 1)
+
+    def test_kparty_values_equal_the_merged_coalition(self):
+        # the coalition view of the k-party protocol is the same SDP as the
+        # two-party protocol that fuses the other parties into one
+        for k in (3, 4):
+            kp = announce_kparty(k)
+            for honest in range(k):
+                merged = merge_cheaters(kp, honest)
+                for bit in (0, 1):
+                    value = optimal_cheat(kp, honest, bit).probability
+                    assert value == optimal_cheat(merged, 0, bit).probability, (k, honest, bit)
 
     def test_cheat_sdp_weak_duality_both_sides(self):
         # solve primal and dual numerically and check the gap sign
         from qcoinflip.sdp import DualCertificate, duality_gap
 
         p = penalty_protocol_compact4()
-        for cheater in ("alice", "bob"):
-            problem = cheat_sdp(p, cheater, 1)
+        for honest in (1, 0):
+            problem = cheat_sdp(p, honest, 1)
             sol = solve(problem)
             assert sol.status == "converged"
             cert = DualCertificate(dict(sol.dual_multipliers), sol.dual_value)
@@ -159,15 +171,15 @@ class TestOptimalCheat:
 
 class TestReachableSupports:
     def test_base_is_zero_ket(self):
-        supports = reachable_supports(alice_announces(), "bob")
+        supports = reachable_supports(alice_announces(), 0)
         assert supports[0].shape == (2, 1)
         assert abs(supports[0][0, 0] - 1.0) < 1e-12
 
     def test_dimensions_never_exceed_space(self):
         p = penalty_protocol(16.0)
-        for cheater in ("alice", "bob"):
-            priv_dim = p.layouts[1 if cheater == "alice" else 0].dim
-            for w in reachable_supports(p, cheater):
+        for honest in (0, 1):
+            priv_dim = p.layouts[honest].dim
+            for w in reachable_supports(p, honest):
                 assert w.shape[0] == priv_dim
                 assert w.shape[1] <= priv_dim
                 np.testing.assert_allclose(w.conj().T @ w, np.eye(w.shape[1]), atol=1e-10)
@@ -176,8 +188,8 @@ class TestReachableSupports:
 class TestProductCheck:
     def test_announcer_tight_instance(self):
         check = cheat_product_check(alice_announces())
-        assert abs(check.p_alice_forces - 1.0) < 1e-5
-        assert abs(check.p_bob_forces - 0.5) < 1e-5
+        assert abs(check.cheats[1].probability - 1.0) < 1e-5  # Alice cheats
+        assert abs(check.cheats[0].probability - 0.5) < 1e-5  # Bob cheats
         assert check.product >= check.p_honest - 1e-5
         assert check.passed and check.balanced_max_ok
 
@@ -185,12 +197,12 @@ class TestProductCheck:
         check = cheat_product_check(penalty_protocol_compact4())
         assert check.passed and check.balanced_max_ok
 
-    def test_penalty_v16(self):
-        check = cheat_product_check(penalty_protocol(16.0))
+    def test_penalty_v16(self, v16_check):
+        check = v16_check
         assert check.passed and check.balanced_max_ok
         # responder side is the measurement attack; the product bound then
         # forces the opener above 2/3
-        assert check.p_bob_forces >= 2 / 3 - 1e-4
+        assert check.cheats[0].probability >= 2 / 3 - 1e-4
 
     def test_invalid_protocol_rejected(self):
         base = alice_announces()
@@ -202,8 +214,8 @@ class TestProductCheck:
 class TestDualChains:
     def test_announce_chain_tight_and_constant(self):
         p = alice_announces()
-        cert_a, _ = extract_dual_chain(p, "bob", 1)
-        cert_b, _ = extract_dual_chain(p, "alice", 1)
+        cert_a = optimal_cheat(p, 0, 1).chain
+        cert_b = optimal_cheat(p, 1, 1).chain
         assert abs(cert_a.claimed_value - 0.5) < 1e-5
         assert abs(cert_b.claimed_value - 1.0) < 1e-5
         values = dual_bound_sequence(p, cert_a, cert_b, target=1)
@@ -213,8 +225,8 @@ class TestDualChains:
 
     def test_compact_penalty_chain_monotone(self):
         p = penalty_protocol_compact4()
-        cert_a, _ = extract_dual_chain(p, "bob", 1)
-        cert_b, _ = extract_dual_chain(p, "alice", 1)
+        cert_a = optimal_cheat(p, 0, 1).chain
+        cert_b = optimal_cheat(p, 1, 1).chain
         assert abs(cert_a.claimed_value - 1.0) < 1e-6
         assert abs(cert_b.claimed_value - 0.5) < 1e-6
         values = dual_bound_sequence(p, cert_a, cert_b, target=1)
@@ -224,23 +236,28 @@ class TestDualChains:
         assert values[0] >= 0.5 - 1e-9
 
     def test_chains_are_exactly_feasible(self):
-        p = penalty_protocol_compact4()
-        for cheater in ("alice", "bob"):
-            cert, _ = extract_dual_chain(p, cheater, 1)
-            report = verify_dual(cheat_sdp(p, cheater, 1), cert, tol=1e-10)
-            assert report.feasible, report.lambda_min
-            assert max(np.linalg.norm(z, 2) for z in cert.multipliers.values()) <= 2.0
+        # every chain optimal_cheat returns is feasible, and its value bounds the solver's optimum
+        cases = [(penalty_protocol_compact4(), honest, 1) for honest in (0, 1)]
+        for protocol in (alice_announces(), announce_kparty(3)):
+            cases += [(protocol, honest, bit) for honest in range(protocol.k) for bit in (0, 1)]
+        for protocol, honest, bit in cases:
+            cheat = optimal_cheat(protocol, honest, bit)
+            report = verify_dual(cheat_sdp(protocol, honest, bit), cheat.chain, tol=1e-10)
+            assert report.feasible, (protocol.name, honest, bit, report.lambda_min)
+            assert cheat.bound == cheat.chain.claimed_value == report.bound
+            assert cheat.bound >= cheat.probability - 1e-7
+            assert max(np.linalg.norm(z, 2) for z in cheat.chain.multipliers.values()) <= 2.0
 
     def test_global_shift_keeps_feasibility_and_raises_values(self):
         p = alice_announces()
-        cert_a, _ = extract_dual_chain(p, "bob", 1)
-        cert_b, _ = extract_dual_chain(p, "alice", 1)
+        cert_a = optimal_cheat(p, 0, 1).chain
+        cert_b = optimal_cheat(p, 1, 1).chain
         eps = 1e-3
         shifted = DualCertificate(
             multipliers={k: v + eps * np.eye(v.shape[0]) for k, v in cert_a.multipliers.items()},
             claimed_value=cert_a.claimed_value + eps,
         )
-        assert verify_dual(cheat_sdp(p, "bob", 1), shifted, tol=1e-10).feasible
+        assert verify_dual(cheat_sdp(p, 0, 1), shifted, tol=1e-10).feasible
         base = dual_bound_sequence(p, cert_a, cert_b, target=1)
         raised = dual_bound_sequence(p, shifted, cert_b, target=1)
         assert all(r >= b - 1e-12 for r, b in zip(raised, base))
@@ -248,8 +265,8 @@ class TestDualChains:
 
     def test_infeasible_chain_rejected_with_round_index(self):
         p = alice_announces()
-        cert_a, _ = extract_dual_chain(p, "bob", 1)
-        cert_b, _ = extract_dual_chain(p, "alice", 1)
+        cert_a = optimal_cheat(p, 0, 1).chain
+        cert_b = optimal_cheat(p, 1, 1).chain
         broken = dict(cert_a.multipliers)
         broken["round_0"] = broken["round_0"] - 0.2 * np.eye(broken["round_0"].shape[0])
         bad = DualCertificate(multipliers=broken, claimed_value=cert_a.claimed_value)
@@ -260,8 +277,8 @@ class TestDualChains:
     def test_turns_must_alternate(self):
         # merging around party 1 gives turns (1, 0, 1): no round pairs to walk
         merged = merge_cheaters(announce_kparty(3), 1)
-        cert_a, _ = extract_dual_chain(merged, "bob", 1)
-        cert_b, _ = extract_dual_chain(merged, "alice", 1)
+        cert_a = optimal_cheat(merged, 0, 1).chain
+        cert_b = optimal_cheat(merged, 1, 1).chain
         with pytest.raises(ValueError, match="0, 1, 0, 1"):
             dual_bound_sequence(merged, cert_a, cert_b, target=1)
 
@@ -306,13 +323,15 @@ class TestMergeCheaters:
 
 class TestKPartyProduct:
     def test_announcer_toy(self):
-        check = kparty_product_check(announce_kparty(3))
-        assert check.passed
         for bit in (0, 1):
-            assert abs(check.probabilities[(0, bit)] - 0.5) < 1e-5  # announcer is honest
-            assert abs(check.probabilities[(1, bit)] - 1.0) < 1e-5
-            assert abs(check.probabilities[(2, bit)] - 1.0) < 1e-5
-            assert check.products[bit] >= 0.5 - 1e-5
+            check = cheat_product_check(announce_kparty(3), bit)
+            assert check.passed
+            probabilities = [cheat.probability for cheat in check.cheats]
+            assert abs(probabilities[0] - 0.5) < 1e-5  # announcer is honest
+            assert abs(probabilities[1] - 1.0) < 1e-5
+            assert abs(probabilities[2] - 1.0) < 1e-5
+            assert check.product >= 0.5 - 1e-5
+            assert check.balanced_max_ok  # max_i p_i >= 2^(-1/3)
 
 
 class TestAnalyticBounds:
@@ -416,24 +435,22 @@ class TestEncodingSideChannel:
             name="penalty-v16-flawed",
         )
         assert validate_protocol(flawed).valid  # honest runs look identical...
-        leaked = optimal_cheat(flawed, "bob", 1).probability
+        leaked = optimal_cheat(flawed, 0, 1).probability
         honest_encoding = 0.75  # the measurement-attack ceiling
         assert leaked > honest_encoding + 0.05  # ...but the cheater gains power
 
 
 class TestFullPenaltyChain:
-    def test_v16_chain_tight_monotone_and_exact_at_the_end(self):
+    def test_v16_chain_tight_monotone_and_exact_at_the_end(self, v16_check):
         # the dual chains of the full two-qutrit penalty encoding: both
         # forcing values are 3/4, so the sequence walks from 9/16 down to
         # the honest probability 1/2
         p = penalty_protocol(16.0)
-        cert_a, sol_a = extract_dual_chain(p, "bob", 1)
-        cert_b, sol_b = extract_dual_chain(p, "alice", 1)
-        assert sol_a.status == "converged" and sol_b.status == "converged"
+        cert_a, cert_b = (cheat.chain for cheat in v16_check.cheats)
         assert abs(cert_a.claimed_value - 0.75) < 1e-5
         assert abs(cert_b.claimed_value - 0.75) < 1e-5
-        for cheater, cert in (("bob", cert_a), ("alice", cert_b)):
-            assert verify_dual(cheat_sdp(p, cheater, 1), cert).feasible
+        for honest, cert in enumerate((cert_a, cert_b)):
+            assert verify_dual(cheat_sdp(p, honest, 1), cert, tol=1e-10).feasible
         values = dual_bound_sequence(p, cert_a, cert_b, target=1)
         assert all(a >= b - 1e-7 for a, b in zip(values, values[1:]))
         assert abs(values[0] - cert_a.claimed_value * cert_b.claimed_value) < 1e-9

@@ -135,7 +135,7 @@ class TestCompiled:
         from qcoinflip.lowerbound import cheat_sdp
         from qcoinflip.protocols import penalty_protocol
 
-        comp = _Compiled(cheat_sdp(penalty_protocol(16), "alice", 1))
+        comp = _Compiled(cheat_sdp(penalty_protocol(16), 1, 1))
         assert comp.dtype == np.float64
         assert comp.m == 688 == sum(d * (d + 1) // 2 for d in comp.con_dims)
 
@@ -299,7 +299,7 @@ class TestSolve:
         elif which == "penalty-v16":
             prob = alice_attack_sdp(PenaltyGame(16))
         else:
-            prob = cheat_sdp(penalty_protocol_compact4(), "alice", 1)
+            prob = cheat_sdp(penalty_protocol_compact4(), 1, 1)
         turned = rotate_phases(prob, rng)
         assert _Compiled(prob).dtype == np.float64 and _Compiled(turned).dtype == np.complex128
         a, b = solve(prob), solve(turned)
@@ -327,6 +327,47 @@ class TestSolve:
         assert sol.status == "converged"
         # every iterate but the converged last one takes a step
         assert len(calls) == 2 * len(prob.blocks) * (sol.iterations - 1)
+
+
+class TestStopReasons:
+    """Every early exit of the interior-point loop names its guard."""
+
+    def test_stall(self, monkeypatch):
+        from qcoinflip import sdp
+
+        monkeypatch.setattr(sdp, "_max_step", lambda l, dx: 0.0)  # no step ever moves the iterate
+        sol = solve(trivial_problem(0.5))
+        assert sol.status == "stall"
+        assert sol.iterations == 62
+
+    def test_non_finite_schur(self, monkeypatch):
+        monkeypatch.setattr(_Compiled, "schur", lambda self, scalings: np.full((self.m, self.m), np.nan))
+        assert solve(trivial_problem(0.5)).status == "non-finite-schur"
+
+    def test_schur_cholesky_failed(self, monkeypatch):
+        # negative definite: no jitter up to 1e-3 makes it factor
+        monkeypatch.setattr(_Compiled, "schur", lambda self, scalings: -np.eye(self.m))
+        assert solve(trivial_problem(0.5)).status == "schur-cholesky-failed"
+
+    def test_non_finite_direction(self, monkeypatch):
+        from qcoinflip import sdp
+
+        monkeypatch.setattr(sdp.sla, "cho_solve", lambda factor, b, **kwargs: np.full(np.shape(b), np.nan))
+        assert solve(trivial_problem(0.5)).status == "non-finite-direction"
+
+    def test_mu_blowup(self):
+        # the starting point scales with the data: mu = 1e7 * 1e8 > 1e14
+        prob = SdpProblem(
+            blocks=(("x", SCALAR),),
+            objective={"x": np.array([[1e8]])},
+            constraints=(Constraint("pin", (LinearTerm("x"),), np.array([[1e7]])),),
+        )
+        sol = solve(prob)
+        assert sol.status == "mu-blowup"
+        assert sol.iterations == 1
+
+    def test_iteration_limit(self):
+        assert solve(trivial_problem(0.5), max_iter=2).status == "max-iterations"
 
 
 class TestCertificates:
