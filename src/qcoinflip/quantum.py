@@ -49,6 +49,9 @@ class HilbertLayout:
     factor_dims: tuple[int, ...]
 
     def __post_init__(self):
+        for d in self.factor_dims:
+            if isinstance(d, bool) or not isinstance(d, (int, np.integer)):
+                raise ValueError(f"factor dimension {d!r} is not an integer")
         dims = tuple(int(d) for d in self.factor_dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"factor dimensions must be >= 1, got {dims}")

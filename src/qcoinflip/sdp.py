@@ -83,7 +83,8 @@ class SdpSolution:
     dual_value: float
     primal_blocks: dict
     dual_multipliers: dict
-    # converged | infeasible | max-iterations, or the guard that stopped the loop early:
+    # converged | infeasible (b off the range of A, found by the pre-check at every size,
+    # iterations 0) | max-iterations, or the guard that stopped the loop early:
     # stall | non-finite-schur | schur-cholesky-failed | non-finite-direction | mu-blowup
     status: str
     iterations: int
@@ -293,22 +294,6 @@ class _Compiled:
             mats.append(np.asarray(multipliers[name]).reshape(d, d))
         return mats
 
-    def dense_rows(self) -> np.ndarray:
-        """A as an explicit matrix: row r is conj(vec(A*(e_r))), so rows @ vec(X) = A(X).
-
-        Each row is built from the one constraint that owns coordinate r.
-        Only sensible for small problems (the inconsistency pre-check).
-        """
-        offsets = np.cumsum([0] + [d * d for d in self.block_dims])
-        rows = np.zeros((self.m, offsets[-1]), dtype=self.dtype)
-        for c, ((_, terms), sl) in enumerate(zip(self.constraints, self.slices)):
-            n = sl.stop - sl.start
-            units = self._matrix(c, np.eye(n, dtype=self.dtype))
-            for t in terms:
-                cols = slice(offsets[t.block_idx], offsets[t.block_idx + 1])
-                rows[sl, cols] += t.lift(units).reshape(n, -1).conj()
-        return rows
-
     # -- Schur complement ---------------------------------------------------
 
     def schur(self, scalings) -> np.ndarray:
@@ -362,6 +347,17 @@ class _Compiled:
                     mmat[self.slices[g], self.slices[f]] = block.conj().T
         return mmat
 
+    def inconsistency(self) -> float:
+        """Norm of b's component outside the range of A.
+
+        A A* is the Schur matrix at W = I.  Its eigenvectors with eigenvalues
+        at most m eps lambda_max span the null space of A*, the orthogonal
+        complement of A's range; b's component there is what no X can reach.
+        """
+        evals, vecs = np.linalg.eigh(self.schur([np.eye(d, dtype=self.dtype) for d in self.block_dims]))
+        null = vecs[:, evals <= self.m * np.finfo(float).eps * evals[-1]]
+        return float(np.linalg.norm(null.conj().T @ self.b))
+
 
 # ---------------------------------------------------------------------------
 # interior-point solver
@@ -395,14 +391,18 @@ def _nt_scaling(lx: np.ndarray, s: np.ndarray) -> np.ndarray:
     return (w + w.conj().T) / 2
 
 
-def _max_step(l: np.ndarray, dx: np.ndarray) -> float:
-    """Largest t with X + t dX >= 0; ``l`` is X's Cholesky factor.
+def _tri_inv(l: np.ndarray) -> np.ndarray:
+    """L^-1 for a lower-triangular Cholesky factor L (finite, as ``_chol`` returns it)."""
+    return sla.solve_triangular(l, np.eye(l.shape[0], dtype=l.dtype), lower=True, check_finite=False)
 
-    ``solve`` checks every direction for finite entries before it gets here,
-    so scipy's own finiteness scan is skipped.
+
+def _max_step(linv: np.ndarray, dx: np.ndarray) -> float:
+    """Largest t with X + t dX >= 0; ``linv`` is the inverse of X's Cholesky factor L.
+
+    X + t dX = L (1 + t L^-1 dX L^-dag) L^dag, so t is set by the least
+    eigenvalue of L^-1 dX L^-dag.
     """
-    a = sla.solve_triangular(l, dx, lower=True, check_finite=False)
-    g = sla.solve_triangular(l, a.conj().T, lower=True, check_finite=False).conj().T
+    g = linv @ dx @ linv.conj().T
     lam = float(np.linalg.eigvalsh((g + g.conj().T) / 2)[0])
     if lam >= -1e-14:
         return np.inf
@@ -415,8 +415,9 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
     status is "converged" when primal/dual feasibility reaches ``FEAS_TOL``
     and the relative duality gap reaches ``tol``, and the iterate returned is
     then the one that passed; "infeasible" when the equality constraints are
-    inconsistent (detected up-front for problems small enough to
-    materialize); "max-iterations" when ``max_iter`` iterations ran out.
+    inconsistent, which a range test on A A* detects before the first
+    iterate at every size (``_Compiled.inconsistency``); "max-iterations"
+    when ``max_iter`` iterations ran out.
     Otherwise it names the guard that stopped the loop early, and the best
     iterate is returned:
 
@@ -425,17 +426,16 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
     - "schur-cholesky-failed": the Schur matrix did not factor after six
       jitters, each 100 times the last;
     - "non-finite-direction": a search direction has a NaN or infinite entry;
-    - "mu-blowup": the complementarity measure mu is not finite or exceeds 1e14.
+    - "mu-blowup": the complementarity measure mu is not finite or exceeds
+      1e14 times its starting value.
     """
     comp = _Compiled(problem)
     dims = comp.block_dims
     ntot = sum(dims)
     const = problem.objective_constant
 
-    if comp.m and comp.m <= 1200 and sum(d * d for d in dims) <= 6000:
-        rows = comp.dense_rows()
-        sol, res, *_ = np.linalg.lstsq(rows, comp.b, rcond=None)
-        resid = np.linalg.norm(rows @ sol - comp.b)
+    if comp.m:
+        resid = comp.inconsistency()
         if resid > 1e-7 * (1.0 + np.linalg.norm(comp.b)):
             return SdpSolution(
                 primal_value=np.nan,
@@ -444,7 +444,7 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
                 dual_multipliers={},
                 status="infeasible",
                 iterations=0,
-                residuals={"constraint_inconsistency": float(resid)},
+                residuals={"constraint_inconsistency": resid},
             )
 
     bnorm = max(1.0, float(np.max(np.abs(comp.b))) if comp.m else 0.0)
@@ -452,6 +452,7 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
     x = [bnorm * np.eye(d, dtype=comp.dtype) for d in dims]
     s = [cnorm * np.eye(d, dtype=comp.dtype) for d in dims]
     y = np.zeros(comp.m, dtype=comp.dtype)
+    mu_limit = 1e14 * bnorm * cnorm  # the starting mu is bnorm * cnorm
 
     b_scale = 1.0 + np.linalg.norm(comp.b)
     c_scale = 1.0 + max(np.linalg.norm(c) for c in comp.objective)
@@ -491,9 +492,12 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
                 status = "stall"
                 break
 
-            # one Cholesky factor per block, shared by NT scaling, S^-1 and the step lengths
+            # one Cholesky factor per block and its one inverse: NT scaling uses the
+            # factor, S^-1 = L_S^-dag L_S^-1 and the step lengths the inverse
             lx = [_chol(xi) for xi in x]
             ls = [_chol(si) for si in s]
+            lxinv = [_tri_inv(l) for l in lx]
+            lsinv = [_tri_inv(l) for l in ls]
             w = [_nt_scaling(lx[i], s[i]) for i in range(comp.nblocks)]
             mmat = comp.schur(w)
             if not np.all(np.isfinite(mmat)):
@@ -510,8 +514,7 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
                 status = "schur-cholesky-failed"
                 break
 
-            sinv = [sla.cho_solve((l, True), np.eye(l.shape[0], dtype=comp.dtype)) for l in ls]
-            sinv = [(inv + inv.conj().T) / 2 for inv in sinv]
+            sinv = [linv.conj().T @ linv for linv in lsinv]
 
             def direction(sigma_mu):
                 rc = [sigma_mu * sinv[i] - x[i] for i in range(comp.nblocks)]
@@ -530,8 +533,8 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
             if not all(np.all(np.isfinite(d)) for d in dx_a + ds_a):
                 status = "non-finite-direction"
                 break
-            ap = min(1.0, min((_max_step(lx[i], dx_a[i]) for i in range(comp.nblocks)), default=1.0))
-            ad = min(1.0, min((_max_step(ls[i], ds_a[i]) for i in range(comp.nblocks)), default=1.0))
+            ap = min(1.0, min((_max_step(lxinv[i], dx_a[i]) for i in range(comp.nblocks)), default=1.0))
+            ad = min(1.0, min((_max_step(lsinv[i], ds_a[i]) for i in range(comp.nblocks)), default=1.0))
             mu_aff = sum(
                 np.vdot(x[i] + ap * dx_a[i], s[i] + ad * ds_a[i]).real for i in range(comp.nblocks)
             ) / ntot
@@ -541,15 +544,15 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
             if not all(np.all(np.isfinite(d)) for d in dx + ds):
                 status = "non-finite-direction"
                 break
-            ap = min(1.0, 0.98 * min((_max_step(lx[i], dx[i]) for i in range(comp.nblocks)), default=1.0))
-            ad = min(1.0, 0.98 * min((_max_step(ls[i], ds[i]) for i in range(comp.nblocks)), default=1.0))
+            ap = min(1.0, 0.98 * min((_max_step(lxinv[i], dx[i]) for i in range(comp.nblocks)), default=1.0))
+            ad = min(1.0, 0.98 * min((_max_step(lsinv[i], ds[i]) for i in range(comp.nblocks)), default=1.0))
 
             x = [x[i] + ap * dx[i] for i in range(comp.nblocks)]
             s = [s[i] + ad * ds[i] for i in range(comp.nblocks)]
             y = y + ad * dy
             x = [(xi + xi.conj().T) / 2 for xi in x]
             s = [(si + si.conj().T) / 2 for si in s]
-            if not np.isfinite(mu) or mu > 1e14:
+            if not np.isfinite(mu) or mu > mu_limit:
                 status = "mu-blowup"
                 break
 

@@ -105,6 +105,24 @@ def full_space_cheat_sdp(protocol, honest: int, target: int) -> SdpProblem:
     return SdpProblem(blocks=blocks, objective=objective, constraints=tuple(constraints))
 
 
+def dense_rows(comp) -> np.ndarray:
+    """Oracle of a compiled problem's map A as an explicit matrix.
+
+    Row r is conj(vec(A*(e_r))), so rows @ vec(X) = A(X) with the blocks'
+    row-major entries concatenated.  Each row is built from the one
+    constraint that owns coordinate r.
+    """
+    offsets = np.cumsum([0] + [d * d for d in comp.block_dims])
+    rows = np.zeros((comp.m, offsets[-1]), dtype=comp.dtype)
+    for c, ((_, terms), sl) in enumerate(zip(comp.constraints, comp.slices)):
+        n = sl.stop - sl.start
+        units = comp._matrix(c, np.eye(n, dtype=comp.dtype))
+        for t in terms:
+            cols = slice(offsets[t.block_idx], offsets[t.block_idx + 1])
+            rows[sl, cols] += t.lift(units).reshape(n, -1).conj()
+    return rows
+
+
 def merge_cheaters(protocol: KPartyProtocol, honest: int) -> KPartyProtocol:
     """Oracle of the coalition view: fuse every party but ``honest`` into one.
 

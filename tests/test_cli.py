@@ -246,6 +246,9 @@ def _with_field(data, **fields):
         (_with_field(protocol_to_json(announce_kparty(3)), turns=5), "turns"),
         (_with_field(protocol_to_json(announce_kparty(3)), unitaries=5), "unitaries"),
         (_with_field(protocol_to_json(announce_kparty(3)), dims={"parties": 5, "m": [2]}), "dims"),
+        (_with_field(protocol_to_json(announce_kparty(3)), dims={"parties": [[2]] * 3, "m": [2.7]}), "dims"),
+        (_with_field(protocol_to_json(announce_kparty(3)), dims={"parties": [[2.9], [2], [2]], "m": [2]}), "dims"),
+        (_with_field(protocol_to_json(announce_kparty(3)), dims={"parties": [[True, 2], [2], [2]], "m": [2]}), "dims"),
         (_with_field(protocol_to_json(announce_kparty(3)), projectors=[[5]]), "projectors"),
         (_legacy_with(unitaries_a=5), "unitaries_a"),
         (_legacy_with(unitaries_b=[5]), "unitaries_b"),
@@ -258,6 +261,9 @@ def _with_field(data, **fields):
         "kparty-turns-not-a-list",
         "kparty-unitaries",
         "kparty-dims",
+        "kparty-fractional-message-dim",
+        "kparty-fractional-party-dim",
+        "kparty-bool-party-dim",
         "kparty-projectors",
         "two-party-unitaries_a",
         "two-party-unitaries_b",

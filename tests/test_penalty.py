@@ -126,6 +126,13 @@ class TestAliceSdp:
         assert sol.status == "converged"
         assert 0.5 - 1e-6 <= sol.primal_value <= upper + 1e-6
 
+    @pytest.mark.parametrize("v", np.logspace(np.log10(4.0), 4.0, 12))
+    def test_converges_across_benchmark_range(self, v):
+        # the benchmark draws v log-uniformly in [4, 1e4]
+        sol = solve(alice_attack_sdp(PenaltyGame(float(v))))
+        assert sol.status == "converged"
+        assert 0.5 - 1e-6 <= sol.primal_value <= certificate_scalars(float(v)).payoff_bound + 1e-6
+
     def test_solver_below_certificate(self):
         game = PenaltyGame(16.0)
         prob = alice_attack_sdp(game)

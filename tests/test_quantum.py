@@ -25,6 +25,17 @@ from qcoinflip.quantum import (
 PAIR = HilbertLayout((3, 3))
 
 
+class TestLayout:
+    def test_numpy_integer_dims_accepted(self):
+        layout = HilbertLayout((np.int64(2), np.int32(3)))
+        assert layout.factor_dims == (2, 3) and all(type(d) is int for d in layout.factor_dims)
+
+    @pytest.mark.parametrize("dims", [(2.7,), (2.0,), (True, 2), (2, np.float64(3.0)), ("2",)])
+    def test_non_integer_dims_rejected(self, dims):
+        with pytest.raises(ValueError, match="not an integer"):
+            HilbertLayout(dims)
+
+
 class TestTensor:
     def test_basis_states(self):
         zero = StateVector.basis(HilbertLayout((2,)), 0)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_unitary
+from conftest import dense_rows, random_hermitian, random_unitary
 from qcoinflip.quantum import HilbertLayout
 from qcoinflip.sdp import (
     FEAS_TOL,
@@ -168,10 +168,33 @@ class TestCompiled:
         adj = comp.adjoint(y)
         rhs = sum(np.real(np.trace(xs[i] @ adj[i])) for i in range(comp.nblocks))
         assert abs(lhs - rhs) < 1e-9
-        # the pre-check's explicit matrix renders the same map
-        rows = comp.dense_rows()
+        # the explicit oracle matrix renders the same map
+        rows = dense_rows(comp)
         assert rows.dtype == comp.dtype
         np.testing.assert_allclose(rows @ np.concatenate([x.ravel() for x in xs]), comp.apply(xs), atol=1e-9)
+
+    @DATA
+    @pytest.mark.parametrize("push", [0.0, 0.3], ids=["consistent", "pushed"])
+    def test_inconsistency_matches_least_squares(self, rng, real, push):
+        # a copy of the marginal constraint makes A rank-deficient; moving the
+        # copy's right-hand side pushes b out of A's range
+        prob = random_structured_problem(rng, real=real)
+        marginal = prob.constraints[0]
+        copy = Constraint("copy", marginal.terms, marginal.rhs + push * _random_hermitian(3, rng, real))
+        prob = SdpProblem(prob.blocks, prob.objective, prob.constraints + (copy,))
+        comp = _Compiled(prob)
+        rows = dense_rows(comp)
+        sol, *_ = np.linalg.lstsq(rows, comp.b, rcond=None)
+        oracle = np.linalg.norm(rows @ sol - comp.b)
+        assert abs(comp.inconsistency() - oracle) <= 1e-10 * (1.0 + np.linalg.norm(comp.b))
+        if push:
+            assert oracle > 0.1
+            result = solve(prob)
+            assert result.status == "infeasible" and result.iterations == 0
+            assert abs(result.residuals["constraint_inconsistency"] - oracle) <= 1e-10
+        else:
+            assert oracle <= 1e-10 * (1.0 + np.linalg.norm(comp.b))
+            assert solve(prob).status != "infeasible"
 
     @DATA
     def test_schur_matches_brute_force(self, rng, real):
@@ -207,6 +230,21 @@ class TestSolve:
             ),
         )
         assert solve(prob).status == "infeasible"
+
+    def test_inconsistency_detected_at_every_size(self):
+        # one 80 x 80 block with its trace pinned to two values
+        lay = HilbertLayout((80,))
+        prob = SdpProblem(
+            blocks=(("x", lay),),
+            objective={"x": np.eye(80)},
+            constraints=tuple(
+                Constraint(f"trace_{value}", (LinearTerm("x", keep=()),), np.array([[value]])) for value in (0.5, 0.7)
+            ),
+        )
+        sol = solve(prob)
+        assert sol.status == "infeasible" and sol.iterations == 0
+        # b = (0.5, 0.7) has the component (0.7 - 0.5) / sqrt(2) off the range of A = (tr, tr)
+        assert abs(sol.residuals["constraint_inconsistency"] - 0.2 / np.sqrt(2)) < 1e-12
 
     def test_converged_status_describes_returned_iterate(self):
         # this instance passes the 1e-10 gap test on an iterate that does not
@@ -314,19 +352,51 @@ class TestSolve:
     def test_one_cholesky_of_x_and_of_s_per_iterate(self, rng, monkeypatch):
         from qcoinflip import sdp
 
-        calls = []
+        calls, solves = [], []
         real_chol = sdp._chol
+        real_solve = sdp.sla.solve_triangular
 
         def counting_chol(mat):
             calls.append(mat.shape)
             return real_chol(mat)
 
+        def counting_solve(l, rhs, **kwargs):
+            solves.append(np.array_equal(rhs, np.eye(l.shape[0])))
+            return real_solve(l, rhs, **kwargs)
+
         monkeypatch.setattr(sdp, "_chol", counting_chol)
+        monkeypatch.setattr(sdp.sla, "solve_triangular", counting_solve)
         prob = random_structured_problem(rng)
         sol = solve(prob)
         assert sol.status == "converged"
         # every iterate but the converged last one takes a step
         assert len(calls) == 2 * len(prob.blocks) * (sol.iterations - 1)
+        # each factor is inverted once, against the identity; the step lengths solve nothing
+        assert solves == [True] * len(calls)
+
+    @pytest.mark.parametrize("c, b", [(1e8, 1e7), (1.0, 1e12), (1e12, 1.0)])
+    def test_large_data_converges(self, c, b):
+        # the starting point scales with the data (mu = max|b| * |C|), and so does the mu guard
+        prob = SdpProblem(
+            blocks=(("x", SCALAR),),
+            objective={"x": np.array([[c]])},
+            constraints=(Constraint("pin", (LinearTerm("x"),), np.array([[b]])),),
+        )
+        sol = solve(prob)
+        assert sol.status == "converged"
+        assert abs(sol.primal_value - c * b) <= 1e-6 * c * b
+
+
+def schur_after_precheck(monkeypatch, fake):
+    """Replace ``_Compiled.schur`` by ``fake`` in the iterates; the pre-check's call (the first) stays real."""
+    real_schur = _Compiled.schur
+    calls = []
+
+    def schur(self, scalings):
+        calls.append(None)
+        return real_schur(self, scalings) if len(calls) == 1 else fake(self)
+
+    monkeypatch.setattr(_Compiled, "schur", schur)
 
 
 class TestStopReasons:
@@ -341,12 +411,12 @@ class TestStopReasons:
         assert sol.iterations == 62
 
     def test_non_finite_schur(self, monkeypatch):
-        monkeypatch.setattr(_Compiled, "schur", lambda self, scalings: np.full((self.m, self.m), np.nan))
+        schur_after_precheck(monkeypatch, lambda self: np.full((self.m, self.m), np.nan))
         assert solve(trivial_problem(0.5)).status == "non-finite-schur"
 
     def test_schur_cholesky_failed(self, monkeypatch):
         # negative definite: no jitter up to 1e-3 makes it factor
-        monkeypatch.setattr(_Compiled, "schur", lambda self, scalings: -np.eye(self.m))
+        schur_after_precheck(monkeypatch, lambda self: -np.eye(self.m))
         assert solve(trivial_problem(0.5)).status == "schur-cholesky-failed"
 
     def test_non_finite_direction(self, monkeypatch):
@@ -355,16 +425,14 @@ class TestStopReasons:
         monkeypatch.setattr(sdp.sla, "cho_solve", lambda factor, b, **kwargs: np.full(np.shape(b), np.nan))
         assert solve(trivial_problem(0.5)).status == "non-finite-direction"
 
-    def test_mu_blowup(self):
-        # the starting point scales with the data: mu = 1e7 * 1e8 > 1e14
-        prob = SdpProblem(
-            blocks=(("x", SCALAR),),
-            objective={"x": np.array([[1e8]])},
-            constraints=(Constraint("pin", (LinearTerm("x"),), np.array([[1e7]])),),
-        )
-        sol = solve(prob)
+    def test_mu_blowup(self, monkeypatch):
+        from qcoinflip import sdp
+
+        # a huge finite multiplier step: S jumps by 1e30 while X shrinks but stays positive
+        monkeypatch.setattr(sdp.sla, "cho_solve", lambda factor, b, **kwargs: np.full(np.shape(b), 1e30))
+        sol = solve(trivial_problem(0.5))
         assert sol.status == "mu-blowup"
-        assert sol.iterations == 1
+        assert sol.iterations == 2
 
     def test_iteration_limit(self):
         assert solve(trivial_problem(0.5), max_iter=2).status == "max-iterations"
