@@ -71,7 +71,6 @@ from .quantum import (
 )
 from .sdp import (
     Constraint,
-    DualCertificate,
     LinearTerm,
     SdpProblem,
     SdpSolution,

@@ -116,8 +116,9 @@ def cmd_penalty(args, out) -> int:
     if solution.status != "converged":
         print(f"error: sender-attack SDP did not converge (status {solution.status})", file=sys.stderr)
         return EXIT_SOLVER
-    cert = dual_certificate(game)
-    report = verify_dual(problem, cert)
+    report = verify_dual(problem, dual_certificate(game))
+    # an infeasible certificate bounds nothing, so its value is not reported
+    bound = report.bound if report.feasible else None
     scal = certificate_scalars(args.v)
     bounds = expected_win_bound(args.v)
     record = _base_record(args, "penalty")
@@ -127,13 +128,13 @@ def cmd_penalty(args, out) -> int:
             "delta": game.delta,
             "bob_bound": attack.expected_win,
             "alice_primal": solution.primal_value,
-            "alice_dual_bound": report.bound,
+            "alice_dual_bound": bound,
             "alice_bound_chain": bounds.alice_chain,
             "lambda": scal.lam,
             "m0": scal.m0,
             "m1": scal.m1,
             "certificate_feasible": report.feasible,
-            "duality_gap": report.bound - solution.primal_value,
+            "duality_gap": None if bound is None else bound - solution.primal_value,
         }
     )
     _emit(record, args.format, out)

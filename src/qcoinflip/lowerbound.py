@@ -39,7 +39,6 @@ from .quantum import HilbertLayout
 from .sdp import (
     CERT_TOL,
     Constraint,
-    DualCertificate,
     LinearTerm,
     SdpProblem,
     solve,
@@ -54,14 +53,14 @@ PRODUCT_SLACK = 1e-5  # solver accuracy allowed in the product checks
 class CheatResult:
     """The coalition's optimal probability of forcing an outcome on one honest party.
 
-    ``chain`` is a multiplier chain Z_0..Z_N (round_0..round_N) that
-    ``verify_dual`` accepts on the cheat SDP; ``bound`` is its value Z_0, an
-    upper bound on the probability that does not rest on the solver.
+    ``chain`` is a multiplier chain Z_0..Z_N, a dict keyed round_0..round_N,
+    that ``verify_dual`` accepts on the cheat SDP; ``bound`` is its value
+    Z_0, an upper bound on the probability that does not rest on the solver.
     """
 
     probability: float
     bound: float
-    chain: DualCertificate
+    chain: dict
 
     def __post_init__(self):
         if not -1e-6 <= self.probability <= 1.0 + 1e-6:
@@ -174,15 +173,14 @@ def optimal_cheat(protocol: KPartyProtocol, honest: int, target: int) -> CheatRe
     d_msg = protocol.layout_m.dim
     chain[f"round_{n}"] = problem.objective[f"rho_{n}"][::d_msg, ::d_msg].copy()
     for j in range(n - 1, -1, -1):
-        lam = verify_dual(problem, DualCertificate(chain, 0.0)).lambda_min[f"rho_{j}"]
+        lam = verify_dual(problem, chain).lambda_min[f"rho_{j}"]
         if lam < 0.0:
             z = chain[f"round_{j}"]
             chain[f"round_{j}"] = z - lam * np.eye(z.shape[0])
-    bound = float(np.real(chain["round_0"][0, 0]))
     return CheatResult(
         probability=solution.primal_value,
-        bound=bound,
-        chain=DualCertificate(multipliers=chain, claimed_value=bound),
+        bound=float(np.real(chain["round_0"][0, 0])),
+        chain=chain,
     )
 
 
@@ -192,8 +190,8 @@ def optimal_cheat(protocol: KPartyProtocol, honest: int, target: int) -> CheatRe
 
 def dual_bound_sequence(
     protocol: KPartyProtocol,
-    chain_0: DualCertificate,
-    chain_1: DualCertificate,
+    chain_0: dict,
+    chain_1: dict,
     target: int = 1,
 ):
     """The interpolating values F_j for a pair of feasible multiplier chains.
@@ -225,7 +223,7 @@ def dual_bound_sequence(
     values = []
     for j in range(n + 1):
         za, zb = (
-            w[j] @ np.atleast_2d(chain.multipliers[f"round_{j}"]) @ w[j].conj().T
+            w[j] @ np.atleast_2d(chain[f"round_{j}"]) @ w[j].conj().T
             for w, chain in zip(supports, chains)
         )
         psi = honest_state(protocol, 2 * j).amplitudes.reshape(shape)

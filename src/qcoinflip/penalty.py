@@ -11,7 +11,10 @@ responder's best attack is a Helstrom measurement on the received register
 optimum of a small SDP whose closed-form dual certificate bounds her
 expected win by lambda/2 - v <= 1/2 + 1/(8 sqrt(v)).
 
-All payoffs are in coins so SDP values compare directly to the bounds.
+All payoffs are in coins so SDP values compare directly to the bounds.  The
+sender's payoff, her win less v times the chance she is caught, is the SDP
+objective <C, X> itself; the certificate's multipliers carry the matching
+-v shifts, so its value b.y is lambda/2 - v.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .quantum import (
     helstrom,
     projector,
 )
-from .sdp import Constraint, DualCertificate, LinearTerm, SdpProblem
+from .sdp import Constraint, LinearTerm, SdpProblem
 
 PAIR = HilbertLayout((3, 3))
 QUTRIT = HilbertLayout((3,))
@@ -127,10 +130,17 @@ def alice_attack_sdp(game: PenaltyGame) -> SdpProblem:
 
         tr_first(rho_{b0} + rho_{b1}) = tau     for b in {0, 1}.
 
-    Objective: sum_{a,b} (1/2)([a==b] + v) <commit_a| rho_{ba} |commit_a> - v,
-    which is exactly her expected payoff, so honest play scores 1/2.
+    Objective: her win less v times the chance she is caught.  With P_a the
+    projector onto |commit_a>,
+
+        C_{ba} = (1/2)[a==b] P_a - (v/2)(1 - P_a),
+
+    and sum_{a,b} <C_{ba}, rho_{ba}> is exactly her expected payoff (each
+    answer b has probability 1/2, and the rho_{ba} of one b sum to trace 1),
+    so honest play scores 1/2.
     """
     v = game.v
+    eye = np.eye(PAIR.dim)
     blocks = [("tau", QUTRIT)]
     objective = {}
     constraints = [
@@ -141,7 +151,8 @@ def alice_attack_sdp(game: PenaltyGame) -> SdpProblem:
         for a in (0, 1):
             name = f"rho_{b}{a}"
             blocks.append((name, PAIR))
-            objective[name] = 0.5 * ((1.0 if a == b else 0.0) + v) * projector(commit_state(a, game))
+            p_a = projector(commit_state(a, game))
+            objective[name] = 0.5 * (1.0 if a == b else 0.0) * p_a - 0.5 * v * (eye - p_a)
             terms.append(LinearTerm(name, 1.0, None, None, (1,)))
         terms.append(LinearTerm("tau", -1.0))
         constraints.append(
@@ -151,7 +162,6 @@ def alice_attack_sdp(game: PenaltyGame) -> SdpProblem:
         blocks=tuple(blocks),
         objective=objective,
         constraints=tuple(constraints),
-        objective_constant=-v,
     )
 
 
@@ -180,22 +190,28 @@ def certificate_scalars(v: float) -> CertificateScalars:
     return CertificateScalars(m0, m1, 0.5 * (m0 + m1), lam, 0.5 * lam - v)
 
 
-def dual_certificate(game: PenaltyGame) -> DualCertificate:
+def dual_certificate(game: PenaltyGame) -> dict:
     """Dual feasible point for ``alice_attack_sdp`` built from the closed forms.
 
     The multipliers are diagonal on the sent register, mirrored between the
-    two responder answers, and the pair-space multipliers are identity (x)
-    diag.  Its bound is the payoff bound lambda/2 - v.
+    two responder answers (m_0 = diag(m0, m1, m2), m_1 = diag(m1, m0, m2)),
+    and shifted by the objective's -(v/2)(1 - P_a) term:
+
+        normalization = lambda/2 - v,   sent_register_b = (1/2) m_b - (v/2) 1.
+
+    So its value b.y is the payoff bound lambda/2 - v, as ``verify_dual``
+    computes it.
     """
-    scal = certificate_scalars(game.v)
+    v = game.v
+    scal = certificate_scalars(v)
     m_0 = np.diag([scal.m0, scal.m1, scal.m2]).astype(complex)
     m_1 = np.diag([scal.m1, scal.m0, scal.m2]).astype(complex)
-    multipliers = {
-        "normalization": 0.5 * scal.lam,
-        "sent_register_0": 0.5 * m_0,
-        "sent_register_1": 0.5 * m_1,
+    eye = np.eye(QUTRIT.dim)
+    return {
+        "normalization": 0.5 * scal.lam - v,
+        "sent_register_0": 0.5 * m_0 - 0.5 * v * eye,
+        "sent_register_1": 0.5 * m_1 - 0.5 * v * eye,
     }
-    return DualCertificate(multipliers=multipliers, claimed_value=scal.payoff_bound)
 
 
 def lambda_ceiling(v: float) -> float:

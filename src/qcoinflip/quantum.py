@@ -87,15 +87,10 @@ def qubits(n: int) -> HilbertLayout:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Pure state over a HilbertLayout.
-
-    Normalized to unit norm within NORM_TOL unless flagged ``subnormalized``
-    (conditional, not-yet-renormalized branches).
-    """
+    """Pure state over a HilbertLayout, normalized to unit norm within NORM_TOL."""
 
     layout: HilbertLayout
     amplitudes: np.ndarray
-    subnormalized: bool = False
 
     def __post_init__(self):
         amps = _frozen(np.asarray(self.amplitudes).reshape(-1))
@@ -104,10 +99,9 @@ class StateVector:
                 f"amplitude length {amps.shape[0]} != layout dimension {self.layout.dim}"
             )
         object.__setattr__(self, "amplitudes", amps)
-        if not self.subnormalized:
-            nrm = np.linalg.norm(amps)
-            if abs(nrm - 1.0) > NORM_TOL:
-                raise ValueError(f"state not normalized: |psi| = {nrm!r}")
+        nrm = np.linalg.norm(amps)
+        if abs(nrm - 1.0) > NORM_TOL:
+            raise ValueError(f"state not normalized: |psi| = {nrm!r}")
 
     @classmethod
     def basis(cls, layout: HilbertLayout, indices) -> "StateVector":
@@ -140,7 +134,7 @@ class StateVector:
         keep = sorted(self.layout.check_factors(keep))
         m = _cut(self.amplitudes, self.layout.factor_dims, keep)
         layout = self.layout.subset(keep) if keep else HilbertLayout((1,))
-        return DensityMatrix(layout, m @ m.conj().T, subnormalized=self.subnormalized)
+        return DensityMatrix(layout, m @ m.conj().T)
 
     def split(self, keep) -> tuple["StateVector", "StateVector | None"]:
         """Factor a product state into ``(kept, rest)``, read off the
@@ -165,8 +159,7 @@ class StateVector:
         rest = [i for i in range(self.layout.nfactors) if i not in keep]
         if not rest:
             return kept, None
-        return kept, StateVector(self.layout.subset(rest), sing[0] * phase * vh[0],
-                                 subnormalized=self.subnormalized)
+        return kept, StateVector(self.layout.subset(rest), sing[0] * phase * vh[0])
 
 
 @dataclass(frozen=True)
@@ -174,14 +167,11 @@ class DensityMatrix:
     """Mixed state over a HilbertLayout.
 
     Hermitian within STATE_HERMITICITY_TOL, eigenvalues >= -STATE_EIGENVALUE_TOL,
-    trace 1 within TRACE_TOL.  Sub-normalized operators (trace at most
-    1 + TRACE_TOL) are an explicit flagged state, not an error: the
-    cheating-strategy SDPs work with families whose traces only sum to one.
+    trace 1 within TRACE_TOL.
     """
 
     layout: HilbertLayout
     matrix: np.ndarray
-    subnormalized: bool = False
 
     def __post_init__(self):
         mat = _frozen(self.matrix)
@@ -194,10 +184,8 @@ class DensityMatrix:
         if evals[0] < -STATE_EIGENVALUE_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {evals[0]}")
         tr = float(np.real(np.trace(mat)))
-        if not self.subnormalized and abs(tr - 1.0) > TRACE_TOL:
+        if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density matrix trace {tr} != 1")
-        if self.subnormalized and tr > 1.0 + TRACE_TOL:
-            raise ValueError(f"sub-normalized density matrix has trace {tr} > 1")
         object.__setattr__(self, "matrix", mat)
 
     @property
@@ -267,11 +255,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product of two StateVectors."""
     if not (isinstance(a, StateVector) and isinstance(b, StateVector)):
         raise TypeError(f"cannot tensor {type(a).__name__} with {type(b).__name__}")
-    return StateVector(
-        a.layout.concat(b.layout),
-        np.kron(a.amplitudes, b.amplitudes),
-        subnormalized=a.subnormalized or b.subnormalized,
-    )
+    return StateVector(a.layout.concat(b.layout), np.kron(a.amplitudes, b.amplitudes))
 
 
 # no library path calls this; perfbench/tracing.py traces it by name, so it stays
@@ -283,7 +267,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         layout = HilbertLayout((1,))
     else:
         layout = rho.layout.subset(sorted(keep))
-    return DensityMatrix(layout, reduced, subnormalized=rho.subnormalized)
+    return DensityMatrix(layout, reduced)
 
 
 @dataclass(frozen=True)
@@ -332,7 +316,7 @@ def apply_unitary(state: StateVector, unitary: np.ndarray, factors=None) -> Stat
     if np.max(np.abs(u.conj().T @ u - np.eye(d_sel))) > 1e-10:
         raise ValueError("operator is not unitary within 1e-10")
     out = apply_local(u, state.amplitudes, dims, factors)
-    return StateVector(state.layout, out, subnormalized=state.subnormalized)
+    return StateVector(state.layout, out)
 
 
 def _cut(amplitudes: np.ndarray, dims, kept) -> np.ndarray:

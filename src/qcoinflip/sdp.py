@@ -1,8 +1,8 @@
 """Small dense semidefinite programs with verified dual certificates.
 
-Problems have the shape needed by the cheating-strategy analyses: maximize a
-linear functional of several PSD blocks subject to affine equality
-constraints whose linear maps are sandwich-then-partial-trace compositions
+Problems have the shape needed by the cheating-strategy analyses: maximize
+<C, X> over several PSD blocks X subject to affine equality constraints
+A(X) = b, whose linear maps are sandwich-then-partial-trace compositions
 (full traces are the degenerate all-factors-traced case).
 
 The solver is a primal-dual interior-point method (Nesterov-Todd scaling,
@@ -19,8 +19,12 @@ sqrt(2) (SDPT3's svec), and the Schur system is real symmetric.  Otherwise a
 constraint owns the d^2 row-major entries of its value as complex
 coordinates, and the Schur system is complex Hermitian.  One coordinate map
 per constraint (entry indices and weights, the identity for complex data)
-serves both, and the dual objective is Re<b, y>.  ``verify_dual`` reads the
-multipliers as given, so a complex multiplier is checked on real data too.
+serves both, and the dual objective is Re<b, y>.
+
+A certificate is its multipliers y: a dict of one Hermitian matrix (or
+scalar) per constraint name, and its value is the b.y that ``verify_dual``
+computes.  ``verify_dual`` reads the multipliers as given, so a complex
+multiplier is checked on real data too.
 """
 
 from __future__ import annotations
@@ -69,12 +73,11 @@ class Constraint:
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """maximize sum_i tr(C_i X_i) + constant  s.t.  constraints, X_i >= 0."""
+    """maximize sum_i tr(C_i X_i)  s.t.  constraints, X_i >= 0."""
 
     blocks: tuple[tuple[str, HilbertLayout], ...]
     objective: dict
     constraints: tuple[Constraint, ...]
-    objective_constant: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -89,14 +92,6 @@ class SdpSolution:
     status: str
     iterations: int
     residuals: dict
-
-
-@dataclass(frozen=True)
-class DualCertificate:
-    """Named multipliers (one Hermitian matrix or scalar per constraint)."""
-
-    multipliers: dict
-    claimed_value: float
 
 
 @dataclass(frozen=True)
@@ -432,7 +427,6 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
     comp = _Compiled(problem)
     dims = comp.block_dims
     ntot = sum(dims)
-    const = problem.objective_constant
 
     if comp.m:
         resid = comp.inconsistency()
@@ -471,8 +465,8 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
             rd = [comp.objective[i] - ady[i] + s[i] for i in range(comp.nblocks)]
             # <A, B> = tr(A B) for Hermitian A: an elementwise vdot, no product
             mu = sum(np.vdot(x[i], s[i]).real for i in range(comp.nblocks)) / ntot
-            pobj = sum(np.vdot(comp.objective[i], x[i]).real for i in range(comp.nblocks)) + const
-            dobj = float(np.vdot(comp.b, y).real) + const
+            pobj = sum(np.vdot(comp.objective[i], x[i]).real for i in range(comp.nblocks))
+            dobj = float(np.vdot(comp.b, y).real)
 
             prinf = np.linalg.norm(rp) / b_scale
             dinf = max(np.linalg.norm(r) for r in rd) / c_scale
@@ -572,14 +566,15 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
 # certificates
 
 
-def verify_dual(problem: SdpProblem, cert: DualCertificate, tol: float = CERT_TOL) -> DualReport:
+def verify_dual(problem: SdpProblem, multipliers: dict, tol: float = CERT_TOL) -> DualReport:
     """Check a dual feasible point: A*(y) - C >= 0 blockwise.
 
-    Reports the minimum eigenvalue per block and the bound b.y + constant,
-    which upper-bounds every feasible primal value by weak duality.
+    ``multipliers`` holds one Hermitian matrix or scalar per constraint name.
+    Reports the minimum eigenvalue per block and the bound b.y, which
+    upper-bounds every feasible primal value by weak duality.
     """
     comp = _Compiled(problem)
-    mults = comp.multiplier_matrices(cert.multipliers)
+    mults = comp.multiplier_matrices(multipliers)
     slacks = comp.lift(mults)
     lambda_min = {}
     feasible = True
@@ -589,13 +584,13 @@ def verify_dual(problem: SdpProblem, cert: DualCertificate, tol: float = CERT_TO
         lambda_min[name] = lam
         if lam < -tol:
             feasible = False
-    bound = sum(float(np.vdot(r, z).real) for r, z in zip(comp.rhs, mults)) + problem.objective_constant
+    bound = sum(float(np.vdot(r, z).real) for r, z in zip(comp.rhs, mults))
     return DualReport(feasible=feasible, lambda_min=lambda_min, bound=bound)
 
 
-def duality_gap(problem: SdpProblem, solution: SdpSolution, cert: DualCertificate) -> float:
+def duality_gap(problem: SdpProblem, solution: SdpSolution, multipliers: dict) -> float:
     """Certificate bound minus solver primal value; >= -tol by weak duality."""
-    report = verify_dual(problem, cert, tol=1e-7)
+    report = verify_dual(problem, multipliers, tol=1e-7)
     if not report.feasible:
         raise ValueError("certificate is not dual feasible")
     if solution.status != "converged":

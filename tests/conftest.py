@@ -14,9 +14,9 @@ def random_state(layout: HilbertLayout, rng) -> StateVector:
 
 
 def density_matrix(state: StateVector) -> DensityMatrix:
-    """|psi><psi| as a DensityMatrix (sub-normalized states keep their flag)."""
+    """|psi><psi| as a DensityMatrix."""
     rho = np.outer(state.amplitudes, state.amplitudes.conj())
-    return DensityMatrix(state.layout, rho, subnormalized=state.subnormalized)
+    return DensityMatrix(state.layout, rho)
 
 
 def random_density(layout: HilbertLayout, rng, rank: int | None = None) -> DensityMatrix:

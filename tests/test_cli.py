@@ -70,6 +70,32 @@ class TestPenaltyCommand:
         )
         assert len(row.split(",")) == len(header.split(","))
 
+    def test_large_penalty_succeeds(self, capsys):
+        # a tournament of 2^25 players plays penalty games up to v of about 1.7e7
+        code, out, err = run_cli(capsys, "penalty", "--v", "1e7")
+        assert code == 0, err
+        record = json.loads(out)
+        assert 0.5 - 1e-6 <= record["alice_primal"] <= record["alice_bound_chain"] + 1e-6
+
+    def test_infeasible_certificate_reports_no_bound(self, capsys, monkeypatch):
+        import qcoinflip.cli as cli
+
+        real = cli.dual_certificate
+
+        def broken(game):
+            cert = real(game)
+            cert["normalization"] -= 1.0  # the tau block's slack drops by the identity
+            return cert
+
+        monkeypatch.setattr(cli, "dual_certificate", broken)
+        code, out, _ = run_cli(capsys, "penalty", "--v", "16")
+        assert code == 0
+        record = json.loads(out)
+        assert record["certificate_feasible"] is False
+        assert record["alice_dual_bound"] is None and record["duality_gap"] is None
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(record, TestSchemas._load_schema("penalty_record.schema.json"))
+
 
 class TestTournamentCommand:
     def test_deterministic_output(self, capsys):

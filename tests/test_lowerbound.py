@@ -27,7 +27,6 @@ from qcoinflip.protocols import (
 from qcoinflip.quantum import HilbertLayout, projector
 from qcoinflip.sdp import (
     Constraint,
-    DualCertificate,
     LinearTerm,
     SdpProblem,
     solve,
@@ -156,15 +155,14 @@ class TestOptimalCheat:
 
     def test_cheat_sdp_weak_duality_both_sides(self):
         # solve primal and dual numerically and check the gap sign
-        from qcoinflip.sdp import DualCertificate, duality_gap
+        from qcoinflip.sdp import duality_gap
 
         p = penalty_protocol_compact4()
         for honest in (1, 0):
             problem = cheat_sdp(p, honest, 1)
             sol = solve(problem)
             assert sol.status == "converged"
-            cert = DualCertificate(dict(sol.dual_multipliers), sol.dual_value)
-            gap = duality_gap(problem, sol, cert)
+            gap = duality_gap(problem, sol, sol.dual_multipliers)
             assert gap >= -1e-6
             assert gap <= 1e-4
 
@@ -214,10 +212,10 @@ class TestProductCheck:
 class TestDualChains:
     def test_announce_chain_tight_and_constant(self):
         p = alice_announces()
-        cert_a = optimal_cheat(p, 0, 1).chain
-        cert_b = optimal_cheat(p, 1, 1).chain
-        assert abs(cert_a.claimed_value - 0.5) < 1e-5
-        assert abs(cert_b.claimed_value - 1.0) < 1e-5
+        cheat_a, cheat_b = optimal_cheat(p, 0, 1), optimal_cheat(p, 1, 1)
+        cert_a, cert_b = cheat_a.chain, cheat_b.chain
+        assert abs(cheat_a.bound - 0.5) < 1e-5
+        assert abs(cheat_b.bound - 1.0) < 1e-5
         values = dual_bound_sequence(p, cert_a, cert_b, target=1)
         assert len(values) == 2
         assert abs(values[0] - 0.5) < 1e-5
@@ -225,10 +223,10 @@ class TestDualChains:
 
     def test_compact_penalty_chain_monotone(self):
         p = penalty_protocol_compact4()
-        cert_a = optimal_cheat(p, 0, 1).chain
-        cert_b = optimal_cheat(p, 1, 1).chain
-        assert abs(cert_a.claimed_value - 1.0) < 1e-6
-        assert abs(cert_b.claimed_value - 0.5) < 1e-6
+        cheat_a, cheat_b = optimal_cheat(p, 0, 1), optimal_cheat(p, 1, 1)
+        cert_a, cert_b = cheat_a.chain, cheat_b.chain
+        assert abs(cheat_a.bound - 1.0) < 1e-6
+        assert abs(cheat_b.bound - 0.5) < 1e-6
         values = dual_bound_sequence(p, cert_a, cert_b, target=1)
         assert all(a >= b - 1e-7 for a, b in zip(values, values[1:]))
         assert abs(values[-1] - 0.5) < 1e-9
@@ -244,19 +242,16 @@ class TestDualChains:
             cheat = optimal_cheat(protocol, honest, bit)
             report = verify_dual(cheat_sdp(protocol, honest, bit), cheat.chain, tol=1e-10)
             assert report.feasible, (protocol.name, honest, bit, report.lambda_min)
-            assert cheat.bound == cheat.chain.claimed_value == report.bound
+            assert cheat.bound == report.bound
             assert cheat.bound >= cheat.probability - 1e-7
-            assert max(np.linalg.norm(z, 2) for z in cheat.chain.multipliers.values()) <= 2.0
+            assert max(np.linalg.norm(z, 2) for z in cheat.chain.values()) <= 2.0
 
     def test_global_shift_keeps_feasibility_and_raises_values(self):
         p = alice_announces()
         cert_a = optimal_cheat(p, 0, 1).chain
         cert_b = optimal_cheat(p, 1, 1).chain
         eps = 1e-3
-        shifted = DualCertificate(
-            multipliers={k: v + eps * np.eye(v.shape[0]) for k, v in cert_a.multipliers.items()},
-            claimed_value=cert_a.claimed_value + eps,
-        )
+        shifted = {k: v + eps * np.eye(v.shape[0]) for k, v in cert_a.items()}
         assert verify_dual(cheat_sdp(p, 0, 1), shifted, tol=1e-10).feasible
         base = dual_bound_sequence(p, cert_a, cert_b, target=1)
         raised = dual_bound_sequence(p, shifted, cert_b, target=1)
@@ -267,11 +262,10 @@ class TestDualChains:
         p = alice_announces()
         cert_a = optimal_cheat(p, 0, 1).chain
         cert_b = optimal_cheat(p, 1, 1).chain
-        broken = dict(cert_a.multipliers)
+        broken = dict(cert_a)
         broken["round_0"] = broken["round_0"] - 0.2 * np.eye(broken["round_0"].shape[0])
-        bad = DualCertificate(multipliers=broken, claimed_value=cert_a.claimed_value)
         with pytest.raises(ValueError) as err:
-            dual_bound_sequence(p, bad, cert_b, target=1)
+            dual_bound_sequence(p, broken, cert_b, target=1)
         assert "rounds [0]" in str(err.value)
 
     def test_turns_must_alternate(self):
@@ -446,12 +440,13 @@ class TestFullPenaltyChain:
         # forcing values are 3/4, so the sequence walks from 9/16 down to
         # the honest probability 1/2
         p = penalty_protocol(16.0)
-        cert_a, cert_b = (cheat.chain for cheat in v16_check.cheats)
-        assert abs(cert_a.claimed_value - 0.75) < 1e-5
-        assert abs(cert_b.claimed_value - 0.75) < 1e-5
+        cheat_a, cheat_b = v16_check.cheats
+        cert_a, cert_b = cheat_a.chain, cheat_b.chain
+        assert abs(cheat_a.bound - 0.75) < 1e-5
+        assert abs(cheat_b.bound - 0.75) < 1e-5
         for honest, cert in enumerate((cert_a, cert_b)):
             assert verify_dual(cheat_sdp(p, honest, 1), cert, tol=1e-10).feasible
         values = dual_bound_sequence(p, cert_a, cert_b, target=1)
         assert all(a >= b - 1e-7 for a, b in zip(values, values[1:]))
-        assert abs(values[0] - cert_a.claimed_value * cert_b.claimed_value) < 1e-9
+        assert abs(values[0] - cheat_a.bound * cheat_b.bound) < 1e-9
         assert abs(values[-1] - 0.5) < 1e-7

@@ -113,7 +113,7 @@ class TestAliceSdp:
             blocks["tau"] = 0.5 * (
                 received_register_state(0, game).matrix + received_register_state(1, game).matrix
             )
-            value = problem.objective_constant + sum(
+            value = sum(
                 float(np.real(np.trace(np.asarray(c) @ blocks[name]))) for name, c in problem.objective.items()
             )
             assert abs(value - 0.5) < 1e-12
@@ -132,6 +132,13 @@ class TestAliceSdp:
         sol = solve(alice_attack_sdp(PenaltyGame(float(v))))
         assert sol.status == "converged"
         assert 0.5 - 1e-6 <= sol.primal_value <= certificate_scalars(float(v)).payoff_bound + 1e-6
+
+    @pytest.mark.parametrize("v", [10 ** (4 + 0.2 * j) for j in range(16)])
+    def test_converges_at_large_penalty(self, v):
+        # the tournament plays penalty games at v = 2^(n-i) - 1, up to about k/2
+        sol = solve(alice_attack_sdp(PenaltyGame(v)))
+        assert sol.status == "converged"
+        assert 0.5 - 1e-6 <= sol.primal_value <= certificate_scalars(v).payoff_bound + 1e-6
 
     def test_solver_below_certificate(self):
         game = PenaltyGame(16.0)
@@ -178,13 +185,10 @@ class TestCertificate:
         # dropping m1 violates the commitment constraint for the answered-0,
         # opened-1 branch; the violation shows up as a negative eigenvalue
         game = PenaltyGame(4.0)
-        cert = dual_certificate(game)
         scal = certificate_scalars(4.0)
-        broken = dict(cert.multipliers)
-        broken["sent_register_1"] = 0.5 * np.diag([0.0, scal.m0, scal.m2]).astype(complex)
-        from qcoinflip.sdp import DualCertificate
-
-        report = verify_dual(alice_attack_sdp(game), DualCertificate(broken, cert.claimed_value))
+        broken = dual_certificate(game)
+        broken["sent_register_1"] = 0.5 * np.diag([0.0, scal.m0, scal.m2]).astype(complex) - 0.5 * game.v * np.eye(3)
+        report = verify_dual(alice_attack_sdp(game), broken)
         assert not report.feasible
         assert report.lambda_min["rho_10"] < -1e-6
 

@@ -330,12 +330,6 @@ class TestLayoutAndTypes:
         with pytest.raises(ValueError):
             StateVector(HilbertLayout((2,)), np.array([1.0, 1.0]))
 
-    def test_subnormalized_density_flag(self):
-        lay = HilbertLayout((2,))
-        DensityMatrix(lay, 0.5 * np.diag([1.0, 0.0]), subnormalized=True)
-        with pytest.raises(ValueError):
-            DensityMatrix(lay, 0.5 * np.diag([1.0, 0.0]))
-
     def test_norm_tolerance_boundary(self):
         lay = HilbertLayout((2,))
         StateVector(lay, np.array([1.0 + 5e-7, 0.0]))

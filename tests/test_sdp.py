@@ -8,7 +8,6 @@ from qcoinflip.quantum import HilbertLayout
 from qcoinflip.sdp import (
     FEAS_TOL,
     Constraint,
-    DualCertificate,
     LinearTerm,
     SdpProblem,
     _Compiled,
@@ -94,7 +93,6 @@ def rotate_phases(problem, rng):
         blocks=problem.blocks,
         objective={name: np.outer(phases[name], phases[name].conj()) * c for name, c in problem.objective.items()},
         constraints=tuple(Constraint(c.name, tuple(map(turned, c.terms)), c.rhs) for c in problem.constraints),
-        objective_constant=problem.objective_constant,
     )
 
 
@@ -307,7 +305,6 @@ class TestSolve:
             blocks=tuple(reversed(prob.blocks)),
             objective=prob.objective,
             constraints=prob.constraints,
-            objective_constant=prob.objective_constant,
         )
         a, b = solve(prob), solve(flipped)
         assert a.status == "converged" and b.status == "converged"
@@ -343,11 +340,6 @@ class TestSolve:
         a, b = solve(prob), solve(turned)
         assert a.status == "converged" and b.status == "converged"
         assert abs(a.primal_value - b.primal_value) < 1e-7
-
-    def test_objective_constant_offsets_value(self):
-        prob = trivial_problem(0.5)
-        shifted = SdpProblem(prob.blocks, prob.objective, prob.constraints, objective_constant=-2.0)
-        assert abs(solve(shifted).primal_value - (-1.5)) < 1e-6
 
     def test_one_cholesky_of_x_and_of_s_per_iterate(self, rng, monkeypatch):
         from qcoinflip import sdp
@@ -441,7 +433,7 @@ class TestStopReasons:
 class TestCertificates:
     def test_exact_certificate_gap_zero(self):
         prob = trivial_problem(0.5)
-        cert = DualCertificate(multipliers={"pin": 1.0}, claimed_value=0.5)
+        cert = {"pin": 1.0}
         report = verify_dual(prob, cert)
         assert report.feasible and abs(report.bound - 0.5) < 1e-12
         sol = solve(prob)
@@ -454,14 +446,13 @@ class TestCertificates:
             sol = solve(prob)
             if sol.status != "converged":
                 continue
-            cert = DualCertificate(multipliers=dict(sol.dual_multipliers), claimed_value=sol.dual_value)
-            report = verify_dual(prob, cert, tol=1e-6)
+            report = verify_dual(prob, sol.dual_multipliers, tol=1e-6)
             if report.feasible:
                 assert sol.primal_value <= report.bound + 1e-6
 
     def test_infeasible_certificate_flagged(self):
         prob = trivial_problem(0.5)
-        report = verify_dual(prob, DualCertificate(multipliers={"pin": -1.0}, claimed_value=-0.5))
+        report = verify_dual(prob, {"pin": -1.0})
         assert not report.feasible
         assert report.lambda_min["x"] < -1e-9
 
@@ -469,7 +460,7 @@ class TestCertificates:
         prob = random_structured_problem(rng, with_op=False, real=True)
         z = random_hermitian(3, rng)
         z += 4.0 * np.eye(3)
-        cert = DualCertificate(multipliers={"marginal": z, "norm": 2.5}, claimed_value=0.0)
+        cert = {"marginal": z, "norm": 2.5}
         with warnings.catch_warnings():
             warnings.simplefilter("error", np.exceptions.ComplexWarning)
             report = verify_dual(prob, cert, tol=1e-10)
@@ -486,5 +477,5 @@ class TestCertificates:
     def test_missing_multiplier_rejected(self):
         prob = trivial_problem(0.5)
         with pytest.raises(KeyError):
-            verify_dual(prob, DualCertificate(multipliers={}, claimed_value=0.0))
+            verify_dual(prob, {})
 
