@@ -22,20 +22,20 @@ alpha, beta = 0.6, 0.8
 print("=== what the channel does ===")
 shared = broadcast_qubit(alpha, beta, 3)
 print(f"broadcasting {alpha}|0> + {beta}|1> to 3 parties yields the shared state")
-print("  ", np.round(shared.state.amplitudes, 3), " (alpha|000> + beta|111>, NOT three copies)")
+print("  ", np.round(shared.amplitudes, 3), " (alpha|000> + beta|111>, NOT three copies)")
 
 print("\n=== emulation 1: broadcast from pairwise channels ===")
 out, transcript = emulate_broadcast_pairwise(alpha, beta, 4, rng)
-print(f"k = 4: fidelity with the channel output = {out.state.fidelity(broadcast_qubit(alpha, beta, 4).state):.12f}")
+print(f"k = 4: fidelity with the channel output = {out.fidelity(broadcast_qubit(alpha, beta, 4)):.12f}")
 print(f"pairwise-channel uses: {transcript[-1]['use_count']}  (= 2(k-1))")
 bad, _ = emulate_broadcast_pairwise(1 / np.sqrt(2), 1 / np.sqrt(2), 4, rng, apply_parity_fix=False)
 print("without the parity fix the relative phase is random; this run's fidelity:",
-      round(bad.state.fidelity(broadcast_qubit(1 / np.sqrt(2), 1 / np.sqrt(2), 4).state), 3))
+      round(bad.fidelity(broadcast_qubit(1 / np.sqrt(2), 1 / np.sqrt(2), 4)), 3))
 
 print("\n=== emulation 2: classical broadcast from one channel use ===")
 outcomes, _ = classical_broadcast(1, 5, rng)
 print("broadcasting bit 1 to 5 parties:", outcomes)
-state = broadcast_qubit(1 / np.sqrt(2), 1 / np.sqrt(2), 5).state
+state = broadcast_qubit(1 / np.sqrt(2), 1 / np.sqrt(2), 5)
 bits = []
 for j in range(5):
     (bit,), state = measure(state, (j,), rng)

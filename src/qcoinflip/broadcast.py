@@ -16,11 +16,13 @@ countermeasure can be checked directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .quantum import (
+    CNOT,
+    HADAMARD,
+    PAULI_X,
+    SIGMA_Z,
     StateVector,
     apply_unitary,
     as_rng,
@@ -28,69 +30,6 @@ from .quantum import (
     qubits,
     tensor,
 )
-
-SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-@dataclass(frozen=True)
-class BroadcastState:
-    """Shared k-qubit state with a factor -> party ownership map."""
-
-    k: int
-    state: StateVector
-    ownership: dict
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("broadcast needs at least two parties")
-        owned = sorted(self.ownership.keys())
-        if owned != list(range(self.state.layout.nfactors)):
-            raise ValueError("ownership must cover every factor exactly once")
-
-
-@dataclass(frozen=True)
-class PartyRole:
-    """A party and, when cheating, its declarative action schedule.
-
-    A schedule is a sequence of ("unitary", U, factors) and
-    ("measure", factors) steps touching only the party's own factors;
-    that is all the dishonest-case arguments need, and it keeps strategies
-    comparable across the channel and its emulations.
-    """
-
-    id: int
-    honesty: str = "honest"  # "honest" | "cheating"
-    strategy: tuple = ()
-
-
-def apply_strategy(shared: BroadcastState, role: PartyRole, rng):
-    """Run a cheating party's schedule; returns (state, outcomes recorded)."""
-    rng = as_rng(rng)
-    owned = {f for f, p in shared.ownership.items() if p == role.id}
-    state = shared.state
-    outcomes = []
-    for step in role.strategy:
-        kind, *rest = step
-        if kind == "unitary":
-            op, factors = rest
-            if not set(factors) <= owned:
-                raise ValueError(f"party {role.id} may only act on its own factors")
-            state = apply_unitary(state, op, factors)
-        elif kind == "measure":
-            (factors,) = rest
-            if not set(factors) <= owned:
-                raise ValueError(f"party {role.id} may only measure its own factors")
-            bits, state = measure(state, factors, rng)
-            outcomes.extend(bits)
-        else:
-            raise ValueError(f"unknown strategy step {kind!r}")
-    return BroadcastState(shared.k, state, shared.ownership), outcomes
-
 
 def _event(round_, actor, action, bits=(), uses=0):
     return {
@@ -102,8 +41,8 @@ def _event(round_, actor, action, bits=(), uses=0):
     }
 
 
-def broadcast_qubit(alpha: complex, beta: complex, k: int) -> BroadcastState:
-    """Exact channel output alpha|0^k> + beta|1^k>."""
+def broadcast_qubit(alpha: complex, beta: complex, k: int) -> StateVector:
+    """Exact channel output alpha|0^k> + beta|1^k>, one qubit per party in party order."""
     if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > 1e-10:
         raise ValueError("|alpha|^2 + |beta|^2 must be 1")
     if k < 2:
@@ -111,7 +50,7 @@ def broadcast_qubit(alpha: complex, beta: complex, k: int) -> BroadcastState:
     amps = np.zeros(2**k, dtype=complex)
     amps[0] = alpha
     amps[-1] = beta
-    return BroadcastState(k, StateVector(qubits(k), amps), {i: i for i in range(k)})
+    return StateVector(qubits(k), amps)
 
 
 def emulate_broadcast_pairwise(alpha, beta, k, rng, apply_parity_fix: bool = True):
@@ -149,7 +88,7 @@ def emulate_broadcast_pairwise(alpha, beta, k, rng, apply_parity_fix: bool = Tru
         state = apply_unitary(state, SIGMA_Z, (0,))
     transcript.append(_event(2, 0, "parity fix" if apply_parity_fix else "parity fix disabled",
                              bits=[parity], uses=uses))
-    return BroadcastState(k, state, {i: i for i in range(k)}), transcript
+    return state, transcript
 
 
 def classical_broadcast(b: int, k: int, rng):
@@ -160,8 +99,7 @@ def classical_broadcast(b: int, k: int, rng):
     if b not in (0, 1):
         raise ValueError("bit must be 0 or 1")
     rng = as_rng(rng)
-    shared = broadcast_qubit(1.0 - b, 1.0 * b, k)
-    state = shared.state
+    state = broadcast_qubit(1.0 - b, 1.0 * b, k)
     outcomes = []
     for j in range(k):
         (bit,), state = measure(state, (j,), rng)
@@ -186,8 +124,7 @@ def establish_epr(i: int, j: int, k: int, rng):
     rng = as_rng(rng)
     if not (0 <= i < k and 0 <= j < k) or i == j or k < 2:
         raise ValueError("need two distinct parties among k >= 2")
-    shared = broadcast_qubit(1 / np.sqrt(2), 1 / np.sqrt(2), k)
-    state = shared.state
+    state = broadcast_qubit(1 / np.sqrt(2), 1 / np.sqrt(2), k)
     uses = 1
     transcript = [_event(0, i, "broadcast (|0>+|1>)/sqrt2", uses=uses)]
     helpers = [p for p in range(k) if p not in (i, j)]

@@ -331,11 +331,10 @@ def cmd_broadcast(args, out) -> int:
     record["k"] = args.k
     if args.subverb == "emulate":
         alpha, beta = 1 / math.sqrt(2), 1 / math.sqrt(2)
-        shared, transcript = emulate_broadcast_pairwise(alpha, beta, args.k, rng)
-        target = broadcast_qubit(alpha, beta, args.k)
+        state, transcript = emulate_broadcast_pairwise(alpha, beta, args.k, rng)
         record.update(
             {
-                "fidelity": shared.state.fidelity(target.state),
+                "fidelity": state.fidelity(broadcast_qubit(alpha, beta, args.k)),
                 "uses": transcript[-1]["use_count"],
                 "transcript": transcript,
             }

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocols import KPartyProtocol, honest_state, validate_protocol
-from .quantum import HilbertLayout
 from .sdp import (
     CERT_TOL,
     Constraint,
@@ -128,20 +127,15 @@ def cheat_sdp(protocol: KPartyProtocol, honest: int, target: int) -> SdpProblem:
     supports = reachable_supports(protocol, honest)
     eye_m = np.eye(d_msg, dtype=complex)
     lifts = [np.kron(w, eye_m) for w in supports]  # S_j (x) M into private (x) M
-    blocks = tuple((f"rho_{j}", HilbertLayout((w.shape[1], d_msg))) for j, w in enumerate(supports))
-    constraints = [
-        Constraint("round_0", (LinearTerm("rho_0", 1.0, None, None, ()),), np.array([[1.0]]))
-    ]
+    blocks = tuple((f"rho_{j}", w.shape[1] * d_msg) for j, w in enumerate(supports))
+    constraints = [Constraint("round_0", (LinearTerm("rho_0", kept=1),), np.array([[1.0]]))]
     for j in range(1, len(supports)):
         s_j = supports[j].shape[1]
         kmat = lifts[j].conj().T @ unitaries[j - 1] @ lifts[j - 1]
         constraints.append(
             Constraint(
                 f"round_{j}",
-                (
-                    LinearTerm(f"rho_{j}", 1.0, None, None, (0,)),
-                    LinearTerm(f"rho_{j - 1}", -1.0, kmat, blocks[j][1], (0,)),
-                ),
+                (LinearTerm(f"rho_{j}", kept=s_j), LinearTerm(f"rho_{j - 1}", -1.0, kmat, s_j)),
                 np.zeros((s_j, s_j), dtype=complex),
             )
         )

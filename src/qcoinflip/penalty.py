@@ -30,11 +30,11 @@ from .quantum import (
     as_rng,
     helstrom,
     projector,
+    swap_gate,
 )
 from .sdp import Constraint, LinearTerm, SdpProblem
 
 PAIR = HilbertLayout((3, 3))
-QUTRIT = HilbertLayout((3,))
 
 
 @dataclass(frozen=True)
@@ -141,19 +141,18 @@ def alice_attack_sdp(game: PenaltyGame) -> SdpProblem:
     """
     v = game.v
     eye = np.eye(PAIR.dim)
-    blocks = [("tau", QUTRIT)]
+    sent_first = swap_gate(3)  # (held, sent) -> (sent, held): keep the sent register, trace hers
+    blocks = [("tau", 3)]
     objective = {}
-    constraints = [
-        Constraint("normalization", (LinearTerm("tau", 1.0, None, None, ()),), np.array([[1.0]]))
-    ]
+    constraints = [Constraint("normalization", (LinearTerm("tau", kept=1),), np.array([[1.0]]))]
     for b in (0, 1):
         terms = []
         for a in (0, 1):
             name = f"rho_{b}{a}"
-            blocks.append((name, PAIR))
+            blocks.append((name, PAIR.dim))
             p_a = projector(commit_state(a, game))
             objective[name] = 0.5 * (1.0 if a == b else 0.0) * p_a - 0.5 * v * (eye - p_a)
-            terms.append(LinearTerm(name, 1.0, None, None, (1,)))
+            terms.append(LinearTerm(name, 1.0, sent_first, 3))
         terms.append(LinearTerm("tau", -1.0))
         constraints.append(
             Constraint(f"sent_register_{b}", tuple(terms), np.zeros((3, 3), dtype=complex))
@@ -183,9 +182,11 @@ def certificate_scalars(v: float) -> CertificateScalars:
     if v < 4:
         raise ValueError("penalty must be >= 4")
     delta = 2.0 / math.sqrt(v)
-    root = math.sqrt(4.0 - 4.0 * delta + (delta + 2.0 * delta * v) ** 2)
-    m0 = 0.5 * (1.0 + v) * (2.0 - delta * (1.0 + 2.0 * v) + root)
-    m1 = 0.5 * v * (2.0 + delta + 2.0 * delta * v - root)
+    a = delta * (1.0 + 2.0 * v)
+    # root - a for root = sqrt(4 - 4 delta + a^2), without subtracting two O(sqrt v) numbers
+    r = (4.0 - 4.0 * delta) / (a + math.sqrt(4.0 - 4.0 * delta + a * a))
+    m0 = 0.5 * (1.0 + v) * (2.0 + r)
+    m1 = 0.5 * v * (2.0 - r)
     lam = m0 + m1
     return CertificateScalars(m0, m1, 0.5 * (m0 + m1), lam, 0.5 * lam - v)
 
@@ -206,7 +207,7 @@ def dual_certificate(game: PenaltyGame) -> dict:
     scal = certificate_scalars(v)
     m_0 = np.diag([scal.m0, scal.m1, scal.m2]).astype(complex)
     m_1 = np.diag([scal.m1, scal.m0, scal.m2]).astype(complex)
-    eye = np.eye(QUTRIT.dim)
+    eye = np.eye(3)
     return {
         "normalization": 0.5 * scal.lam - v,
         "sent_register_0": 0.5 * m_0 - 0.5 * v * eye,

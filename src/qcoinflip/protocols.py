@@ -26,21 +26,23 @@ abort is the projector complement, so it never needs its own register.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .penalty import PenaltyGame, commit_state
 from .quantum import (
+    CNOT,
+    HADAMARD,
+    PAULI_X,
     HilbertLayout,
     StateVector,
     apply_local,
     complex_from_json,
     complex_to_json,
     embed_operator,
-    grouping_permutation,
     projector,
+    swap_gate,
 )
 
 UNITARITY_TOL = 1e-10
@@ -137,12 +139,11 @@ def two_party(layout_a, layout_m, layout_b, unitaries_a, unitaries_b, proj_a, pr
     if len(unitaries_a) != len(unitaries_b):
         raise ValueError("need the same number of rounds on both sides")
     dm, db = layout_m.dim, layout_b.dim
-    perm = grouping_permutation((dm, db), (1,))
     reordered = []
     for j, u in enumerate(unitaries_b):
         u = np.asarray(u, dtype=complex)
         _check_unitary(u, dm * db, f"U_B[{j}]")
-        reordered.append(u[np.ix_(perm, perm)])
+        reordered.append(u.reshape(dm, db, dm, db).transpose(1, 0, 3, 2).reshape(db * dm, db * dm))
     return KPartyProtocol(
         layouts=(layout_a, layout_b),
         layout_m=layout_m,
@@ -210,26 +211,6 @@ def validate_protocol(protocol: KPartyProtocol) -> ValidationReport:
 # small circuit helpers
 
 
-def swap_gate(d: int) -> np.ndarray:
-    s = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            s[j * d + i, i * d + j] = 1.0
-    return s
-
-
-def xor_gate() -> np.ndarray:
-    """CNOT on a qubit pair (control first)."""
-    g = np.zeros((4, 4), dtype=complex)
-    for c in range(2):
-        for t in range(2):
-            g[2 * c + (t ^ c), 2 * c + t] = 1.0
-    return g
-
-
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-
-
 def controlled_by_factor(dims, control: int, branches: dict) -> np.ndarray:
     """Unitary acting as branches[v] (an (op, factors) pair) when the control
     factor holds v; missing branch values act as identity."""
@@ -272,9 +253,9 @@ def unitary_with_first_column(vec: np.ndarray) -> np.ndarray:
 
 def alice_announces() -> KPartyProtocol:
     """One round pair: flip locally, copy to the message, copy to the peer."""
-    h_then_copy = controlled_by_factor((2, 2), 0, {1: (np.array([[0, 1], [1, 0]], dtype=complex), (1,))})
+    h_then_copy = controlled_by_factor((2, 2), 0, {1: (PAULI_X, (1,))})
     u_a = h_then_copy @ embed_operator(HADAMARD, (2, 2), (0,))
-    u_b = xor_gate()  # message controls, private target
+    u_b = CNOT  # message controls, private target
     pa = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
     return two_party(
         layout_a=HilbertLayout((2,)),
@@ -330,12 +311,12 @@ def penalty_protocol(v: float) -> KPartyProtocol:
     dims_mb = (3, 2, 3, 2, 3, 2)
     bank_qutrit = embed_operator(swap_gate(3), dims_mb, (0, 2))
     flip_b = embed_operator(HADAMARD, dims_mb, (3,))
-    send_b = embed_operator(xor_gate(), dims_mb, (3, 1))
+    send_b = embed_operator(CNOT, dims_mb, (3, 1))
     u_b1 = send_b @ flip_b @ bank_qutrit
 
     # U_A2 on (o, q1, buf, chan, bit)
-    fold_b = embed_operator(xor_gate(), dims_am, (4, 0))
-    write_a = embed_operator(xor_gate(), dims_am, (0, 4))
+    fold_b = embed_operator(CNOT, dims_am, (4, 0))
+    write_a = embed_operator(CNOT, dims_am, (0, 4))
     ship_q1 = embed_operator(swap_gate(3), dims_am, (1, 3))
     u_a2 = ship_q1 @ write_a @ fold_b
 
@@ -384,17 +365,17 @@ def penalty_protocol_compact4() -> KPartyProtocol:
 
     dims_am = (2, 2, 2)  # (o, q1, chan)
     u_a1 = (
-        embed_operator(xor_gate(), dims_am, (0, 2))
-        @ embed_operator(xor_gate(), dims_am, (0, 1))
+        embed_operator(CNOT, dims_am, (0, 2))
+        @ embed_operator(CNOT, dims_am, (0, 1))
         @ embed_operator(HADAMARD, dims_am, (0,))
     )
     dims_mb = (2, 2, 2, 2)  # (chan, q2, b, q1)
     u_b1 = (
-        embed_operator(xor_gate(), dims_mb, (2, 0))
+        embed_operator(CNOT, dims_mb, (2, 0))
         @ embed_operator(HADAMARD, dims_mb, (2,))
         @ embed_operator(swap_gate(2), dims_mb, (0, 1))
     )
-    u_a2 = embed_operator(swap_gate(2), dims_am, (1, 2)) @ embed_operator(xor_gate(), dims_am, (2, 0))
+    u_a2 = embed_operator(swap_gate(2), dims_am, (1, 2)) @ embed_operator(CNOT, dims_am, (2, 0))
     u_b2 = embed_operator(swap_gate(2), dims_mb, (0, 3))
 
     proj_a = tuple(
@@ -426,8 +407,8 @@ def penalty_protocol_compact4() -> KPartyProtocol:
 
 def announce_kparty(k: int = 3) -> KPartyProtocol:
     """Party 0 flips locally and announces; everyone copies the message."""
-    flip_and_copy = xor_gate() @ embed_operator(HADAMARD, (2, 2), (0,))
-    copy_from_message = embed_operator(xor_gate(), (2, 2), (1, 0))
+    flip_and_copy = CNOT @ embed_operator(HADAMARD, (2, 2), (0,))
+    copy_from_message = embed_operator(CNOT, (2, 2), (1, 0))
     pa = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
     return KPartyProtocol(
         layouts=tuple(HilbertLayout((2,)) for _ in range(k)),
@@ -509,9 +490,11 @@ def protocol_from_json(data) -> KPartyProtocol:
                 parsed[key] = parse(data[key])
             except (TypeError, ValueError) as exc:
                 problems.append(f"field {key!r}: {exc}")
+    name = data.get("name", "")
+    if not isinstance(name, str):
+        problems.append("field 'name' must be a string")
     if problems:
         raise ProtocolFormatError(problems)
-    name = data.get("name", "")
     try:
         if kind == "two-party":
             proj_a, proj_b = parsed["projectors"]

@@ -2,14 +2,19 @@
 
 Pure states (``StateVector``), mixed marginals (``DensityMatrix``), unitaries
 on chosen factors, computational-basis measurements and the Helstrom
-measurement, plus the raw-array helpers the SDP and protocol layers build
-operators with.  Dense complex vectors and matrices only, no sparse
-representations.  Joint states (up to a few thousand dimensions) stay
-vectors: operators act on them through ``apply_local``, mixed marginals come
-from ``StateVector.reduced`` and the parts of a product state from
-``StateVector.split``, all three on one (kept, rest) reshape of the
-amplitudes, so only round-local operators and kept marginals are ever dense
-matrices.
+measurement, the standard gates, plus the raw-array helpers the SDP and
+protocol layers build operators with.  Dense complex vectors and matrices
+only, no sparse representations.
+
+This module alone moves tensor factors, and (``ptrace``, kept for the
+unused ``partial_trace``, aside) it does so through one cut: an array over a
+factored space, seen as a (kept, rest) matrix whose rows run over the chosen
+factors in the order given.  Operators act on joint states
+(up to a few thousand dimensions) through ``apply_local`` on that matrix, and
+``embed_operator`` is ``apply_local`` on the identity's columns; mixed
+marginals come from ``StateVector.reduced`` and the parts of a product state
+from ``StateVector.split`` on the same cut.  So only round-local operators
+and kept marginals are ever dense matrices.
 
 All values are immutable after construction.  Every stochastic operation
 takes an explicit ``numpy.random.Generator`` stream, so results are
@@ -217,34 +222,30 @@ def ptrace(mat: np.ndarray, dims, keep) -> np.ndarray:
     return mat.reshape(dkeep, dkeep)
 
 
-def grouping_permutation(dims, front) -> np.ndarray:
-    """Index permutation moving ``front`` factors (in given order) first.
-
-    Returns ``perm`` with ``vec_new[k] = vec_old[perm[k]]``; apply to a
-    matrix as ``M[np.ix_(perm, perm)]``.
-    """
-    dims = tuple(int(d) for d in dims)
-    front = tuple(int(i) for i in front)
-    rest = [i for i in range(len(dims)) if i not in front]
-    order = list(front) + rest
-    src = np.arange(int(np.prod(dims))).reshape(dims)
-    return np.transpose(src, order).reshape(-1)
-
-
 def embed_operator(op: np.ndarray, dims, factors) -> np.ndarray:
     """Extend ``op`` (acting on ``factors``, in that order) by identities."""
     dims = tuple(int(d) for d in dims)
     factors = tuple(int(i) for i in factors)
-    d_sel = int(np.prod([dims[i] for i in factors]))
+    d_sel = math.prod(dims[i] for i in factors)
     op = np.asarray(op, dtype=complex)
     if op.shape != (d_sel, d_sel):
         raise ValueError(f"operator shape {op.shape} does not match factors {factors}")
-    rest = [i for i in range(len(dims)) if i not in factors]
-    d_rest = int(np.prod([dims[i] for i in rest])) if rest else 1
-    big = np.kron(op, np.eye(d_rest))
-    perm = grouping_permutation(dims, factors)
-    inv = np.argsort(perm)
-    return big[np.ix_(inv, inv)]
+    return apply_local(op, np.eye(math.prod(dims), dtype=complex), dims, factors)
+
+
+def swap_gate(d: int) -> np.ndarray:
+    """Exchange of two d-level factors."""
+    s = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            s[j * d + i, i * d + j] = 1.0
+    return s
+
+
+HADAMARD = _frozen(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0))
+PAULI_X = _frozen([[0.0, 1.0], [1.0, 0.0]])
+SIGMA_Z = _frozen(np.diag([1.0, -1.0]))
+CNOT = _frozen(np.eye(4)[[0, 1, 3, 2]])  # control first
 
 
 # ---------------------------------------------------------------------------
@@ -319,24 +320,29 @@ def apply_unitary(state: StateVector, unitary: np.ndarray, factors=None) -> Stat
     return StateVector(state.layout, out)
 
 
-def _cut(amplitudes: np.ndarray, dims, kept) -> np.ndarray:
-    """The amplitudes as a (kept, rest) matrix: rows run over ``kept`` in the
-    order given, columns over the other factors in their original order."""
+def _cut(array: np.ndarray, dims, kept) -> np.ndarray:
+    """An array over ``dims`` (first axis; any trailing axes ride along) as a
+    (kept, rest) matrix: rows run over ``kept`` in the order given, columns
+    over the other factors in their original order, then the trailing axes."""
     order = list(kept) + [i for i in range(len(dims)) if i not in kept]
-    return amplitudes.reshape(dims).transpose(order).reshape(math.prod(dims[i] for i in kept), -1)
+    trail = array.shape[1:]
+    axes = order + list(range(len(dims), len(dims) + len(trail)))
+    return array.reshape(tuple(dims) + trail).transpose(axes).reshape(math.prod(dims[i] for i in kept), -1)
 
 
-def _uncut(matrix: np.ndarray, dims, kept) -> np.ndarray:
-    """Inverse of ``_cut``: the flat amplitude vector of a (kept, rest) matrix."""
+def _uncut(matrix: np.ndarray, dims, kept, trail=()) -> np.ndarray:
+    """Inverse of ``_cut``: the array over ``dims`` with trailing axes ``trail``."""
     order = list(kept) + [i for i in range(len(dims)) if i not in kept]
-    return matrix.reshape([dims[i] for i in order]).transpose(np.argsort(order)).reshape(-1)
+    axes = list(np.argsort(order)) + list(range(len(dims), len(dims) + len(trail)))
+    shape = [dims[i] for i in order] + list(trail)
+    return matrix.reshape(shape).transpose(axes).reshape((-1,) + tuple(trail))
 
 
-def apply_local(op: np.ndarray, amplitudes: np.ndarray, dims, factors) -> np.ndarray:
+def apply_local(op: np.ndarray, array: np.ndarray, dims, factors) -> np.ndarray:
     """``op`` on ``factors`` (in the order given), identity elsewhere, applied
-    to a flat amplitude vector over ``dims``; equals
-    ``embed_operator(op, dims, factors) @ amplitudes`` without forming it."""
-    return _uncut(op @ _cut(amplitudes, dims, factors), dims, factors)
+    to a flat amplitude vector over ``dims``, or to each column of a matrix
+    with rows over ``dims``, without forming the embedded operator."""
+    return _uncut(op @ _cut(array, dims, factors), dims, factors, array.shape[1:])
 
 
 def measure(state: StateVector, factors, rng: np.random.Generator):

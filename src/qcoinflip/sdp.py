@@ -2,8 +2,12 @@
 
 Problems have the shape needed by the cheating-strategy analyses: maximize
 <C, X> over several PSD blocks X subject to affine equality constraints
-A(X) = b, whose linear maps are sandwich-then-partial-trace compositions
-(full traces are the degenerate all-factors-traced case).
+A(X) = b, whose linear maps are sums of X -> c tr_2(K X K^dag): sandwich by
+a matrix K whose image splits as (kept) (x) (traced), kept factor first,
+then trace the second factor out.  A block is a name and a dimension, a term
+a matrix and a kept dimension; which tensor factors those are, and moving
+the kept ones first, is the caller's business (``quantum`` owns factor
+order), so this module sees matrices only.
 
 The solver is a primal-dual interior-point method (Nesterov-Todd scaling,
 infeasible start, adaptive centering): robustness over speed, which is the
@@ -34,8 +38,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 
-from .quantum import HilbertLayout, grouping_permutation
-
 FEAS_TOL = 1e-8
 CERT_TOL = 1e-9
 GAP_TOL = 1e-7
@@ -48,18 +50,18 @@ MAX_ITER = 500
 
 @dataclass(frozen=True)
 class LinearTerm:
-    """One summand of a constraint map: X |-> coeff * tr_out(K X K^dag).
+    """One summand of a constraint map: X |-> coeff * tr_2(K X K^dag).
 
-    ``op`` (K) defaults to the identity; ``image_layout`` describes the space
-    K maps into (defaults to the block layout); ``keep`` lists the image
-    factors surviving the partial trace (defaults to all, empty = full trace).
+    ``op`` (K) defaults to the block's identity and needs as many columns as
+    the block's dimension.  Its image splits as (kept) (x) (traced), the
+    kept factor first, with ``kept`` the kept dimension, which must divide
+    K's row count: ``None`` keeps the whole image, 1 is the full trace.
     """
 
     block: str
     coeff: float = 1.0
     op: np.ndarray | None = None
-    image_layout: HilbertLayout | None = None
-    keep: tuple[int, ...] | None = None
+    kept: int | None = None
 
 
 @dataclass(frozen=True)
@@ -73,9 +75,12 @@ class Constraint:
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """maximize sum_i tr(C_i X_i)  s.t.  constraints, X_i >= 0."""
+    """maximize sum_i tr(C_i X_i)  s.t.  constraints, X_i >= 0.
 
-    blocks: tuple[tuple[str, HilbertLayout], ...]
+    ``blocks`` holds one (name, dimension) pair per PSD block.
+    """
+
+    blocks: tuple[tuple[str, int], ...]
     objective: dict
     constraints: tuple[Constraint, ...]
 
@@ -129,26 +134,26 @@ def _coordinate_map(d: int, real: bool):
 
 
 class _CompiledTerm:
-    __slots__ = ("block_idx", "coeff", "kprime", "dk", "dt")
+    __slots__ = ("block_idx", "coeff", "kmat", "dk", "dt")
 
-    def __init__(self, block_idx, coeff, kprime, dk, dt):
+    def __init__(self, block_idx, coeff, kmat, dk, dt):
         self.block_idx = block_idx
         self.coeff = coeff
-        self.kprime = kprime  # (dk*dt, d_block), keep-major image ordering
+        self.kmat = kmat  # K, (dk*dt, d_block): its image is (kept) (x) (traced)
         self.dk = dk
         self.dt = dt
 
     def lift(self, z: np.ndarray) -> np.ndarray:
-        """coeff * K'^dag (z (x) 1_dt) K' for z of shape (..., dk, dk)."""
-        zk = (z @ self.kprime.reshape(self.dk, -1)).reshape(z.shape[:-2] + self.kprime.shape)
-        return self.coeff * (self.kprime.conj().T @ zk)
+        """coeff * K^dag (z (x) 1_dt) K for z of shape (..., dk, dk)."""
+        zk = (z @ self.kmat.reshape(self.dk, -1)).reshape(z.shape[:-2] + self.kmat.shape)
+        return self.coeff * (self.kmat.conj().T @ zk)
 
 
 class _Compiled:
     def __init__(self, problem: SdpProblem):
         self.problem = problem
         self.block_names = [name for name, _ in problem.blocks]
-        self.block_dims = [layout.dim for _, layout in problem.blocks]
+        self.block_dims = [int(d) for _, d in problem.blocks]
         self.nblocks = len(self.block_names)
         index = {name: i for i, name in enumerate(self.block_names)}
 
@@ -164,10 +169,10 @@ class _Compiled:
             return (mat.real if real else mat).astype(self.dtype)
 
         self.objective = []
-        for name, layout in problem.blocks:
+        for name, d in zip(self.block_names, self.block_dims):
             c = problem.objective.get(name)
-            c = np.zeros((layout.dim, layout.dim), dtype=self.dtype) if c is None else cast(c)
-            if c.shape != (layout.dim, layout.dim):
+            c = np.zeros((d, d), dtype=self.dtype) if c is None else cast(c)
+            if c.shape != (d, d):
                 raise ValueError(f"objective for block {name!r} has wrong shape")
             if np.max(np.abs(c - c.conj().T)) > 1e-10:
                 raise ValueError(f"objective for block {name!r} is not Hermitian")
@@ -187,33 +192,25 @@ class _Compiled:
                     raise KeyError(f"constraint {con.name!r} references unknown block {term.block!r}")
                 bidx = index[term.block]
                 dblock = self.block_dims[bidx]
-                layout = term.image_layout
-                if term.op is None:
-                    if layout is None:
-                        layout = problem.blocks[bidx][1]
-                    kmat = np.eye(layout.dim, dtype=self.dtype)
-                else:
-                    kmat = cast(term.op)
-                    if layout is None:
-                        raise ValueError(
-                            f"constraint {con.name!r}: a term with an explicit operator needs image_layout"
-                        )
-                if kmat.shape != (layout.dim, dblock):
+                kmat = np.eye(dblock, dtype=self.dtype) if term.op is None else cast(term.op)
+                if kmat.ndim != 2 or kmat.shape[1] != dblock:
                     raise ValueError(
-                        f"constraint {con.name!r}: operator shape {kmat.shape} does not map "
-                        f"block {term.block!r} (dim {dblock}) into image dim {layout.dim}"
+                        f"constraint {con.name!r}: operator shape {kmat.shape} does not act on "
+                        f"block {term.block!r} (dim {dblock})"
                     )
-                keep = tuple(range(layout.nfactors)) if term.keep is None else tuple(sorted(set(term.keep)))
-                layout.check_factors(keep)
-                dk = int(np.prod([layout.factor_dims[i] for i in keep])) if keep else 1
-                dt = layout.dim // dk
-                perm = grouping_permutation(layout.factor_dims, keep)
-                kprime = kmat[perm, :]
+                rows = kmat.shape[0]
+                dk = rows if term.kept is None else term.kept
+                if not isinstance(dk, (int, np.integer)) or dk < 1 or rows % dk:
+                    raise ValueError(
+                        f"constraint {con.name!r}: kept dimension {term.kept!r} does not divide "
+                        f"the {rows} rows of the operator on block {term.block!r}"
+                    )
+                dk, dt = int(dk), rows // dk
                 if dk_con is None:
                     dk_con = dk
                 elif dk != dk_con:
                     raise ValueError(f"constraint {con.name!r}: terms have mismatched output dimensions")
-                terms.append(_CompiledTerm(bidx, float(term.coeff), kprime, dk, dt))
+                terms.append(_CompiledTerm(bidx, float(term.coeff), kmat, dk, dt))
             rhs = cast(con.rhs).reshape(dk_con, dk_con)
             if np.max(np.abs(rhs - rhs.conj().T)) > 1e-10:
                 raise ValueError(f"constraint {con.name!r}: right-hand side is not Hermitian")
@@ -254,7 +251,7 @@ class _Compiled:
         for (name, terms), d in zip(self.constraints, self.con_dims):
             val = np.zeros((d, d), dtype=self.dtype)
             for t in terms:
-                img = t.kprime @ blocks[t.block_idx] @ t.kprime.conj().T
+                img = t.kmat @ blocks[t.block_idx] @ t.kmat.conj().T
                 img = img.reshape(t.dk, t.dt, t.dk, t.dt)
                 val += t.coeff * np.einsum("iaja->ij", img)
             vals.append(_hermitian_part(val))
@@ -317,7 +314,7 @@ class _Compiled:
                     for t2 in gterms:
                         if t1.block_idx != t2.block_idx:
                             continue
-                        pmat = t1.kprime @ scalings[t1.block_idx] @ t2.kprime.conj().T
+                        pmat = t1.kmat @ scalings[t1.block_idx] @ t2.kmat.conj().T
                         q = pmat.reshape(df, t1.dt, dg, t2.dt).transpose(0, 2, 1, 3).reshape(df * dg, -1)
                         # np.conj copies even real q, so this is a GEMM: numpy's syrk path for
                         # q @ q.T is slower at these sizes

@@ -13,6 +13,18 @@ def random_state(layout: HilbertLayout, rng) -> StateVector:
     return StateVector(layout, amps / np.linalg.norm(amps))
 
 
+def embedded_operator(op: np.ndarray, dims, factors) -> np.ndarray:
+    """Oracle of ``quantum.embed_operator``: op (x) 1 on (factors, rest),
+    its rows and columns then moved back to the original factor order."""
+    dims = tuple(dims)
+    rest = [i for i in range(len(dims)) if i not in factors]
+    big = np.kron(op, np.eye(int(np.prod([dims[i] for i in rest]))))
+    # entry k of the grouped order is entry perm[k] of the original one
+    perm = np.arange(int(np.prod(dims))).reshape(dims).transpose(list(factors) + rest).reshape(-1)
+    inv = np.argsort(perm)
+    return big[np.ix_(inv, inv)]
+
+
 def density_matrix(state: StateVector) -> DensityMatrix:
     """|psi><psi| as a DensityMatrix."""
     rho = np.outer(state.amplitudes, state.amplitudes.conj())
@@ -93,12 +105,12 @@ def full_space_cheat_sdp(protocol, honest: int, target: int) -> SdpProblem:
     e0 = np.zeros((d_priv, d_priv), dtype=complex)
     e0[0, 0] = 1.0
     n = len(unitaries)
-    blocks = tuple((f"rho_{j}", layout) for j in range(n + 1))
-    constraints = [Constraint("round_0", (LinearTerm("rho_0", 1.0, None, None, priv),), e0)]
+    blocks = tuple((f"rho_{j}", layout.dim) for j in range(n + 1))
+    constraints = [Constraint("round_0", (LinearTerm("rho_0", kept=d_priv),), e0)]
     for j in range(1, n + 1):
         terms = (
-            LinearTerm(f"rho_{j}", 1.0, None, None, priv),
-            LinearTerm(f"rho_{j - 1}", -1.0, unitaries[j - 1], layout, priv),
+            LinearTerm(f"rho_{j}", kept=d_priv),
+            LinearTerm(f"rho_{j - 1}", -1.0, unitaries[j - 1], d_priv),
         )
         constraints.append(Constraint(f"round_{j}", terms, np.zeros((d_priv, d_priv), dtype=complex)))
     objective = {f"rho_{n}": embed_operator(proj[target], layout.factor_dims, priv)}

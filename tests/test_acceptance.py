@@ -120,7 +120,7 @@ def test_criterion_4_broadcast_emulations():
             b = rng.normal() + 1j * rng.normal()
             n = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
             shared, transcript = emulate_broadcast_pairwise(a / n, b / n, k, rng)
-            assert shared.state.fidelity(broadcast_qubit(a / n, b / n, k).state) > 1 - 1e-12
+            assert shared.fidelity(broadcast_qubit(a / n, b / n, k)) > 1 - 1e-12
             assert transcript[-1]["use_count"] == 2 * (k - 1)
         _, transcript = classical_broadcast(1, 4, rng)
         assert transcript[0]["use_count"] == 1

@@ -7,10 +7,6 @@ import pytest
 from conftest import alloc_peak_bytes, density_matrix, random_state
 from qcoinflip.broadcast import (
     EPR,
-    HADAMARD,
-    BroadcastState,
-    PartyRole,
-    apply_strategy,
     broadcast_qubit,
     classical_broadcast,
     emulate_broadcast_pairwise,
@@ -19,6 +15,7 @@ from qcoinflip.broadcast import (
     teleport,
 )
 from qcoinflip.quantum import (
+    HADAMARD,
     HilbertLayout,
     StateVector,
     apply_unitary,
@@ -42,24 +39,24 @@ class TestBroadcastQubit:
         shared = broadcast_qubit(1.0, 0.0, 5)
         expected = np.zeros(32)
         expected[0] = 1.0
-        np.testing.assert_allclose(shared.state.amplitudes, expected)
+        np.testing.assert_allclose(shared.amplitudes, expected)
 
     def test_three_party_shared_state(self):
         shared = broadcast_qubit(1 / math.sqrt(2), 1 / math.sqrt(2), 3)
         expected = np.zeros(8)
         expected[0] = expected[7] = 1 / math.sqrt(2)
-        np.testing.assert_allclose(shared.state.amplitudes, expected, atol=1e-15)
+        np.testing.assert_allclose(shared.amplitudes, expected, atol=1e-15)
 
     def test_not_a_product_state(self):
         shared = broadcast_qubit(1 / math.sqrt(2), 1 / math.sqrt(2), 3)
         plus = StateVector(qubits(1), np.array([1, 1]) / math.sqrt(2))
         product = tensor(tensor(plus, plus), plus)
-        assert abs(shared.state.fidelity(product) - 0.25) < 1e-12
+        assert abs(shared.fidelity(product) - 0.25) < 1e-12
 
     def test_permutation_symmetric(self, rng):
         alpha, beta = random_amplitudes(rng)
         shared = broadcast_qubit(alpha, beta, 4)
-        amps = shared.state.amplitudes.reshape((2,) * 4)
+        amps = shared.amplitudes.reshape((2,) * 4)
         for perm in itertools.permutations(range(4)):
             np.testing.assert_allclose(np.transpose(amps, perm), amps, atol=1e-14)
 
@@ -75,7 +72,7 @@ class TestPairwiseEmulation:
             alpha, beta = random_amplitudes(rng)
             shared, transcript = emulate_broadcast_pairwise(alpha, beta, k, rng)
             target = broadcast_qubit(alpha, beta, k)
-            assert shared.state.fidelity(target.state) > 1.0 - 1e-12
+            assert shared.fidelity(target) > 1.0 - 1e-12
             assert transcript[-1]["use_count"] == 2 * (k - 1)
 
     def test_two_party_counts(self, rng):
@@ -89,7 +86,7 @@ class TestPairwiseEmulation:
             shared, _ = emulate_broadcast_pairwise(
                 1 / math.sqrt(2), 1 / math.sqrt(2), 3, as_rng(seed), apply_parity_fix=False
             )
-            fidelities.append(shared.state.fidelity(target.state))
+            fidelities.append(shared.fidelity(target))
         mean = float(np.mean(fidelities))
         sigma = 0.5 / math.sqrt(len(fidelities))  # outcomes are 0/1 binomial
         assert abs(mean - 0.5) < 4 * sigma
@@ -106,8 +103,7 @@ class TestClassicalBroadcast:
     def test_dishonest_sender_yields_correlated_coin(self):
         # broadcasting a superposition gives every recipient the same random bit
         for seed in range(200):
-            shared = broadcast_qubit(1 / math.sqrt(2), 1 / math.sqrt(2), 4)
-            state = shared.state
+            state = broadcast_qubit(1 / math.sqrt(2), 1 / math.sqrt(2), 4)
             rng = as_rng(seed)
             bits = []
             for j in range(4):
@@ -213,17 +209,16 @@ class TestChannelViaBroadcast:
         np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-10)
 
 
-def coalition_rotates_and_measures(shared: BroadcastState, cheaters, rng):
-    """One party owning every cheater's qubit rotates each to the +/- basis and
-    measures it, in the order given.  Returns (the honest party's conditional
-    pure state, the outcomes)."""
-    (honest,) = [p for p in range(shared.k) if p not in cheaters]
-    owner = {f: cheaters[0] if f in cheaters else f for f in range(shared.k)}
-    schedule = tuple(step for c in cheaters for step in (("unitary", HADAMARD, (c,)), ("measure", (c,))))
-    after, outcomes = apply_strategy(
-        BroadcastState(shared.k, shared.state, owner), PartyRole(cheaters[0], "cheating", schedule), rng
-    )
-    return after.state.split((honest,))[0], outcomes
+def coalition_rotates_and_measures(shared: StateVector, cheaters, rng):
+    """The cheaters rotate each of their qubits to the +/- basis and measure
+    it, in the order given.  Returns (the honest party's conditional pure
+    state, the outcomes)."""
+    (honest,) = [p for p in range(shared.layout.nfactors) if p not in cheaters]
+    state, outcomes = shared, []
+    for c in cheaters:
+        (bit,), state = measure(apply_unitary(state, HADAMARD, (c,)), (c,), rng)
+        outcomes.append(bit)
+    return state.split((honest,))[0], outcomes
 
 
 class TestCheatCollapse:
@@ -262,41 +257,8 @@ class TestCheatCollapse:
         shared = broadcast_qubit(1 / math.sqrt(2), 1 / math.sqrt(2), 2)
         for seed in range(20):
             rng = as_rng(seed)
-            (bit,), post = measure(shared.state, (0,), rng)
+            (bit,), post = measure(shared, (0,), rng)
             reduced = partial_trace(density_matrix(post), keep=(1,))
             np.testing.assert_allclose(
                 np.diag(reduced.matrix).real, np.eye(2)[bit], atol=1e-12
             )
-
-
-class TestOwnership:
-    def test_ownership_must_cover_factors(self):
-        state = broadcast_qubit(1.0, 0.0, 3).state
-        with pytest.raises(ValueError):
-            BroadcastState(3, state, {0: 0, 1: 1})
-
-
-class TestDeclarativeStrategies:
-    def test_schedule_reproduces_rotate_and_measure(self):
-        shared = broadcast_qubit(1 / math.sqrt(2), 1 / math.sqrt(2), 2)
-        role = PartyRole(
-            id=1,
-            honesty="cheating",
-            strategy=(("unitary", HADAMARD, (1,)), ("measure", (1,))),
-        )
-        for seed in range(30):
-            after, outcomes = apply_strategy(shared, role, as_rng(seed))
-            # oracle: the same rotation and measurement applied to the state directly
-            direct = apply_unitary(shared.state, HADAMARD, (1,))
-            direct_outcomes, direct = measure(direct, (1,), as_rng(seed))
-            direct = direct.split((0,))[0]
-            honest = partial_trace(density_matrix(after.state), keep=(0,))
-            overlap = np.vdot(direct.amplitudes, honest.matrix @ direct.amplitudes)
-            assert abs(overlap - 1.0) < 1e-10
-            assert outcomes == list(direct_outcomes)
-
-    def test_schedule_cannot_touch_other_factors(self):
-        shared = broadcast_qubit(1.0, 0.0, 2)
-        role = PartyRole(id=0, honesty="cheating", strategy=(("measure", (1,)),))
-        with pytest.raises(ValueError):
-            apply_strategy(shared, role, as_rng(0))

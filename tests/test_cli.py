@@ -77,6 +77,14 @@ class TestPenaltyCommand:
         record = json.loads(out)
         assert 0.5 - 1e-6 <= record["alice_primal"] <= record["alice_bound_chain"] + 1e-6
 
+    def test_certificate_feasible_at_large_penalty(self, capsys):
+        # 10^5.5 as numpy's logspace(4, 8, 81) gives it; the closed form lost it to cancellation
+        code, out, err = run_cli(capsys, "penalty", "--v", "316227.7660168379")
+        assert code == 0, err
+        record = json.loads(out)
+        assert record["certificate_feasible"] is True
+        assert record["alice_primal"] <= record["alice_dual_bound"] + 1e-6
+
     def test_infeasible_certificate_reports_no_bound(self, capsys, monkeypatch):
         import qcoinflip.cli as cli
 
@@ -276,6 +284,7 @@ def _with_field(data, **fields):
         (_with_field(protocol_to_json(announce_kparty(3)), dims={"parties": [[2.9], [2], [2]], "m": [2]}), "dims"),
         (_with_field(protocol_to_json(announce_kparty(3)), dims={"parties": [[True, 2], [2], [2]], "m": [2]}), "dims"),
         (_with_field(protocol_to_json(announce_kparty(3)), projectors=[[5]]), "projectors"),
+        (_with_field(protocol_to_json(announce_kparty(3)), name=5), "field 'name' must be a string"),
         (_legacy_with(unitaries_a=5), "unitaries_a"),
         (_legacy_with(unitaries_b=[5]), "unitaries_b"),
         (_legacy_with(dims={"a": 5, "m": [2], "b": [2]}), "dims"),
@@ -291,6 +300,7 @@ def _with_field(data, **fields):
         "kparty-fractional-party-dim",
         "kparty-bool-party-dim",
         "kparty-projectors",
+        "kparty-name",
         "two-party-unitaries_a",
         "two-party-unitaries_b",
         "two-party-dims",

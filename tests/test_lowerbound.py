@@ -24,7 +24,7 @@ from qcoinflip.protocols import (
     penalty_protocol_compact4,
     validate_protocol,
 )
-from qcoinflip.quantum import HilbertLayout, projector
+from qcoinflip.quantum import HilbertLayout, projector, swap_gate
 from qcoinflip.sdp import (
     Constraint,
     LinearTerm,
@@ -42,19 +42,17 @@ def penalty_forcing_oracle(v: float, target: int) -> float:
     objective: probability that the verifier accepts outcome ``target``.
     """
     game = PenaltyGame(v)
-    pair = HilbertLayout((3, 3))
-    qutrit = HilbertLayout((3,))
-    blocks = [("tau", qutrit)]
+    blocks = [("tau", 3)]
     objective = {}
-    constraints = [Constraint("norm", (LinearTerm("tau", 1.0, None, None, ()),), np.array([[1.0]]))]
+    constraints = [Constraint("norm", (LinearTerm("tau", kept=1),), np.array([[1.0]]))]
     for b in (0, 1):
         terms = []
         for a in (0, 1):
             name = f"rho_{b}{a}"
-            blocks.append((name, pair))
+            blocks.append((name, 9))
             weight = 0.5 if (a ^ b) == target else 0.0
             objective[name] = weight * projector(commit_state(a, game))
-            terms.append(LinearTerm(name, 1.0, None, None, (1,)))
+            terms.append(LinearTerm(name, 1.0, swap_gate(3), 3))  # the sent register first
         terms.append(LinearTerm("tau", -1.0))
         constraints.append(Constraint(f"sent_{b}", tuple(terms), np.zeros((3, 3), dtype=complex)))
     sol = solve(SdpProblem(tuple(blocks), objective, tuple(constraints)))
@@ -124,8 +122,11 @@ class TestOptimalCheat:
         d_msg = p.layout_m.dim
         for honest in (0, 1):
             supports = reachable_supports(p, honest)
-            blocks = cheat_sdp(p, honest, 1).blocks
-            assert [layout.factor_dims for _, layout in blocks] == [(w.shape[1], d_msg) for w in supports]
+            problem = cheat_sdp(p, honest, 1)
+            assert [d for _, d in problem.blocks] == [w.shape[1] * d_msg for w in supports]
+            # every round keeps the support, the first factor of support (x) message
+            kept = [[t.kept for t in con.terms] for con in problem.constraints]
+            assert kept == [[1]] + [[w.shape[1]] * 2 for w in supports[1:]]
 
     @pytest.mark.parametrize("honest", [-1, 2, "alice"])
     def test_honest_index_out_of_range_raises(self, honest):
@@ -371,15 +372,8 @@ class TestEncodingSideChannel:
         import numpy as np
 
         from qcoinflip.penalty import PenaltyGame, commit_state
-        from qcoinflip.protocols import (
-            HADAMARD,
-            controlled_by_factor,
-            swap_gate,
-            two_party,
-            unitary_with_first_column,
-            xor_gate,
-        )
-        from qcoinflip.quantum import HilbertLayout, embed_operator, projector
+        from qcoinflip.protocols import controlled_by_factor, two_party, unitary_with_first_column
+        from qcoinflip.quantum import CNOT, HADAMARD, embed_operator
 
         game = PenaltyGame(16.0)
         dims_am = (2, 3, 3, 2)  # (o, q1, chan, bit): NO private buffer
@@ -388,14 +382,14 @@ class TestEncodingSideChannel:
             for a in (0, 1)
         }
         u_a1 = controlled_by_factor(dims_am, 0, prep) @ embed_operator(HADAMARD, dims_am, (0,))
-        fold_b = embed_operator(xor_gate(), dims_am, (3, 0))
-        write_a = embed_operator(xor_gate(), dims_am, (0, 3))
+        fold_b = embed_operator(CNOT, dims_am, (3, 0))
+        write_a = embed_operator(CNOT, dims_am, (0, 3))
         ship_q1 = embed_operator(swap_gate(3), dims_am, (1, 2))
         u_a2 = ship_q1 @ write_a @ fold_b
 
         dims_mb = (3, 2, 3, 2, 3, 2)
         u_b1 = (
-            embed_operator(xor_gate(), dims_mb, (3, 1))
+            embed_operator(CNOT, dims_mb, (3, 1))
             @ embed_operator(HADAMARD, dims_mb, (3,))
             @ embed_operator(swap_gate(3), dims_mb, (0, 2))
         )

@@ -1,4 +1,6 @@
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -180,6 +182,28 @@ class TestCertificate:
             report = verify_dual(alice_attack_sdp(game), dual_certificate(game), tol=1e-9)
             assert report.feasible, f"v={v}"
             assert certificate_scalars(float(v)).lam <= lambda_ceiling(float(v)) + 1e-9
+
+    def test_feasible_at_large_penalty(self):
+        for v in np.logspace(4, 7, 61):
+            game = PenaltyGame(float(v))
+            report = verify_dual(alice_attack_sdp(game), dual_certificate(game))
+            assert report.feasible, (v, min(report.lambda_min.values()))
+
+    def test_scalars_match_50_digit_reference(self):
+        # m0 = (1+v)/2 (2 - a + root), m1 = v/2 (2 + a - root), a = delta (1 + 2v),
+        # root = sqrt(4 - 4 delta + a^2): root - a is O(1/sqrt v) while both are O(sqrt v)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            for v in np.logspace(4, 8, 81):
+                big_v = Decimal(float(v))
+                delta = 2 / big_v.sqrt()
+                a = delta * (1 + 2 * big_v)
+                root = (4 - 4 * delta + a * a).sqrt()
+                m0 = (1 + big_v) / 2 * (2 - a + root)
+                m1 = big_v / 2 * (2 + a - root)
+                scal = certificate_scalars(float(v))
+                assert abs(Decimal(scal.m0) / m0 - 1) < Decimal("1e-15"), v
+                assert abs(Decimal(scal.m1) / m1 - 1) < Decimal("1e-15"), v
 
     def test_zeroed_multiplier_infeasible(self):
         # dropping m1 violates the commitment constraint for the answered-0,

@@ -16,13 +16,11 @@ from qcoinflip.protocols import (
     penalty_protocol_compact4,
     protocol_from_json,
     save_protocol,
-    swap_gate,
     two_party,
     unitary_with_first_column,
     validate_protocol,
-    xor_gate,
 )
-from qcoinflip.quantum import HilbertLayout, StateVector
+from qcoinflip.quantum import CNOT, HilbertLayout, StateVector, swap_gate
 
 
 class TestHelpers:
@@ -32,7 +30,7 @@ class TestHelpers:
         np.testing.assert_allclose(s @ v, np.kron([0, 1, 0], [1, 0, 0]))
 
     def test_xor_gate_truth_table(self):
-        g = xor_gate()
+        g = CNOT  # XORs the control (first) into the target
         for c in range(2):
             for t in range(2):
                 vec = np.zeros(4)
@@ -85,7 +83,7 @@ class TestTwoPartyValidation:
         layout = HilbertLayout((2,))
         proj = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
         bad = np.diag([1.0, 1.0, 1.0, 2.0])
-        for unitaries_a, unitaries_b in (((bad,), (xor_gate(),)), ((xor_gate(),), (bad,))):
+        for unitaries_a, unitaries_b in (((bad,), (CNOT,)), ((CNOT,), (bad,))):
             with pytest.raises(ValueError, match="not unitary"):
                 two_party(layout, layout, layout, unitaries_a, unitaries_b, proj, proj)
 
@@ -99,9 +97,9 @@ class TestTwoPartyValidation:
         # becomes CNOT with the message (second factor of B (x) M) as control
         layout = HilbertLayout((2,))
         proj = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
-        p = two_party(layout, layout, layout, (np.eye(4),), (xor_gate(),), proj, proj)
+        p = two_party(layout, layout, layout, (np.eye(4),), (CNOT,), proj, proj)
         assert p.turns == (0, 1)
-        np.testing.assert_array_equal(p.unitaries[1], swap_gate(2) @ xor_gate() @ swap_gate(2))
+        np.testing.assert_array_equal(p.unitaries[1], swap_gate(2) @ CNOT @ swap_gate(2))
 
 
 class TestHonestStates:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import density_matrix, random_density, random_state, random_unitary
+from conftest import density_matrix, embedded_operator, random_density, random_state, random_unitary
 from qcoinflip.quantum import (
     DensityMatrix,
     HilbertLayout,
@@ -264,8 +264,28 @@ class TestApplyUnitary:
         d_sel = int(np.prod([dims[i] for i in factors]))
         op = rng.normal(size=(d_sel, d_sel)) + 1j * rng.normal(size=(d_sel, d_sel))
         amps = rng.normal(size=36) + 1j * rng.normal(size=36)
-        expected = embed_operator(op, dims, factors) @ amps
+        expected = embedded_operator(op, dims, factors) @ amps
         np.testing.assert_allclose(apply_local(op, amps, dims, factors), expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("factors", [(0,), (3,), (3, 1), (2, 0), (1, 2, 3, 0)])
+    def test_apply_local_on_a_matrix_acts_on_each_column(self, rng, factors):
+        dims = (2, 3, 2, 3)
+        d_sel = int(np.prod([dims[i] for i in factors]))
+        op = rng.normal(size=(d_sel, d_sel)) + 1j * rng.normal(size=(d_sel, d_sel))
+        mat = rng.normal(size=(36, 5)) + 1j * rng.normal(size=(36, 5))
+        columns = np.stack([apply_local(op, mat[:, c], dims, factors) for c in range(5)], axis=1)
+        np.testing.assert_allclose(apply_local(op, mat, dims, factors), columns, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("factors", [(0,), (3,), (1, 3), (3, 1), (2, 0), (3, 0, 2), (1, 2, 3, 0)])
+    def test_embed_operator_matches_kron_and_permute(self, rng, factors):
+        dims = (2, 3, 2, 3)
+        d_sel = int(np.prod([dims[i] for i in factors]))
+        op = rng.normal(size=(d_sel, d_sel)) + 1j * rng.normal(size=(d_sel, d_sel))
+        np.testing.assert_array_equal(embed_operator(op, dims, factors), embedded_operator(op, dims, factors))
+
+    def test_embed_operator_checks_shape(self):
+        with pytest.raises(ValueError, match="does not match factors"):
+            embed_operator(np.eye(3), (2, 3), (0,))
 
 
 class TestMeasure:

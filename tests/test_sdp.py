@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import dense_rows, random_hermitian, random_unitary
-from qcoinflip.quantum import HilbertLayout
 from qcoinflip.sdp import (
     FEAS_TOL,
     Constraint,
@@ -16,12 +15,9 @@ from qcoinflip.sdp import (
     verify_dual,
 )
 
-SCALAR = HilbertLayout((1,))
-
-
 def trivial_problem(value=0.5):
     return SdpProblem(
-        blocks=(("x", SCALAR),),
+        blocks=(("x", 1),),
         objective={"x": np.array([[1.0]])},
         constraints=(Constraint("pin", (LinearTerm("x"),), np.array([[value]])),),
     )
@@ -52,24 +48,24 @@ def random_structured_problem(rng, with_op=True, real=False):
     # instance is guaranteed solvable; ``real`` draws real data only
     from qcoinflip.quantum import ptrace
 
-    lay_a = HilbertLayout((2, 3))
-    lay_b = HilbertLayout((3,))
+    # P lives on (2) (x) (3); the marginal keeps the 3, so its term moves that factor first
+    swap = np.eye(6)[np.arange(6).reshape(2, 3).T.ravel()]
     p0 = _random_psd(6, rng, real=real)
     q0 = _random_psd(3, rng, trace=1.0, real=real)
-    terms1 = (LinearTerm("P", 1.0, None, None, (1,)), LinearTerm("Q", -1.0))
+    terms1 = (LinearTerm("P", 1.0, swap, 3), LinearTerm("Q", -1.0))
     cons = [Constraint("marginal", terms1, ptrace(p0, (2, 3), (1,)) - q0)]
     if with_op:
         k = _random_matrix(6, rng, real)
         cons.append(
             Constraint(
                 "sandwich",
-                (LinearTerm("P", 2.0, k, lay_a, (0,)),),
+                (LinearTerm("P", 2.0, k, 2),),
                 2.0 * ptrace(k @ p0 @ k.conj().T, (2, 3), (0,)),
             )
         )
-    cons.append(Constraint("norm", (LinearTerm("Q", 1.0, None, None, ()),), np.array([[1.0]])))
+    cons.append(Constraint("norm", (LinearTerm("Q", kept=1),), np.array([[1.0]])))
     return SdpProblem(
-        blocks=(("P", lay_a), ("Q", lay_b)),
+        blocks=(("P", 6), ("Q", 3)),
         objective={"P": _random_hermitian(6, rng, real), "Q": _random_hermitian(3, rng, real)},
         constraints=tuple(cons),
     )
@@ -81,13 +77,12 @@ def rotate_phases(problem, rng):
     X -> D X D^dag maps feasible points to feasible points with the same value,
     and the copy's data is complex.
     """
-    phases = {name: np.exp(1j * rng.uniform(0, 2 * np.pi, layout.dim)) for name, layout in problem.blocks}
-    layouts = dict(problem.blocks)
+    phases = {name: np.exp(1j * rng.uniform(0, 2 * np.pi, d)) for name, d in problem.blocks}
+    dims = dict(problem.blocks)
 
     def turned(term):
-        op = np.eye(layouts[term.block].dim) if term.op is None else term.op
-        image = layouts[term.block] if term.image_layout is None else term.image_layout
-        return LinearTerm(term.block, term.coeff, op * phases[term.block].conj(), image, term.keep)
+        op = np.eye(dims[term.block]) if term.op is None else term.op
+        return LinearTerm(term.block, term.coeff, op * phases[term.block].conj(), term.kept)
 
     return SdpProblem(
         blocks=problem.blocks,
@@ -119,6 +114,35 @@ DATA = pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
 
 
 class TestCompiled:
+    @pytest.mark.parametrize(
+        "term, message",
+        [
+            (LinearTerm("x", 1.0, np.eye(6), 4), "kept dimension 4 does not divide the 6 rows"),
+            (LinearTerm("x", kept=0), "kept dimension 0"),
+            (LinearTerm("x", 1.0, np.eye(6)[:, :5], 2), r"operator shape \(6, 5\) does not act on block 'x' \(dim 6\)"),
+        ],
+        ids=["kept-not-a-divisor", "kept-zero", "columns-not-block-dim"],
+    )
+    def test_bad_term_names_its_constraint(self, term, message):
+        prob = SdpProblem((("x", 6),), {}, (Constraint("odd", (term,), np.eye(2)),))
+        with pytest.raises(ValueError, match=f"constraint 'odd': {message}"):
+            _Compiled(prob)
+
+    def test_sdp_module_imports_nothing_from_quantum(self):
+        # factor order lives in ``quantum``; the SDP layer sees matrices only
+        import ast
+
+        from qcoinflip import sdp
+
+        tree = ast.parse(open(sdp.__file__, encoding="utf-8").read())
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported += [node.module or ""] + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                imported += [alias.name for alias in node.names]
+        assert not [name for name in imported if "quantum" in name.split(".")], imported
+
     @DATA
     def test_dtype_and_coordinate_count(self, rng, real):
         comp = _Compiled(random_structured_problem(rng, real=real))
@@ -220,7 +244,7 @@ class TestSolve:
 
     def test_inconsistent_constraints(self):
         prob = SdpProblem(
-            blocks=(("x", SCALAR),),
+            blocks=(("x", 1),),
             objective={"x": np.array([[1.0]])},
             constraints=(
                 Constraint("pin1", (LinearTerm("x"),), np.array([[0.5]])),
@@ -231,12 +255,11 @@ class TestSolve:
 
     def test_inconsistency_detected_at_every_size(self):
         # one 80 x 80 block with its trace pinned to two values
-        lay = HilbertLayout((80,))
         prob = SdpProblem(
-            blocks=(("x", lay),),
+            blocks=(("x", 80),),
             objective={"x": np.eye(80)},
             constraints=tuple(
-                Constraint(f"trace_{value}", (LinearTerm("x", keep=()),), np.array([[value]])) for value in (0.5, 0.7)
+                Constraint(f"trace_{value}", (LinearTerm("x", kept=1),), np.array([[value]])) for value in (0.5, 0.7)
             ),
         )
         sol = solve(prob)
@@ -270,7 +293,6 @@ class TestSolve:
             d = int(rng.integers(3, 7))
             m = int(rng.integers(2, 7))
             rank = int(rng.integers(1, d))
-            lay = HilbertLayout((d,))
             basis_u = random_unitary(d, rng)
             x_star = (
                 basis_u[:, :rank] @ np.diag(rng.uniform(0.5, 2.0, rank)) @ basis_u[:, :rank].conj().T
@@ -289,11 +311,11 @@ class TestSolve:
                 cons.append(
                     Constraint(
                         f"c{k}",
-                        (LinearTerm("X", 1.0, pos, lay, ()), LinearTerm("X", -1.0, neg, lay, ())),
+                        (LinearTerm("X", 1.0, pos, 1), LinearTerm("X", -1.0, neg, 1)),
                         np.array([[np.real(np.trace(amats[k] @ x_star))]]),
                     )
                 )
-            prob = SdpProblem(blocks=(("X", lay),), objective={"X": c}, constraints=tuple(cons))
+            prob = SdpProblem(blocks=(("X", d),), objective={"X": c}, constraints=tuple(cons))
             sol = solve(prob)
             target = float(np.real(np.trace(c @ x_star)))
             assert sol.status == "converged", f"trial {trial} did not converge"
@@ -370,7 +392,7 @@ class TestSolve:
     def test_large_data_converges(self, c, b):
         # the starting point scales with the data (mu = max|b| * |C|), and so does the mu guard
         prob = SdpProblem(
-            blocks=(("x", SCALAR),),
+            blocks=(("x", 1),),
             objective={"x": np.array([[c]])},
             constraints=(Constraint("pin", (LinearTerm("x"),), np.array([[b]])),),
         )
