@@ -35,7 +35,7 @@ from .broadcast import (
     simulate_quantum_channel_via_qbc,
     teleport,
 )
-from .lowerbound import cheat_product_check, group_players, multiparty_bias_bound
+from .lowerbound import cheat_product_check, group_players
 from .multiparty import (
     ADVERSARY_PRESETS,
     BIN_STRATEGIES,
@@ -275,12 +275,8 @@ def cmd_lowerbound(args, out) -> int:
         if args.g is not None and not 1 <= args.g <= args.k:
             print(f"error: need 1 <= g <= k, got k={args.k} g={args.g}", file=sys.stderr)
             return EXIT_USAGE
-        if args.g is None or args.g == 1:
-            bound = multiparty_bias_bound(args.k)
-            record.update({"k": args.k, "g": 1, "k_effective": args.k})
-        else:
-            k_eff, bound = group_players(args.k, args.g)
-            record.update({"k": args.k, "g": args.g, "k_effective": k_eff})
+        k_eff, bound = group_players(args.k, args.g or 1)
+        record.update({"k": args.k, "g": args.g or 1, "k_effective": k_eff})
         record.update(
             {"q_min": bound.q_min, "bias_lower_bound": bound.bias, "expansion": bound.expansion}
         )

@@ -214,6 +214,8 @@ def simulate_tournament(
     splits the runs still undecided into (lost, caught, continuing) by one
     multinomial, each final round takes a binomial share of them.
     """
+    if runs < 1:
+        raise ValueError("need at least one run")
     rng = as_rng(rng)
     models = []
     for i in range(config.penalty_rounds):

@@ -6,14 +6,14 @@ measurement, the standard gates, plus the raw-array helpers the SDP and
 protocol layers build operators with.  Dense complex vectors and matrices
 only, no sparse representations.
 
-This module alone moves tensor factors, and (``ptrace``, kept for the
-unused ``partial_trace``, aside) it does so through one cut: an array over a
-factored space, seen as a (kept, rest) matrix whose rows run over the chosen
-factors in the order given.  Operators act on joint states
-(up to a few thousand dimensions) through ``apply_local`` on that matrix, and
-``embed_operator`` is ``apply_local`` on the identity's columns; mixed
-marginals come from ``StateVector.reduced`` and the parts of a product state
-from ``StateVector.split`` on the same cut.  So only round-local operators
+This module alone moves tensor factors, and it does so through one cut: an
+array over a factored space, seen as a (kept, rest) matrix whose rows run
+over the chosen factors in the order given.  Operators act on joint states
+(up to a few thousand dimensions) through ``apply_local`` on that matrix,
+and ``embed_operator`` is ``apply_local`` on the identity's columns; mixed
+marginals come from ``StateVector.reduced`` (``partial_trace`` for a
+``DensityMatrix``) and the parts of a product state from
+``StateVector.split`` on the same cut.  So only round-local operators
 and kept marginals are ever dense matrices.
 
 All values are immutable after construction.  Every stochastic operation
@@ -202,26 +202,6 @@ class DensityMatrix:
 # raw-array helpers (shared by the SDP and protocol machinery)
 
 
-# only partial_trace calls this (see there for why both stay)
-def ptrace(mat: np.ndarray, dims, keep) -> np.ndarray:
-    """Partial trace of a square matrix over the factors not in ``keep``.
-
-    ``keep`` preserves the original factor order regardless of the order
-    given.  ``keep`` may be empty, returning a 1x1 matrix (the full trace).
-    """
-    dims = tuple(int(d) for d in dims)
-    keep = sorted(set(int(i) for i in keep))
-    n = len(dims)
-    mat = np.asarray(mat, dtype=complex).reshape(dims + dims)
-    traced = [i for i in range(n) if i not in keep]
-    for count, i in enumerate(traced):
-        axis = i - sum(1 for j in traced[:count] if j < i)
-        nleft = n - count
-        mat = np.trace(mat, axis1=axis, axis2=axis + nleft)
-    dkeep = int(np.prod([dims[i] for i in keep])) if keep else 1
-    return mat.reshape(dkeep, dkeep)
-
-
 def embed_operator(op: np.ndarray, dims, factors) -> np.ndarray:
     """Extend ``op`` (acting on ``factors``, in that order) by identities."""
     dims = tuple(int(d) for d in dims)
@@ -261,13 +241,16 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 
 # no library path calls this; perfbench/tracing.py traces it by name, so it stays
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
-    """Trace out all factors not in ``keep`` (kept factors keep their order)."""
-    keep = rho.layout.check_factors(keep)
-    reduced = ptrace(rho.matrix, rho.layout.factor_dims, keep)
-    if not keep:
-        layout = HilbertLayout((1,))
-    else:
-        layout = rho.layout.subset(sorted(keep))
+    """Trace out all factors not in ``keep`` (kept factors keep their order):
+    the (kept, rest) cut of the rows, then of the columns, traced over the rest."""
+    keep = sorted(rho.layout.check_factors(keep))
+    dims = rho.layout.factor_dims
+    rows = _cut(rho.matrix, dims, keep)  # [k, (r, column)]
+    dk = rows.shape[0]
+    dr = rho.layout.dim // dk
+    both = _cut(rows.reshape(dk, dr, -1).transpose(2, 0, 1), dims, keep)  # [k', (r', k, r)]
+    reduced = np.einsum("jaia->ij", both.reshape(dk, dr, dk, dr))
+    layout = rho.layout.subset(keep) if keep else HilbertLayout((1,))
     return DensityMatrix(layout, reduced)
 
 

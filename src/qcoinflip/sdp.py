@@ -372,15 +372,22 @@ def _chol(mat: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky((vecs * evals) @ vecs.conj().T)
 
 
-def _nt_scaling(lx: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """W > 0 with W S W = X (Nesterov-Todd scaling point); ``lx`` is X's Cholesky factor."""
+def _nt_scaling(lx: np.ndarray, s: np.ndarray):
+    """The Nesterov-Todd scaling and all the iterate needs of S, from X's
+    Cholesky factor L (``lx``) and L^dag S L = V diag(lam) V^dag.
+
+    Returns (W, S^-1, H) with H = lam^-1/2 V^dag L^dag: W = L V lam^-1/2
+    V^dag L^dag > 0 has W S W = X, S^-1 = H^dag H, and H S H^dag = 1, so S's
+    step length is ``_max_step(H, dS)``.  S itself is never factored.
+    """
     mid = lx.conj().T @ s @ lx
     mid = (mid + mid.conj().T) / 2
     evals, vecs = np.linalg.eigh(mid)
     evals = np.maximum(evals, 1e-300)
     root = (vecs * evals**-0.5) @ vecs.conj().T
     w = lx @ root @ lx.conj().T
-    return (w + w.conj().T) / 2
+    hdag = lx @ (vecs * evals**-0.5)
+    return (w + w.conj().T) / 2, hdag @ hdag.conj().T, hdag.conj().T
 
 
 def _tri_inv(l: np.ndarray) -> np.ndarray:
@@ -388,13 +395,14 @@ def _tri_inv(l: np.ndarray) -> np.ndarray:
     return sla.solve_triangular(l, np.eye(l.shape[0], dtype=l.dtype), lower=True, check_finite=False)
 
 
-def _max_step(linv: np.ndarray, dx: np.ndarray) -> float:
-    """Largest t with X + t dX >= 0; ``linv`` is the inverse of X's Cholesky factor L.
+def _max_step(h: np.ndarray, dx: np.ndarray) -> float:
+    """Largest t with X + t dX >= 0; ``h`` is any H with H X H^dag = 1, such
+    as the inverse of X's Cholesky factor.
 
-    X + t dX = L (1 + t L^-1 dX L^-dag) L^dag, so t is set by the least
-    eigenvalue of L^-1 dX L^-dag.
+    X + t dX = H^-1 (1 + t H dX H^dag) H^-dag, so t is set by the least
+    eigenvalue of H dX H^dag.
     """
-    g = linv @ dx @ linv.conj().T
+    g = h @ dx @ h.conj().T
     lam = float(np.linalg.eigvalsh((g + g.conj().T) / 2)[0])
     if lam >= -1e-14:
         return np.inf
@@ -483,13 +491,11 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
                 status = "stall"
                 break
 
-            # one Cholesky factor per block and its one inverse: NT scaling uses the
-            # factor, S^-1 = L_S^-dag L_S^-1 and the step lengths the inverse
+            # one Cholesky factor per block, of X, and its one inverse (X's step length);
+            # the NT eigendecomposition gives W, S^-1 and S's step length, so S is never factored
             lx = [_chol(xi) for xi in x]
-            ls = [_chol(si) for si in s]
             lxinv = [_tri_inv(l) for l in lx]
-            lsinv = [_tri_inv(l) for l in ls]
-            w = [_nt_scaling(lx[i], s[i]) for i in range(comp.nblocks)]
+            w, sinv, hs = zip(*(_nt_scaling(lx[i], s[i]) for i in range(comp.nblocks)))
             mmat = comp.schur(w)
             if not np.all(np.isfinite(mmat)):
                 status = "non-finite-schur"
@@ -505,13 +511,11 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
                 status = "schur-cholesky-failed"
                 break
 
-            sinv = [linv.conj().T @ linv for linv in lsinv]
-
             def direction(sigma_mu):
                 rc = [sigma_mu * sinv[i] - x[i] for i in range(comp.nblocks)]
                 rhs_blocks = [rc[i] + w[i] @ rd[i] @ w[i] for i in range(comp.nblocks)]
                 rhs = comp.apply(rhs_blocks) - rp
-                dy = sla.cho_solve(factor, rhs)
+                dy = sla.cho_solve(factor, rhs, check_finite=False)  # NaN is caught below
                 adj = comp.adjoint(dy)
                 ds = [adj[i] - rd[i] for i in range(comp.nblocks)]
                 dx = [rc[i] - w[i] @ ds[i] @ w[i] for i in range(comp.nblocks)]
@@ -525,7 +529,7 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
                 status = "non-finite-direction"
                 break
             ap = min(1.0, min((_max_step(lxinv[i], dx_a[i]) for i in range(comp.nblocks)), default=1.0))
-            ad = min(1.0, min((_max_step(lsinv[i], ds_a[i]) for i in range(comp.nblocks)), default=1.0))
+            ad = min(1.0, min((_max_step(hs[i], ds_a[i]) for i in range(comp.nblocks)), default=1.0))
             mu_aff = sum(
                 np.vdot(x[i] + ap * dx_a[i], s[i] + ad * ds_a[i]).real for i in range(comp.nblocks)
             ) / ntot
@@ -536,7 +540,7 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
                 status = "non-finite-direction"
                 break
             ap = min(1.0, 0.98 * min((_max_step(lxinv[i], dx[i]) for i in range(comp.nblocks)), default=1.0))
-            ad = min(1.0, 0.98 * min((_max_step(lsinv[i], ds[i]) for i in range(comp.nblocks)), default=1.0))
+            ad = min(1.0, 0.98 * min((_max_step(hs[i], ds[i]) for i in range(comp.nblocks)), default=1.0))
 
             x = [x[i] + ap * dx[i] for i in range(comp.nblocks)]
             s = [s[i] + ad * ds[i] for i in range(comp.nblocks)]

@@ -190,6 +190,9 @@ class TestSimulation:
         greedy = AdversaryModel(0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             simulate_tournament(config, greedy, as_rng(0), 10)
+        for runs in (0, -5):
+            with pytest.raises(ValueError, match="need at least one run"):
+                simulate_tournament(config, honest_adversary, as_rng(0), runs)
 
 
 class TestLightestBin:

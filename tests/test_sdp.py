@@ -46,21 +46,19 @@ def _random_hermitian(d, rng, real=False):
 def random_structured_problem(rng, with_op=True, real=False):
     # right-hand sides come from an explicit strictly feasible point, so the
     # instance is guaranteed solvable; ``real`` draws real data only
-    from qcoinflip.quantum import ptrace
-
     # P lives on (2) (x) (3); the marginal keeps the 3, so its term moves that factor first
     swap = np.eye(6)[np.arange(6).reshape(2, 3).T.ravel()]
     p0 = _random_psd(6, rng, real=real)
     q0 = _random_psd(3, rng, trace=1.0, real=real)
     terms1 = (LinearTerm("P", 1.0, swap, 3), LinearTerm("Q", -1.0))
-    cons = [Constraint("marginal", terms1, ptrace(p0, (2, 3), (1,)) - q0)]
+    cons = [Constraint("marginal", terms1, p0.reshape(2, 3, 2, 3).trace(axis1=0, axis2=2) - q0)]
     if with_op:
         k = _random_matrix(6, rng, real)
         cons.append(
             Constraint(
                 "sandwich",
                 (LinearTerm("P", 2.0, k, 2),),
-                2.0 * ptrace(k @ p0 @ k.conj().T, (2, 3), (0,)),
+                2.0 * (k @ p0 @ k.conj().T).reshape(2, 3, 2, 3).trace(axis1=1, axis2=3),
             )
         )
     cons.append(Constraint("norm", (LinearTerm("Q", kept=1),), np.array([[1.0]])))
@@ -363,12 +361,13 @@ class TestSolve:
         assert a.status == "converged" and b.status == "converged"
         assert abs(a.primal_value - b.primal_value) < 1e-7
 
-    def test_one_cholesky_of_x_and_of_s_per_iterate(self, rng, monkeypatch):
+    def test_one_factorization_per_block_per_iterate(self, rng, monkeypatch):
         from qcoinflip import sdp
 
-        calls, solves = [], []
+        calls, solves, eighs = [], [], []
         real_chol = sdp._chol
         real_solve = sdp.sla.solve_triangular
+        real_eigh = np.linalg.eigh
 
         def counting_chol(mat):
             calls.append(mat.shape)
@@ -378,15 +377,23 @@ class TestSolve:
             solves.append(np.array_equal(rhs, np.eye(l.shape[0])))
             return real_solve(l, rhs, **kwargs)
 
+        def counting_eigh(mat, *args, **kwargs):
+            eighs.append(mat.shape)
+            return real_eigh(mat, *args, **kwargs)
+
         monkeypatch.setattr(sdp, "_chol", counting_chol)
         monkeypatch.setattr(sdp.sla, "solve_triangular", counting_solve)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         prob = random_structured_problem(rng)
         sol = solve(prob)
         assert sol.status == "converged"
-        # every iterate but the converged last one takes a step
-        assert len(calls) == 2 * len(prob.blocks) * (sol.iterations - 1)
+        # every iterate but the converged last one takes a step, and factors X alone
+        steps = len(prob.blocks) * (sol.iterations - 1)
+        assert len(calls) == steps
         # each factor is inverted once, against the identity; the step lengths solve nothing
-        assert solves == [True] * len(calls)
+        assert solves == [True] * steps
+        # one eigendecomposition per block per step (NT scaling), after the pre-check's one
+        assert len(eighs) == 1 + steps
 
     @pytest.mark.parametrize("c, b", [(1e8, 1e7), (1.0, 1e12), (1e12, 1.0)])
     def test_large_data_converges(self, c, b):
@@ -399,6 +406,33 @@ class TestSolve:
         sol = solve(prob)
         assert sol.status == "converged"
         assert abs(sol.primal_value - c * b) <= 1e-6 * c * b
+
+
+class TestNtScaling:
+    @pytest.mark.parametrize("real", [True, False])
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_scaling_inverse_and_step_against_a_cholesky_of_s(self, rng, d, real):
+        from qcoinflip.sdp import _chol, _max_step, _nt_scaling
+
+        for near_singular in (False, True):
+            x = _random_psd(d, rng, real=real)
+            if near_singular:  # X with an eigenvalue near 1e-9
+                evals, vecs = np.linalg.eigh(x)
+                evals[0] = 1e-9
+                x = (vecs * evals) @ vecs.conj().T
+                x = (x + x.conj().T) / 2
+            s = _random_psd(d, rng, real=real)
+            ds = _random_hermitian(d, rng, real)
+            w, sinv, h = _nt_scaling(_chol(x), s)
+            np.testing.assert_allclose(w @ s @ w, x, rtol=0, atol=1e-12 * np.linalg.norm(x))
+            # S^-1 and H go through X's factor, so their rounding grows with X's condition number
+            tol = 1e-13 * np.linalg.cond(x)
+            np.testing.assert_allclose(sinv @ s, np.eye(d), rtol=0, atol=tol)
+            # oracle: S + t dS = L_S (1 + t L_S^-1 dS L_S^-dag) L_S^dag
+            ls_inv = np.linalg.inv(np.linalg.cholesky(s))
+            g = ls_inv @ ds @ ls_inv.conj().T
+            lam = np.linalg.eigvalsh((g + g.conj().T) / 2)[0]
+            assert _max_step(h, ds) == pytest.approx(-1.0 / lam if lam < -1e-14 else np.inf, rel=tol)
 
 
 def schur_after_precheck(monkeypatch, fake):
@@ -437,6 +471,20 @@ class TestStopReasons:
         from qcoinflip import sdp
 
         monkeypatch.setattr(sdp.sla, "cho_solve", lambda factor, b, **kwargs: np.full(np.shape(b), np.nan))
+        assert solve(trivial_problem(0.5)).status == "non-finite-direction"
+
+    def test_non_finite_inverse_of_s(self, monkeypatch):
+        # an overflowing S^-1 makes the Schur right-hand side non-finite; the guard, not
+        # the linear solve, reports it
+        from qcoinflip import sdp
+
+        real_scaling = sdp._nt_scaling
+
+        def overflowing(lx, s):
+            w, sinv, h = real_scaling(lx, s)
+            return w, np.full_like(sinv, np.inf), h
+
+        monkeypatch.setattr(sdp, "_nt_scaling", overflowing)
         assert solve(trivial_problem(0.5)).status == "non-finite-direction"
 
     def test_mu_blowup(self, monkeypatch):
