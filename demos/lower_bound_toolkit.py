@@ -39,8 +39,9 @@ print(f"  product {check.product:.6f} >= honest p1 = {check.p_honest:.3f}:"
       f" the product bound in action")
 
 print("\n=== the interpolating certificate sequence ===")
-# each cheat SDP's solve also returned its dual chain, made exactly feasible
-values = dual_bound_sequence(pv, bob_honest.chain, alice_honest.chain, target=1)
+# each cheat SDP's solve also returned its dual chain, made exactly feasible;
+# the sequence takes one chain per party and has one value per turn boundary
+values = dual_bound_sequence(pv, [cheat.chain for cheat in check.cheats], target=1)
 print(f"penalty game at v = 16: chain values ({bob_honest.bound:.5f}, {alice_honest.bound:.5f})")
 print(f"F_j = {[round(v, 5) for v in values]}")
 print("F_0 = 3/4 * 3/4 bounds the cheat product, F_N is the honest outcome")

@@ -18,6 +18,7 @@ malformed input file.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -83,22 +84,13 @@ def _emit_rows(rows: list, fmt: str, out):
         return
     keys = sorted(rows[0])
     if fmt == "csv":
-        out.write(",".join(keys) + "\n")
-        for row in rows:
-            out.write(",".join(_csv_cell(row.get(k)) for k in keys) + "\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerows([row.get(k) for k in keys] for row in rows)
     else:
         out.write("  ".join(keys) + "\n")
         for row in rows:
             out.write("  ".join(str(row.get(k)) for k in keys) + "\n")
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    text = str(value)
-    return f'"{text}"' if "," in text else text
 
 
 def _base_record(args, command: str) -> dict:

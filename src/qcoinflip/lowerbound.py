@@ -16,15 +16,17 @@ where K_{j+1} = (W_{j+1} (x) 1)^dag U_{j+1} (W_j (x) 1) is the compressed
 unitary of i's turn j + 1.  These are exactly the dual constraints of
 ``cheat_sdp``, so ``verify_dual`` checks a chain, and its value Z_0 bounds
 the forcing probability from above; ``optimal_cheat`` returns the value
-and the chain from one solve.  On a two-party protocol whose turns
-alternate 0, 1, 0, 1, ..., with the lifted multipliers W_j Z_j W_j^dag the
-scalar sequence F_j = <state_j| Z_{0,j} (x) Z_{1,j} (x) 1 |state_j> over
-round pairs j interpolates monotonically from the product of the two chain
-values down to the honest outcome probability: hence p_0 * p_1 >= p_outcome,
-the two-party bias bound.  With the coalition as the second party it holds
-once per honest party, and ``cheat_product_check`` checks
-prod_i p_i >= p_outcome, so some player can be forced with probability at
-least (1/2)^(1/k).
+and the chain from one solve.  With each party's chain lifted to
+W_j Z_j W_j^dag, and c_i(r) party i's turns among the first r, the scalar
+sequence F_r = <psi_r| (x)_i Z_{i,c_i(r)} (x) 1 |psi_r> over the turn
+boundaries r = 0..T of the honest run interpolates monotonically from the
+product of the k chain values down to the honest outcome probability: each
+turn is one party's unitary, so that party's step inequality, with the
+other factors (PSD, on other spaces) held fixed, gives F_{r+1} <= F_r.
+Hence prod_i p_i >= p_outcome for every k and every turn order, the
+two-party bias bound p_0 * p_1 >= p_outcome at k = 2.  ``cheat_product_check``
+checks it on the solver's values, so some player can be forced with
+probability at least (1/2)^(1/k).
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocols import KPartyProtocol, honest_state, validate_protocol
+from .protocols import KPartyProtocol, honest_run, validate_protocol
+from .quantum import apply_local
 from .sdp import (
     CERT_TOL,
     Constraint,
@@ -182,48 +185,38 @@ def optimal_cheat(protocol: KPartyProtocol, honest: int, target: int) -> CheatRe
 # the interpolating sequence
 
 
-def dual_bound_sequence(
-    protocol: KPartyProtocol,
-    chain_0: dict,
-    chain_1: dict,
-    target: int = 1,
-):
-    """The interpolating values F_j for a pair of feasible multiplier chains.
+def dual_bound_sequence(protocol: KPartyProtocol, chains, target: int = 1):
+    """The interpolating values F_0..F_T for one feasible multiplier chain per party.
 
-    chain_i is a chain of the cheat SDP with party i honest (multipliers on
-    party i's supports), as ``optimal_cheat(protocol, i, target).chain``;
-    both must aim at the same ``target`` outcome and pass ``verify_dual`` on
-    their ``cheat_sdp``.  The turns must alternate 0, 1, 0, 1, ...; round
-    pair j ends at turn 2j.  F_j is evaluated with the lifted chain
-    W_j Z_j W_j^dag: the honest state after round pair j lies in
-    S_j (x) S_j (x) M, and U_j maps S_{j-1} (x) M into S_j (x) M, so the
-    step inequalities on the supports are all the ordering needs.  F_0
-    equals the product of the two chain values, F_j never increases, and
-    F_N >= p_target, with equality when both chains are pinned to the
-    target projector (as ``optimal_cheat`` pins them).
+    chains[i] is a chain of the cheat SDP with party i honest (multipliers on
+    party i's supports), as ``optimal_cheat(protocol, i, target).chain``; all
+    aim at the same ``target`` outcome and must pass ``verify_dual`` on their
+    ``cheat_sdp``.  F_r, at turn boundary r, is evaluated with each party's
+    lifted multiplier W_c Z_c W_c^dag, c its turns among the first r: the
+    honest state there lies in (x)_i S_{i,c_i(r)} (x) M, and a turn of party
+    i maps S_{i,c} (x) M into S_{i,c+1} (x) M, so the step inequalities on the
+    supports are all the ordering needs, whatever the turn order.  F_0
+    equals the product of the chain values, F_r never increases, and
+    F_T >= p_target, with equality when every chain is pinned to the target
+    projector (as ``optimal_cheat`` pins them).
     """
-    n = len(protocol.turns) // 2
-    if protocol.k != 2 or protocol.turns != (0, 1) * n:
-        raise ValueError("the interpolating sequence needs two parties taking turns 0, 1, 0, 1, ...")
-    chains = (chain_0, chain_1)
-    supports = []
+    if len(chains) != protocol.k:
+        raise ValueError(f"need one chain per party: {protocol.k} parties, {len(chains)} chains")
+    lifted = []  # lifted[i][c]: party i's multiplier after c of its turns, on its private space
     for honest, chain in enumerate(chains):
+        supports = reachable_supports(protocol, honest)
         report = verify_dual(cheat_sdp(protocol, honest, target), chain)
         if not report.feasible:
-            bad = [j for j in range(n + 1) if report.lambda_min[f"rho_{j}"] < -CERT_TOL]
+            bad = [j for j in range(len(supports)) if report.lambda_min[f"rho_{j}"] < -CERT_TOL]
             raise ValueError(f"party-{honest}-honest chain infeasible: rounds {bad} violate the step inequality")
-        supports.append(reachable_supports(protocol, honest))
-    shape = (protocol.layouts[0].dim, protocol.layouts[1].dim, protocol.layout_m.dim)
+        lifted.append([w @ np.atleast_2d(chain[f"round_{j}"]) @ w.conj().T for j, w in enumerate(supports)])
+    dims = protocol.full_layout.factor_dims
     values = []
-    for j in range(n + 1):
-        za, zb = (
-            w[j] @ np.atleast_2d(chain[f"round_{j}"]) @ w[j].conj().T
-            for w, chain in zip(supports, chains)
-        )
-        psi = honest_state(protocol, 2 * j).amplitudes.reshape(shape)
-        values.append(
-            float(np.real(np.einsum("abm,ax,by,xym->", psi.conj(), za, zb, psi, optimize=True)))
-        )
+    for r, psi in enumerate(honest_run(protocol)):
+        phi = psi
+        for i, z in enumerate(lifted):
+            phi = apply_local(z[protocol.turns[:r].count(i)], phi, dims, protocol.party_factors(i))
+        values.append(float(np.real(np.vdot(psi, phi))))
     return values
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -154,16 +155,22 @@ def two_party(layout_a, layout_m, layout_b, unitaries_a, unitaries_b, proj_a, pr
     )
 
 
+def honest_run(protocol: KPartyProtocol):
+    """Joint amplitudes from |0> at every turn boundary: before the first
+    turn, then after each turn, len(turns) + 1 vectors in all."""
+    layout = protocol.full_layout
+    amps = StateVector.basis(layout, (0,) * layout.nfactors).amplitudes
+    yield amps
+    for t, u in zip(protocol.turns, protocol.unitaries):  # the unitaries were checked when the protocol was built
+        amps = apply_local(u, amps, layout.factor_dims, protocol.party_factors(t) + protocol.message_factors())
+        yield amps
+
+
 def honest_state(protocol: KPartyProtocol, j: int) -> StateVector:
     """Joint state from |0> after the first j turns (0 <= j <= len(turns))."""
     if not 0 <= j <= len(protocol.turns):
         raise ValueError(f"turn index {j} out of range")
-    layout = protocol.full_layout
-    amps = StateVector.basis(layout, (0,) * layout.nfactors).amplitudes
-    for r in range(j):  # the unitaries were checked when the protocol was built
-        factors = protocol.party_factors(protocol.turns[r]) + protocol.message_factors()
-        amps = apply_local(protocol.unitaries[r], amps, layout.factor_dims, factors)
-    return StateVector(layout, amps)
+    return StateVector(protocol.full_layout, next(islice(honest_run(protocol), j, None)))
 
 
 @dataclass(frozen=True)

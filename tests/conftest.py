@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcoinflip.protocols import KPartyProtocol
-from qcoinflip.quantum import DensityMatrix, HilbertLayout, StateVector, complex_to_json, embed_operator
+from qcoinflip.protocols import KPartyProtocol, penalty_protocol
+from qcoinflip.quantum import CNOT, DensityMatrix, HilbertLayout, StateVector, complex_to_json, embed_operator
 from qcoinflip.sdp import Constraint, LinearTerm, SdpProblem
 
 
@@ -180,6 +180,28 @@ def merge_cheaters(protocol: KPartyProtocol, honest: int) -> KPartyProtocol:
             tuple(embed_operator(p, fused.factor_dims, factors[rep]) for p in protocol.projectors[rep]),
         ),
         name=f"{protocol.name}-honest{honest}",
+    )
+
+
+def relayed_penalty_protocol() -> KPartyProtocol:
+    """A k = 3 protocol whose cheat SDPs differ per party: ``penalty_protocol(16)``,
+    then party 0 writes its outcome o onto the emptied bit channel and a
+    third party copies that bit as its own outcome (turns 0, 1, 0, 1, 0, 2).
+
+    After the fourth turn the verifier has banked the bit channel, which
+    holds 0 again, so the relay CNOTs leave o in both places.
+    """
+    base = penalty_protocol(16.0)
+    dims_am = base.layouts[0].factor_dims + base.layout_m.factor_dims  # (o, q1, buf, chan, bit)
+    dims_cm = (2,) + base.layout_m.factor_dims  # (copy, chan, bit)
+    outcome = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+    return KPartyProtocol(
+        layouts=base.layouts + (HilbertLayout((2,)),),
+        layout_m=base.layout_m,
+        turns=base.turns + (0, 2),
+        unitaries=base.unitaries + (embed_operator(CNOT, dims_am, (0, 4)), embed_operator(CNOT, dims_cm, (2, 0))),
+        projectors=base.projectors + (outcome,),
+        name="penalty-v16-relayed",
     )
 
 

@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -192,6 +195,16 @@ class TestLowerboundCommand:
         assert record["valid"] is True
         assert abs(record["p_alice_forces_1"] - 1.0) < 1e-4
         assert record["product_check_passed"] is True
+
+    @pytest.mark.parametrize("name", ['a,"b', "line1\nline2"])
+    def test_csv_reads_back_a_name_with_quotes_or_newlines(self, capsys, tmp_path, name):
+        path = tmp_path / "named.json"
+        save_protocol(replace(alice_announces(), name=name), path)
+        code, out, _ = run_cli(capsys, "lowerbound", str(path), "--format", "csv")
+        assert code == 0
+        (row,) = csv.DictReader(io.StringIO(out))
+        assert row["name"] == name
+        assert row["product_check_passed"] == "True"
 
     def test_kparty_file_analysis(self, capsys, tmp_path):
         path = tmp_path / "announce3.json"

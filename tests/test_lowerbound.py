@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import full_space_cheat_sdp, merge_cheaters
+from conftest import full_space_cheat_sdp, merge_cheaters, relayed_penalty_protocol
 from qcoinflip import lowerbound
 from qcoinflip.lowerbound import (
     cheat_product_check,
@@ -26,6 +26,7 @@ from qcoinflip.protocols import (
 )
 from qcoinflip.quantum import HilbertLayout, projector, swap_gate
 from qcoinflip.sdp import (
+    CERT_TOL,
     Constraint,
     LinearTerm,
     SdpProblem,
@@ -58,6 +59,39 @@ def penalty_forcing_oracle(v: float, target: int) -> float:
     sol = solve(SdpProblem(tuple(blocks), objective, tuple(constraints)))
     assert sol.status == "converged"
     return sol.primal_value
+
+
+def interpolation_oracle(protocol, chains) -> list:
+    """Independent F_r: the honest state after r turns, reshaped to one axis
+    per party and one for M, with each party's lifted multiplier, after its
+    turns among the first r, contracted on its own axis."""
+    axes = [lay.dim for lay in protocol.layouts] + [protocol.layout_m.dim]
+    supports = [reachable_supports(protocol, i) for i in range(protocol.k)]
+    values = []
+    for r in range(len(protocol.turns) + 1):
+        psi = honest_state(protocol, r).amplitudes.reshape(axes)
+        phi = psi
+        for i, (w, chain) in enumerate(zip(supports, chains)):
+            c = protocol.turns[:r].count(i)
+            z = w[c] @ chain[f"round_{c}"] @ w[c].conj().T
+            phi = np.moveaxis(np.tensordot(z, phi, axes=(1, i)), 0, i)
+        values.append(float(np.vdot(psi, phi).real))
+    return values
+
+
+def assert_interpolates(protocol, cheats, target):
+    """The sequence of the cheats' chains: one value per turn boundary, equal
+    to the oracle, from the product of the chain values, never rising, down
+    to the honest probability of ``target``."""
+    chains = [cheat.chain for cheat in cheats]
+    values = dual_bound_sequence(protocol, chains, target)
+    report = validate_protocol(protocol)
+    assert len(values) == len(protocol.turns) + 1
+    np.testing.assert_allclose(values, interpolation_oracle(protocol, chains), atol=1e-12)
+    assert all(a >= b - CERT_TOL for a, b in zip(values, values[1:])), values
+    assert abs(values[0] - math.prod(cheat.bound for cheat in cheats)) <= 1e-12
+    assert abs(values[-1] - (report.p1 if target else report.p0)) <= 1e-9
+    return values
 
 
 @pytest.fixture(scope="module")
@@ -214,25 +248,41 @@ class TestDualChains:
     def test_announce_chain_tight_and_constant(self):
         p = alice_announces()
         cheat_a, cheat_b = optimal_cheat(p, 0, 1), optimal_cheat(p, 1, 1)
-        cert_a, cert_b = cheat_a.chain, cheat_b.chain
         assert abs(cheat_a.bound - 0.5) < 1e-5
         assert abs(cheat_b.bound - 1.0) < 1e-5
-        values = dual_bound_sequence(p, cert_a, cert_b, target=1)
-        assert len(values) == 2
+        values = assert_interpolates(p, (cheat_a, cheat_b), 1)
+        assert len(values) == 3
         assert abs(values[0] - 0.5) < 1e-5
-        assert abs(values[-1] - 0.5) < 1e-9
 
     def test_compact_penalty_chain_monotone(self):
         p = penalty_protocol_compact4()
         cheat_a, cheat_b = optimal_cheat(p, 0, 1), optimal_cheat(p, 1, 1)
-        cert_a, cert_b = cheat_a.chain, cheat_b.chain
         assert abs(cheat_a.bound - 1.0) < 1e-6
         assert abs(cheat_b.bound - 0.5) < 1e-6
-        values = dual_bound_sequence(p, cert_a, cert_b, target=1)
-        assert all(a >= b - 1e-7 for a, b in zip(values, values[1:]))
-        assert abs(values[-1] - 0.5) < 1e-9
+        values = assert_interpolates(p, (cheat_a, cheat_b), 1)
+        assert len(values) == 5
         # the chain start bounds the true cheat product from above
         assert values[0] >= 0.5 - 1e-9
+
+    @pytest.mark.parametrize("target", [0, 1])
+    @pytest.mark.parametrize(
+        "build",
+        [alice_announces, penalty_protocol_compact4, lambda: announce_kparty(3), lambda: announce_kparty(4)],
+        ids=["announces", "compact4", "announce3", "announce4"],
+    )
+    def test_every_turn_boundary_interpolates(self, build, target):
+        p = build()
+        assert_interpolates(p, [optimal_cheat(p, i, target) for i in range(p.k)], target)
+
+    @pytest.mark.parametrize("target", [0, 1])
+    @pytest.mark.parametrize("honest, turns", [(1, (1, 0, 1)), (2, (1, 0))], ids=["honest1", "honest2"])
+    def test_any_turn_order_interpolates(self, honest, turns, target):
+        # merging around party 1 or 2 puts a coalition turn first: no round pairs to walk
+        merged = merge_cheaters(announce_kparty(3), honest)
+        assert merged.turns == turns
+        cheats = [optimal_cheat(merged, i, target) for i in range(merged.k)]
+        values = assert_interpolates(merged, cheats, target)
+        assert abs(values[-1] - 0.5) < 1e-12
 
     def test_chains_are_exactly_feasible(self):
         # every chain optimal_cheat returns is feasible, and its value bounds the solver's optimum
@@ -254,28 +304,28 @@ class TestDualChains:
         eps = 1e-3
         shifted = {k: v + eps * np.eye(v.shape[0]) for k, v in cert_a.items()}
         assert verify_dual(cheat_sdp(p, 0, 1), shifted, tol=1e-10).feasible
-        base = dual_bound_sequence(p, cert_a, cert_b, target=1)
-        raised = dual_bound_sequence(p, shifted, cert_b, target=1)
+        base = dual_bound_sequence(p, (cert_a, cert_b), target=1)
+        raised = dual_bound_sequence(p, (shifted, cert_b), target=1)
         assert all(r >= b - 1e-12 for r, b in zip(raised, base))
         assert raised[0] > base[0]
 
     def test_infeasible_chain_rejected_with_round_index(self):
+        # the error names the party whose chain fails and the rounds that fail
         p = alice_announces()
-        cert_a = optimal_cheat(p, 0, 1).chain
-        cert_b = optimal_cheat(p, 1, 1).chain
-        broken = dict(cert_a)
-        broken["round_0"] = broken["round_0"] - 0.2 * np.eye(broken["round_0"].shape[0])
-        with pytest.raises(ValueError) as err:
-            dual_bound_sequence(p, broken, cert_b, target=1)
-        assert "rounds [0]" in str(err.value)
+        chains = [optimal_cheat(p, i, 1).chain for i in range(p.k)]
+        for party in range(p.k):
+            broken = dict(chains[party])
+            broken["round_0"] = broken["round_0"] - 0.2 * np.eye(broken["round_0"].shape[0])
+            with pytest.raises(ValueError) as err:
+                dual_bound_sequence(p, [broken if i == party else c for i, c in enumerate(chains)], target=1)
+            assert f"party-{party}-honest chain infeasible: rounds [0]" in str(err.value)
 
-    def test_turns_must_alternate(self):
-        # merging around party 1 gives turns (1, 0, 1): no round pairs to walk
-        merged = merge_cheaters(announce_kparty(3), 1)
-        cert_a = optimal_cheat(merged, 0, 1).chain
-        cert_b = optimal_cheat(merged, 1, 1).chain
-        with pytest.raises(ValueError, match="0, 1, 0, 1"):
-            dual_bound_sequence(merged, cert_a, cert_b, target=1)
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_one_chain_per_party_required(self, count):
+        p = alice_announces()
+        chain = optimal_cheat(p, 0, 1).chain
+        with pytest.raises(ValueError, match=f"2 parties, {count} chains"):
+            dual_bound_sequence(p, [chain] * count, target=1)
 
 
 class TestMergeCheaters:
@@ -440,7 +490,18 @@ class TestFullPenaltyChain:
         assert abs(cheat_b.bound - 0.75) < 1e-5
         for honest, cert in enumerate((cert_a, cert_b)):
             assert verify_dual(cheat_sdp(p, honest, 1), cert, tol=1e-10).feasible
-        values = dual_bound_sequence(p, cert_a, cert_b, target=1)
-        assert all(a >= b - 1e-7 for a, b in zip(values, values[1:]))
-        assert abs(values[0] - cheat_a.bound * cheat_b.bound) < 1e-9
+        values = assert_interpolates(p, v16_check.cheats, 1)
+        assert len(values) == 5
         assert abs(values[-1] - 0.5) < 1e-7
+
+    def test_relayed_three_party_sequence_moves_per_turn(self):
+        # a third party copies the outcome after the reveal: party 0's chain
+        # gains a round, the copier's is flat at 1, and F stays at 9/16 until
+        # the verifier banks the opened pair, then at 1/2
+        p = relayed_penalty_protocol()
+        assert p.turns == (0, 1, 0, 1, 0, 2)
+        assert validate_protocol(p).valid
+        cheats = [optimal_cheat(p, i, 1) for i in range(p.k)]
+        np.testing.assert_allclose([c.bound for c in cheats], [0.75, 0.75, 1.0], atol=1e-5)
+        values = assert_interpolates(p, cheats, 1)
+        np.testing.assert_allclose(values, [9 / 16] * 4 + [0.5] * 3, atol=1e-5)
