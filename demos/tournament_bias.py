@@ -8,7 +8,6 @@ import numpy as np
 from qcoinflip.multiparty import (
     ADVERSARY_PRESETS,
     BIN_STRATEGIES,
-    TournamentConfig,
     combined_bias,
     committee_threshold,
     expected_fix_probability,
@@ -30,12 +29,11 @@ print(f"With the doubling penalty schedule, k * (1 - fix probability) stays abov
 print("\n=== Monte Carlo against the bound ===")
 runs = 200_000
 for k in (8, 32):
-    config = TournamentConfig.for_players(k)
     bound = 1 - tournament_bound(k)[0]
     print(f"k = {k}: analytic fix-probability bound {bound:.6f}")
     for name, preset in ADVERSARY_PRESETS.items():
-        report = simulate_tournament(config, preset, as_rng(11), runs)
-        exact = expected_fix_probability(config, preset)
+        report = simulate_tournament(k, preset, as_rng(11), runs)
+        exact = expected_fix_probability(k, preset)
         print(f"  {name:>10}: simulated {report.mc_estimate:.6f} (+-{report.stderr:.6f}),"
               f" closed form {exact:.6f}")
 

@@ -31,7 +31,6 @@ from .lowerbound import (
 )
 from .multiparty import (
     AdversaryModel,
-    TournamentConfig,
     combined_bias,
     lightest_bin_select,
     naive_tournament_bound,

@@ -40,14 +40,12 @@ from .lowerbound import cheat_product_check, group_players
 from .multiparty import (
     ADVERSARY_PRESETS,
     BIN_STRATEGIES,
-    TournamentConfig,
     combined_bias,
     committee_threshold,
     lightest_bin_select,
     naive_tournament_bound,
     simulate_tournament,
     tournament_bound,
-    tournament_size,
 )
 from .penalty import (
     PenaltyGame,
@@ -65,6 +63,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_SOLVER = 3
 EXIT_BADFILE = 4
+
+# dense 2^k-amplitude states: peak memory doubles per party (380 MB at k = 22)
+BROADCAST_MAX_PARTIES = 24
 
 
 def _emit(record: dict, fmt: str, out):
@@ -188,22 +189,15 @@ def cmd_tournament(args, out) -> int:
                 "threshold_factor": args.threshold_factor,
             }
         )
-        record["analytic_bound"], _ = combined_bias(k, args.g, args.threshold_factor)
+        record["analytic_bound"], ksub = combined_bias(k, args.g, args.threshold_factor)
         record["naive_bias_bound"] = naive_tournament_bound(k)
         record["committee_threshold"] = None
         record["mc_estimate"] = None
         record["stderr"] = None
         if args.g == 1:
-            ksub = tournament_size(k)
-            not_fixed, _ = tournament_bound(ksub)
-            record["analytic_not_fixed"] = not_fixed
+            record["analytic_not_fixed"], _ = tournament_bound(ksub)
             if args.runs:
-                rep = simulate_tournament(
-                    TournamentConfig.for_players(ksub),
-                    ADVERSARY_PRESETS[args.adversary],
-                    as_rng(args.seed),
-                    args.runs,
-                )
+                rep = simulate_tournament(ksub, ADVERSARY_PRESETS[args.adversary], as_rng(args.seed), args.runs)
                 record["mc_estimate"] = rep.mc_estimate
                 record["stderr"] = rep.stderr
         else:
@@ -311,8 +305,8 @@ def cmd_lowerbound(args, out) -> int:
 
 
 def cmd_broadcast(args, out) -> int:
-    if args.k < 2:
-        print(f"error: need k >= 2 parties, got {args.k}", file=sys.stderr)
+    if not 2 <= args.k <= BROADCAST_MAX_PARTIES:
+        print(f"error: need 2 <= k <= {BROADCAST_MAX_PARTIES} parties, got {args.k}", file=sys.stderr)
         return EXIT_USAGE
     rng = as_rng(args.seed)
     record = _base_record(args, f"broadcast {args.subverb}")

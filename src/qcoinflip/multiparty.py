@@ -1,11 +1,12 @@
 """k-party coin flipping by elimination tournament with penalty rounds.
 
-With k = 2^n players and a single honest one, rounds 1..n-3 are two-party
-penalty coin flips with penalty 2^(n-i) - 1 at round i; once 8 players
-remain, three no-penalty rounds finish the job, in each of which a cheater
-facing the honest player can force the round with probability at most 3/4
-(an abstract primitive; its guarantee makes the 8-player stage fixable with
-probability at most 63/64).  Chaining
+With k = 2^n players and a single honest one, the bracket is one list of
+rounds, each the honest player's match against a cheater: rounds 1..n-3 are
+penalty coin flips with penalty 2^(n-i) - 1 at round i (``penalty_schedule``);
+once 8 players remain, three no-penalty rounds finish the job, in each of
+which the cheater forces the round with probability at most 3/4 (an abstract
+primitive; its guarantee makes the 8-player stage fixable with probability
+at most 63/64).  Chaining
 
     1 - P_j >= (1 - P_{j-1}) (1 - Q_{2^{j-1}-1}),     Q_v = 1/2 + 1/sqrt(v)
 
@@ -19,7 +20,8 @@ Cheaters in the simulation are reduced to their per-match statistics
 (p_win, p_lose, p_catch) against the honest player, constrained by the
 penalty-game guarantee p_lose - v * p_catch <= Q_v; arbitrary quantum
 strategies are bounded by exactly these statistics, so nothing more is
-simulated here.
+simulated here.  The Monte Carlo and its closed form walk the same list of
+per-round statistics, ``_round_models``.
 """
 
 from __future__ import annotations
@@ -46,35 +48,16 @@ def cheat_win_cap(v: float) -> float:
     return min(1.0, 0.5 + 1.0 / math.sqrt(v))
 
 
-@dataclass(frozen=True)
-class TournamentConfig:
-    """Bracket for k = 2^n players: penalty 2^(n-i) - 1 at round i."""
+def penalty_schedule(k: int) -> tuple:
+    """Penalties of the rounds before the 8-player finish, for k = 2^n >= 8.
 
-    n: int
-
-    def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("need k = 2^n >= 8 players")
-
-    @property
-    def k(self) -> int:
-        return 2**self.n
-
-    @property
-    def penalty_schedule(self) -> tuple:
-        return tuple(2 ** (self.n - i) - 1 for i in range(1, self.n + 1))
-
-    @property
-    def penalty_rounds(self) -> int:
-        """Rounds played with penalties before the 8-player finish."""
-        return self.n - FINAL_PHASE_ROUNDS
-
-    @classmethod
-    def for_players(cls, k: int) -> "TournamentConfig":
-        n = int(round(math.log2(k)))
-        if 2**n != k or n < 3:
-            raise ValueError(f"player count must be a power of two >= 8, got {k}")
-        return cls(n)
+    Round i = 1..n-3 carries penalty 2^(n-i) - 1; the FINAL_PHASE_ROUNDS
+    rounds after it carry none.
+    """
+    if k < 8 or k & (k - 1):
+        raise ValueError(f"player count must be a power of two >= 8, got {k}")
+    n = k.bit_length() - 1
+    return tuple(2 ** (n - i) - 1 for i in range(1, n - FINAL_PHASE_ROUNDS + 1))
 
 
 @dataclass(frozen=True)
@@ -142,14 +125,13 @@ class BiasReport:
 def tournament_bound(k: int):
     """(lower bound on 1 - P_n, bias bound 1/2 - that) for k = 2^n >= 8.
 
-    The bound is (1/64) prod_{j=4..n} (1 - Q_{2^(j-1)-1}): the 8-player
-    finish fails to be fixed with probability at least 1/64, and each
-    earlier penalty round multiplies by its survival margin.
+    The bound is (1 - FINAL_PHASE_CHEAT_PROB)^FINAL_PHASE_ROUNDS = 1/64 for
+    the 8-player finish, times the survival margin 1 - Q_v of each penalty
+    round, multiplied in ascending v.
     """
-    config = TournamentConfig.for_players(k)
-    not_fixed = 1.0 / 64.0
-    for j in range(4, config.n + 1):
-        not_fixed *= 1.0 - cheat_win_cap(2 ** (j - 1) - 1)
+    not_fixed = (1.0 - FINAL_PHASE_CHEAT_PROB) ** FINAL_PHASE_ROUNDS
+    for v in reversed(penalty_schedule(k)):
+        not_fixed *= 1.0 - cheat_win_cap(v)
     return not_fixed, 0.5 - not_fixed
 
 
@@ -179,15 +161,14 @@ def tournament_constant() -> float:
 
 
 def naive_tournament_bound(k: int) -> float:
-    """Bias of the plain no-penalty tournament: 1/2 - (1/4)(1 - 1/sqrt2)^ceil(log2(k) - 1).
+    """Bias of the plain no-penalty tournament: 1/2 - (1/4)(1 - 1/sqrt2)^(ceil(log2 k) - 1).
 
     The honest player survives each elimination with probability at least
     1 - 1/sqrt2 and the last flip resists fixing with probability 1/4.
     """
     if k < 2:
         raise ValueError("need at least two players")
-    exponent = math.ceil(math.log2(k) - 1.0)
-    reach = (1.0 - 2.0**-0.5) ** exponent
+    reach = (1.0 - 2.0**-0.5) ** ((k - 1).bit_length() - 1)
     return 0.5 - 0.25 * reach
 
 
@@ -195,61 +176,56 @@ def naive_tournament_bound(k: int) -> float:
 # Monte Carlo
 
 
-def simulate_tournament(
-    config: TournamentConfig,
-    adversary,
-    rng,
-    runs: int,
-) -> BiasReport:
+_FINAL_MATCH = AdversaryModel(1.0 - FINAL_PHASE_CHEAT_PROB, FINAL_PHASE_CHEAT_PROB, 0.0)
+
+
+def _round_models(k: int, adversary) -> list:
+    """The honest player's match in every round of a k-player bracket.
+
+    ``adversary`` maps a penalty v to an AdversaryModel; its model at each
+    penalty of ``penalty_schedule(k)`` is checked for admissibility.  The
+    FINAL_PHASE_ROUNDS no-penalty rounds follow: the coalition wins each with
+    probability FINAL_PHASE_CHEAT_PROB and is never caught.
+    """
+    models = []
+    for v in penalty_schedule(k):
+        model = adversary(v)
+        model.check_admissible(v)
+        models.append(model)
+    return models + [_FINAL_MATCH] * FINAL_PHASE_ROUNDS
+
+
+def simulate_tournament(k: int, adversary, rng, runs: int) -> BiasReport:
     """Estimate the coalition's fix probability against one honest player.
 
-    ``adversary`` maps a penalty v to an AdversaryModel (a preset) or is a
-    fixed AdversaryModel.  Per run: every penalty round the honest player's
-    match is sampled; a loss hands the bracket to the coalition, a catch
-    aborts the run un-fixed.  The three final no-penalty rounds are the
-    abstract primitive and go the coalition's way with probability 3/4 each.
-    Cheater-vs-cheater matches are coalition-controlled and need no sampling.
-
-    Runs are exchangeable, so only counts are drawn: each penalty round
-    splits the runs still undecided into (lost, caught, continuing) by one
-    multinomial, each final round takes a binomial share of them.
+    Per run and round of ``_round_models(k, adversary)``, the honest player's
+    match is sampled: a loss hands the bracket to the coalition, a catch
+    aborts the run un-fixed.  Cheater-vs-cheater matches are
+    coalition-controlled and need no sampling.  Runs are exchangeable, so
+    each round splits the count of undecided runs into (lost, caught,
+    continuing) by one multinomial.
     """
     if runs < 1:
         raise ValueError("need at least one run")
     rng = as_rng(rng)
-    models = []
-    for i in range(config.penalty_rounds):
-        v = config.penalty_schedule[i]
-        model = adversary(v) if callable(adversary) else adversary
-        model.check_admissible(v)
-        models.append(model)
-
     alive = runs  # honest player still in, nothing decided
     fixed = 0
-    for model in models:
+    for model in _round_models(k, adversary):
         lose, _, alive = rng.multinomial(alive, [model.p_lose, model.p_catch, model.p_win])
         fixed += int(lose)
-    for _ in range(FINAL_PHASE_ROUNDS):
-        beaten = int(rng.binomial(alive, FINAL_PHASE_CHEAT_PROB))
-        fixed += beaten
-        alive -= beaten
-
     phat = fixed / runs
     stderr = math.sqrt(max(phat * (1.0 - phat), 1e-300) / runs)
     return BiasReport(mc_estimate=phat, stderr=stderr)
 
 
-def expected_fix_probability(config: TournamentConfig, adversary) -> float:
+def expected_fix_probability(k: int, adversary) -> float:
     """Closed-form fix probability for a given adversary (the MC oracle)."""
     not_fixed = 0.0
-    reach = 1.0
-    for i in range(config.penalty_rounds):
-        v = config.penalty_schedule[i]
-        model = adversary(v) if callable(adversary) else adversary
+    reach = 1.0  # honest player still in, nothing decided
+    for model in _round_models(k, adversary):
         not_fixed += reach * model.p_catch
         reach *= model.p_win
-    not_fixed += reach * (1.0 - FINAL_PHASE_CHEAT_PROB) ** FINAL_PHASE_ROUNDS
-    return 1.0 - not_fixed
+    return 1.0 - (not_fixed + reach)
 
 
 # ---------------------------------------------------------------------------
@@ -354,26 +330,24 @@ def committee_threshold(k: int, g: int, factor: float = 4.0) -> int:
 def combined_bias(k: int, g: int, threshold_factor: float = 4.0):
     """Bias bound for g honest players among k.
 
-    For g = 1 the tournament runs directly on all k players.  Otherwise a
+    For g = 1 the tournament runs on all k players.  Otherwise a
     lightest-bin committee of about threshold_factor * k/g players flips the
     coin, and the tournament's not-fixed margin enters halved.  The halving
     assumes an honest member is present with probability at least 1/2.  That
     is not proven here: ``lightest_bin_select`` confirms it at powers of two,
     but under the split preset it fails at other (k, g), e.g. (1024, 70).
 
-    Returns (bias bound, committee size used by the tournament bound).
+    Returns (bias bound, bracket size of the tournament bound).
     """
     if not 1 <= g <= k:
         raise ValueError("need 1 <= g <= k")
     if g == 1:
-        not_fixed, bias = tournament_bound(tournament_size(k))
-        return bias, None
-    size = committee_threshold(k, g, threshold_factor)
-    ksub = tournament_size(size)
-    not_fixed, _ = tournament_bound(ksub)
-    return 0.5 - 0.5 * not_fixed, ksub
+        ksub = tournament_size(k)
+        return tournament_bound(ksub)[1], ksub
+    ksub = tournament_size(committee_threshold(k, g, threshold_factor))
+    return 0.5 - 0.5 * tournament_bound(ksub)[0], ksub
 
 
 def tournament_size(k: int) -> int:
     """Smallest admissible bracket size >= k (power of two, >= 8)."""
-    return max(8, 2 ** math.ceil(math.log2(max(k, 1))))
+    return max(8, 1 << (max(k, 1) - 1).bit_length())

@@ -25,7 +25,6 @@ from qcoinflip.lowerbound import cheat_product_check, multiparty_bias_bound
 from qcoinflip.multiparty import (
     ADVERSARY_PRESETS,
     BIN_STRATEGIES,
-    TournamentConfig,
     combined_bias,
     committee_threshold,
     lightest_bin_select,
@@ -159,10 +158,9 @@ def test_criterion_6_tournament_monte_carlo():
     runs = 100_000
     with _Clock(60.0) as clock:
         for k in (8, 16, 32, 64):
-            config = TournamentConfig.for_players(k)
             bound = 1.0 - tournament_bound(k)[0]
             for name, preset in ADVERSARY_PRESETS.items():
-                report = simulate_tournament(config, preset, as_rng(606), runs)
+                report = simulate_tournament(k, preset, as_rng(606), runs)
                 assert report.mc_estimate <= bound + 4 * report.stderr, (k, name)
     _report(6, clock, f"{len(ADVERSARY_PRESETS)} presets x k in 8..64, 1e5 runs each, under bound + 4 sigma")
 

@@ -355,8 +355,12 @@ class TestBroadcastCommand:
         assert record["outcomes"] == [1, 1, 1]
 
     def test_invalid_k_exits_2(self, capsys):
-        code, _, _ = run_cli(capsys, "broadcast", "emulate", "--k", "1")
-        assert code == 2
+        # above 24 parties the dense 2^k states would exhaust memory
+        for k in ("1", "25", "64"):
+            code, out, err = run_cli(capsys, "broadcast", "emulate", "--k", k)
+            assert code == 2, k
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestOutputPlumbing:

@@ -14,7 +14,6 @@ from qcoinflip.multiparty import (
     ADVERSARY_PRESETS,
     BIN_STRATEGIES,
     AdversaryModel,
-    TournamentConfig,
     aggressive_adversary,
     cheat_win_cap,
     combined_bias,
@@ -23,6 +22,7 @@ from qcoinflip.multiparty import (
     honest_adversary,
     lightest_bin_select,
     naive_tournament_bound,
+    penalty_schedule,
     pile_strategy,
     simulate_tournament,
     split_strategy,
@@ -30,6 +30,7 @@ from qcoinflip.multiparty import (
     timid_adversary,
     tournament_bound,
     tournament_constant,
+    tournament_size,
 )
 from qcoinflip.quantum import as_rng
 
@@ -89,6 +90,24 @@ class TestTournamentBound:
             with pytest.raises(ValueError):
                 tournament_bound(k)
 
+    def test_timid_attains_bound(self):
+        # timid plays every penalty round at the cap and the finish at 3/4,
+        # so its exact fix probability is the analytic bound
+        for n in range(3, 31):
+            k = 2**n
+            exact = expected_fix_probability(k, timid_adversary)
+            assert abs(exact - (1 - tournament_bound(k)[0])) <= 1e-15, k
+
+
+class TestBracketSize:
+    def test_least_power_of_two_at_least_k(self):
+        # float log2 rounds 2^n + 1 down to n from n = 49 on
+        for n in range(3, 81):
+            for k in (2**n - 1, 2**n, 2**n + 1):
+                size = tournament_size(k)
+                assert size >= max(k, 8) and size & (size - 1) == 0, k
+                assert size // 2 < max(k, 8), k
+
 
 class TestNaiveBound:
     def test_two_players(self):
@@ -120,9 +139,7 @@ class TestAdversaries:
 
     def test_presets_admissible_for_all_rounds(self):
         for n in (3, 4, 5, 6, 10):
-            config = TournamentConfig(n)
-            for i in range(config.penalty_rounds):
-                v = config.penalty_schedule[i]
+            for v in penalty_schedule(2**n):
                 for preset in ADVERSARY_PRESETS.values():
                     preset(v).check_admissible(v)
 
@@ -134,17 +151,18 @@ class TestAdversaries:
 
 class TestSimulation:
     def test_schedule(self):
-        config = TournamentConfig.for_players(32)
-        assert config.penalty_schedule == (15, 7, 3, 1, 0)
-        assert config.penalty_rounds == 2
+        assert penalty_schedule(32) == (15, 7)
+        assert penalty_schedule(8) == ()
+        for k in (4, 12, 2**53 + 1):
+            with pytest.raises(ValueError):
+                penalty_schedule(k)
 
     def test_monte_carlo_matches_closed_form(self):
         runs = 100_000
         for k in (8, 16, 64):
-            config = TournamentConfig.for_players(k)
             for name, preset in ADVERSARY_PRESETS.items():
-                report = simulate_tournament(config, preset, as_rng(17), runs)
-                exact = expected_fix_probability(config, preset)
+                report = simulate_tournament(k, preset, as_rng(17), runs)
+                exact = expected_fix_probability(k, preset)
                 assert abs(report.mc_estimate - exact) <= 4 * report.stderr, (k, name)
 
     @pytest.mark.parametrize("k", [2**n for n in range(3, 13)])
@@ -152,26 +170,23 @@ class TestSimulation:
         # sigma from the exact probability: at k = 4096 the timid preset
         # leaves about one run in 1e6 un-fixed, so the sample stderr is often 0
         runs = 200_000
-        config = TournamentConfig.for_players(k)
         for name, preset in ADVERSARY_PRESETS.items():
-            exact = expected_fix_probability(config, preset)
-            report = simulate_tournament(config, preset, as_rng(k), runs)
+            exact = expected_fix_probability(k, preset)
+            report = simulate_tournament(k, preset, as_rng(k), runs)
             sigma = math.sqrt(exact * (1 - exact) / runs)
             assert abs(report.mc_estimate - exact) <= 4 * sigma, (k, name)
 
     def test_never_beats_analytic_bound(self):
         runs = 50_000
         for k in (8, 16, 32):
-            config = TournamentConfig.for_players(k)
             bound = 1.0 - tournament_bound(k)[0]
             for name, preset in ADVERSARY_PRESETS.items():
-                report = simulate_tournament(config, preset, as_rng(29), runs)
+                report = simulate_tournament(k, preset, as_rng(29), runs)
                 assert report.mc_estimate <= bound + 4 * report.stderr, (k, name)
 
     def test_always_catch_adversary_never_fixes(self):
-        config = TournamentConfig.for_players(32)
         catcher = AdversaryModel(0.0, 0.0, 1.0)
-        report = simulate_tournament(config, catcher, as_rng(3), 20_000)
+        report = simulate_tournament(32, lambda v: catcher, as_rng(3), 20_000)
         # honest survives both penalty rounds via catches; only the final
         # phase rounds remain fixable
         assert abs(report.mc_estimate - 0.0) < 1e-12
@@ -180,19 +195,19 @@ class TestSimulation:
         # honest survives each penalty round with probability 1/2, then the
         # abstract finish fails with probability (1/4)^3
         for k in (8, 16, 32):
-            config = TournamentConfig.for_players(k)
             n = int(math.log2(k))
             expected = 1 - 0.5 ** (n - 3) * (1 / 64)
-            assert abs(expected_fix_probability(config, honest_adversary) - expected) < 1e-12
+            assert abs(expected_fix_probability(k, honest_adversary) - expected) < 1e-12
 
     def test_rejects_inadmissible(self):
-        config = TournamentConfig.for_players(16)
         greedy = AdversaryModel(0.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            simulate_tournament(config, greedy, as_rng(0), 10)
+        with pytest.raises(ValueError, match="penalty-7"):
+            simulate_tournament(16, lambda v: greedy, as_rng(0), 10)
+        with pytest.raises(ValueError, match="penalty-7"):
+            expected_fix_probability(16, lambda v: greedy)
         for runs in (0, -5):
             with pytest.raises(ValueError, match="need at least one run"):
-                simulate_tournament(config, honest_adversary, as_rng(0), runs)
+                simulate_tournament(16, honest_adversary, as_rng(0), runs)
 
 
 class TestLightestBin:
@@ -288,7 +303,7 @@ class TestLightestBin:
 class TestCombinedBias:
     def test_single_honest_matches_tournament(self):
         bias, committee = combined_bias(64, 1)
-        assert committee is None
+        assert committee == 64
         assert abs(bias - tournament_bound(64)[1]) < 1e-15
 
     def test_all_honest_constant_bound(self):
