@@ -378,6 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.seed < 0:  # numpy's generators take non-negative seeds only
+        print(f"error: --seed must be a non-negative integer, got {args.seed}", file=sys.stderr)
+        return EXIT_USAGE
     handlers = {
         "penalty": cmd_penalty,
         "tournament": cmd_tournament,

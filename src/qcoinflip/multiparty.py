@@ -4,9 +4,11 @@ With k = 2^n players and a single honest one, the bracket is one list of
 rounds, each the honest player's match against a cheater: rounds 1..n-3 are
 penalty coin flips with penalty 2^(n-i) - 1 at round i (``penalty_schedule``);
 once 8 players remain, three no-penalty rounds finish the job, in each of
-which the cheater forces the round with probability at most 3/4 (an abstract
-primitive; its guarantee makes the 8-player stage fixable with probability
-at most 63/64).  Chaining
+which the cheater forces the round with probability at most 3/4
+(``FINAL_PHASE_CHEAT_PROB``, the forcing probability of
+``protocols.penalty_protocol(16)`` run as a plain coin flip, for either
+honest party; its guarantee makes the 8-player stage fixable with
+probability at most 63/64).  Chaining
 
     1 - P_j >= (1 - P_{j-1}) (1 - Q_{2^{j-1}-1}),     Q_v = 1/2 + 1/sqrt(v)
 

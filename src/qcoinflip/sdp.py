@@ -10,10 +10,14 @@ the kept ones first, is the caller's business (``quantum`` owns factor
 order), so this module sees matrices only.
 
 The solver is a primal-dual interior-point method (Nesterov-Todd scaling,
-infeasible start, adaptive centering): robustness over speed, which is the
-right trade at total block dimensions of a few hundred.  Dual feasible
-points can be checked independently of the solver (``verify_dual``), so a
-certificate bound never relies on the code path it is validating.
+infeasible start, Mehrotra predictor-corrector centering): robustness over
+speed, which is the right trade at total block dimensions of a few hundred.
+The search direction is affine in the centering term, so each iterate makes
+one LU solve of the Schur system with two right-hand sides, and predictor
+and corrector combine its two solutions; numpy is the only dependency.
+Dual feasible points can be checked independently of the solver
+(``verify_dual``), so a certificate bound never relies on the code path it
+is validating.
 
 The arithmetic follows the data.  When every objective, term operator and
 right-hand side is real, X -> Re X keeps a feasible point feasible with the
@@ -36,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 FEAS_TOL = 1e-8
 CERT_TOL = 1e-9
@@ -93,7 +96,7 @@ class SdpSolution:
     dual_multipliers: dict
     # converged | infeasible (b off the range of A, found by the pre-check at every size,
     # iterations 0) | max-iterations, or the guard that stopped the loop early:
-    # stall | non-finite-schur | schur-cholesky-failed | non-finite-direction | mu-blowup
+    # stall | non-finite-schur | schur-singular | non-finite-direction | mu-blowup
     status: str
     iterations: int
     residuals: dict
@@ -390,11 +393,6 @@ def _nt_scaling(lx: np.ndarray, s: np.ndarray):
     return (w + w.conj().T) / 2, hdag @ hdag.conj().T, hdag.conj().T
 
 
-def _tri_inv(l: np.ndarray) -> np.ndarray:
-    """L^-1 for a lower-triangular Cholesky factor L (finite, as ``_chol`` returns it)."""
-    return sla.solve_triangular(l, np.eye(l.shape[0], dtype=l.dtype), lower=True, check_finite=False)
-
-
 def _max_step(h: np.ndarray, dx: np.ndarray) -> float:
     """Largest t with X + t dX >= 0; ``h`` is any H with H X H^dag = 1, such
     as the inverse of X's Cholesky factor.
@@ -409,8 +407,20 @@ def _max_step(h: np.ndarray, dx: np.ndarray) -> float:
     return -1.0 / lam
 
 
+def _residuals(rp, rd, pobj, dobj, b_scale, c_scale):
+    """An iterate's primal infeasibility, dual infeasibility and relative gap."""
+    prinf = np.linalg.norm(rp) / b_scale
+    dinf = max(np.linalg.norm(r) for r in rd) / c_scale
+    relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+    return prinf, dinf, relgap
+
+
 def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -> SdpSolution:
     """Solve the block SDP; returns the best iterate with a status flag.
+
+    Each iterate factors every block's X (Cholesky) and makes one LU solve
+    of the Schur system M + jitter 1 with both right-hand sides of its
+    search direction, r0 + sigma mu r1; the predictor takes sigma mu = 0.
 
     status is "converged" when primal/dual feasibility reaches ``FEAS_TOL``
     and the relative duality gap reaches ``tol``, and the iterate returned is
@@ -423,8 +433,8 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
 
     - "stall": the residual has not improved by 0.1 % in 60 iterations;
     - "non-finite-schur": the Schur matrix has a NaN or infinite entry;
-    - "schur-cholesky-failed": the Schur matrix did not factor after six
-      jitters, each 100 times the last;
+    - "schur-singular": the Schur matrix, its diagonal shifted by 1e-13
+      times its mean (at least 1), is exactly singular to LU;
     - "non-finite-direction": a search direction has a NaN or infinite entry;
     - "mu-blowup": the complementarity measure mu is not finite or exceeds
       1e14 times its starting value.
@@ -473,9 +483,7 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
             pobj = sum(np.vdot(comp.objective[i], x[i]).real for i in range(comp.nblocks))
             dobj = float(np.vdot(comp.b, y).real)
 
-            prinf = np.linalg.norm(rp) / b_scale
-            dinf = max(np.linalg.norm(r) for r in rd) / c_scale
-            relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+            prinf, dinf, relgap = _residuals(rp, rd, pobj, dobj, b_scale, c_scale)
             err = max(prinf, dinf, relgap)
             converged = prinf <= FEAS_TOL and dinf <= FEAS_TOL and relgap <= tol
             if err < 0.999 * best_err:
@@ -491,51 +499,46 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
                 status = "stall"
                 break
 
-            # one Cholesky factor per block, of X, and its one inverse (X's step length);
+            # one Cholesky factor per block, of X, and its inverse (X's step length);
             # the NT eigendecomposition gives W, S^-1 and S's step length, so S is never factored
             lx = [_chol(xi) for xi in x]
-            lxinv = [_tri_inv(l) for l in lx]
+            lxinv = [np.linalg.inv(l) for l in lx]
             w, sinv, hs = zip(*(_nt_scaling(lx[i], s[i]) for i in range(comp.nblocks)))
             mmat = comp.schur(w)
             if not np.all(np.isfinite(mmat)):
                 status = "non-finite-schur"
                 break
-            jitter = max(float(np.mean(np.diag(mmat)).real), 1.0) * 1e-13
-            for _ in range(6):
-                try:
-                    factor = sla.cho_factor(mmat + jitter * np.eye(comp.m))
-                    break
-                except np.linalg.LinAlgError:
-                    jitter *= 100.0
-            else:
-                status = "schur-cholesky-failed"
+
+            # the direction is affine in sigma mu: M dy = r0 + sigma mu r1, so one solve with
+            # both right-hand sides gives generators that predictor and corrector combine
+            r0 = comp.apply([w[i] @ rd[i] @ w[i] - x[i] for i in range(comp.nblocks)]) - rp
+            r1 = comp.apply(sinv)
+            # jitter: 1e-13 times the mean of M's diagonal (at least 1), added in place
+            mmat.flat[:: comp.m + 1] += max(float(np.mean(np.diag(mmat)).real), 1.0) * 1e-13
+            try:
+                # NaN from a non-finite right-hand side is caught below
+                dy0, dy1 = np.linalg.solve(mmat, np.stack([r0, r1], axis=1)).T
+            except np.linalg.LinAlgError:
+                status = "schur-singular"
                 break
+            adj0, adj1 = comp.adjoint(dy0), comp.adjoint(dy1)
+            ds0 = [_hermitian_part(adj0[i] - rd[i]) for i in range(comp.nblocks)]
+            ds1 = [_hermitian_part(a) for a in adj1]
+            dx0 = [_hermitian_part(-x[i] - w[i] @ ds0[i] @ w[i]) for i in range(comp.nblocks)]
+            dx1 = [_hermitian_part(sinv[i] - w[i] @ ds1[i] @ w[i]) for i in range(comp.nblocks)]
 
-            def direction(sigma_mu):
-                rc = [sigma_mu * sinv[i] - x[i] for i in range(comp.nblocks)]
-                rhs_blocks = [rc[i] + w[i] @ rd[i] @ w[i] for i in range(comp.nblocks)]
-                rhs = comp.apply(rhs_blocks) - rp
-                dy = sla.cho_solve(factor, rhs, check_finite=False)  # NaN is caught below
-                adj = comp.adjoint(dy)
-                ds = [adj[i] - rd[i] for i in range(comp.nblocks)]
-                dx = [rc[i] - w[i] @ ds[i] @ w[i] for i in range(comp.nblocks)]
-                dx = [(d + d.conj().T) / 2 for d in dx]
-                ds = [(d + d.conj().T) / 2 for d in ds]
-                return dy, dx, ds
-
-            # predictor (affine scaling) fixes the centering weight
-            dy_a, dx_a, ds_a = direction(0.0)
-            if not all(np.all(np.isfinite(d)) for d in dx_a + ds_a):
+            # predictor (affine scaling, sigma mu = 0) fixes the centering weight
+            if not all(np.all(np.isfinite(d)) for d in dx0 + ds0):
                 status = "non-finite-direction"
                 break
-            ap = min(1.0, min((_max_step(lxinv[i], dx_a[i]) for i in range(comp.nblocks)), default=1.0))
-            ad = min(1.0, min((_max_step(hs[i], ds_a[i]) for i in range(comp.nblocks)), default=1.0))
-            mu_aff = sum(
-                np.vdot(x[i] + ap * dx_a[i], s[i] + ad * ds_a[i]).real for i in range(comp.nblocks)
-            ) / ntot
-            sigma = min(0.999, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
+            ap = min(1.0, min((_max_step(lxinv[i], dx0[i]) for i in range(comp.nblocks)), default=1.0))
+            ad = min(1.0, min((_max_step(hs[i], ds0[i]) for i in range(comp.nblocks)), default=1.0))
+            mu_aff = sum(np.vdot(x[i] + ap * dx0[i], s[i] + ad * ds0[i]).real for i in range(comp.nblocks)) / ntot
+            sigma_mu = min(0.999, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3)) * mu
 
-            dy, dx, ds = direction(sigma * mu)
+            dy = dy0 + sigma_mu * dy1
+            dx = [dx0[i] + sigma_mu * dx1[i] for i in range(comp.nblocks)]
+            ds = [ds0[i] + sigma_mu * ds1[i] for i in range(comp.nblocks)]
             if not all(np.all(np.isfinite(d)) for d in dx + ds):
                 status = "non-finite-direction"
                 break

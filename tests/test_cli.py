@@ -37,6 +37,10 @@ def run_cli(capsys, *argv):
         ("penalty", "--v", "nan"),
         ("penalty", "--v", "inf"),
         ("lowerbound", "--analytic", "--k", "2", "--output", "no-such-dir/x.json"),
+        ("tournament", "--k", "64", "--g", "8", "--runs", "10", "--seed", "-1"),
+        ("broadcast", "epr", "--k", "3", "--seed", "-5"),
+        ("penalty", "--v", "16", "--seed", "-1"),
+        ("lowerbound", "--analytic", "--k", "2", "--seed", "-1"),
     ],
 )
 def test_bad_argument_exits_2_with_one_line(capsys, argv, tmp_path, monkeypatch):

@@ -37,6 +37,21 @@ def run_python(*args):
     )
 
 
+def test_numpy_is_the_only_dependency():
+    # a None entry in sys.modules makes any import of scipy raise ImportError
+    code = """
+import sys
+sys.modules["scipy"] = None
+import qcoinflip, qcoinflip.cli
+from qcoinflip.penalty import PenaltyGame, alice_attack_sdp
+from qcoinflip.sdp import solve
+assert solve(alice_attack_sdp(PenaltyGame(16))).status == "converged"
+assert not [name for name in sys.modules if name.startswith("scipy.")]
+"""
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+
+
 @pytest.mark.parametrize(
     "demo", ["broadcast_channel.py", "lower_bound_toolkit.py", "penalty_game.py", "tournament_bias.py"]
 )

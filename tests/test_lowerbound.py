@@ -15,6 +15,7 @@ from qcoinflip.lowerbound import (
     optimal_cheat,
     reachable_supports,
 )
+from qcoinflip.multiparty import FINAL_PHASE_CHEAT_PROB
 from qcoinflip.penalty import PenaltyGame, bob_attack, commit_state
 from qcoinflip.protocols import (
     alice_announces,
@@ -242,6 +243,13 @@ class TestProductCheck:
         broken = replace(base, projectors=(base.projectors[0], base.projectors[1][::-1]))
         with pytest.raises(ValueError):
             cheat_product_check(broken)
+
+    def test_penalty_v16_realises_the_final_phase_cheat_probability(self, v16_check):
+        # the instance multiparty's FINAL_PHASE_CHEAT_PROB names: penalty_protocol(16) run as a
+        # plain coin flip, where a cheater forces the outcome with probability 3/4 either way round
+        for cheat in v16_check.cheats:
+            assert abs(cheat.probability - FINAL_PHASE_CHEAT_PROB) <= 1e-6
+            assert -1e-9 <= cheat.bound - FINAL_PHASE_CHEAT_PROB <= 1e-6
 
 
 class TestDualChains:

@@ -32,7 +32,9 @@ from qcoinflip.multiparty import (
     tournament_constant,
     tournament_size,
 )
+from qcoinflip.penalty import PenaltyGame, alice_attack_sdp, bob_attack, dual_certificate
 from qcoinflip.quantum import as_rng
+from qcoinflip.sdp import verify_dual
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -142,6 +144,17 @@ class TestAdversaries:
             for v in penalty_schedule(2**n):
                 for preset in ADVERSARY_PRESETS.values():
                     preset(v).check_admissible(v)
+
+    def test_cap_bounds_both_attacks_at_every_scheduled_penalty(self):
+        # Bob's attack is exact (Helstrom) and Alice's is bounded by the closed-form certificate,
+        # which verify_dual checks without a solve
+        penalties = {v for n in range(3, 21) for v in penalty_schedule(2**n)}
+        assert len(penalties) == 17 and min(penalties) == 7 and max(penalties) == 2**19 - 1
+        for v in sorted(penalties):
+            game = PenaltyGame(v)
+            assert bob_attack(game).expected_win <= cheat_win_cap(v) + 1e-12, v
+            report = verify_dual(alice_attack_sdp(game), dual_certificate(game))
+            assert report.feasible and report.bound <= cheat_win_cap(v), v
 
     def test_timid_saturates_cap(self):
         model = timid_adversary(7.0)

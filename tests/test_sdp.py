@@ -265,14 +265,23 @@ class TestSolve:
         # b = (0.5, 0.7) has the component (0.7 - 0.5) / sqrt(2) off the range of A = (tr, tr)
         assert abs(sol.residuals["constraint_inconsistency"] - 0.2 / np.sqrt(2)) < 1e-12
 
-    def test_converged_status_describes_returned_iterate(self):
-        # this instance passes the 1e-10 gap test on an iterate that does not
-        # improve the best residual by 0.1 %; the older best misses the gap
-        problem = random_structured_problem(np.random.default_rng(20260808), with_op=False, real=True)
-        sol = solve(problem, tol=1e-10)
-        assert sol.status == "converged"
-        assert sol.residuals["gap"] <= 1e-10
-        assert max(sol.residuals["primal"], sol.residuals["dual"]) <= FEAS_TOL
+    def test_converged_status_describes_returned_iterate(self, rng, monkeypatch):
+        # a scripted residual sequence: the third iterate passes the 1e-10 gap test without
+        # improving the best residual (the second's) by 0.1 %, and the second misses the gap
+        from qcoinflip import sdp
+
+        script = [(1.0, 1.0, 1.0), (1e-9, 1e-9, 2e-9), (5e-9, 1e-9, 5e-11)]
+        objectives = []
+
+        def scripted(rp, rd, pobj, dobj, b_scale, c_scale):
+            objectives.append((pobj, dobj))
+            return script[len(objectives) - 1]
+
+        monkeypatch.setattr(sdp, "_residuals", scripted)
+        sol = solve(random_structured_problem(rng, with_op=False, real=True), tol=1e-10)
+        assert sol.status == "converged" and sol.iterations == 3
+        assert (sol.residuals["primal"], sol.residuals["dual"], sol.residuals["gap"]) == script[2]
+        assert (sol.primal_value, sol.dual_value) == objectives[2] != objectives[1]
 
     def test_converged_residuals_within_tolerances(self):
         for seed in range(6):
@@ -364,34 +373,43 @@ class TestSolve:
     def test_one_factorization_per_block_per_iterate(self, rng, monkeypatch):
         from qcoinflip import sdp
 
-        calls, solves, eighs = [], [], []
+        calls, inverses, schur_solves, eighs = [], [], [], []
         real_chol = sdp._chol
-        real_solve = sdp.sla.solve_triangular
+        real_inv = np.linalg.inv
+        real_solve = np.linalg.solve
         real_eigh = np.linalg.eigh
 
         def counting_chol(mat):
             calls.append(mat.shape)
             return real_chol(mat)
 
-        def counting_solve(l, rhs, **kwargs):
-            solves.append(np.array_equal(rhs, np.eye(l.shape[0])))
-            return real_solve(l, rhs, **kwargs)
+        def counting_inv(mat):
+            inverses.append(np.array_equal(mat, np.tril(mat)))
+            return real_inv(mat)
+
+        def counting_solve(mat, rhs):
+            schur_solves.append(rhs.shape)
+            return real_solve(mat, rhs)
 
         def counting_eigh(mat, *args, **kwargs):
             eighs.append(mat.shape)
             return real_eigh(mat, *args, **kwargs)
 
         monkeypatch.setattr(sdp, "_chol", counting_chol)
-        monkeypatch.setattr(sdp.sla, "solve_triangular", counting_solve)
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         prob = random_structured_problem(rng)
         sol = solve(prob)
         assert sol.status == "converged"
         # every iterate but the converged last one takes a step, and factors X alone
-        steps = len(prob.blocks) * (sol.iterations - 1)
+        iterates = sol.iterations - 1
+        steps = len(prob.blocks) * iterates
         assert len(calls) == steps
-        # each factor is inverted once, against the identity; the step lengths solve nothing
-        assert solves == [True] * steps
+        # each factor is inverted once, and it is lower triangular; the step lengths solve nothing
+        assert inverses == [True] * steps
+        # one Schur solve per iterate, with the predictor's and the corrector's right-hand sides
+        assert schur_solves == [(_Compiled(prob).m, 2)] * iterates
         # one eigendecomposition per block per step (NT scaling), after the pre-check's one
         assert len(eighs) == 1 + steps
 
@@ -462,15 +480,14 @@ class TestStopReasons:
         schur_after_precheck(monkeypatch, lambda self: np.full((self.m, self.m), np.nan))
         assert solve(trivial_problem(0.5)).status == "non-finite-schur"
 
-    def test_schur_cholesky_failed(self, monkeypatch):
-        # negative definite: no jitter up to 1e-3 makes it factor
-        schur_after_precheck(monkeypatch, lambda self: -np.eye(self.m))
-        assert solve(trivial_problem(0.5)).status == "schur-cholesky-failed"
+    def test_schur_singular(self, monkeypatch):
+        # the jitter for a diagonal mean below 1 is 1e-13, which cancels this matrix exactly:
+        # LU meets a zero pivot
+        schur_after_precheck(monkeypatch, lambda self: np.full((self.m, self.m), -1e-13))
+        assert solve(trivial_problem(0.5)).status == "schur-singular"
 
     def test_non_finite_direction(self, monkeypatch):
-        from qcoinflip import sdp
-
-        monkeypatch.setattr(sdp.sla, "cho_solve", lambda factor, b, **kwargs: np.full(np.shape(b), np.nan))
+        monkeypatch.setattr(np.linalg, "solve", lambda mat, b: np.full(np.shape(b), np.nan))
         assert solve(trivial_problem(0.5)).status == "non-finite-direction"
 
     def test_non_finite_inverse_of_s(self, monkeypatch):
@@ -488,10 +505,8 @@ class TestStopReasons:
         assert solve(trivial_problem(0.5)).status == "non-finite-direction"
 
     def test_mu_blowup(self, monkeypatch):
-        from qcoinflip import sdp
-
         # a huge finite multiplier step: S jumps by 1e30 while X shrinks but stays positive
-        monkeypatch.setattr(sdp.sla, "cho_solve", lambda factor, b, **kwargs: np.full(np.shape(b), 1e30))
+        monkeypatch.setattr(np.linalg, "solve", lambda mat, b: np.full(np.shape(b), 1e30))
         sol = solve(trivial_problem(0.5))
         assert sol.status == "mu-blowup"
         assert sol.iterations == 2
