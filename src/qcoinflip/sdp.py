@@ -113,8 +113,13 @@ class DualReport:
 # compilation
 
 
+def _ct(mat: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each member of a stack."""
+    return mat.conj().swapaxes(-1, -2)
+
+
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
-    return (mat + mat.conj().T) / 2
+    return (mat + _ct(mat)) / 2
 
 
 def _is_real(mat) -> bool:
@@ -137,19 +142,23 @@ def _coordinate_map(d: int, real: bool):
 
 
 class _CompiledTerm:
-    __slots__ = ("block_idx", "coeff", "kmat", "dk", "dt")
+    __slots__ = ("block_idx", "stack", "pos", "coeff", "kmat", "kmat_h", "sandwich", "dk", "dt")
 
-    def __init__(self, block_idx, coeff, kmat, dk, dt):
+    def __init__(self, block_idx, slot, coeff, kmat, sandwich, dk, dt):
         self.block_idx = block_idx
+        self.stack, self.pos = slot  # the block is member ``pos`` of stack ``stack``
         self.coeff = coeff
         self.kmat = kmat  # K, (dk*dt, d_block): its image is (kept) (x) (traced)
+        self.kmat_h = _ct(kmat)
+        # False when K is the identity (``op`` None): I X I = X exactly, so the product is skipped
+        self.sandwich = sandwich
         self.dk = dk
         self.dt = dt
 
     def lift(self, z: np.ndarray) -> np.ndarray:
         """coeff * K^dag (z (x) 1_dt) K for z of shape (..., dk, dk)."""
         zk = (z @ self.kmat.reshape(self.dk, -1)).reshape(z.shape[:-2] + self.kmat.shape)
-        return self.coeff * (self.kmat.conj().T @ zk)
+        return self.coeff * (self.kmat_h @ zk if self.sandwich else zk)
 
 
 class _Compiled:
@@ -159,6 +168,15 @@ class _Compiled:
         self.block_dims = [int(d) for _, d in problem.blocks]
         self.nblocks = len(self.block_names)
         index = {name: i for i, name in enumerate(self.block_names)}
+
+        # equal-size blocks share one (n, d, d) stack, in order of first appearance;
+        # block i is member slots[i] = (stack, position)
+        sizes = list(dict.fromkeys(self.block_dims))
+        self.stack_members = [[i for i, d in enumerate(self.block_dims) if d == size] for size in sizes]
+        self.slots = [None] * self.nblocks
+        for k, members in enumerate(self.stack_members):
+            for p, i in enumerate(members):
+                self.slots[i] = (k, p)
 
         # real data has a real symmetric optimum: X -> Re X keeps A(X) = b and the value
         real = all(_is_real(c) for c in problem.objective.values()) and all(
@@ -171,7 +189,7 @@ class _Compiled:
             mat = np.asarray(mat)
             return (mat.real if real else mat).astype(self.dtype)
 
-        self.objective = []
+        objective = []
         for name, d in zip(self.block_names, self.block_dims):
             c = problem.objective.get(name)
             c = np.zeros((d, d), dtype=self.dtype) if c is None else cast(c)
@@ -179,7 +197,8 @@ class _Compiled:
                 raise ValueError(f"objective for block {name!r} has wrong shape")
             if np.max(np.abs(c - c.conj().T)) > 1e-10:
                 raise ValueError(f"objective for block {name!r} is not Hermitian")
-            self.objective.append(c)
+            objective.append(c)
+        self.objective = self.stacked(objective)
 
         self.constraints = []
         self.con_dims = []
@@ -213,7 +232,9 @@ class _Compiled:
                     dk_con = dk
                 elif dk != dk_con:
                     raise ValueError(f"constraint {con.name!r}: terms have mismatched output dimensions")
-                terms.append(_CompiledTerm(bidx, float(term.coeff), kmat, dk, dt))
+                terms.append(
+                    _CompiledTerm(bidx, self.slots[bidx], float(term.coeff), kmat, term.op is not None, dk, dt)
+                )
             rhs = cast(con.rhs).reshape(dk_con, dk_con)
             if np.max(np.abs(rhs - rhs.conj().T)) > 1e-10:
                 raise ValueError(f"constraint {con.name!r}: right-hand side is not Hermitian")
@@ -226,6 +247,17 @@ class _Compiled:
             offset += len(cmap[0])
         self.m = offset
         self.b = self._coordinates(self.rhs)
+        self.schur_plan = self._schur_plan()
+
+    # -- block stacks ---------------------------------------------------------
+
+    def stacked(self, mats) -> list:
+        """One (n, d, d) stack per block size from one matrix per block."""
+        return [np.stack([mats[i] for i in members]) for members in self.stack_members]
+
+    def unstacked(self, stacks) -> list:
+        """One matrix per block, in block order: views into the stacks."""
+        return [stacks[k][p] for k, p in self.slots]
 
     # -- coordinates ----------------------------------------------------------
 
@@ -248,30 +280,35 @@ class _Compiled:
 
     # -- linear maps --------------------------------------------------------
 
-    def apply(self, blocks) -> np.ndarray:
-        """A(X): every constraint's value (Hermitian part) in coordinates."""
+    def apply(self, stacks) -> np.ndarray:
+        """A(X) for X given as block stacks: every constraint's value (Hermitian part) in coordinates."""
         vals = []
         for (name, terms), d in zip(self.constraints, self.con_dims):
             val = np.zeros((d, d), dtype=self.dtype)
             for t in terms:
-                img = t.kmat @ blocks[t.block_idx] @ t.kmat.conj().T
-                img = img.reshape(t.dk, t.dt, t.dk, t.dt)
-                val += t.coeff * np.einsum("iaja->ij", img)
+                img = stacks[t.stack][t.pos]
+                if t.sandwich:
+                    img = t.kmat @ img @ t.kmat_h
+                val += t.coeff * np.einsum("iaja->ij", img.reshape(t.dk, t.dt, t.dk, t.dt))
             vals.append(_hermitian_part(val))
         return self._coordinates(vals)
 
-    def lift(self, mats):
-        """A*(Z) as one matrix per block, for one matrix Z_c per constraint (any dtype)."""
+    def lift(self, mats, lead: tuple = ()) -> list:
+        """A*(Z) as block stacks, for one matrix Z_c per constraint (any dtype).
+
+        The Z_c may carry leading batch axes ``lead``, which then lead the
+        stacks: (*lead, n, d, d).
+        """
         dtype = np.result_type(self.dtype, *mats)
-        out = [np.zeros((d, d), dtype=dtype) for d in self.block_dims]
+        out = [np.zeros(lead + stack.shape, dtype=dtype) for stack in self.objective]
         for (_, terms), z in zip(self.constraints, mats):
             for t in terms:
-                out[t.block_idx] += t.lift(z)
+                out[t.stack][..., t.pos, :, :] += t.lift(z)
         return out
 
-    def adjoint(self, y: np.ndarray):
-        """A*(y) as one matrix per block (Hermitian when y's matrices are)."""
-        return self.lift([self._matrix(c, y[sl]) for c, sl in enumerate(self.slices)])
+    def adjoint(self, y: np.ndarray) -> list:
+        """A*(y) as block stacks (Hermitian when y's matrices are); leading axes of y batch."""
+        return self.lift([self._matrix(c, y[..., sl]) for c, sl in enumerate(self.slices)], y.shape[:-1])
 
     def multipliers_from_y(self, y: np.ndarray) -> dict:
         out = {}
@@ -291,8 +328,30 @@ class _Compiled:
 
     # -- Schur complement ---------------------------------------------------
 
+    def _schur_plan(self) -> list:
+        """Per pair of constraints f <= g that share a block: their term pairs on a
+        common block and where the pair's Gram entries land in M (see ``schur``)."""
+        plan = []
+        ncon = len(self.constraints)
+        for f in range(ncon):
+            _, fterms = self.constraints[f]
+            idx_f, idxt_f, wt_f = self.coord_maps[f]
+            for g in range(f, ncon):
+                _, gterms = self.constraints[g]
+                pairs = [(t1, t2) for t1 in fterms for t2 in gterms if t1.block_idx == t2.block_idx]
+                if not pairs:
+                    continue
+                idx_g, _, wt_g = self.coord_maps[g]
+                df, dg = self.con_dims[f], self.con_dims[g]
+                # T[(i, j), (k, l)] sits at gram.flat[rows(i, j) + cols(k, l)]: l runs contiguously
+                rows = [(i * (df * dg) + j) * dg for i, j in (np.divmod(idx_f, df), np.divmod(idxt_f, df))]
+                k, l = np.divmod(idx_g, dg)
+                cols = k * (df * dg) + l
+                plan.append((f, g, pairs, rows[0][:, None], rows[1][:, None], cols, wt_f[:, None], wt_g / 2))
+        return plan
+
     def schur(self, scalings) -> np.ndarray:
-        """M[r, s] = sum_i tr(A*(e_r)_i^dag W_i A*(e_s)_i W_i) for the NT scalings W.
+        """M[r, s] = sum_i tr(A*(e_r)_i^dag W_i A*(e_s)_i W_i) for the NT scalings W (block stacks).
 
         Over matrix entries, a term pair with P = K1 W K2^dag (image indices
         split as (kept, traced)) gives T[(i, j), (k, l)] = c1 c2 sum_{a, b}
@@ -304,42 +363,31 @@ class _Compiled:
         symmetric for real data).
         """
         mmat = np.zeros((self.m, self.m), dtype=self.dtype)
-        ncon = len(self.constraints)
-        for f in range(ncon):
-            _, fterms = self.constraints[f]
-            idx_f, idxt_f, wt_f = self.coord_maps[f]
-            for g in range(f, ncon):
-                _, gterms = self.constraints[g]
-                idx_g, _, wt_g = self.coord_maps[g]
-                df, dg = self.con_dims[f], self.con_dims[g]
-                gram = None
-                for t1 in fterms:
-                    for t2 in gterms:
-                        if t1.block_idx != t2.block_idx:
-                            continue
-                        pmat = t1.kmat @ scalings[t1.block_idx] @ t2.kmat.conj().T
-                        q = pmat.reshape(df, t1.dt, dg, t2.dt).transpose(0, 2, 1, 3).reshape(df * dg, -1)
-                        # np.conj copies even real q, so this is a GEMM: numpy's syrk path for
-                        # q @ q.T is slower at these sizes
-                        piece = q @ np.conj(q).T  # [(i, k), (j, l)]
-                        piece *= t1.coeff * t2.coeff
-                        if gram is None:
-                            gram = piece
-                        else:
-                            gram += piece
+        for f, g, pairs, rows0, rows1, cols, wt_rows, half_wt_cols in self.schur_plan:
+            df, dg = self.con_dims[f], self.con_dims[g]
+            gram = None
+            for t1, t2 in pairs:
+                pmat = scalings[t1.stack][t1.pos]
+                if t1.sandwich:
+                    pmat = t1.kmat @ pmat
+                if t2.sandwich:
+                    pmat = pmat @ t2.kmat_h
+                q = pmat.reshape(df, t1.dt, dg, t2.dt).transpose(0, 2, 1, 3).reshape(df * dg, -1)
+                # np.conj copies even real q, so this is a GEMM: numpy's syrk path for
+                # q @ q.T is slower at these sizes
+                piece = q @ np.conj(q).T  # [(i, k), (j, l)]
+                piece *= t1.coeff * t2.coeff
                 if gram is None:
-                    continue
-                # T[(i, j), (k, l)] sits at gram.flat[rows(i, j) + cols(k, l)]: l runs contiguously
-                rows = [(i * (df * dg) + j) * dg for i, j in (np.divmod(idx_f, df), np.divmod(idxt_f, df))]
-                k, l = np.divmod(idx_g, dg)
-                cols = k * (df * dg) + l
-                flat = gram.ravel()
-                block = flat[rows[0][:, None] + cols] + flat[rows[1][:, None] + cols]
-                block *= wt_f[:, None]
-                block *= wt_g / 2
-                mmat[self.slices[f], self.slices[g]] = block
-                if g != f:
-                    mmat[self.slices[g], self.slices[f]] = block.conj().T
+                    gram = piece
+                else:
+                    gram += piece
+            flat = gram.ravel()
+            block = flat[rows0 + cols] + flat[rows1 + cols]
+            block *= wt_rows
+            block *= half_wt_cols
+            mmat[self.slices[f], self.slices[g]] = block
+            if g != f:
+                mmat[self.slices[g], self.slices[f]] = block.conj().T
         return mmat
 
     def inconsistency(self) -> float:
@@ -349,70 +397,91 @@ class _Compiled:
         at most m eps lambda_max span the null space of A*, the orthogonal
         complement of A's range; b's component there is what no X can reach.
         """
-        evals, vecs = np.linalg.eigh(self.schur([np.eye(d, dtype=self.dtype) for d in self.block_dims]))
+        eye = self.stacked([np.eye(d, dtype=self.dtype) for d in self.block_dims])
+        evals, vecs = np.linalg.eigh(self.schur(eye))
         null = vecs[:, evals <= self.m * np.finfo(float).eps * evals[-1]]
         return float(np.linalg.norm(null.conj().T @ self.b))
 
 
 # ---------------------------------------------------------------------------
 # interior-point solver
+#
+# The kernels below take block stacks, (n, d, d) arrays, and act on each member
+# as a call on that matrix alone would.
 
 
-def _chol(mat: np.ndarray) -> np.ndarray:
-    d = mat.shape[0]
+def _chol(mats: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a stack of Hermitian matrices.
+
+    A member that is not numerically positive definite, and it alone, is
+    factored with its diagonal shifted by 1e-13 times its mean (at least 1),
+    or failing that with its spectrum floored.
+    """
     try:
-        return np.linalg.cholesky(mat)
+        return np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
         pass
-    try:
-        bump = max(abs(np.trace(mat).real) / d, 1.0) * 1e-13
-        return np.linalg.cholesky(mat + bump * np.eye(d))
-    except np.linalg.LinAlgError:
-        # iterate degraded; floor the spectrum so the loop can wind down
-        evals, vecs = np.linalg.eigh(mat)
-        floor = max(float(evals[-1]), 1.0) * 1e-14
-        evals = np.maximum(evals, floor)
-        return np.linalg.cholesky((vecs * evals) @ vecs.conj().T)
+    out = np.empty_like(mats)
+    for i, mat in enumerate(mats):
+        d = mat.shape[0]
+        try:
+            out[i] = np.linalg.cholesky(mat)
+            continue
+        except np.linalg.LinAlgError:
+            pass
+        try:
+            bump = max(abs(np.trace(mat).real) / d, 1.0) * 1e-13
+            out[i] = np.linalg.cholesky(mat + bump * np.eye(d))
+        except np.linalg.LinAlgError:
+            # iterate degraded; floor the spectrum so the loop can wind down
+            evals, vecs = np.linalg.eigh(mat)
+            floor = max(float(evals[-1]), 1.0) * 1e-14
+            evals = np.maximum(evals, floor)
+            out[i] = np.linalg.cholesky((vecs * evals) @ vecs.conj().T)
+    return out
 
 
 def _nt_scaling(lx: np.ndarray, s: np.ndarray):
     """The Nesterov-Todd scaling and all the iterate needs of S, from X's
-    Cholesky factor L (``lx``) and L^dag S L = V diag(lam) V^dag.
+    Cholesky factor L (``lx``) and L^dag S L = V diag(lam) V^dag, per member.
 
     Returns (W, S^-1, H) with H = lam^-1/2 V^dag L^dag: W = L V lam^-1/2
     V^dag L^dag > 0 has W S W = X, S^-1 = H^dag H, and H S H^dag = 1, so S's
     step length is ``_max_step(H, dS)``.  S itself is never factored.
     """
-    mid = lx.conj().T @ s @ lx
-    mid = (mid + mid.conj().T) / 2
+    mid = _hermitian_part(_ct(lx) @ s @ lx)
     evals, vecs = np.linalg.eigh(mid)
-    evals = np.maximum(evals, 1e-300)
-    root = (vecs * evals**-0.5) @ vecs.conj().T
-    w = lx @ root @ lx.conj().T
-    hdag = lx @ (vecs * evals**-0.5)
-    return (w + w.conj().T) / 2, hdag @ hdag.conj().T, hdag.conj().T
+    scaled = vecs * np.maximum(evals, 1e-300)[..., None, :] ** -0.5
+    w = lx @ (scaled @ _ct(vecs)) @ _ct(lx)
+    hdag = lx @ scaled
+    return _hermitian_part(w), hdag @ _ct(hdag), _ct(hdag)
 
 
 def _max_step(h: np.ndarray, dx: np.ndarray) -> float:
-    """Largest t with X + t dX >= 0; ``h`` is any H with H X H^dag = 1, such
-    as the inverse of X's Cholesky factor.
+    """Largest t with X + t dX >= 0 for every member; ``h`` is any H with
+    H X H^dag = 1, such as the inverse of X's Cholesky factor.
 
     X + t dX = H^-1 (1 + t H dX H^dag) H^-dag, so t is set by the least
-    eigenvalue of H dX H^dag.
+    eigenvalue of H dX H^dag over the stack.
     """
-    g = h @ dx @ h.conj().T
-    lam = float(np.linalg.eigvalsh((g + g.conj().T) / 2)[0])
+    g = h @ dx @ _ct(h)
+    lam = float(np.linalg.eigvalsh(_hermitian_part(g))[:, 0].min())
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
 
 
 def _residuals(rp, rd, pobj, dobj, b_scale, c_scale):
-    """An iterate's primal infeasibility, dual infeasibility and relative gap."""
+    """An iterate's primal infeasibility, dual infeasibility (worst block) and relative gap."""
     prinf = np.linalg.norm(rp) / b_scale
-    dinf = max(np.linalg.norm(r) for r in rd) / c_scale
+    dinf = max(np.linalg.norm(r) for stack in rd for r in stack) / c_scale
     relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     return prinf, dinf, relgap
+
+
+def _block_vdot(slots, a, b) -> float:
+    """sum_i Re <A_i, B_i> over the blocks of two stack lists, in block order."""
+    return sum(np.vdot(a[k][p], b[k][p]).real for k, p in slots)
 
 
 def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -> SdpSolution:
@@ -421,6 +490,9 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
     Each iterate factors every block's X (Cholesky) and makes one LU solve
     of the Schur system M + jitter 1 with both right-hand sides of its
     search direction, r0 + sigma mu r1; the predictor takes sigma mu = 0.
+    Every per-block quantity is a list of block stacks, one (n, d, d) array
+    per block size, so each kernel runs once per block size; mu and the
+    objective still sum block by block in block order.
 
     status is "converged" when primal/dual feasibility reaches ``FEAS_TOL``
     and the relative duality gap reaches ``tol``, and the iterate returned is
@@ -442,6 +514,8 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
     comp = _Compiled(problem)
     dims = comp.block_dims
     ntot = sum(dims)
+    slots = comp.slots
+    objective = comp.unstacked(comp.objective)
 
     if comp.m:
         resid = comp.inconsistency()
@@ -457,14 +531,14 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
             )
 
     bnorm = max(1.0, float(np.max(np.abs(comp.b))) if comp.m else 0.0)
-    cnorm = max(1.0, max(float(np.linalg.norm(c, 2)) for c in comp.objective))
-    x = [bnorm * np.eye(d, dtype=comp.dtype) for d in dims]
-    s = [cnorm * np.eye(d, dtype=comp.dtype) for d in dims]
+    cnorm = max(1.0, max(float(np.linalg.norm(c, 2)) for c in objective))
+    x = comp.stacked([bnorm * np.eye(d, dtype=comp.dtype) for d in dims])
+    s = comp.stacked([cnorm * np.eye(d, dtype=comp.dtype) for d in dims])
     y = np.zeros(comp.m, dtype=comp.dtype)
     mu_limit = 1e14 * bnorm * cnorm  # the starting mu is bnorm * cnorm
 
     b_scale = 1.0 + np.linalg.norm(comp.b)
-    c_scale = 1.0 + max(np.linalg.norm(c) for c in comp.objective)
+    c_scale = 1.0 + max(np.linalg.norm(c) for c in objective)
 
     best = None
     best_err = np.inf
@@ -476,11 +550,10 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
         for iteration in range(max_iter):
             iterations = iteration
             rp = comp.b - comp.apply(x)
-            ady = comp.adjoint(y)
-            rd = [comp.objective[i] - ady[i] + s[i] for i in range(comp.nblocks)]
+            rd = [c - a + sk for c, a, sk in zip(comp.objective, comp.adjoint(y), s)]
             # <A, B> = tr(A B) for Hermitian A: an elementwise vdot, no product
-            mu = sum(np.vdot(x[i], s[i]).real for i in range(comp.nblocks)) / ntot
-            pobj = sum(np.vdot(comp.objective[i], x[i]).real for i in range(comp.nblocks))
+            mu = _block_vdot(slots, x, s) / ntot
+            pobj = _block_vdot(slots, comp.objective, x)
             dobj = float(np.vdot(comp.b, y).real)
 
             prinf, dinf, relgap = _residuals(rp, rd, pobj, dobj, b_scale, c_scale)
@@ -491,7 +564,7 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
                 best_iteration = iteration
             # a converged iterate is returned as is, whether or not it beat the best by 0.1 %
             if best_iteration == iteration or best is None or converged:
-                best = (pobj, dobj, [xi.copy() for xi in x], y.copy(), prinf, dinf, relgap)
+                best = (pobj, dobj, [xk.copy() for xk in x], y.copy(), prinf, dinf, relgap)
             if converged:
                 status = "converged"
                 break
@@ -501,9 +574,9 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
 
             # one Cholesky factor per block, of X, and its inverse (X's step length);
             # the NT eigendecomposition gives W, S^-1 and S's step length, so S is never factored
-            lx = [_chol(xi) for xi in x]
-            lxinv = [np.linalg.inv(l) for l in lx]
-            w, sinv, hs = zip(*(_nt_scaling(lx[i], s[i]) for i in range(comp.nblocks)))
+            lx = [_chol(xk) for xk in x]
+            lxinv = [np.linalg.inv(lk) for lk in lx]
+            w, sinv, hs = zip(*(_nt_scaling(lk, sk) for lk, sk in zip(lx, s)))
             mmat = comp.schur(w)
             if not np.all(np.isfinite(mmat)):
                 status = "non-finite-schur"
@@ -511,45 +584,45 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
 
             # the direction is affine in sigma mu: M dy = r0 + sigma mu r1, so one solve with
             # both right-hand sides gives generators that predictor and corrector combine
-            r0 = comp.apply([w[i] @ rd[i] @ w[i] - x[i] for i in range(comp.nblocks)]) - rp
+            r0 = comp.apply([wk @ rdk @ wk - xk for wk, rdk, xk in zip(w, rd, x)]) - rp
             r1 = comp.apply(sinv)
-            # jitter: 1e-13 times the mean of M's diagonal (at least 1), added in place
-            mmat.flat[:: comp.m + 1] += max(float(np.mean(np.diag(mmat)).real), 1.0) * 1e-13
+            if comp.m:  # jitter: 1e-13 times the mean of M's diagonal (at least 1), added in place
+                mmat.flat[:: comp.m + 1] += max(float(np.mean(np.diag(mmat)).real), 1.0) * 1e-13
             try:
                 # NaN from a non-finite right-hand side is caught below
-                dy0, dy1 = np.linalg.solve(mmat, np.stack([r0, r1], axis=1)).T
+                dys = np.linalg.solve(mmat, np.stack([r0, r1], axis=1)).T
             except np.linalg.LinAlgError:
                 status = "schur-singular"
                 break
-            adj0, adj1 = comp.adjoint(dy0), comp.adjoint(dy1)
-            ds0 = [_hermitian_part(adj0[i] - rd[i]) for i in range(comp.nblocks)]
-            ds1 = [_hermitian_part(a) for a in adj1]
-            dx0 = [_hermitian_part(-x[i] - w[i] @ ds0[i] @ w[i]) for i in range(comp.nblocks)]
-            dx1 = [_hermitian_part(sinv[i] - w[i] @ ds1[i] @ w[i]) for i in range(comp.nblocks)]
+            adj = comp.adjoint(dys)  # its leading axis holds the generators for 1 and for sigma mu
+            ds0 = [_hermitian_part(a[0] - rdk) for a, rdk in zip(adj, rd)]
+            ds1 = [_hermitian_part(a[1]) for a in adj]
+            dx0 = [_hermitian_part(-xk - wk @ d @ wk) for xk, wk, d in zip(x, w, ds0)]
+            dx1 = [_hermitian_part(sk - wk @ d @ wk) for sk, wk, d in zip(sinv, w, ds1)]
 
             # predictor (affine scaling, sigma mu = 0) fixes the centering weight
-            if not all(np.all(np.isfinite(d)) for d in dx0 + ds0):
+            if not all(np.isfinite(d).all() for d in dx0 + ds0):
                 status = "non-finite-direction"
                 break
-            ap = min(1.0, min((_max_step(lxinv[i], dx0[i]) for i in range(comp.nblocks)), default=1.0))
-            ad = min(1.0, min((_max_step(hs[i], ds0[i]) for i in range(comp.nblocks)), default=1.0))
-            mu_aff = sum(np.vdot(x[i] + ap * dx0[i], s[i] + ad * ds0[i]).real for i in range(comp.nblocks)) / ntot
+            ap = min(1.0, min((_max_step(h, d) for h, d in zip(lxinv, dx0)), default=1.0))
+            ad = min(1.0, min((_max_step(h, d) for h, d in zip(hs, ds0)), default=1.0))
+            mu_aff = _block_vdot(
+                slots, [xk + ap * d for xk, d in zip(x, dx0)], [sk + ad * d for sk, d in zip(s, ds0)]
+            ) / ntot
             sigma_mu = min(0.999, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3)) * mu
 
-            dy = dy0 + sigma_mu * dy1
-            dx = [dx0[i] + sigma_mu * dx1[i] for i in range(comp.nblocks)]
-            ds = [ds0[i] + sigma_mu * ds1[i] for i in range(comp.nblocks)]
-            if not all(np.all(np.isfinite(d)) for d in dx + ds):
+            dy = dys[0] + sigma_mu * dys[1]
+            dx = [d0 + sigma_mu * d1 for d0, d1 in zip(dx0, dx1)]
+            ds = [d0 + sigma_mu * d1 for d0, d1 in zip(ds0, ds1)]
+            if not all(np.isfinite(d).all() for d in dx + ds):
                 status = "non-finite-direction"
                 break
-            ap = min(1.0, 0.98 * min((_max_step(lxinv[i], dx[i]) for i in range(comp.nblocks)), default=1.0))
-            ad = min(1.0, 0.98 * min((_max_step(hs[i], ds[i]) for i in range(comp.nblocks)), default=1.0))
+            ap = min(1.0, 0.98 * min((_max_step(h, d) for h, d in zip(lxinv, dx)), default=1.0))
+            ad = min(1.0, 0.98 * min((_max_step(h, d) for h, d in zip(hs, ds)), default=1.0))
 
-            x = [x[i] + ap * dx[i] for i in range(comp.nblocks)]
-            s = [s[i] + ad * ds[i] for i in range(comp.nblocks)]
+            x = [_hermitian_part(xk + ap * d) for xk, d in zip(x, dx)]
+            s = [_hermitian_part(sk + ad * d) for sk, d in zip(s, ds)]
             y = y + ad * dy
-            x = [(xi + xi.conj().T) / 2 for xi in x]
-            s = [(si + si.conj().T) / 2 for si in s]
             if not np.isfinite(mu) or mu > mu_limit:
                 status = "mu-blowup"
                 break
@@ -558,7 +631,7 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
     return SdpSolution(
         primal_value=float(pobj),
         dual_value=float(dobj),
-        primal_blocks={name: xbest[i] for i, name in enumerate(comp.block_names)},
+        primal_blocks=dict(zip(comp.block_names, comp.unstacked(xbest))),
         dual_multipliers=comp.multipliers_from_y(ybest),
         status=status,
         iterations=iterations + 1,
@@ -579,15 +652,9 @@ def verify_dual(problem: SdpProblem, multipliers: dict, tol: float = CERT_TOL) -
     """
     comp = _Compiled(problem)
     mults = comp.multiplier_matrices(multipliers)
-    slacks = comp.lift(mults)
-    lambda_min = {}
-    feasible = True
-    for i, name in enumerate(comp.block_names):
-        diff = slacks[i] - comp.objective[i]
-        lam = float(np.linalg.eigvalsh((diff + diff.conj().T) / 2)[0])
-        lambda_min[name] = lam
-        if lam < -tol:
-            feasible = False
+    lams = [np.linalg.eigvalsh(_hermitian_part(a - c))[:, 0] for a, c in zip(comp.lift(mults), comp.objective)]
+    lambda_min = {name: float(lams[k][p]) for name, (k, p) in zip(comp.block_names, comp.slots)}
+    feasible = not any(lam < -tol for lam in lambda_min.values())
     bound = sum(float(np.vdot(r, z).real) for r, z in zip(comp.rhs, mults))
     return DualReport(feasible=feasible, lambda_min=lambda_min, bound=bound)
 

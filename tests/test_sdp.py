@@ -184,14 +184,16 @@ class TestCompiled:
         comp = _Compiled(random_structured_problem(rng, real=real))
         xs = [_random_psd(d, rng, real=real) for d in comp.block_dims]
         y = _random_multiplier_coords(comp, rng)
-        lhs = np.vdot(y, comp.apply(xs)).real
-        adj = comp.adjoint(y)
+        lhs = np.vdot(y, comp.apply(comp.stacked(xs))).real
+        adj = comp.unstacked(comp.adjoint(y))
         rhs = sum(np.real(np.trace(xs[i] @ adj[i])) for i in range(comp.nblocks))
         assert abs(lhs - rhs) < 1e-9
         # the explicit oracle matrix renders the same map
         rows = dense_rows(comp)
         assert rows.dtype == comp.dtype
-        np.testing.assert_allclose(rows @ np.concatenate([x.ravel() for x in xs]), comp.apply(xs), atol=1e-9)
+        np.testing.assert_allclose(
+            rows @ np.concatenate([x.ravel() for x in xs]), comp.apply(comp.stacked(xs)), atol=1e-9
+        )
 
     @DATA
     @pytest.mark.parametrize("push", [0.0, 0.3], ids=["consistent", "pushed"])
@@ -220,9 +222,9 @@ class TestCompiled:
     def test_schur_matches_brute_force(self, rng, real):
         comp = _Compiled(random_structured_problem(rng, real=real))
         scalings = [_random_psd(d, rng, real=real) for d in comp.block_dims]
-        fast = comp.schur(scalings)
+        fast = comp.schur(comp.stacked(scalings))
         assert fast.dtype == comp.dtype
-        mats = [comp.adjoint(e) for e in np.eye(comp.m, dtype=comp.dtype)]
+        mats = [comp.unstacked(comp.adjoint(e)) for e in np.eye(comp.m, dtype=comp.dtype)]
         slow = np.zeros((comp.m, comp.m), dtype=complex)
         for r in range(comp.m):
             for s in range(comp.m):
@@ -347,7 +349,7 @@ class TestSolve:
         xs = [sol.primal_blocks[name] for name in comp.block_names]
         for x in xs:
             assert np.linalg.eigvalsh((x + x.conj().T) / 2)[0] > -1e-8
-        residual = comp.b - comp.apply(xs)
+        residual = comp.b - comp.apply(comp.stacked(xs))
         assert np.linalg.norm(residual) <= 1e-7 * (1 + np.linalg.norm(comp.b))
 
     @pytest.mark.parametrize("which", ["structured", "penalty-v16", "compact4-alice"])
@@ -372,6 +374,7 @@ class TestSolve:
 
     def test_one_factorization_per_block_per_iterate(self, rng, monkeypatch):
         from qcoinflip import sdp
+        from qcoinflip.penalty import PenaltyGame, alice_attack_sdp
 
         calls, inverses, schur_solves, eighs = [], [], [], []
         real_chol = sdp._chol
@@ -384,7 +387,7 @@ class TestSolve:
             return real_chol(mat)
 
         def counting_inv(mat):
-            inverses.append(np.array_equal(mat, np.tril(mat)))
+            inverses.append((mat.shape, np.array_equal(mat, np.tril(mat))))
             return real_inv(mat)
 
         def counting_solve(mat, rhs):
@@ -399,19 +402,36 @@ class TestSolve:
         monkeypatch.setattr(np.linalg, "inv", counting_inv)
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        prob = random_structured_problem(rng)
-        sol = solve(prob)
+        # blocks of sizes 6 and 3, then one of size 3 and four of size 9
+        for prob in (random_structured_problem(rng), alice_attack_sdp(PenaltyGame(16))):
+            for counts in (calls, inverses, schur_solves, eighs):
+                counts.clear()
+            sol = solve(prob)
+            assert sol.status == "converged"
+            # one stack per distinct block size, in order of first appearance; together they
+            # hold every block exactly once
+            dims = [d for _, d in prob.blocks]
+            stacks = [(dims.count(d), d, d) for d in sorted(set(dims), key=dims.index)]
+            assert sum(n for n, _, _ in stacks) == len(prob.blocks)
+            # every iterate but the converged last one takes a step, and factors X alone:
+            # one Cholesky per stack
+            iterates = sol.iterations - 1
+            assert calls == stacks * iterates
+            # each stack of factors is inverted once, and it is lower triangular; the step lengths solve nothing
+            assert inverses == [(shape, True) for shape in stacks] * iterates
+            # one Schur solve per iterate, with the predictor's and the corrector's right-hand sides
+            assert schur_solves == [(_Compiled(prob).m, 2)] * iterates
+            # one eigendecomposition per stack per step (NT scaling), after the pre-check's one
+            assert eighs[1:] == stacks * iterates
+
+    def test_no_constraints_solves_without_warnings(self):
+        # m = 0: there is no Schur system, and no jitter from the mean of its empty diagonal
+        prob = SdpProblem(blocks=(("x", 2),), objective={"x": -np.eye(2)}, constraints=())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve(prob)
         assert sol.status == "converged"
-        # every iterate but the converged last one takes a step, and factors X alone
-        iterates = sol.iterations - 1
-        steps = len(prob.blocks) * iterates
-        assert len(calls) == steps
-        # each factor is inverted once, and it is lower triangular; the step lengths solve nothing
-        assert inverses == [True] * steps
-        # one Schur solve per iterate, with the predictor's and the corrector's right-hand sides
-        assert schur_solves == [(_Compiled(prob).m, 2)] * iterates
-        # one eigendecomposition per block per step (NT scaling), after the pre-check's one
-        assert len(eighs) == 1 + steps
+        assert abs(sol.primal_value) < 1e-7
 
     @pytest.mark.parametrize("c, b", [(1e8, 1e7), (1.0, 1e12), (1e12, 1.0)])
     def test_large_data_converges(self, c, b):
@@ -426,31 +446,116 @@ class TestSolve:
         assert abs(sol.primal_value - c * b) <= 1e-6 * c * b
 
 
+def _nt_scaling_one(lx, s):
+    """Reference: ``_nt_scaling`` for one matrix, with 2-d numpy calls."""
+    mid = lx.conj().T @ s @ lx
+    mid = (mid + mid.conj().T) / 2
+    evals, vecs = np.linalg.eigh(mid)
+    evals = np.maximum(evals, 1e-300)
+    root = (vecs * evals**-0.5) @ vecs.conj().T
+    w = lx @ root @ lx.conj().T
+    hdag = lx @ (vecs * evals**-0.5)
+    return (w + w.conj().T) / 2, hdag @ hdag.conj().T, hdag.conj().T
+
+
+def _max_step_one(h, dx):
+    """Reference: ``_max_step`` for one matrix, with 2-d numpy calls."""
+    g = h @ dx @ h.conj().T
+    lam = float(np.linalg.eigvalsh((g + g.conj().T) / 2)[0])
+    return np.inf if lam >= -1e-14 else -1.0 / lam
+
+
+def _chol_one(mat):
+    """Reference: ``_chol``'s fallbacks for one matrix: a diagonal jitter, then a spectrum floor."""
+    d = mat.shape[0]
+    try:
+        return np.linalg.cholesky(mat)
+    except np.linalg.LinAlgError:
+        pass
+    try:
+        return np.linalg.cholesky(mat + max(abs(np.trace(mat).real) / d, 1.0) * 1e-13 * np.eye(d))
+    except np.linalg.LinAlgError:
+        evals, vecs = np.linalg.eigh(mat)
+        evals = np.maximum(evals, max(float(evals[-1]), 1.0) * 1e-14)
+        return np.linalg.cholesky((vecs * evals) @ vecs.conj().T)
+
+
+def _mixed_stack(d, rng, real):
+    """Three PSD matrices: a random one, one with an eigenvalue of 1e-9, one with eigenvalues 1e-6 .. 1e3."""
+    mats = [_random_psd(d, rng, real=real) for _ in range(3)]
+    for i, low in ((1, None), (2, 1e-6)):
+        evals, vecs = np.linalg.eigh(mats[i])
+        if low is None:
+            evals[0] = 1e-9
+        else:
+            evals = np.logspace(np.log10(low), 3, d)
+        mat = (vecs * evals) @ vecs.conj().T
+        mats[i] = (mat + mat.conj().T) / 2
+    return np.stack(mats)
+
+
 class TestNtScaling:
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("d", range(1, 7))
     def test_scaling_inverse_and_step_against_a_cholesky_of_s(self, rng, d, real):
         from qcoinflip.sdp import _chol, _max_step, _nt_scaling
 
-        for near_singular in (False, True):
-            x = _random_psd(d, rng, real=real)
-            if near_singular:  # X with an eigenvalue near 1e-9
-                evals, vecs = np.linalg.eigh(x)
-                evals[0] = 1e-9
-                x = (vecs * evals) @ vecs.conj().T
-                x = (x + x.conj().T) / 2
-            s = _random_psd(d, rng, real=real)
-            ds = _random_hermitian(d, rng, real)
-            w, sinv, h = _nt_scaling(_chol(x), s)
-            np.testing.assert_allclose(w @ s @ w, x, rtol=0, atol=1e-12 * np.linalg.norm(x))
+        x = _mixed_stack(d, rng, real)
+        s = np.stack([_random_psd(d, rng, real=real) for _ in x])
+        ds = np.stack([_random_hermitian(d, rng, real) for _ in x])
+        w, sinv, h = _nt_scaling(_chol(x), s)
+        for i in range(len(x)):
+            np.testing.assert_allclose(w[i] @ s[i] @ w[i], x[i], rtol=0, atol=1e-12 * np.linalg.norm(x[i]))
             # S^-1 and H go through X's factor, so their rounding grows with X's condition number
-            tol = 1e-13 * np.linalg.cond(x)
-            np.testing.assert_allclose(sinv @ s, np.eye(d), rtol=0, atol=tol)
+            tol = 1e-13 * np.linalg.cond(x[i])
+            np.testing.assert_allclose(sinv[i] @ s[i], np.eye(d), rtol=0, atol=tol)
             # oracle: S + t dS = L_S (1 + t L_S^-1 dS L_S^-dag) L_S^dag
-            ls_inv = np.linalg.inv(np.linalg.cholesky(s))
-            g = ls_inv @ ds @ ls_inv.conj().T
+            ls_inv = np.linalg.inv(np.linalg.cholesky(s[i]))
+            g = ls_inv @ ds[i] @ ls_inv.conj().T
             lam = np.linalg.eigvalsh((g + g.conj().T) / 2)[0]
-            assert _max_step(h, ds) == pytest.approx(-1.0 / lam if lam < -1e-14 else np.inf, rel=tol)
+            oracle = -1.0 / lam if lam < -1e-14 else np.inf
+            assert _max_step(h[i : i + 1], ds[i : i + 1]) == pytest.approx(oracle, rel=tol)
+        # a stack's step is its most constrained member's
+        assert _max_step(h, ds) == min(_max_step(h[i : i + 1], ds[i : i + 1]) for i in range(len(x)))
+
+
+class TestStackedKernels:
+    """The stacked kernels equal per-matrix calls bit for bit."""
+
+    @DATA
+    @pytest.mark.parametrize("d", [1, 3, 9])
+    def test_nt_scaling_and_step_match_per_matrix_calls(self, rng, d, real):
+        from qcoinflip.sdp import _chol, _max_step, _nt_scaling
+
+        x = _mixed_stack(d, rng, real)
+        s = _mixed_stack(d, rng, real)[::-1].copy()
+        lx = _chol(x)
+        stacked = _nt_scaling(lx, s)
+        for i in range(len(x)):
+            for got, want in zip(stacked, _nt_scaling_one(lx[i], s[i])):
+                assert np.array_equal(got[i], want)
+        lxinv = np.linalg.inv(lx)
+        for h in (lxinv, stacked[2]):
+            for _ in range(3):
+                dx = np.stack([_random_hermitian(d, rng, real) for _ in x])
+                assert _max_step(h, dx) == min(_max_step_one(h[i], dx[i]) for i in range(len(x)))
+
+    @DATA
+    @pytest.mark.parametrize(
+        "bad", [np.array([[1.0, 1.0], [1.0, 1.0]]), np.diag([1.0, -1.0])], ids=["singular-jitter", "indefinite-floor"]
+    )
+    def test_chol_falls_back_for_the_failing_member_alone(self, rng, real, bad):
+        from qcoinflip.sdp import _chol
+
+        bad = bad.astype(np.float64 if real else complex)
+        stack = np.stack([_random_psd(2, rng, real=real), bad, _random_psd(2, rng, real=real)])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(stack)
+        factors = _chol(stack)
+        for i in (0, 2):
+            assert np.array_equal(factors[i], np.linalg.cholesky(stack[i]))
+        assert np.array_equal(factors[1], _chol_one(stack[1]))
+        assert np.all(np.isfinite(factors[1]))
 
 
 def schur_after_precheck(monkeypatch, fake):
