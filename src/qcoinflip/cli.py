@@ -36,7 +36,7 @@ from .broadcast import (
     simulate_quantum_channel_via_qbc,
     teleport,
 )
-from .lowerbound import cheat_product_check, group_players
+from .lowerbound import cheat_product_check, dual_bound_sequence, group_players, sequence_holds
 from .multiparty import (
     ADVERSARY_PRESETS,
     BIN_STRATEGIES,
@@ -223,6 +223,9 @@ def _product_fields(protocol) -> dict:
 
     p_i is the probability that the other parties force the outcome on an
     honest party i; each comes with the certified bound of its dual chain.
+    For k > 2 the record also carries, per target bit, the certified product
+    F_0 of the interpolating sequence over the k chains and whether the
+    sequence held (``sequence_holds``).
     """
     if protocol.k == 2:
         check = cheat_product_check(protocol, 1)
@@ -236,7 +239,7 @@ def _product_fields(protocol) -> dict:
             "product_check_passed": check.passed,
             "balanced_max_ok": check.balanced_max_ok,
         }
-    probabilities, bounds, products, passed = {}, {}, [], True
+    probabilities, bounds, products, certified, held, passed = {}, {}, [], [], [], True
     for bit in (0, 1):
         check = cheat_product_check(protocol, bit)
         for i, cheat in enumerate(check.cheats):
@@ -244,10 +247,15 @@ def _product_fields(protocol) -> dict:
             bounds[f"{i}:{bit}"] = cheat.bound
         products.append(check.product)
         passed = passed and check.passed
+        values = dual_bound_sequence(protocol, [cheat.chain for cheat in check.cheats], bit)
+        certified.append(values[0])
+        held.append(sequence_holds(values, check.p_honest))
     return {
         "forcing_probabilities": probabilities,
         "forcing_bounds": bounds,
         "products": products,
+        "certified_products": certified,
+        "sequence_held": held,
         "product_check_passed": passed,
     }
 

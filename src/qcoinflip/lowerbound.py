@@ -16,7 +16,13 @@ where K_{j+1} = (W_{j+1} (x) 1)^dag U_{j+1} (W_j (x) 1) is the compressed
 unitary of i's turn j + 1.  These are exactly the dual constraints of
 ``cheat_sdp``, so ``verify_dual`` checks a chain, and its value Z_0 bounds
 the forcing probability from above; ``optimal_cheat`` returns the value
-and the chain from one solve.  With each party's chain lifted to
+and the chain from one solve.  That solve runs on the SDP's symmetry
+sectors: products of clock operators that pass through the honest
+unitaries (``phase_symmetries``) make the optimum block-diagonal, so each
+block splits into small pieces and each round's constraint by private
+sector.  The sector multipliers map back to a chain on the S_j, which is
+repaired and checked on the unsplit ``cheat_sdp``; no chain is ever
+checked on its sectors alone.  With each party's chain lifted to
 W_j Z_j W_j^dag, and c_i(r) party i's turns among the first r, the scalar
 sequence F_r = <psi_r| (x)_i Z_{i,c_i(r)} (x) 1 |psi_r> over the turn
 boundaries r = 0..T of the honest run interpolates monotonically from the
@@ -40,14 +46,19 @@ from .protocols import KPartyProtocol, honest_run, validate_protocol
 from .quantum import apply_local
 from .sdp import (
     CERT_TOL,
+    TERM_FLOPS,
     Constraint,
     LinearTerm,
     SdpProblem,
+    expand_multipliers,
+    iterate_cost,
+    restrict,
     solve,
     verify_dual,
 )
 
 SUPPORT_TOL = 1e-10  # relative singular-value cut of a reachable support
+SYMMETRY_TOL = 1e-12  # entries of a unitary or projector below this are zeros to the symmetry search
 PRODUCT_SLACK = 1e-5  # solver accuracy allowed in the product checks
 
 
@@ -147,25 +158,174 @@ def cheat_sdp(protocol: KPartyProtocol, honest: int, target: int) -> SdpProblem:
     return SdpProblem(blocks=blocks, objective=objective, constraints=tuple(constraints))
 
 
+@dataclass(frozen=True)
+class PhaseGroup:
+    """Diagonal phase symmetries of a cheat SDP, round by round.
+
+    ``rounds[j]`` holds every round-j part g_j = h_j (x) m_j of the group's
+    elements, one per row, as integer exponents over the honest private (x)
+    message basis: entry [e, x, mu] is n with g_j|x, mu> = exp(2 pi i n /
+    modulus) |x, mu>.  Each g_j is a product of clock operators Z_d, one
+    power per tensor factor.
+    """
+
+    modulus: int
+    rounds: tuple
+
+
+def _clock_exponents(dims, modulus: int) -> np.ndarray:
+    """table[n, x] = sum_f n_f x_f modulus / d_f mod modulus: the clock characters
+    of factors ``dims``, characters and basis states both in mixed radix."""
+    digits = np.indices(dims).reshape(len(dims), -1).T
+    return (digits * (modulus // np.asarray(dims))) @ digits.T % modulus
+
+
+def phase_symmetries(protocol: KPartyProtocol, honest: int, target: int) -> PhaseGroup:
+    """The products of clock operators that are symmetries of ``cheat_sdp``.
+
+    A sequence g_0..g_N of diagonal unitaries g_j = h_j (x) m_j on the honest
+    private space (x) M maps feasible points rho_j to feasible points
+    g_j rho_j g_j^dag of the same value when
+
+        U_j g_{j-1} U_j^dag = h_j (x) m'   for every honest turn j, some m',
+
+    and h_N commutes with the target projector; m_j is otherwise free, as the
+    coalition rewrites M.  U diag(g) U^dag is diagonal exactly when g is
+    constant on each row support of U, so every candidate of a round is
+    tested at once.  A forward sweep keeps the g_j that some g_0..g_{j-1}
+    reaches, a backward sweep those that reach an admissible h_N.
+    """
+    layout, d_msg, unitaries, proj = _honest_view(protocol, honest)
+    pdims, mdims = layout.factor_dims, protocol.layout_m.factor_dims
+    modulus = math.lcm(*pdims, *mdims)
+    hp, hm = _clock_exponents(pdims, modulus), _clock_exponents(mdims, modulus)
+    d_priv = layout.dim
+    strides = np.cumprod((1,) + pdims[:0:-1])[::-1]  # basis index of each factor's unit state
+    unit = modulus // np.asarray(pdims)
+
+    def candidates(h):
+        """Every (h, m) for private characters h: each one's h and exponent table."""
+        h, m = np.repeat(h, d_msg), np.tile(np.arange(d_msg), len(h))
+        return h, (hp[h][:, :, None] + hm[m][:, None, :]) % modulus
+
+    def successor(u, table):
+        """The private character h' with U g U^dag = h' (x) m', or -1 when there is none."""
+        rows, cols = np.nonzero(np.abs(u) > SYMMETRY_TOL)
+        anchor = cols[np.r_[0, np.flatnonzero(np.diff(rows)) + 1]]  # a column in each row's support
+        g = table.reshape(len(table), -1)
+        step = max(1, (1 << 21) // len(cols))  # candidates per test: its arrays are candidates x nonzeros
+        diagonal = np.concatenate(
+            [np.all(g[lo : lo + step, cols] == g[lo : lo + step, anchor[rows]], axis=1) for lo in range(0, len(g), step)]
+        )
+        d = g[:, anchor].reshape(-1, d_priv, d_msg)
+        h = (d[:, :, 0] - d[:, :1, 0]) % modulus
+        factors = np.all((d - h[:, :, None] - d[:, :1, :]) % modulus == 0, axis=(1, 2))
+        n = h[:, strides] // unit
+        index = n @ strides
+        clock = (h[:, strides] % unit == 0).all(axis=1) & np.all(hp[index] == h, axis=1)
+        return np.where(diagonal & factors & clock, index, -1)
+
+    # forward: round j's candidates over the private characters reachable so far
+    rounds = []  # (private characters, exponent tables, successors) of round j's elements
+    reachable = np.arange(d_priv)  # h_0 is free
+    for u in unitaries:
+        h, table = candidates(reachable)
+        nxt = successor(u, table)
+        keep = nxt >= 0
+        rounds.append((h[keep], table[keep], nxt[keep]))
+        reachable = np.unique(nxt[keep])
+    rows, cols = np.nonzero(np.abs(proj[target]) > SYMMETRY_TOL)
+    admissible = reachable[np.all(hp[reachable][:, rows] == hp[reachable][:, cols], axis=1)]
+    kept = [candidates(admissible)[1]]
+    # backward: keep the g_j whose successor is the private part of a kept g_{j+1}
+    for h, table, nxt in reversed(rounds):
+        keep = np.isin(nxt, admissible)
+        kept.append(table[keep])
+        admissible = np.unique(h[keep])
+    return PhaseGroup(modulus=modulus, rounds=tuple(reversed(kept)))
+
+
+def _sector_isometries(support: np.ndarray, d_msg: int, exps: np.ndarray):
+    """The private sectors V_a of S_j and the joint sectors E_c of S_j (x) M.
+
+    Private basis states with equal exponents under every h_j are one
+    sector; the group keeps S_j invariant, so S_j is the direct sum of its
+    parts W_j V_a in the sectors (one sector: V = 1).  A vector of V_a times
+    |mu> has the joint character (h_j(a) m_j(mu)) over the group; equal
+    characters are one joint sector, E_c.
+    """
+    s = support.shape[1]
+    labels = np.unique(exps[:, :, 0].T, axis=0, return_inverse=True)[1].reshape(-1)
+    private, reps = [], []
+    for a in range(labels.max() + 1):
+        part = support[labels == a]
+        evals, vecs = np.linalg.eigh(part.conj().T @ part)
+        if evals[-1] > 0.5:
+            private.append(vecs[:, evals > 0.5])
+            reps.append(np.flatnonzero(labels == a)[0])
+    if sum(v.shape[1] for v in private) != s:
+        raise RuntimeError("reachable support is not invariant under the phase symmetries")
+    if len(private) == 1:
+        private = [np.eye(s)]
+    joint = np.unique(
+        exps[:, reps, :].transpose(1, 2, 0).reshape(len(reps) * d_msg, -1), axis=0, return_inverse=True
+    )[1].reshape(len(reps), d_msg)
+    eye_m = np.eye(d_msg)
+    sectors = [
+        np.hstack([np.kron(private[a], eye_m[:, [mu]]) for a, mu in zip(*np.nonzero(joint == c))])
+        for c in range(joint.max() + 1)
+    ]
+    return private, sectors
+
+
+def symmetry_sectors(protocol: KPartyProtocol, honest: int, target: int):
+    """The symmetry sectors of ``cheat_sdp`` as ``restrict`` takes them:
+    (joint sectors E_c per block rho_j, private sectors V_a per constraint
+    round_j), each listed only where it has more than one sector."""
+    d_msg = protocol.layout_m.dim
+    group = phase_symmetries(protocol, honest, target)
+    blocks, rounds = {}, {}
+    for j, (w, exps) in enumerate(zip(reachable_supports(protocol, honest), group.rounds)):
+        private, joint = _sector_isometries(w, d_msg, exps)
+        if len(private) > 1:
+            rounds[f"round_{j}"] = private
+        if len(joint) > 1:
+            blocks[f"rho_{j}"] = joint
+    return blocks, rounds
+
+
 def optimal_cheat(protocol: KPartyProtocol, honest: int, target: int) -> CheatResult:
     """The coalition's optimal probability of forcing ``target`` on party ``honest``, with its dual chain.
 
-    One solve gives both; RuntimeError unless it converged.  The chain is
-    the solver's multipliers made exactly feasible: Z_N is pinned to the
-    compressed target projector W_N^dag P W_N, which makes block rho_N
-    tight, and walking down from N each multiplier is shifted by the
-    identity just far enough that ``verify_dual`` finds block rho_j PSD.
+    One solve gives both; RuntimeError unless it converged.  The solve runs
+    on the symmetry sectors of ``cheat_sdp`` (``phase_symmetries``): each
+    block splits into its joint sectors and each round's constraint into
+    its private sectors, and the multipliers Z_{j,a} map back to the round-j
+    multiplier on S_j as sum_a V_a Z_{j,a} V_a^dag.  The chain is these
+    multipliers made exactly feasible on the unsplit ``cheat_sdp``: Z_N is
+    pinned to the compressed target projector W_N^dag P W_N, which makes
+    block rho_N tight, and walking down from N each multiplier is shifted by
+    the identity just far enough that ``verify_dual`` finds block rho_j PSD.
     So the chain is feasible whatever the solver's accuracy, and its value
     Z_0 bounds the probability from above.
     """
     problem = cheat_sdp(protocol, honest, target)
-    solution = solve(problem)
+    split, rounds = problem, {}
+    # a split keeps every term and adds at least one, each priced TERM_FLOPS, so it
+    # pays only if the problem's dense work exceeds one term; else one sector per round
+    if iterate_cost(problem) > TERM_FLOPS * (1 + sum(len(con.terms) for con in problem.constraints)):
+        blocks, rounds = symmetry_sectors(protocol, honest, target)
+        split = restrict(problem, blocks, rounds)
+        if iterate_cost(split) >= iterate_cost(problem):
+            split, rounds = problem, {}
+    solution = solve(split)
     if solution.status != "converged":
         raise RuntimeError(
             f"cheat SDP (party {honest} honest, forcing {target}) did not converge (status {solution.status})"
         )
     n = len(problem.blocks) - 1
-    chain = {name: np.atleast_2d(z).astype(complex) for name, z in solution.dual_multipliers.items()}
+    multipliers = expand_multipliers(rounds, solution.dual_multipliers)
+    chain = {name: np.atleast_2d(z).astype(complex) for name, z in multipliers.items()}
     # the objective is Z_N (x) 1 on S_N (x) M, so Z_N is its every d_msg-th row and column
     d_msg = protocol.layout_m.dim
     chain[f"round_{n}"] = problem.objective[f"rho_{n}"][::d_msg, ::d_msg].copy()
@@ -218,6 +378,13 @@ def dual_bound_sequence(protocol: KPartyProtocol, chains, target: int = 1):
             phi = apply_local(z[protocol.turns[:r].count(i)], phi, dims, protocol.party_factors(i))
         values.append(float(np.real(np.vdot(psi, phi))))
     return values
+
+
+def sequence_holds(values, p_target: float) -> bool:
+    """Whether an interpolating sequence certifies the product bound: it never
+    rises by more than ``CERT_TOL`` and ends at ``p_target`` within 1e-9, so
+    its first value, the product of the chain values, is at least p_target."""
+    return all(a >= b - CERT_TOL for a, b in zip(values, values[1:])) and abs(values[-1] - p_target) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

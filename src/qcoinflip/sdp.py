@@ -33,10 +33,16 @@ A certificate is its multipliers y: a dict of one Hermitian matrix (or
 scalar) per constraint name, and its value is the b.y that ``verify_dual``
 computes.  ``verify_dual`` reads the multipliers as given, so a complex
 multiplier is checked on real data too.
+
+A caller that knows a symmetry of its problem can solve it on the
+symmetry's sectors: ``restrict`` splits blocks and constraints along given
+isometries, and ``expand_multipliers`` maps the split problem's
+multipliers back to the original's, where ``verify_dual`` checks them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +51,8 @@ FEAS_TOL = 1e-8
 CERT_TOL = 1e-9
 GAP_TOL = 1e-7
 MAX_ITER = 500
+RESTRICT_TOL = 1e-12  # a restricted term this small, relative to its operator, is left out
+TERM_FLOPS = 2e5  # a term's numpy calls cost an iterate about as much as this much dense arithmetic
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +115,125 @@ class DualReport:
     feasible: bool
     lambda_min: dict
     bound: float
+
+
+# ---------------------------------------------------------------------------
+# restriction to invariant subspaces
+
+
+def restrict(problem: SdpProblem, block_isometries: dict, constraint_isometries: dict) -> SdpProblem:
+    """The problem with each listed block X replaced by pieces X_c on isometries E_c,
+    X = sum_c E_c X_c E_c^dag, and each listed constraint by its compressions
+    V_a^dag A(X) V_a = V_a^dag b V_a on isometries V_a of its kept factor.
+
+    ``block_isometries`` maps a block name to its E_c (columns orthonormal, the
+    ranges mutually orthogonal and spanning the block), ``constraint_isometries``
+    a constraint name to its V_a; piece a of a constraint is constraint
+    ``name/a``.  A term on piece c in piece a has operator (V_a^dag (x) 1) K E_c
+    and kept dimension dim V_a, and is left out when the isometries
+    annihilate it, to rounding.  Pieces of one block that enter the same
+    terms are joined into one block ``name/g`` on their E_c side by side:
+    splitting them would shrink no constraint, only add terms.  A block or
+    constraint not listed stays whole under its own name, so with nothing
+    listed the problem is the same.
+
+    When a symmetry group of the problem makes its optimum block-diagonal on
+    the E_c and every constraint value block-diagonal on the V_a, the
+    restricted problem has the same optimum, and ``expand_multipliers`` turns
+    its multipliers into the problem's with the same slack blocks.
+    """
+    dims = dict(problem.blocks)
+    stacked = {name: np.hstack(isometries) for name, isometries in block_isometries.items()}
+    starts = {name: np.cumsum([0] + [e.shape[1] for e in es]) for name, es in block_isometries.items()}
+
+    # every constraint piece's terms, each on all pieces of its block at once, and
+    # for each block piece the terms it enters
+    pieces = []  # (name, rhs, [(term, op, kept, live pieces)])
+    enters = {name: [set() for _ in isometries] for name, isometries in block_isometries.items()}
+    for con in problem.constraints:
+        for a, v in enumerate(constraint_isometries.get(con.name, (None,))):
+            entries = []
+            for t, term in enumerate(con.terms):
+                op, kept = term.op, term.kept
+                scale = 1.0 if op is None else max(1.0, float(np.max(np.abs(op))))
+                if v is not None:
+                    rows = dims[term.block] if op is None else op.shape[0]
+                    vt = np.kron(_ct(v), np.eye(rows // (rows if kept is None else kept)))
+                    op, kept = (vt if op is None else vt @ op), v.shape[1]
+                if term.block in stacked:
+                    e = stacked[term.block]
+                    op = e if op is None else op @ e
+                    colmax = np.max(np.abs(op), axis=0)
+                    live = np.maximum.reduceat(colmax, starts[term.block][:-1]) > RESTRICT_TOL * scale
+                    for c in np.flatnonzero(live):
+                        enters[term.block][c].add((len(pieces), t))
+                else:
+                    live = op is None or np.max(np.abs(op)) > RESTRICT_TOL * scale
+                entries.append((term, op, kept, live))
+            name = f"{con.name}/{a}" if con.name in constraint_isometries else con.name
+            rhs = con.rhs if v is None else _ct(v) @ np.asarray(con.rhs).reshape(v.shape[0], v.shape[0]) @ v
+            pieces.append((name, rhs, entries))
+
+    # join the pieces of a block that enter the same terms; joined piece g is the pieces
+    # members[g], on their columns of the stacked E_c
+    members, columns = {}, {}
+    for name, signatures in enters.items():
+        joined = {}
+        for c, signature in enumerate(signatures):
+            joined.setdefault(frozenset(signature), []).append(c)
+        members[name] = list(joined.values())
+        columns[name] = [
+            np.concatenate([np.arange(starts[name][c], starts[name][c + 1]) for c in group]) for group in members[name]
+        ]
+
+    blocks, objective = [], {}
+    for name, d in problem.blocks:
+        if name not in stacked:
+            blocks.append((name, d))
+            if name in problem.objective:
+                objective[name] = problem.objective[name]
+            continue
+        for g, cols in enumerate(columns[name]):
+            blocks.append((f"{name}/{g}", len(cols)))
+            if name in problem.objective:
+                e = stacked[name][:, cols]
+                objective[f"{name}/{g}"] = _ct(e) @ problem.objective[name] @ e
+    constraints = []
+    for name, rhs, entries in pieces:
+        terms = []
+        for term, op, kept, live in entries:
+            if term.block not in stacked:
+                if live:
+                    terms.append(LinearTerm(term.block, term.coeff, op, kept))
+                continue
+            for g, (group, cols) in enumerate(zip(members[term.block], columns[term.block])):
+                if live[group[0]]:  # joined pieces are live in the same terms
+                    terms.append(LinearTerm(f"{term.block}/{g}", term.coeff, op[:, cols], kept))
+        constraints.append(Constraint(name, tuple(terms), rhs))
+    return SdpProblem(blocks=tuple(blocks), objective=objective, constraints=tuple(constraints))
+
+
+def iterate_cost(problem: SdpProblem) -> float:
+    """A rough cost of one ``solve`` iterate, in flops: the LU of the m x m
+    Schur system, the dense kernels on each block (about 30 d^3), and
+    ``TERM_FLOPS`` per constraint term for the numpy calls its maps make.
+
+    ``restrict`` trades large blocks and a large Schur system for more
+    terms; this says which side of that trade is cheaper.
+    """
+    m = sum(d * (d + 1) // 2 for d in (math.isqrt(np.size(con.rhs)) for con in problem.constraints))
+    terms = sum(len(con.terms) for con in problem.constraints)
+    return m**3 / 3 + 30 * sum(d**3 for _, d in problem.blocks) + TERM_FLOPS * terms
+
+
+def expand_multipliers(constraint_isometries: dict, multipliers: dict) -> dict:
+    """The multipliers of a ``restrict``-ed problem as the original's:
+    Z = sum_a V_a Z_a V_a^dag for each listed constraint, the rest as given."""
+    out = dict(multipliers)
+    for name, isometries in constraint_isometries.items():
+        pieces = [np.atleast_2d(out.pop(f"{name}/{a}")) for a in range(len(isometries))]
+        out[name] = sum(v @ z @ _ct(v) for v, z in zip(isometries, pieces))
+    return out
 
 
 # ---------------------------------------------------------------------------

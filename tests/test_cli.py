@@ -217,6 +217,29 @@ class TestLowerboundCommand:
         record = json.loads(out)
         assert code == 0
         assert record["product_check_passed"] is True
+        # per target bit, the interpolating sequence starts at the product of the chain
+        # values and held: never rising, ending at the honest probability 1/2
+        assert record["sequence_held"] == [True, True]
+        for bit, certified in enumerate(record["certified_products"]):
+            chain_product = math.prod(record["forcing_bounds"][f"{i}:{bit}"] for i in range(3))
+            assert abs(certified - chain_product) <= 1e-12
+            assert certified >= record["products"][bit] - 1e-7
+            assert certified >= 0.5 - 1e-9
+
+    def test_kparty_record_reports_a_sequence_that_fails(self, capsys, tmp_path, monkeypatch):
+        # a sequence ending away from the honest probability is reported, not hidden
+        import qcoinflip.cli as cli_module
+
+        def shifted(protocol, chains, target):
+            return [value + 0.1 for value in real_sequence(protocol, chains, target)]
+
+        real_sequence = cli_module.dual_bound_sequence
+        monkeypatch.setattr(cli_module, "dual_bound_sequence", shifted)
+        path = tmp_path / "announce3.json"
+        save_protocol(announce_kparty(3), path)
+        code, out, _ = run_cli(capsys, "lowerbound", str(path))
+        assert code == 0
+        assert json.loads(out)["sequence_held"] == [False, False]
 
     def test_legacy_two_party_file_gives_the_same_record(self, capsys, tmp_path):
         records = []
@@ -417,10 +440,13 @@ class TestSchemas:
             _, out, _ = run_cli(capsys, "lowerbound", str(path))
             record = json.loads(out)
             jsonschema.validate(record, schema)
-            # a file record's certified bounds are required
-            record.pop("p_bob_forces_1_bound" if protocol.k == 2 else "forcing_bounds")
-            with pytest.raises(jsonschema.ValidationError):
-                jsonschema.validate(record, schema)
+            # a file record's certified bounds are required, and so is a k-party record's sequence
+            required = ["p_bob_forces_1_bound"]
+            if protocol.k > 2:
+                required = ["forcing_bounds", "certified_products", "sequence_held"]
+            for field in required:
+                with pytest.raises(jsonschema.ValidationError):
+                    jsonschema.validate({key: value for key, value in record.items() if key != field}, schema)
 
     def test_protocol_file_schema(self):
         jsonschema = pytest.importorskip("jsonschema")

@@ -2,7 +2,7 @@
 benchmark's hooks work against the package in ``src/``.
 
 ``lower_bound_toolkit.py`` solves each of its cheat SDPs once, the v16 ones
-included, and takes about 3 s; the others take under a second.
+included, and takes about a second; the others take less.
 """
 
 import csv
@@ -92,11 +92,17 @@ def test_readme_command_line_runs(line, tmp_path, monkeypatch, capsys):
 
 def test_benchmark_hooks_resolve():
     # the benchmark's tracer looks up every TRACED "module.attr" on the package;
-    # one that no longer resolves breaks every traced benchmark run
+    # one that no longer resolves breaks every traced benchmark run, and one that
+    # resolves to a function defined elsewhere bills its time to the wrong layer
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     assert tracing.TRACED
     for name in tracing.TRACED:
         module_name, attr = name.split(".")
-        assert callable(getattr(importlib.import_module(f"qcoinflip.{module_name}"), attr, None)), name
+        fn = getattr(importlib.import_module(f"qcoinflip.{module_name}"), attr, None)
+        assert callable(fn), name
+        assert fn.__module__ == f"qcoinflip.{module_name}", name
+    # a counter or allocation probe on a name the tracer never wraps would read 0
+    assert set(tracing.COUNTERS) <= set(tracing.TRACED)
+    assert set(tracing.ALLOC_TRACED) <= set(tracing.TRACED)

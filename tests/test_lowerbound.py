@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import full_space_cheat_sdp, merge_cheaters, relayed_penalty_protocol
+from conftest import full_space_cheat_sdp, merge_cheaters, random_unitary, relayed_penalty_protocol
 from qcoinflip import lowerbound
 from qcoinflip.lowerbound import (
     cheat_product_check,
@@ -13,11 +13,14 @@ from qcoinflip.lowerbound import (
     group_players,
     multiparty_bias_bound,
     optimal_cheat,
+    phase_symmetries,
     reachable_supports,
+    symmetry_sectors,
 )
 from qcoinflip.multiparty import FINAL_PHASE_CHEAT_PROB
 from qcoinflip.penalty import PenaltyGame, bob_attack, commit_state
 from qcoinflip.protocols import (
+    KPartyProtocol,
     alice_announces,
     announce_kparty,
     honest_state,
@@ -31,6 +34,9 @@ from qcoinflip.sdp import (
     Constraint,
     LinearTerm,
     SdpProblem,
+    _Compiled,
+    iterate_cost,
+    restrict,
     solve,
     verify_dual,
 )
@@ -98,8 +104,78 @@ def assert_interpolates(protocol, cheats, target):
 @pytest.fixture(scope="module")
 def v16_check():
     """The product check of penalty_protocol(16) at target 1: its two cheat
-    SDPs (the Alice-cheat one takes about 2 s) are solved once for the module."""
+    SDPs are solved once for the module."""
     return cheat_product_check(penalty_protocol(16.0))
+
+
+def haar_random_protocol(rng) -> KPartyProtocol:
+    """Two parties whose unitaries are Haar-random: no product of clock
+    operators passes through them."""
+    unitaries = (random_unitary(8, rng), random_unitary(4, rng), random_unitary(8, rng), random_unitary(4, rng))
+    halves = tuple(np.diag(np.repeat(np.eye(2)[c], 2)).astype(complex) for c in (0, 1))
+    return KPartyProtocol(
+        layouts=(HilbertLayout((2, 2)), HilbertLayout((2,))),
+        layout_m=HilbertLayout((2,)),
+        turns=(0, 1, 0, 1),
+        unitaries=unitaries,
+        projectors=(halves, (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))),
+        name="haar-random",
+    )
+
+
+def phases(group, j: int) -> np.ndarray:
+    """The round-j elements of a ``PhaseGroup`` as diagonals, one per row."""
+    exps = group.rounds[j]
+    return np.exp(2j * np.pi * exps.reshape(len(exps), -1) / group.modulus)
+
+
+def problem_key(problem: SdpProblem) -> int:
+    """A hash of every number in an SDP, so that equal problems are solved once."""
+    parts = [repr(problem.blocks)]
+    for name in sorted(problem.objective):
+        parts += [name, np.asarray(problem.objective[name]).tobytes()]
+    for con in problem.constraints:
+        parts += [con.name, np.asarray(con.rhs).tobytes()]
+        for t in con.terms:
+            parts += [t.block, repr((t.coeff, t.kept)), b"" if t.op is None else t.op.tobytes()]
+    return hash(tuple(parts))
+
+
+COMPARISON_SET = {
+    "v16": (lambda: penalty_protocol(16.0), 2),
+    "v25": (lambda: penalty_protocol(25.0), 2),
+    "compact4": (penalty_protocol_compact4, 2),
+    "announces": (alice_announces, 2),
+    "announce3": (lambda: announce_kparty(3), 3),
+    "relayed": (relayed_penalty_protocol, 3),
+}
+COMPARISON_CASES = [
+    (name, honest, target) for name, (_, k) in COMPARISON_SET.items() for honest in range(k) for target in (0, 1)
+]
+
+
+@pytest.fixture(scope="module")
+def sector_comparison(v16_check):
+    """For every cheat SDP of the comparison set: the problem, ``optimal_cheat``'s
+    result (solved on the symmetry sectors) and the unsplit solve.  Each
+    distinct problem is solved once each way, and the v16 target-1 results
+    come from ``v16_check``; relayed party 1 has v16 party 1's view."""
+    cheats, whole, results = {}, {}, {}
+    v16 = penalty_protocol(16.0)
+    for honest, cheat in enumerate(v16_check.cheats):
+        cheats[problem_key(cheat_sdp(v16, honest, 1))] = cheat
+    for name, (build, _) in COMPARISON_SET.items():
+        protocol = build()
+        for honest in range(protocol.k):
+            for target in (0, 1):
+                problem = cheat_sdp(protocol, honest, target)
+                key = problem_key(problem)
+                if key not in whole:
+                    whole[key] = solve(problem)
+                if key not in cheats:
+                    cheats[key] = optimal_cheat(protocol, honest, target)
+                results[(name, honest, target)] = (problem, cheats[key], whole[key])
+    return results
 
 
 class TestOptimalCheat:
@@ -217,6 +293,120 @@ class TestReachableSupports:
                 assert w.shape[0] == priv_dim
                 assert w.shape[1] <= priv_dim
                 np.testing.assert_allclose(w.conj().T @ w, np.eye(w.shape[1]), atol=1e-10)
+
+
+class TestSymmetrySectors:
+    @pytest.mark.parametrize("target", [0, 1])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: penalty_protocol(16.0),
+            penalty_protocol_compact4,
+            alice_announces,
+            lambda: announce_kparty(3),
+            relayed_penalty_protocol,
+        ],
+        ids=["v16", "compact4", "announces", "announce3", "relayed"],
+    )
+    def test_every_element_is_a_symmetry(self, build, target):
+        # U_j g_{j-1} U_j^dag = h_j (x) m' with h_j the private part of a round-j element,
+        # and h_N commutes with the target projector
+        p = build()
+        d_msg = p.layout_m.dim
+        for honest in range(p.k):
+            d_priv = p.layouts[honest].dim
+            unitaries = [u for t, u in zip(p.turns, p.unitaries) if t == honest]
+            group = phase_symmetries(p, honest, target)
+            assert len(group.rounds) == len(unitaries) + 1
+            for j, u in enumerate(unitaries, start=1):
+                private = phases(group, j).reshape(-1, d_priv, d_msg)[:, :, 0]
+                for g in phases(group, j - 1):
+                    # U g U^dag = diag(d) exactly when U g = diag(d) U, with d = |U|^2 g
+                    diag = np.abs(u) ** 2 @ g
+                    assert np.max(np.abs(u * g - diag[:, None] * u)) <= 1e-12
+                    dm = diag.reshape(d_priv, d_msg)
+                    h = dm[:, 0] / dm[0, 0]
+                    assert np.max(np.abs(dm - np.outer(h, dm[0]))) <= 1e-12
+                    assert np.min(np.max(np.abs(private - h), axis=1)) <= 1e-12
+            proj = p.projectors[honest][target]
+            for g in phases(group, len(unitaries)):
+                h = g.reshape(d_priv, d_msg)[:, 0]
+                assert np.max(np.abs(h[:, None] * proj - proj * h[None, :])) <= 1e-12
+            assert all((~e.any(axis=(1, 2))).any() for e in group.rounds)  # the identity is in every round
+
+    def test_haar_random_unitaries_leave_one_sector_per_round(self, rng, monkeypatch):
+        # only the identity passes a Haar-random unitary, and the last round's free message
+        # alone splits nothing the constraints tell apart: the solve is the unsplit one
+        p = haar_random_protocol(rng)
+        solutions = []
+
+        def recording(problem):
+            solutions.append(solve(problem))
+            return solutions[-1]
+
+        monkeypatch.setattr(lowerbound, "solve", recording)
+        for honest in range(p.k):
+            for target in (0, 1):
+                group = phase_symmetries(p, honest, target)
+                assert all(len(e) == 1 and not e.any() for e in group.rounds[:-1])
+                assert not group.rounds[-1][:, :, 0].any()
+                problem = cheat_sdp(p, honest, target)
+                blocks, rounds = symmetry_sectors(p, honest, target)
+                assert rounds == {}
+                assert [d for _, d in restrict(problem, blocks, rounds).blocks] == [d for _, d in problem.blocks]
+                cheat = optimal_cheat(p, honest, target)
+                whole = solve(problem)
+                assert solutions[-1].status == whole.status == "converged"
+                assert cheat.probability == whole.primal_value
+                assert solutions[-1].iterations == whole.iterations
+                assert verify_dual(problem, cheat.chain, tol=1e-10).feasible
+
+    def test_penalty_alice_cheat_sdp_splits(self):
+        # the v16 Alice-cheat SDP: blocks 6, 36, 216 and m = 688 become blocks of at most
+        # 18 and m = 79, which is cheaper per iterate; compact4 stays whole
+        p = penalty_protocol(16.0)
+        problem = cheat_sdp(p, 1, 1)
+        split = restrict(problem, *symmetry_sectors(p, 1, 1))
+        assert [d for _, d in problem.blocks] == [6, 36, 216]
+        assert (_Compiled(problem).m, _Compiled(split).m) == (688, 79)
+        assert max(d for _, d in split.blocks) == 18
+        assert iterate_cost(split) < iterate_cost(problem) / 10
+        compact = penalty_protocol_compact4()
+        for honest in (0, 1):
+            problem = cheat_sdp(compact, honest, 1)
+            assert iterate_cost(restrict(problem, *symmetry_sectors(compact, honest, 1))) >= iterate_cost(problem)
+
+    @pytest.mark.parametrize("case", COMPARISON_CASES, ids=["-".join(map(str, c)) for c in COMPARISON_CASES])
+    def test_sector_solve_matches_the_unsplit_one(self, sector_comparison, case):
+        problem, cheat, whole = sector_comparison[case]
+        assert whole.status == "converged"
+        assert abs(cheat.probability - whole.primal_value) <= 1e-6
+        report = verify_dual(problem, cheat.chain, tol=1e-10)
+        assert report.feasible, report.lambda_min
+        assert cheat.bound == report.bound
+        assert cheat.bound >= cheat.probability - 1e-7
+
+    def test_chain_off_its_sectors_is_rejected(self, v16_check):
+        # add to Z_1 of the Alice-cheat chain a term between two private sectors: truncated to
+        # its sectors the chain is unchanged, yet on the unsplit SDP it soon fails, and the
+        # sequence refuses it
+        p = penalty_protocol(16.0)
+        _, rounds = symmetry_sectors(p, 1, 1)
+        v = rounds["round_1"]
+        off = v[0] @ np.ones((v[0].shape[1], v[1].shape[1])) @ v[1].conj().T
+        off = off + off.conj().T
+        chain = v16_check.cheats[1].chain
+        problem = cheat_sdp(p, 1, 1)
+        for t in 1e-3 * 2.0 ** np.arange(20):
+            perturbed = dict(chain, round_1=chain["round_1"] + t * off)
+            if not verify_dual(problem, perturbed, tol=1e-10).feasible:
+                break
+        else:
+            pytest.fail("no perturbation made the chain infeasible")
+        truncated = sum(w @ w.conj().T @ perturbed["round_1"] @ w @ w.conj().T for w in v)
+        np.testing.assert_allclose(truncated, chain["round_1"], atol=1e-12)
+        with pytest.raises(ValueError, match="party-1-honest chain infeasible"):
+            dual_bound_sequence(p, [v16_check.cheats[0].chain, perturbed], target=1)
 
 
 class TestProductCheck:

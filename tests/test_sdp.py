@@ -11,6 +11,8 @@ from qcoinflip.sdp import (
     SdpProblem,
     _Compiled,
     duality_gap,
+    expand_multipliers,
+    restrict,
     solve,
     verify_dual,
 )
@@ -669,3 +671,55 @@ class TestCertificates:
         with pytest.raises(KeyError):
             verify_dual(prob, {})
 
+
+
+class TestRestrict:
+    @DATA
+    def test_nothing_listed_is_the_same_problem(self, rng, real):
+        problem = random_structured_problem(rng, real=real)
+        restricted = restrict(problem, {}, {})
+        assert restricted.blocks == problem.blocks
+        assert [c.name for c in restricted.constraints] == [c.name for c in problem.constraints]
+        whole, same = solve(problem), solve(restricted)
+        assert (same.primal_value, same.dual_value, same.iterations) == (
+            whole.primal_value,
+            whole.dual_value,
+            whole.iterations,
+        )
+
+    def diagonal_problem(self):
+        # X = diag(1/2, 1/2) pinned, objective diag(1, 2): invariant under diag(1, -1)
+        return SdpProblem(
+            blocks=(("x", 2),),
+            objective={"x": np.diag([1.0, 2.0])},
+            constraints=(Constraint("pin", (LinearTerm("x"),), np.eye(2) / 2),),
+        )
+
+    def test_sectors_split_blocks_and_constraints(self):
+        problem = self.diagonal_problem()
+        e = [np.eye(2)[:, [0]], np.eye(2)[:, [1]]]
+        restricted = restrict(problem, {"x": e}, {"pin": e})
+        assert restricted.blocks == (("x/0", 1), ("x/1", 1))
+        # each constraint piece keeps the one block piece it reaches
+        assert [[t.block for t in c.terms] for c in restricted.constraints] == [["x/0"], ["x/1"]]
+        solution = solve(restricted)
+        assert solution.status == "converged"
+        assert abs(solution.primal_value - 1.5) < 1e-7
+        multipliers = expand_multipliers({"pin": e}, solution.dual_multipliers)
+        assert set(multipliers) == {"pin"}
+        np.testing.assert_allclose(multipliers["pin"], np.diag([1.0, 2.0]), atol=1e-6)
+        report = verify_dual(problem, multipliers, tol=1e-6)
+        assert report.feasible and abs(report.bound - solution.dual_value) < 1e-12
+
+    def test_pieces_entering_the_same_terms_are_joined(self):
+        # a trace constraint cannot tell the two pieces apart: splitting them would add a term
+        problem = SdpProblem(
+            blocks=(("x", 2),),
+            objective={"x": np.diag([1.0, 2.0])},
+            constraints=(Constraint("norm", (LinearTerm("x", kept=1),), np.array([[1.0]])),),
+        )
+        restricted = restrict(problem, {"x": [np.eye(2)[:, [1]], np.eye(2)[:, [0]]]}, {})
+        assert restricted.blocks == (("x/0", 2),)
+        (term,) = restricted.constraints[0].terms
+        np.testing.assert_array_equal(term.op, np.eye(2)[:, [1, 0]])
+        assert abs(solve(restricted).primal_value - 2.0) < 1e-7
