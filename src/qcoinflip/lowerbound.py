@@ -16,11 +16,11 @@ where K_{j+1} = (W_{j+1} (x) 1)^dag U_{j+1} (W_j (x) 1) is the compressed
 unitary of i's turn j + 1.  These are exactly the dual constraints of
 ``cheat_sdp``, so ``verify_dual`` checks a chain, and its value Z_0 bounds
 the forcing probability from above; ``optimal_cheat`` returns the value
-and the chain from one solve.  That solve runs on the SDP's symmetry
-sectors: products of clock operators that pass through the honest
-unitaries (``phase_symmetries``) make the optimum block-diagonal, so each
-block splits into small pieces and each round's constraint by private
-sector.  The sector multipliers map back to a chain on the S_j, which is
+and the chain from one solve.  On the larger SDPs that solve runs on
+the symmetry sectors: products of clock operators that pass through the
+honest unitaries (``phase_symmetries``) make the optimum block-diagonal,
+so each block splits into small pieces and each round's constraint by
+private sector.  The sector multipliers map back to a chain on the S_j, which is
 repaired and checked on the unsplit ``cheat_sdp``; no chain is ever
 checked on its sectors alone.  With each party's chain lifted to
 W_j Z_j W_j^dag, and c_i(r) party i's turns among the first r, the scalar
@@ -46,12 +46,11 @@ from .protocols import KPartyProtocol, honest_run, validate_protocol
 from .quantum import apply_local
 from .sdp import (
     CERT_TOL,
-    TERM_FLOPS,
     Constraint,
     LinearTerm,
     SdpProblem,
     expand_multipliers,
-    iterate_cost,
+    iterate_flops,
     restrict,
     solve,
     verify_dual,
@@ -60,6 +59,9 @@ from .sdp import (
 SUPPORT_TOL = 1e-10  # relative singular-value cut of a reachable support
 SYMMETRY_TOL = 1e-12  # entries of a unitary or projector below this are zeros to the symmetry search
 PRODUCT_SLACK = 1e-5  # solver accuracy allowed in the product checks
+# one constraint term's numpy calls cost a solve iterate about 80 us, as much as
+# this much of its dense arithmetic (about 5 Gflop/s on one core)
+TERM_FLOPS = 4e5
 
 
 @dataclass(frozen=True)
@@ -297,27 +299,27 @@ def symmetry_sectors(protocol: KPartyProtocol, honest: int, target: int):
 def optimal_cheat(protocol: KPartyProtocol, honest: int, target: int) -> CheatResult:
     """The coalition's optimal probability of forcing ``target`` on party ``honest``, with its dual chain.
 
-    One solve gives both; RuntimeError unless it converged.  The solve runs
-    on the symmetry sectors of ``cheat_sdp`` (``phase_symmetries``): each
-    block splits into its joint sectors and each round's constraint into
-    its private sectors, and the multipliers Z_{j,a} map back to the round-j
-    multiplier on S_j as sum_a V_a Z_{j,a} V_a^dag.  The chain is these
-    multipliers made exactly feasible on the unsplit ``cheat_sdp``: Z_N is
-    pinned to the compressed target projector W_N^dag P W_N, which makes
-    block rho_N tight, and walking down from N each multiplier is shifted by
-    the identity just far enough that ``verify_dual`` finds block rho_j PSD.
+    One solve gives both; RuntimeError unless it converged.  Where the
+    SDP's dense work outweighs its terms, the solve runs on the symmetry
+    sectors of ``cheat_sdp`` (``phase_symmetries``): each block splits into
+    its joint sectors and each round's constraint into its private sectors,
+    and the multipliers Z_{j,a} map back to the round-j multiplier on S_j as
+    sum_a V_a Z_{j,a} V_a^dag.  Smaller SDPs are solved whole.  The chain
+    is these multipliers made exactly feasible on the unsplit
+    ``cheat_sdp``: Z_N is pinned to the compressed target projector
+    W_N^dag P W_N, which makes block rho_N tight, and walking down from N
+    each multiplier is shifted by the identity just far enough that
+    ``verify_dual`` finds block rho_j PSD.
     So the chain is feasible whatever the solver's accuracy, and its value
     Z_0 bounds the probability from above.
     """
     problem = cheat_sdp(protocol, honest, target)
     split, rounds = problem, {}
-    # a split keeps every term and adds at least one, each priced TERM_FLOPS, so it
-    # pays only if the problem's dense work exceeds one term; else one sector per round
-    if iterate_cost(problem) > TERM_FLOPS * (1 + sum(len(con.terms) for con in problem.constraints)):
+    # a split trades dense work for more terms: it pays only where the dense work
+    # outweighs the terms the problem has, and below that even the search does not
+    if iterate_flops(problem) > TERM_FLOPS * sum(len(con.terms) for con in problem.constraints):
         blocks, rounds = symmetry_sectors(protocol, honest, target)
         split = restrict(problem, blocks, rounds)
-        if iterate_cost(split) >= iterate_cost(problem):
-            split, rounds = problem, {}
     solution = solve(split)
     if solution.status != "converged":
         raise RuntimeError(

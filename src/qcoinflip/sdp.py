@@ -52,7 +52,6 @@ CERT_TOL = 1e-9
 GAP_TOL = 1e-7
 MAX_ITER = 500
 RESTRICT_TOL = 1e-12  # a restricted term this small, relative to its operator, is left out
-TERM_FLOPS = 2e5  # a term's numpy calls cost an iterate about as much as this much dense arithmetic
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +133,8 @@ def restrict(problem: SdpProblem, block_isometries: dict, constraint_isometries:
     annihilate it, to rounding.  Pieces of one block that enter the same
     terms are joined into one block ``name/g`` on their E_c side by side:
     splitting them would shrink no constraint, only add terms.  A block or
-    constraint not listed stays whole under its own name, so with nothing
-    listed the problem is the same.
+    constraint not listed, and a block whose pieces all join, stays whole
+    under its own name, so with nothing listed the problem is the same.
 
     When a symmetry group of the problem makes its optimum block-diagonal on
     the E_c and every constraint value block-diagonal on the V_a, the
@@ -146,9 +145,9 @@ def restrict(problem: SdpProblem, block_isometries: dict, constraint_isometries:
     stacked = {name: np.hstack(isometries) for name, isometries in block_isometries.items()}
     starts = {name: np.cumsum([0] + [e.shape[1] for e in es]) for name, es in block_isometries.items()}
 
-    # every constraint piece's terms, each on all pieces of its block at once, and
+    # every constraint piece's terms, with the block pieces each term is live on, and
     # for each block piece the terms it enters
-    pieces = []  # (name, rhs, [(term, op, kept, live pieces)])
+    pieces = []  # (name, rhs, [(term, op, kept, live)])
     enters = {name: [set() for _ in isometries] for name, isometries in block_isometries.items()}
     for con in problem.constraints:
         for a, v in enumerate(constraint_isometries.get(con.name, (None,))):
@@ -162,68 +161,66 @@ def restrict(problem: SdpProblem, block_isometries: dict, constraint_isometries:
                     op, kept = (vt if op is None else vt @ op), v.shape[1]
                 if term.block in stacked:
                     e = stacked[term.block]
-                    op = e if op is None else op @ e
-                    colmax = np.max(np.abs(op), axis=0)
+                    colmax = np.max(np.abs(e if op is None else op @ e), axis=0)
                     live = np.maximum.reduceat(colmax, starts[term.block][:-1]) > RESTRICT_TOL * scale
                     for c in np.flatnonzero(live):
                         enters[term.block][c].add((len(pieces), t))
                 else:
-                    live = op is None or np.max(np.abs(op)) > RESTRICT_TOL * scale
+                    live = np.array([op is None or np.max(np.abs(op)) > RESTRICT_TOL * scale])
                 entries.append((term, op, kept, live))
             name = f"{con.name}/{a}" if con.name in constraint_isometries else con.name
             rhs = con.rhs if v is None else _ct(v) @ np.asarray(con.rhs).reshape(v.shape[0], v.shape[0]) @ v
             pieces.append((name, rhs, entries))
 
     # join the pieces of a block that enter the same terms; joined piece g is the pieces
-    # members[g], on their columns of the stacked E_c
+    # members[g], on their columns of the stacked E_c.  A block whose pieces all join
+    # stays whole: its pieces span it, so the split would only rotate it
     members, columns = {}, {}
     for name, signatures in enters.items():
         joined = {}
         for c, signature in enumerate(signatures):
             joined.setdefault(frozenset(signature), []).append(c)
-        members[name] = list(joined.values())
-        columns[name] = [
-            np.concatenate([np.arange(starts[name][c], starts[name][c + 1]) for c in group]) for group in members[name]
-        ]
+        if len(joined) > 1:
+            members[name] = list(joined.values())
+            columns[name] = [
+                np.concatenate([np.arange(starts[name][c], starts[name][c + 1]) for c in group])
+                for group in members[name]
+            ]
 
     blocks, objective = [], {}
     for name, d in problem.blocks:
-        if name not in stacked:
+        if name not in columns:
             blocks.append((name, d))
             if name in problem.objective:
                 objective[name] = problem.objective[name]
             continue
         for g, cols in enumerate(columns[name]):
+            e = stacked[name][:, cols]
             blocks.append((f"{name}/{g}", len(cols)))
             if name in problem.objective:
-                e = stacked[name][:, cols]
                 objective[f"{name}/{g}"] = _ct(e) @ problem.objective[name] @ e
     constraints = []
     for name, rhs, entries in pieces:
         terms = []
         for term, op, kept, live in entries:
-            if term.block not in stacked:
-                if live:
+            if term.block not in columns:
+                if live.any():
                     terms.append(LinearTerm(term.block, term.coeff, op, kept))
                 continue
             for g, (group, cols) in enumerate(zip(members[term.block], columns[term.block])):
                 if live[group[0]]:  # joined pieces are live in the same terms
-                    terms.append(LinearTerm(f"{term.block}/{g}", term.coeff, op[:, cols], kept))
+                    e = stacked[term.block][:, cols]
+                    terms.append(LinearTerm(f"{term.block}/{g}", term.coeff, e if op is None else op @ e, kept))
         constraints.append(Constraint(name, tuple(terms), rhs))
     return SdpProblem(blocks=tuple(blocks), objective=objective, constraints=tuple(constraints))
 
 
-def iterate_cost(problem: SdpProblem) -> float:
-    """A rough cost of one ``solve`` iterate, in flops: the LU of the m x m
-    Schur system, the dense kernels on each block (about 30 d^3), and
-    ``TERM_FLOPS`` per constraint term for the numpy calls its maps make.
-
-    ``restrict`` trades large blocks and a large Schur system for more
-    terms; this says which side of that trade is cheaper.
-    """
+def iterate_flops(problem: SdpProblem) -> float:
+    """The dense arithmetic of one ``solve`` iterate, in flops: the LU of the
+    m x m Schur system and about 30 d^3 of kernels per block.  The numpy
+    calls of each constraint term's maps come on top."""
     m = sum(d * (d + 1) // 2 for d in (math.isqrt(np.size(con.rhs)) for con in problem.constraints))
-    terms = sum(len(con.terms) for con in problem.constraints)
-    return m**3 / 3 + 30 * sum(d**3 for _, d in problem.blocks) + TERM_FLOPS * terms
+    return m**3 / 3 + 30 * sum(d**3 for _, d in problem.blocks)
 
 
 def expand_multipliers(constraint_isometries: dict, multipliers: dict) -> dict:

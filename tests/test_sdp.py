@@ -712,14 +712,32 @@ class TestRestrict:
         assert report.feasible and abs(report.bound - solution.dual_value) < 1e-12
 
     def test_pieces_entering_the_same_terms_are_joined(self):
-        # a trace constraint cannot tell the two pieces apart: splitting them would add a term
+        # the trace alone cannot tell pieces 0 and 1 apart: splitting them would add a term
+        problem = SdpProblem(
+            blocks=(("x", 3),),
+            objective={"x": np.diag([1.0, 2.0, 3.0])},
+            constraints=(
+                Constraint("norm", (LinearTerm("x", kept=1),), np.array([[1.0]])),
+                Constraint("pin", (LinearTerm("x", op=np.eye(3)[[2]]),), np.array([[0.5]])),
+            ),
+        )
+        e = [np.eye(3)[:, [1]], np.eye(3)[:, [0]], np.eye(3)[:, [2]]]
+        restricted = restrict(problem, {"x": e}, {})
+        assert restricted.blocks == (("x/0", 2), ("x/1", 1))
+        norm, pin = restricted.constraints
+        assert [t.block for t in norm.terms] == ["x/0", "x/1"]
+        np.testing.assert_array_equal(norm.terms[0].op, np.eye(3)[:, [1, 0]])
+        assert [t.block for t in pin.terms] == ["x/1"]
+        assert abs(solve(restricted).primal_value - 2.5) < 1e-7
+
+    def test_a_block_whose_pieces_all_join_stays_whole(self):
         problem = SdpProblem(
             blocks=(("x", 2),),
             objective={"x": np.diag([1.0, 2.0])},
             constraints=(Constraint("norm", (LinearTerm("x", kept=1),), np.array([[1.0]])),),
         )
         restricted = restrict(problem, {"x": [np.eye(2)[:, [1]], np.eye(2)[:, [0]]]}, {})
-        assert restricted.blocks == (("x/0", 2),)
+        assert restricted.blocks == problem.blocks
         (term,) = restricted.constraints[0].terms
-        np.testing.assert_array_equal(term.op, np.eye(2)[:, [1, 0]])
-        assert abs(solve(restricted).primal_value - 2.0) < 1e-7
+        assert term == problem.constraints[0].terms[0]
+        assert solve(restricted).iterations == solve(problem).iterations
