@@ -49,6 +49,8 @@ from .sdp import (
     Constraint,
     LinearTerm,
     SdpProblem,
+    _Compiled,
+    _verify,
     expand_multipliers,
     iterate_flops,
     restrict,
@@ -60,7 +62,11 @@ SUPPORT_TOL = 1e-10  # relative singular-value cut of a reachable support
 SYMMETRY_TOL = 1e-12  # entries of a unitary or projector below this are zeros to the symmetry search
 PRODUCT_SLACK = 1e-5  # solver accuracy allowed in the product checks
 # one constraint term's numpy calls cost a solve iterate about 80 us, as much as
-# this much of its dense arithmetic (about 5 Gflop/s on one core)
+# this much of its dense arithmetic (about 5 Gflop/s on one core).  Measured on the
+# term kernels, from whole-versus-split iterate times on compact4 and alice_announces
+# (one BLAS thread, 2-core x86).  ``solve`` now runs every cheat SDP this gate sends it
+# from the library's protocols, split or whole, on constraint rows, where a term has no
+# call of its own, so the price no longer describes the iterate it gates
 TERM_FLOPS = 4e5
 
 
@@ -331,8 +337,9 @@ def optimal_cheat(protocol: KPartyProtocol, honest: int, target: int) -> CheatRe
     # the objective is Z_N (x) 1 on S_N (x) M, so Z_N is its every d_msg-th row and column
     d_msg = protocol.layout_m.dim
     chain[f"round_{n}"] = problem.objective[f"rho_{n}"][::d_msg, ::d_msg].copy()
+    compiled = _Compiled(problem)  # compiled once for every round's check
     for j in range(n - 1, -1, -1):
-        lam = verify_dual(problem, chain).lambda_min[f"rho_{j}"]
+        lam = _verify(compiled, chain).lambda_min[f"rho_{j}"]
         if lam < 0.0:
             z = chain[f"round_{j}"]
             chain[f"round_{j}"] = z - lam * np.eye(z.shape[0])

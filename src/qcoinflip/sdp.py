@@ -19,6 +19,14 @@ Dual feasible points can be checked independently of the solver
 (``verify_dual``), so a certificate bound never relies on the code path it
 is validating.
 
+The terms define the problem, and ``restrict``, ``verify_dual`` and the
+term kernels read them.  Inside ``solve``, a problem whose constraint rows
+fit ``ROW_BUDGET`` runs on the rows instead: row s of A is A*(e_s), and
+each block keeps it only for the coordinates s of the constraints with a
+term on that block.  Then A(X), A*(y) and the Schur matrix are one
+contraction per block size over stored arrays (as SDPA and SDPT3 assemble
+the Schur matrix from stored constraint matrices), not a loop over terms.
+
 The arithmetic follows the data.  When every objective, term operator and
 right-hand side is real, X -> Re X keeps a feasible point feasible with the
 same value, so the solver works in float64: a d x d constraint owns the
@@ -52,6 +60,11 @@ CERT_TOL = 1e-9
 GAP_TOL = 1e-7
 MAX_ITER = 500
 RESTRICT_TOL = 1e-12  # a restricted term this small, relative to its operator, is left out
+# entries of the constraint rows ``solve`` stores (``_Compiled.row_count``): 8 MB as
+# float64, and a Schur assembly holds about three times that in temporaries.  A problem
+# with more keeps the term kernels, whose data are the terms themselves; the unsplit
+# v25 Alice-cheat SDP would need 3.1e7 entries (249 MB) for its 216-dim block alone
+ROW_BUDGET = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +116,8 @@ class SdpSolution:
     dual_multipliers: dict
     # converged | infeasible (b off the range of A, found by the pre-check at every size,
     # iterations 0) | max-iterations, or the guard that stopped the loop early:
-    # stall | non-finite-schur | schur-singular | non-finite-direction | mu-blowup
+    # stall | non-finite-schur | schur-singular | non-finite-direction (a direction, or
+    # its scaled form in the step-length test, not finite) | mu-blowup
     status: str
     iterations: int
     residuals: dict
@@ -217,8 +231,10 @@ def restrict(problem: SdpProblem, block_isometries: dict, constraint_isometries:
 
 def iterate_flops(problem: SdpProblem) -> float:
     """The dense arithmetic of one ``solve`` iterate, in flops: the LU of the
-    m x m Schur system and about 30 d^3 of kernels per block.  The numpy
-    calls of each constraint term's maps come on top."""
+    m x m Schur system and about 30 d^3 of kernels per block.  On the term
+    kernels, the numpy calls of each constraint term's maps came on top;
+    ``lowerbound.TERM_FLOPS`` prices them, as measured before ``solve`` ran
+    small problems on constraint rows."""
     m = sum(d * (d + 1) // 2 for d in (math.isqrt(np.size(con.rhs)) for con in problem.constraints))
     return m**3 / 3 + 30 * sum(d**3 for _, d in problem.blocks)
 
@@ -371,7 +387,14 @@ class _Compiled:
             offset += len(cmap[0])
         self.m = offset
         self.b = self._coordinates(self.rhs)
-        self.schur_plan = self._schur_plan()
+
+        # the constraints with a term on each block, in order: the block meets their coordinates
+        self.meets = [[] for _ in range(self.nblocks)]
+        for c, (_, terms) in enumerate(self.constraints):
+            for i in dict.fromkeys(t.block_idx for t in terms):
+                self.meets[i].append(c)
+        self.rows = None  # the row kernels' data, once ``build_rows`` has run
+        self.schur_plan = None  # the term kernels' Schur plan, built on first use
 
     # -- block stacks ---------------------------------------------------------
 
@@ -402,10 +425,84 @@ class _Compiled:
         z[..., idxt] = vals
         return z.reshape(coords.shape[:-1] + (d, d))
 
+    # -- constraint rows ------------------------------------------------------
+    #
+    # Row s of A is A*(e_s), the adjoint of coordinate s's unit vector, and on
+    # block i it is zero unless a constraint owning s has a term on i.  So each
+    # member of a stack keeps only the rows of the coordinates it meets, and the
+    # three maps below become one contraction per stack over them.
+
+    def _widths(self, members) -> list:
+        """How many coordinates each of these blocks meets."""
+        return [sum(self.slices[c].stop - self.slices[c].start for c in self.meets[i]) for i in members]
+
+    def row_count(self) -> int:
+        """Entries of the rows ``build_rows`` stores: r d^2 per member of a stack
+        of d x d blocks, with r the most coordinates one of its members meets."""
+        return sum(
+            len(members) * max(self._widths(members)) * stack.shape[-1] ** 2
+            for members, stack in zip(self.stack_members, self.objective)
+        )
+
+    def build_rows(self):
+        """Switch ``apply``, ``adjoint`` and ``schur`` from the terms to stored rows.
+
+        Per stack of n blocks of size d, member p keeps A*(e_s) on its block
+        for the r coordinates s it meets, an (n, r, d, d) array, and their
+        indices, (n, r); a member that meets fewer pads with zero rows at
+        index 0.  A constraint's rows are its terms' lifts of its unit
+        coordinates, one batched call per term.
+        """
+        self.rows = []
+        for members, stack in zip(self.stack_members, self.objective):
+            d = stack.shape[-1]
+            width = max(self._widths(members))
+            rmat = np.zeros((len(members), width, d, d), dtype=self.dtype)
+            index = np.zeros((len(members), width), dtype=np.intp)
+            for p, i in enumerate(members):
+                start = 0
+                for c in self.meets[i]:
+                    sl = self.slices[c]
+                    count = sl.stop - sl.start
+                    index[p, start : start + count] = np.arange(sl.start, sl.stop)
+                    units = self._matrix(c, np.eye(count, dtype=self.dtype))
+                    for t in self.constraints[c][1]:
+                        if t.block_idx == i:
+                            rmat[p, start : start + count] += t.lift(units)
+                    start += count
+            conj = np.conj(rmat) if self.dtype.kind == "c" else rmat
+            # entry (j, l) of a member's Gram matrix is entry (index[j], index[l]) of M
+            pairs = index[:, :, None] * self.m + index[:, None, :]
+            self.rows.append((rmat, conj.reshape(len(members), width, d * d), index, pairs.ravel()))
+        # complex data: coordinate mirror[s] is entry (j, i) of the constraint value whose entry (i, j) is s
+        self.mirror = np.arange(self.m)
+        if self.dtype.kind == "c":
+            for d, sl in zip(self.con_dims, self.slices):
+                self.mirror[sl] = sl.start + np.arange(d * d).reshape(d, d).T.ravel()
+
+    def _scatter(self, index, vals, size: int) -> np.ndarray:
+        """The sums of ``vals`` at each of ``size`` indices, as ``np.add.at`` but faster."""
+        out = np.bincount(index, vals.real.ravel(), minlength=size)
+        if self.dtype.kind == "c":
+            out = out + 1j * np.bincount(index, vals.imag.ravel(), minlength=size)
+        return out
+
     # -- linear maps --------------------------------------------------------
 
     def apply(self, stacks) -> np.ndarray:
         """A(X) for X given as block stacks: every constraint's value (Hermitian part) in coordinates."""
+        if self.rows is None:
+            return self._apply_terms(stacks)
+        out = np.zeros(self.m, dtype=self.dtype)
+        for (_, conj, index, _), x in zip(self.rows, stacks):
+            n, d = x.shape[:2]
+            # coordinate s of A(X) is <A*(e_s), X> = sum(conj(A*(e_s)) * X)
+            out += self._scatter(index.ravel(), conj @ x.reshape(n, d * d, 1), self.m)
+        # that is A(X)'s own entry, and the Hermitian part's is the mean with the mirrored
+        # one; for real data A*(e_s) is symmetric, so it already is the Hermitian part's
+        return (out + out[self.mirror].conj()) / 2 if self.dtype.kind == "c" else out
+
+    def _apply_terms(self, stacks) -> np.ndarray:
         vals = []
         for (name, terms), d in zip(self.constraints, self.con_dims):
             val = np.zeros((d, d), dtype=self.dtype)
@@ -418,7 +515,7 @@ class _Compiled:
         return self._coordinates(vals)
 
     def lift(self, mats, lead: tuple = ()) -> list:
-        """A*(Z) as block stacks, for one matrix Z_c per constraint (any dtype).
+        """A*(Z) as block stacks, for one matrix Z_c per constraint (any dtype), from the terms.
 
         The Z_c may carry leading batch axes ``lead``, which then lead the
         stacks: (*lead, n, d, d).
@@ -432,7 +529,14 @@ class _Compiled:
 
     def adjoint(self, y: np.ndarray) -> list:
         """A*(y) as block stacks (Hermitian when y's matrices are); leading axes of y batch."""
-        return self.lift([self._matrix(c, y[..., sl]) for c, sl in enumerate(self.slices)], y.shape[:-1])
+        if self.rows is None:
+            return self.lift([self._matrix(c, y[..., sl]) for c, sl in enumerate(self.slices)], y.shape[:-1])
+        out = []
+        for rmat, _, index, _ in self.rows:
+            n, r, d, _ = rmat.shape
+            # sum_j y[index[j]] A*(e_index[j]) per member: an (r,) by (r, d^2) product
+            out.append((y[..., index][..., None, :] @ rmat.reshape(n, r, d * d)).reshape(y.shape[:-1] + (n, d, d)))
+        return out
 
     def multipliers_from_y(self, y: np.ndarray) -> dict:
         out = {}
@@ -452,9 +556,24 @@ class _Compiled:
 
     # -- Schur complement ---------------------------------------------------
 
+    def schur(self, scalings) -> np.ndarray:
+        """M[r, s] = sum_i tr(A*(e_r)_i^dag W_i A*(e_s)_i W_i) for the NT scalings W (block stacks).
+
+        With rows R_j, each member's (r, r) matrix of <R_j, W R_l W> lands in
+        M at its row indices.  M is Hermitian (real symmetric for real data).
+        """
+        if self.rows is None:
+            return self._schur_terms(scalings)
+        mmat = np.zeros(self.m * self.m, dtype=self.dtype)
+        for (rmat, conj, _, pairs), w in zip(self.rows, scalings):
+            n, r, d, _ = rmat.shape
+            g = (w[:, None] @ rmat @ w[:, None]).reshape(n, r, d * d)
+            mmat += self._scatter(pairs, conj @ g.swapaxes(-1, -2), self.m * self.m)
+        return _hermitian_part(mmat.reshape(self.m, self.m))
+
     def _schur_plan(self) -> list:
         """Per pair of constraints f <= g that share a block: their term pairs on a
-        common block and where the pair's Gram entries land in M (see ``schur``)."""
+        common block and where the pair's Gram entries land in M (see ``_schur_terms``)."""
         plan = []
         ncon = len(self.constraints)
         for f in range(ncon):
@@ -474,8 +593,8 @@ class _Compiled:
                 plan.append((f, g, pairs, rows[0][:, None], rows[1][:, None], cols, wt_f[:, None], wt_g / 2))
         return plan
 
-    def schur(self, scalings) -> np.ndarray:
-        """M[r, s] = sum_i tr(A*(e_r)_i^dag W_i A*(e_s)_i W_i) for the NT scalings W (block stacks).
+    def _schur_terms(self, scalings) -> np.ndarray:
+        """``schur`` from the terms.
 
         Over matrix entries, a term pair with P = K1 W K2^dag (image indices
         split as (kept, traced)) gives T[(i, j), (k, l)] = c1 c2 sum_{a, b}
@@ -483,9 +602,10 @@ class _Compiled:
         P's rows regrouped as (i, k) x (a, b).  A coordinate pair reads T at its
         entries, M[r, s] = wt_r wt_s (T[idx_r, idx_s] + T[idxt_r, idx_s]) / 2,
         which is T itself for complex data (idxt = idx); for real data T is
-        unchanged by swapping i<->j and k<->l together.  M is Hermitian (real
-        symmetric for real data).
+        unchanged by swapping i<->j and k<->l together.
         """
+        if self.schur_plan is None:
+            self.schur_plan = self._schur_plan()
         mmat = np.zeros((self.m, self.m), dtype=self.dtype)
         for f, g, pairs, rows0, rows1, cols, wt_rows, half_wt_cols in self.schur_plan:
             df, dg = self.con_dims[f], self.con_dims[g]
@@ -571,7 +691,7 @@ def _nt_scaling(lx: np.ndarray, s: np.ndarray):
 
     Returns (W, S^-1, H) with H = lam^-1/2 V^dag L^dag: W = L V lam^-1/2
     V^dag L^dag > 0 has W S W = X, S^-1 = H^dag H, and H S H^dag = 1, so S's
-    step length is ``_max_step(H, dS)``.  S itself is never factored.
+    step length is read from H dS H^dag (``_max_steps``).  S itself is never factored.
     """
     mid = _hermitian_part(_ct(lx) @ s @ lx)
     evals, vecs = np.linalg.eigh(mid)
@@ -581,18 +701,29 @@ def _nt_scaling(lx: np.ndarray, s: np.ndarray):
     return _hermitian_part(w), hdag @ _ct(hdag), _ct(hdag)
 
 
-def _max_step(h: np.ndarray, dx: np.ndarray) -> float:
-    """Largest t with X + t dX >= 0 for every member; ``h`` is any H with
-    H X H^dag = 1, such as the inverse of X's Cholesky factor.
+def _max_steps(hx, dx, hs, ds):
+    """Largest t_X with X + t dX >= 0 and largest t_S with S + t dS >= 0, in
+    every member of every stack, as (t_X, t_S): inf where no bound applies.
 
-    X + t dX = H^-1 (1 + t H dX H^dag) H^-dag, so t is set by the least
-    eigenvalue of H dX H^dag over the stack.
+    ``hx`` and ``hs`` are stacks of any H with H X H^dag = 1 (H S H^dag = 1),
+    such as the inverse of X's Cholesky factor.  X + t dX = H^-1 (1 + t H dX
+    H^dag) H^-dag, so t is set by the least eigenvalue of H dX H^dag.  Both
+    products of a stack share one ``eigvalsh``, and each member's eigenvalues
+    are those of a call on it alone.  None when a product or an eigenvalue
+    is not finite: when a direction is, and also when H and dX are finite
+    but H dX H^dag overflows.
     """
-    g = h @ dx @ _ct(h)
-    lam = float(np.linalg.eigvalsh(_hermitian_part(g))[:, 0].min())
-    if lam >= -1e-14:
-        return np.inf
-    return -1.0 / lam
+    lam_x = lam_s = np.inf
+    for hxk, dxk, hsk, dsk in zip(hx, dx, hs, ds):
+        g = _hermitian_part(np.concatenate([hxk @ dxk @ _ct(hxk), hsk @ dsk @ _ct(hsk)]))
+        if not np.isfinite(g).all():
+            return None
+        lam = np.linalg.eigvalsh(g)[:, 0]
+        if not np.isfinite(lam).all():
+            return None
+        lam_x = min(lam_x, float(lam[: len(dxk)].min()))
+        lam_s = min(lam_s, float(lam[len(dxk) :].min()))
+    return tuple(np.inf if lam >= -1e-14 else -1.0 / lam for lam in (lam_x, lam_s))
 
 
 def _residuals(rp, rd, pobj, dobj, b_scale, c_scale):
@@ -616,7 +747,11 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
     search direction, r0 + sigma mu r1; the predictor takes sigma mu = 0.
     Every per-block quantity is a list of block stacks, one (n, d, d) array
     per block size, so each kernel runs once per block size; mu and the
-    objective still sum block by block in block order.
+    objective still sum block by block in block order.  A, A* and M run on
+    the constraint rows (``_Compiled.build_rows``) when their entry count,
+    a property of the problem, is at most ``ROW_BUDGET``, and on the terms
+    otherwise; the two sum in different orders, so their iterates agree to
+    rounding, not bit for bit.
 
     status is "converged" when primal/dual feasibility reaches ``FEAS_TOL``
     and the relative duality gap reaches ``tol``, and the iterate returned is
@@ -631,11 +766,15 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
     - "non-finite-schur": the Schur matrix has a NaN or infinite entry;
     - "schur-singular": the Schur matrix, its diagonal shifted by 1e-13
       times its mean (at least 1), is exactly singular to LU;
-    - "non-finite-direction": a search direction has a NaN or infinite entry;
+    - "non-finite-direction": a search direction has a NaN or infinite entry,
+      or its scaled form H dX H^dag in the step-length test does (finite H
+      and dX whose product overflows);
     - "mu-blowup": the complementarity measure mu is not finite or exceeds
       1e14 times its starting value.
     """
     comp = _Compiled(problem)
+    if comp.row_count() <= ROW_BUDGET:
+        comp.build_rows()
     dims = comp.block_dims
     ntot = sum(dims)
     slots = comp.slots
@@ -725,11 +864,11 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
             dx1 = [_hermitian_part(sk - wk @ d @ wk) for sk, wk, d in zip(sinv, w, ds1)]
 
             # predictor (affine scaling, sigma mu = 0) fixes the centering weight
-            if not all(np.isfinite(d).all() for d in dx0 + ds0):
+            steps = _max_steps(lxinv, dx0, hs, ds0)
+            if steps is None:  # a non-finite direction, or one whose scaled form overflows
                 status = "non-finite-direction"
                 break
-            ap = min(1.0, min((_max_step(h, d) for h, d in zip(lxinv, dx0)), default=1.0))
-            ad = min(1.0, min((_max_step(h, d) for h, d in zip(hs, ds0)), default=1.0))
+            ap, ad = (min(1.0, t) for t in steps)
             mu_aff = _block_vdot(
                 slots, [xk + ap * d for xk, d in zip(x, dx0)], [sk + ad * d for sk, d in zip(s, ds0)]
             ) / ntot
@@ -738,11 +877,11 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
             dy = dys[0] + sigma_mu * dys[1]
             dx = [d0 + sigma_mu * d1 for d0, d1 in zip(dx0, dx1)]
             ds = [d0 + sigma_mu * d1 for d0, d1 in zip(ds0, ds1)]
-            if not all(np.isfinite(d).all() for d in dx + ds):
+            steps = _max_steps(lxinv, dx, hs, ds)
+            if steps is None:
                 status = "non-finite-direction"
                 break
-            ap = min(1.0, 0.98 * min((_max_step(h, d) for h, d in zip(lxinv, dx)), default=1.0))
-            ad = min(1.0, 0.98 * min((_max_step(h, d) for h, d in zip(hs, ds)), default=1.0))
+            ap, ad = (min(1.0, 0.98 * t) for t in steps)
 
             x = [_hermitian_part(xk + ap * d) for xk, d in zip(x, dx)]
             s = [_hermitian_part(sk + ad * d) for sk, d in zip(s, ds)]
@@ -772,9 +911,14 @@ def verify_dual(problem: SdpProblem, multipliers: dict, tol: float = CERT_TOL) -
 
     ``multipliers`` holds one Hermitian matrix or scalar per constraint name.
     Reports the minimum eigenvalue per block and the bound b.y, which
-    upper-bounds every feasible primal value by weak duality.
+    upper-bounds every feasible primal value by weak duality.  The check
+    reads the terms alone: it builds no constraint rows.
     """
-    comp = _Compiled(problem)
+    return _verify(_Compiled(problem), multipliers, tol)
+
+
+def _verify(comp: _Compiled, multipliers: dict, tol: float = CERT_TOL) -> DualReport:
+    """``verify_dual`` on a compiled problem, for a caller that checks several multiplier sets."""
     mults = comp.multiplier_matrices(multipliers)
     lams = [np.linalg.eigvalsh(_hermitian_part(a - c))[:, 0] for a, c in zip(comp.lift(mults), comp.objective)]
     lambda_min = {name: float(lams[k][p]) for name, (k, p) in zip(comp.block_names, comp.slots)}

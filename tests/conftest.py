@@ -135,6 +135,19 @@ def dense_rows(comp) -> np.ndarray:
     return rows
 
 
+def overflowing_h(monkeypatch):
+    """Scale the H that ``_nt_scaling`` returns by 1e300; W and S^-1 stay as they are."""
+    from qcoinflip import sdp
+
+    real_scaling = sdp._nt_scaling
+
+    def scaled(lx, s):
+        w, sinv, h = real_scaling(lx, s)
+        return w, sinv, 1e300 * h
+
+    monkeypatch.setattr(sdp, "_nt_scaling", scaled)
+
+
 def merge_cheaters(protocol: KPartyProtocol, honest: int) -> KPartyProtocol:
     """Oracle of the coalition view: fuse every party but ``honest`` into one.
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import two_party_dict
+from conftest import overflowing_h, two_party_dict
 from qcoinflip.cli import main
 from qcoinflip.protocols import (
     alice_announces,
@@ -487,6 +487,13 @@ class TestSolverFailureExitCode:
         assert code == 3
         assert "converge" in err
 
+    def test_overflowing_step_exits_3_with_its_status(self, capsys, monkeypatch):
+        overflowing_h(monkeypatch)
+        code, out, err = run_cli(capsys, "penalty", "--v", "16")
+        assert code == 3
+        assert out == ""
+        assert "status non-finite-direction" in err
+
     @pytest.mark.parametrize("kind", ["two-party", "k-party"])
     def test_lowerbound_nonconverged_cheat_sdp_exits_3(self, capsys, monkeypatch, tmp_path, kind):
         import qcoinflip.lowerbound as lowerbound
@@ -504,7 +511,7 @@ class TestSolverFailureExitCode:
     def test_lowerbound_stalled_cheat_sdp_names_the_stall(self, capsys, monkeypatch, tmp_path):
         import qcoinflip.sdp as sdp
 
-        monkeypatch.setattr(sdp, "_max_step", lambda l, dx: 0.0)  # no step ever moves the iterate
+        monkeypatch.setattr(sdp, "_max_steps", lambda *args: (0.0, 0.0))  # no step ever moves the iterate
         path = tmp_path / "protocol.json"
         save_protocol(alice_announces(), path)
         code, out, err = run_cli(capsys, "lowerbound", str(path))

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import dense_rows, random_hermitian, random_unitary
+from conftest import dense_rows, overflowing_h, random_hermitian, random_unitary
 from qcoinflip.sdp import (
     FEAS_TOL,
     Constraint,
@@ -111,9 +111,101 @@ def _random_multiplier_coords(comp, rng):
 
 
 DATA = pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def compiled(problem, rows):
+    """The compiled problem, on the row kernels when ``rows``, else on the term kernels."""
+    comp = _Compiled(problem)
+    if rows:
+        comp.build_rows()
+    return comp
 
 
-class TestCompiled:
+def block_vector(stacks, comp):
+    """The blocks' row-major entries concatenated, as ``dense_rows`` reads them."""
+    return np.concatenate([x.ravel() for x in comp.unstacked(stacks)])
+
+
+class KernelMaps:
+    """A, A* and the Schur matrix against oracles; ``rows`` picks the kernels.
+
+    ``TestCompiled`` runs these on the term kernels, ``TestRowKernels`` on
+    the stored constraint rows ``solve`` uses.
+    """
+
+    rows = False
+
+    @DATA
+    def test_apply_adjoint_duality(self, rng, real):
+        comp = compiled(random_structured_problem(rng, real=real), self.rows)
+        xs = [_random_psd(d, rng, real=real) for d in comp.block_dims]
+        y = _random_multiplier_coords(comp, rng)
+        lhs = np.vdot(y, comp.apply(comp.stacked(xs))).real
+        adj = comp.unstacked(comp.adjoint(y))
+        rhs = sum(np.real(np.trace(xs[i] @ adj[i])) for i in range(comp.nblocks))
+        assert abs(lhs - rhs) < 1e-9
+        # the explicit oracle matrix renders the same maps
+        oracle = dense_rows(comp)
+        assert oracle.dtype == comp.dtype
+        np.testing.assert_allclose(
+            oracle @ np.concatenate([x.ravel() for x in xs]), comp.apply(comp.stacked(xs)), atol=1e-9
+        )
+        ys = np.stack([y, _random_multiplier_coords(comp, rng)])
+        adjs = comp.adjoint(ys)  # a leading axis batches
+        for k in range(2):
+            np.testing.assert_allclose(block_vector([a[k] for a in adjs], comp), oracle.conj().T @ ys[k], atol=1e-12)
+        # a non-Hermitian argument (as W rd W - X is, to rounding) gives its Hermitian part's coordinates
+        skew = comp.stacked([_random_matrix(d, rng, real) for d in comp.block_dims])
+        herm = [(x + x.conj().swapaxes(-1, -2)) / 2 for x in skew]
+        np.testing.assert_allclose(comp.apply(skew), oracle @ block_vector(herm, comp), atol=1e-12)
+        np.testing.assert_allclose(comp.apply(skew), comp.apply(herm), atol=1e-12)
+
+    @DATA
+    @pytest.mark.parametrize("push", [0.0, 0.3], ids=["consistent", "pushed"])
+    def test_inconsistency_matches_least_squares(self, rng, real, push):
+        # a copy of the marginal constraint makes A rank-deficient; moving the
+        # copy's right-hand side pushes b out of A's range
+        prob = random_structured_problem(rng, real=real)
+        marginal = prob.constraints[0]
+        copy = Constraint("copy", marginal.terms, marginal.rhs + push * _random_hermitian(3, rng, real))
+        prob = SdpProblem(prob.blocks, prob.objective, prob.constraints + (copy,))
+        comp = compiled(prob, self.rows)
+        oracle_rows = dense_rows(comp)
+        sol, *_ = np.linalg.lstsq(oracle_rows, comp.b, rcond=None)
+        oracle = np.linalg.norm(oracle_rows @ sol - comp.b)
+        assert abs(comp.inconsistency() - oracle) <= 1e-10 * (1.0 + np.linalg.norm(comp.b))
+        if push:
+            assert oracle > 0.1
+            result = solve(prob)
+            assert result.status == "infeasible" and result.iterations == 0
+            assert abs(result.residuals["constraint_inconsistency"] - oracle) <= 1e-10
+        else:
+            assert oracle <= 1e-10 * (1.0 + np.linalg.norm(comp.b))
+            assert solve(prob).status != "infeasible"
+
+    @DATA
+    def test_schur_matches_brute_force(self, rng, real):
+        comp = compiled(random_structured_problem(rng, real=real), self.rows)
+        scalings = [_random_psd(d, rng, real=real) for d in comp.block_dims]
+        fast = comp.schur(comp.stacked(scalings))
+        assert fast.dtype == comp.dtype
+        # row r of the oracle is conj(vec(A*(e_r))), block after block
+        offsets = np.cumsum([0] + [d * d for d in comp.block_dims])
+        oracle = dense_rows(comp)
+        mats = [
+            [oracle[r, offsets[i] : offsets[i + 1]].conj().reshape(d, d) for i, d in enumerate(comp.block_dims)]
+            for r in range(comp.m)
+        ]
+        slow = np.zeros((comp.m, comp.m), dtype=complex)
+        for r in range(comp.m):
+            for s in range(comp.m):
+                slow[r, s] = sum(
+                    np.trace(mats[r][i].conj().T @ scalings[i] @ mats[s][i] @ scalings[i])
+                    for i in range(comp.nblocks)
+                )
+        np.testing.assert_allclose(fast, slow, atol=1e-8)
+        np.testing.assert_allclose(fast, fast.conj().T, atol=1e-14 * np.abs(fast).max())
+
+
+class TestCompiled(KernelMaps):
     @pytest.mark.parametrize(
         "term, message",
         [
@@ -181,61 +273,81 @@ class TestCompiled:
             skew = y_from_multipliers(comp, {**mults, "marginal": mults["marginal"] + 1j * np.eye(3)})
             np.testing.assert_allclose(comp.multipliers_from_y(skew)["marginal"], mults["marginal"], atol=1e-14)
 
-    @DATA
-    def test_apply_adjoint_duality(self, rng, real):
-        comp = _Compiled(random_structured_problem(rng, real=real))
-        xs = [_random_psd(d, rng, real=real) for d in comp.block_dims]
-        y = _random_multiplier_coords(comp, rng)
-        lhs = np.vdot(y, comp.apply(comp.stacked(xs))).real
-        adj = comp.unstacked(comp.adjoint(y))
-        rhs = sum(np.real(np.trace(xs[i] @ adj[i])) for i in range(comp.nblocks))
-        assert abs(lhs - rhs) < 1e-9
-        # the explicit oracle matrix renders the same map
-        rows = dense_rows(comp)
-        assert rows.dtype == comp.dtype
-        np.testing.assert_allclose(
-            rows @ np.concatenate([x.ravel() for x in xs]), comp.apply(comp.stacked(xs)), atol=1e-9
+class TestRowKernels(KernelMaps):
+    """``solve`` runs on stored constraint rows when they fit ``ROW_BUDGET``, else on the terms."""
+
+    rows = True
+
+    def test_rows_pad_members_that_meet_fewer_coordinates(self, rng):
+        # P meets the 3 x 3 marginal and the 2 x 2 sandwich (9 + 4 coordinates), Q the
+        # marginal and the norm (9 + 1); both are alone in their stacks, so nothing pads
+        comp = compiled(random_structured_problem(rng), True)
+        assert [rmat.shape for rmat, *_ in comp.rows] == [(1, 13, 6, 6), (1, 10, 3, 3)]
+        assert comp.row_count() == 13 * 36 + 10 * 9
+        # two blocks of one size, one meeting a 1-coordinate constraint, one a 4-coordinate one
+        problem = SdpProblem(
+            blocks=(("a", 2), ("b", 2)),
+            objective={"a": np.eye(2), "b": np.eye(2)},
+            constraints=(
+                Constraint("trace", (LinearTerm("a", kept=1),), np.array([[1.0]])),
+                Constraint("pin", (LinearTerm("b"),), np.eye(2) / 2),
+            ),
         )
+        comp = compiled(problem, True)
+        ((rmat, _, index, _),) = comp.rows
+        assert rmat.shape == (2, 3, 2, 2) and comp.row_count() == 2 * 3 * 4
+        np.testing.assert_array_equal(index, [[0, 0, 0], [1, 2, 3]])
+        assert not rmat[0, 1:].any()  # a's padding
+        sol = solve(problem)
+        assert sol.status == "converged" and abs(sol.primal_value - 2.0) < 1e-7
 
-    @DATA
-    @pytest.mark.parametrize("push", [0.0, 0.3], ids=["consistent", "pushed"])
-    def test_inconsistency_matches_least_squares(self, rng, real, push):
-        # a copy of the marginal constraint makes A rank-deficient; moving the
-        # copy's right-hand side pushes b out of A's range
-        prob = random_structured_problem(rng, real=real)
-        marginal = prob.constraints[0]
-        copy = Constraint("copy", marginal.terms, marginal.rhs + push * _random_hermitian(3, rng, real))
-        prob = SdpProblem(prob.blocks, prob.objective, prob.constraints + (copy,))
-        comp = _Compiled(prob)
-        rows = dense_rows(comp)
-        sol, *_ = np.linalg.lstsq(rows, comp.b, rcond=None)
-        oracle = np.linalg.norm(rows @ sol - comp.b)
-        assert abs(comp.inconsistency() - oracle) <= 1e-10 * (1.0 + np.linalg.norm(comp.b))
-        if push:
-            assert oracle > 0.1
-            result = solve(prob)
-            assert result.status == "infeasible" and result.iterations == 0
-            assert abs(result.residuals["constraint_inconsistency"] - oracle) <= 1e-10
+    @pytest.mark.parametrize("which", ["structured-complex", "structured-real", "penalty-v16", "compact4-bob"])
+    def test_both_kernel_paths_solve_alike(self, rng, monkeypatch, which):
+        from qcoinflip import sdp
+        from qcoinflip.lowerbound import cheat_sdp
+        from qcoinflip.penalty import PenaltyGame, alice_attack_sdp
+        from qcoinflip.protocols import penalty_protocol_compact4
+
+        if which.startswith("structured"):
+            prob = random_structured_problem(rng, real=which.endswith("real"))
+            prob = SdpProblem(prob.blocks, {k: c / 40 for k, c in prob.objective.items()}, prob.constraints)
+        elif which == "penalty-v16":
+            prob = alice_attack_sdp(PenaltyGame(16))
         else:
-            assert oracle <= 1e-10 * (1.0 + np.linalg.norm(comp.b))
-            assert solve(prob).status != "infeasible"
+            prob = cheat_sdp(penalty_protocol_compact4(), 1, 1)
+        built = []
+        real_build = _Compiled.build_rows
 
-    @DATA
-    def test_schur_matches_brute_force(self, rng, real):
-        comp = _Compiled(random_structured_problem(rng, real=real))
-        scalings = [_random_psd(d, rng, real=real) for d in comp.block_dims]
-        fast = comp.schur(comp.stacked(scalings))
-        assert fast.dtype == comp.dtype
-        mats = [comp.unstacked(comp.adjoint(e)) for e in np.eye(comp.m, dtype=comp.dtype)]
-        slow = np.zeros((comp.m, comp.m), dtype=complex)
-        for r in range(comp.m):
-            for s in range(comp.m):
-                slow[r, s] = sum(
-                    np.trace(mats[r][i].conj().T @ scalings[i] @ mats[s][i] @ scalings[i])
-                    for i in range(comp.nblocks)
-                )
-        np.testing.assert_allclose(fast, slow, atol=1e-8)
-        np.testing.assert_allclose(fast, fast.conj().T, atol=1e-14 * np.abs(fast).max())
+        def counting_build(self):
+            built.append(self.row_count())
+            real_build(self)
+
+        monkeypatch.setattr(_Compiled, "build_rows", counting_build)
+        on_rows = solve(prob)
+        assert built == [_Compiled(prob).row_count()]
+        monkeypatch.setattr(sdp, "ROW_BUDGET", built[0] - 1)
+        on_terms = solve(prob)
+        assert len(built) == 1  # over the budget: no rows, the term kernels
+        assert on_rows.status == on_terms.status == "converged"
+        assert abs(on_rows.iterations - on_terms.iterations) <= 1
+        assert abs(on_rows.primal_value - on_terms.primal_value) < 1e-7
+        assert abs(on_rows.dual_value - on_terms.dual_value) < 1e-7
+
+    def test_rows_are_built_by_solve_alone(self, monkeypatch):
+        from qcoinflip import sdp
+        from qcoinflip.lowerbound import cheat_sdp
+        from qcoinflip.penalty import PenaltyGame, alice_attack_sdp, dual_certificate
+        from qcoinflip.protocols import penalty_protocol
+
+        monkeypatch.setattr(_Compiled, "build_rows", lambda self: pytest.fail("rows built outside solve"))
+        game = PenaltyGame(16)
+        comp = _Compiled(alice_attack_sdp(game))
+        assert comp.rows is None and comp.schur_plan is None
+        assert verify_dual(alice_attack_sdp(game), dual_certificate(game)).feasible
+        # the unsplit cheat SDP, which verify_dual checks every chain on, is far over the budget
+        problem = cheat_sdp(penalty_protocol(16), 1, 1)
+        assert _Compiled(problem).row_count() > 30 * sdp.ROW_BUDGET
+        assert not verify_dual(problem, {con.name: np.zeros_like(con.rhs) for con in problem.constraints}).feasible
 
 
 class TestSolve:
@@ -378,11 +490,12 @@ class TestSolve:
         from qcoinflip import sdp
         from qcoinflip.penalty import PenaltyGame, alice_attack_sdp
 
-        calls, inverses, schur_solves, eighs = [], [], [], []
+        calls, inverses, schur_solves, eighs, eigvalshs = [], [], [], [], []
         real_chol = sdp._chol
         real_inv = np.linalg.inv
         real_solve = np.linalg.solve
         real_eigh = np.linalg.eigh
+        real_eigvalsh = np.linalg.eigvalsh
 
         def counting_chol(mat):
             calls.append(mat.shape)
@@ -400,13 +513,18 @@ class TestSolve:
             eighs.append(mat.shape)
             return real_eigh(mat, *args, **kwargs)
 
+        def counting_eigvalsh(mat, *args, **kwargs):
+            eigvalshs.append(mat.shape)
+            return real_eigvalsh(mat, *args, **kwargs)
+
         monkeypatch.setattr(sdp, "_chol", counting_chol)
         monkeypatch.setattr(np.linalg, "inv", counting_inv)
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         # blocks of sizes 6 and 3, then one of size 3 and four of size 9
         for prob in (random_structured_problem(rng), alice_attack_sdp(PenaltyGame(16))):
-            for counts in (calls, inverses, schur_solves, eighs):
+            for counts in (calls, inverses, schur_solves, eighs, eigvalshs):
                 counts.clear()
             sol = solve(prob)
             assert sol.status == "converged"
@@ -425,6 +543,10 @@ class TestSolve:
             assert schur_solves == [(_Compiled(prob).m, 2)] * iterates
             # one eigendecomposition per stack per step (NT scaling), after the pre-check's one
             assert eighs[1:] == stacks * iterates
+            # the predictor's and the corrector's step lengths: one eigvalsh per stack each, on
+            # X's and S's scaled directions stacked together
+            both = [(2 * n, d, d) for n, _, d in stacks]
+            assert eigvalshs == both * 2 * iterates
 
     def test_no_constraints_solves_without_warnings(self):
         # m = 0: there is no Schur system, and no jitter from the mean of its empty diagonal
@@ -460,8 +582,15 @@ def _nt_scaling_one(lx, s):
     return (w + w.conj().T) / 2, hdag @ hdag.conj().T, hdag.conj().T
 
 
+def _s_step(h, ds):
+    """``_max_steps``'s step for S alone: the stack (H, dS) as S's, with X not moving."""
+    from qcoinflip.sdp import _max_steps
+
+    return _max_steps([h], [np.zeros_like(ds)], [h], [ds])[1]
+
+
 def _max_step_one(h, dx):
-    """Reference: ``_max_step`` for one matrix, with 2-d numpy calls."""
+    """Reference: ``_max_steps`` for one matrix, with 2-d numpy calls."""
     g = h @ dx @ h.conj().T
     lam = float(np.linalg.eigvalsh((g + g.conj().T) / 2)[0])
     return np.inf if lam >= -1e-14 else -1.0 / lam
@@ -500,7 +629,7 @@ class TestNtScaling:
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("d", range(1, 7))
     def test_scaling_inverse_and_step_against_a_cholesky_of_s(self, rng, d, real):
-        from qcoinflip.sdp import _chol, _max_step, _nt_scaling
+        from qcoinflip.sdp import _chol, _nt_scaling
 
         x = _mixed_stack(d, rng, real)
         s = np.stack([_random_psd(d, rng, real=real) for _ in x])
@@ -516,9 +645,9 @@ class TestNtScaling:
             g = ls_inv @ ds[i] @ ls_inv.conj().T
             lam = np.linalg.eigvalsh((g + g.conj().T) / 2)[0]
             oracle = -1.0 / lam if lam < -1e-14 else np.inf
-            assert _max_step(h[i : i + 1], ds[i : i + 1]) == pytest.approx(oracle, rel=tol)
+            assert _s_step(h[i : i + 1], ds[i : i + 1]) == pytest.approx(oracle, rel=tol)
         # a stack's step is its most constrained member's
-        assert _max_step(h, ds) == min(_max_step(h[i : i + 1], ds[i : i + 1]) for i in range(len(x)))
+        assert _s_step(h, ds) == min(_s_step(h[i : i + 1], ds[i : i + 1]) for i in range(len(x)))
 
 
 class TestStackedKernels:
@@ -527,7 +656,7 @@ class TestStackedKernels:
     @DATA
     @pytest.mark.parametrize("d", [1, 3, 9])
     def test_nt_scaling_and_step_match_per_matrix_calls(self, rng, d, real):
-        from qcoinflip.sdp import _chol, _max_step, _nt_scaling
+        from qcoinflip.sdp import _chol, _max_steps, _nt_scaling
 
         x = _mixed_stack(d, rng, real)
         s = _mixed_stack(d, rng, real)[::-1].copy()
@@ -536,11 +665,37 @@ class TestStackedKernels:
         for i in range(len(x)):
             for got, want in zip(stacked, _nt_scaling_one(lx[i], s[i])):
                 assert np.array_equal(got[i], want)
-        lxinv = np.linalg.inv(lx)
-        for h in (lxinv, stacked[2]):
-            for _ in range(3):
-                dx = np.stack([_random_hermitian(d, rng, real) for _ in x])
-                assert _max_step(h, dx) == min(_max_step_one(h[i], dx[i]) for i in range(len(x)))
+        lxinv, hs = np.linalg.inv(lx), stacked[2]
+        # X's and S's steps share one eigvalsh, and a second stack, of another size, joins the minima
+        x2 = _mixed_stack(d + 1, rng, real)
+        hx2 = np.linalg.inv(_chol(x2))
+        for _ in range(3):
+            dx, ds = (np.stack([_random_hermitian(d, rng, real) for _ in x]) for _ in range(2))
+            dx2 = np.stack([_random_hermitian(d + 1, rng, real) for _ in x2])
+            steps = _max_steps([lxinv, hx2], [dx, dx2], [hs, hx2], [ds, -dx2])
+            pairs_x = [(lxinv[i], dx[i]) for i in range(len(x))] + [(hx2[i], dx2[i]) for i in range(len(x2))]
+            pairs_s = [(hs[i], ds[i]) for i in range(len(x))] + [(hx2[i], -dx2[i]) for i in range(len(x2))]
+            assert steps == tuple(min(_max_step_one(h, dm) for h, dm in pairs) for pairs in (pairs_x, pairs_s))
+
+    @DATA
+    def test_max_steps_refuses_a_product_that_overflows(self, rng, real):
+        # H and dX are finite, H dX H^dag is not: 1e200 * 1e200 overflows to inf (or, summed
+        # with -inf, NaN), on which eigvalsh raises or returns NaN
+        from qcoinflip.sdp import _max_steps
+
+        dtype = np.float64 if real else complex
+        big = 1e200 * np.stack([np.eye(2), [[1.0, 1.0], [1.0, -1.0]]]).astype(dtype)
+        dx = np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = big @ dx @ big.conj().swapaxes(-1, -2)
+        assert not np.isfinite(products[0]).all() and not np.isfinite(products[1]).all()
+        fine = np.stack([np.eye(2, dtype=dtype)] * 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for member in (0, 1):
+                assert _max_steps([big[member : member + 1]], [dx[:1]], [fine], [dx]) is None
+                assert _max_steps([fine], [dx], [big[member : member + 1]], [dx[member : member + 1]]) is None
+        # the same stacks at a finite scale bound both steps
+        assert _max_steps([fine], [-dx], [fine], [dx]) == (1.0, 1.0)
 
     @DATA
     @pytest.mark.parametrize(
@@ -578,7 +733,7 @@ class TestStopReasons:
     def test_stall(self, monkeypatch):
         from qcoinflip import sdp
 
-        monkeypatch.setattr(sdp, "_max_step", lambda l, dx: 0.0)  # no step ever moves the iterate
+        monkeypatch.setattr(sdp, "_max_steps", lambda *args: (0.0, 0.0))  # no step ever moves the iterate
         sol = solve(trivial_problem(0.5))
         assert sol.status == "stall"
         assert sol.iterations == 62
@@ -610,6 +765,14 @@ class TestStopReasons:
 
         monkeypatch.setattr(sdp, "_nt_scaling", overflowing)
         assert solve(trivial_problem(0.5)).status == "non-finite-direction"
+
+    def test_overflowing_step_product(self, monkeypatch):
+        # a finite H with H dS H^dag past float64: the step length has no finite eigenvalue
+        # to read, and the loop stops there instead of raising from eigvalsh or stepping by NaN
+        overflowing_h(monkeypatch)
+        sol = solve(trivial_problem(0.5))
+        assert sol.status == "non-finite-direction"
+        assert sol.iterations == 1
 
     def test_mu_blowup(self, monkeypatch):
         # a huge finite multiplier step: S jumps by 1e30 while X shrinks but stays positive
