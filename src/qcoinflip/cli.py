@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -229,12 +230,12 @@ def _product_fields(protocol) -> dict:
     """
     if protocol.k == 2:
         check = cheat_product_check(protocol, 1)
-        bob_honest, alice_honest = check.cheats
+        alice_honest, bob_honest = check.cheats  # party 0 honest, party 1 honest
         return {
-            "p_alice_forces_1": alice_honest.probability,
-            "p_alice_forces_1_bound": alice_honest.bound,
-            "p_bob_forces_1": bob_honest.probability,
-            "p_bob_forces_1_bound": bob_honest.bound,
+            "p_alice_forces_1": bob_honest.probability,
+            "p_alice_forces_1_bound": bob_honest.bound,
+            "p_bob_forces_1": alice_honest.probability,
+            "p_bob_forces_1_bound": alice_honest.bound,
             "product": check.product,
             "product_check_passed": check.passed,
             "balanced_max_ok": check.balanced_max_ok,
@@ -345,7 +346,9 @@ def cmd_broadcast(args, out) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: every ``main`` call parses with it."""
     parser = argparse.ArgumentParser(prog="qcoinflip", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)

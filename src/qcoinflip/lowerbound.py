@@ -16,19 +16,20 @@ where K_{j+1} = (W_{j+1} (x) 1)^dag U_{j+1} (W_j (x) 1) is the compressed
 unitary of i's turn j + 1.  These are exactly the dual constraints of
 ``cheat_sdp``, so ``verify_dual`` checks a chain, and its value Z_0 bounds
 the forcing probability from above; ``optimal_cheat`` returns the value
-and the chain from one solve.  On the larger SDPs that solve runs on
-the symmetry sectors: products of clock operators that pass through the
-honest unitaries (``phase_symmetries``) make the optimum block-diagonal,
-so each block splits into small pieces and each round's constraint by
-private sector.  The sector multipliers map back to a chain on the S_j, which is
-repaired and checked on the unsplit ``cheat_sdp``; no chain is ever
-checked on its sectors alone.  With each party's chain lifted to
-W_j Z_j W_j^dag, and c_i(r) party i's turns among the first r, the scalar
-sequence F_r = <psi_r| (x)_i Z_{i,c_i(r)} (x) 1 |psi_r> over the turn
-boundaries r = 0..T of the honest run interpolates monotonically from the
-product of the k chain values down to the honest outcome probability: each
-turn is one party's unitary, so that party's step inequality, with the
-other factors (PSD, on other spaces) held fixed, gives F_{r+1} <= F_r.
+and the chain from one solve.  That solve always runs on the symmetry
+sectors: products of clock operators that pass through the honest
+unitaries (``phase_symmetries``) make the optimum block-diagonal, so each
+block splits into small pieces and each round's constraint by private
+sector (a protocol without symmetry keeps its problem).  The sector
+multipliers map back to a chain on the S_j, which is repaired and checked
+on the unsplit ``cheat_sdp``; no chain is ever checked on its sectors
+alone.  With each party's chain lifted to W_j Z_j W_j^dag, and c_i(r)
+party i's turns among the first r, the scalar sequence
+F_r = <psi_r| (x)_i Z_{i,c_i(r)} (x) 1 |psi_r> over the turn boundaries
+r = 0..T of the honest run interpolates monotonically from the product of
+the k chain values down to the honest outcome probability: each turn is
+one party's unitary, so that party's step inequality, with the other
+factors (PSD, on other spaces) held fixed, gives F_{r+1} <= F_r.
 Hence prod_i p_i >= p_outcome for every k and every turn order, the
 two-party bias bound p_0 * p_1 >= p_outcome at k = 2.  ``cheat_product_check``
 checks it on the solver's values, so some player can be forced with
@@ -52,7 +53,6 @@ from .sdp import (
     _Compiled,
     _verify,
     expand_multipliers,
-    iterate_flops,
     restrict,
     solve,
     verify_dual,
@@ -61,13 +61,6 @@ from .sdp import (
 SUPPORT_TOL = 1e-10  # relative singular-value cut of a reachable support
 SYMMETRY_TOL = 1e-12  # entries of a unitary or projector below this are zeros to the symmetry search
 PRODUCT_SLACK = 1e-5  # solver accuracy allowed in the product checks
-# one constraint term's numpy calls cost a solve iterate about 80 us, as much as
-# this much of its dense arithmetic (about 5 Gflop/s on one core).  Measured on the
-# term kernels, from whole-versus-split iterate times on compact4 and alice_announces
-# (one BLAS thread, 2-core x86).  ``solve`` now runs every cheat SDP this gate sends it
-# from the library's protocols, split or whole, on constraint rows, where a term has no
-# call of its own, so the price no longer describes the iterate it gates
-TERM_FLOPS = 4e5
 
 
 @dataclass(frozen=True)
@@ -253,6 +246,14 @@ def phase_symmetries(protocol: KPartyProtocol, honest: int, target: int) -> Phas
     return PhaseGroup(modulus=modulus, rounds=tuple(reversed(kept)))
 
 
+def _row_labels(rows: np.ndarray) -> np.ndarray:
+    """Each row's index among the distinct rows of non-negative integers, in lexicographic
+    order, as ``np.unique(rows, axis=0, return_inverse=True)`` gives it: big-endian rows
+    compare as bytes in that order, and so sort as one opaque item each."""
+    rows = np.ascontiguousarray(rows, dtype=">i8")
+    return np.unique(rows.view(f"V{rows.shape[1] * 8}").ravel(), return_inverse=True)[1]
+
+
 def _sector_isometries(support: np.ndarray, d_msg: int, exps: np.ndarray):
     """The private sectors V_a of S_j and the joint sectors E_c of S_j (x) M.
 
@@ -263,26 +264,29 @@ def _sector_isometries(support: np.ndarray, d_msg: int, exps: np.ndarray):
     characters are one joint sector, E_c.
     """
     s = support.shape[1]
-    labels = np.unique(exps[:, :, 0].T, axis=0, return_inverse=True)[1].reshape(-1)
-    private, reps = [], []
-    for a in range(labels.max() + 1):
-        part = support[labels == a]
-        evals, vecs = np.linalg.eigh(part.conj().T @ part)
-        if evals[-1] > 0.5:
-            private.append(vecs[:, evals > 0.5])
-            reps.append(np.flatnonzero(labels == a)[0])
-    if sum(v.shape[1] for v in private) != s:
+    labels = _row_labels(exps[:, :, 0].T)
+    # on an invariant S_j, W^dag diag(labels) W is a on V_a: its eigenvectors, in ascending
+    # order, are the V_a side by side, each W V_a inside its sector's basis states
+    evals, vecs = np.linalg.eigh(support.conj().T @ (labels[:, None] * support))
+    sector = np.rint(evals).astype(int)
+    inside = np.sum(np.abs(support @ vecs) ** 2 * (labels[:, None] == sector), axis=0)
+    if np.any(inside < 0.5):
         raise RuntimeError("reachable support is not invariant under the phase symmetries")
-    if len(private) == 1:
-        private = [np.eye(s)]
-    joint = np.unique(
-        exps[:, reps, :].transpose(1, 2, 0).reshape(len(reps) * d_msg, -1), axis=0, return_inverse=True
-    )[1].reshape(len(reps), d_msg)
-    eye_m = np.eye(d_msg)
-    sectors = [
-        np.hstack([np.kron(private[a], eye_m[:, [mu]]) for a, mu in zip(*np.nonzero(joint == c))])
-        for c in range(joint.max() + 1)
-    ]
+    present, starts = np.unique(sector, return_index=True)
+    if len(present) == 1:
+        vecs, starts = np.eye(s), starts[:1]
+    starts = np.append(starts, s)
+    private = [vecs[:, starts[a] : starts[a + 1]] for a in range(len(present))]
+    reps = np.unique(labels, return_index=True)[1][present]  # a basis state of each sector
+    characters = exps[:, reps, :].transpose(1, 2, 0).reshape(len(reps) * d_msg, -1)  # of each (a, mu)
+    joint = _row_labels(characters).reshape(len(reps), d_msg)
+    # E_c is a column selection of V (x) 1: column i d_msg + mu is (column i of V) (x) |mu>,
+    # with column i in V_a, and E_c holds its pairs (a, mu) in order, each as kron(V_a, |mu>)
+    i, mu = np.divmod(np.arange(s * d_msg), d_msg)
+    a = np.repeat(np.arange(len(present)), np.diff(starts))[i]
+    c = joint[a, mu]
+    order = np.lexsort((i, mu, a, c))
+    sectors = np.split(np.kron(vecs, np.eye(d_msg))[:, order], np.cumsum(np.bincount(c))[:-1], axis=1)
     return private, sectors
 
 
@@ -305,28 +309,22 @@ def symmetry_sectors(protocol: KPartyProtocol, honest: int, target: int):
 def optimal_cheat(protocol: KPartyProtocol, honest: int, target: int) -> CheatResult:
     """The coalition's optimal probability of forcing ``target`` on party ``honest``, with its dual chain.
 
-    One solve gives both; RuntimeError unless it converged.  Where the
-    SDP's dense work outweighs its terms, the solve runs on the symmetry
-    sectors of ``cheat_sdp`` (``phase_symmetries``): each block splits into
-    its joint sectors and each round's constraint into its private sectors,
-    and the multipliers Z_{j,a} map back to the round-j multiplier on S_j as
-    sum_a V_a Z_{j,a} V_a^dag.  Smaller SDPs are solved whole.  The chain
-    is these multipliers made exactly feasible on the unsplit
-    ``cheat_sdp``: Z_N is pinned to the compressed target projector
-    W_N^dag P W_N, which makes block rho_N tight, and walking down from N
-    each multiplier is shifted by the identity just far enough that
-    ``verify_dual`` finds block rho_j PSD.
+    One solve gives both; RuntimeError unless it converged.  The solve
+    runs on the symmetry sectors of ``cheat_sdp`` (``symmetry_sectors``),
+    whatever the SDP's size: each block splits into its joint sectors and
+    each round's constraint into its private sectors, and the multipliers
+    Z_{j,a} map back to the round-j multiplier on S_j as
+    sum_a V_a Z_{j,a} V_a^dag.  The chain is these multipliers made
+    exactly feasible on the unsplit ``cheat_sdp``: Z_N is pinned to the
+    compressed target projector W_N^dag P W_N, which makes block rho_N
+    tight, and walking down from N each multiplier is shifted by the
+    identity just far enough that ``verify_dual`` finds block rho_j PSD.
     So the chain is feasible whatever the solver's accuracy, and its value
     Z_0 bounds the probability from above.
     """
     problem = cheat_sdp(protocol, honest, target)
-    split, rounds = problem, {}
-    # a split trades dense work for more terms: it pays only where the dense work
-    # outweighs the terms the problem has, and below that even the search does not
-    if iterate_flops(problem) > TERM_FLOPS * sum(len(con.terms) for con in problem.constraints):
-        blocks, rounds = symmetry_sectors(protocol, honest, target)
-        split = restrict(problem, blocks, rounds)
-    solution = solve(split)
+    blocks, rounds = symmetry_sectors(protocol, honest, target)
+    solution = solve(restrict(problem, blocks, rounds))
     if solution.status != "converged":
         raise RuntimeError(
             f"cheat SDP (party {honest} honest, forcing {target}) did not converge (status {solution.status})"

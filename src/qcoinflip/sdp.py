@@ -50,7 +50,6 @@ multipliers back to the original's, where ``verify_dual`` checks them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,28 +159,32 @@ def restrict(problem: SdpProblem, block_isometries: dict, constraint_isometries:
     starts = {name: np.cumsum([0] + [e.shape[1] for e in es]) for name, es in block_isometries.items()}
 
     # every constraint piece's terms, with the block pieces each term is live on, and
-    # for each block piece the terms it enters
-    pieces = []  # (name, rhs, [(term, op, kept, live)])
+    # for each block piece the terms it enters.  A term on a listed block keeps K E, its
+    # operator on all the block's pieces side by side, formed once for all constraint pieces
+    pieces = []  # (name, rhs, [(term, op, kept, live, K E or None)])
     enters = {name: [set() for _ in isometries] for name, isometries in block_isometries.items()}
     for con in problem.constraints:
+        kmats = [np.eye(dims[t.block]) if t.op is None else t.op for t in con.terms]  # K, 1 for op None
+        scales = [1.0 if t.op is None else max(1.0, float(np.max(np.abs(t.op)))) for t in con.terms]
+        rotated = [
+            None if t.block not in stacked else stacked[t.block] if t.op is None else t.op @ stacked[t.block]
+            for t in con.terms
+        ]
         for a, v in enumerate(constraint_isometries.get(con.name, (None,))):
             entries = []
             for t, term in enumerate(con.terms):
-                op, kept = term.op, term.kept
-                scale = 1.0 if op is None else max(1.0, float(np.max(np.abs(op))))
+                op, kept, ke = term.op, term.kept, rotated[t]
                 if v is not None:
-                    rows = dims[term.block] if op is None else op.shape[0]
-                    vt = np.kron(_ct(v), np.eye(rows // (rows if kept is None else kept)))
-                    op, kept = (vt if op is None else vt @ op), v.shape[1]
-                if term.block in stacked:
-                    e = stacked[term.block]
-                    colmax = np.max(np.abs(e if op is None else op @ e), axis=0)
-                    live = np.maximum.reduceat(colmax, starts[term.block][:-1]) > RESTRICT_TOL * scale
+                    op, kept = _on_kept(v, kmats[t]), v.shape[1]
+                    ke = None if ke is None else _on_kept(v, ke)
+                if ke is not None:
+                    live = np.maximum.reduceat(np.max(np.abs(ke), axis=0), starts[term.block][:-1])
+                    live = live > RESTRICT_TOL * scales[t]
                     for c in np.flatnonzero(live):
                         enters[term.block][c].add((len(pieces), t))
                 else:
-                    live = np.array([op is None or np.max(np.abs(op)) > RESTRICT_TOL * scale])
-                entries.append((term, op, kept, live))
+                    live = np.array([op is None or np.max(np.abs(op)) > RESTRICT_TOL * scales[t]])
+                entries.append((term, op, kept, live, ke))
             name = f"{con.name}/{a}" if con.name in constraint_isometries else con.name
             rhs = con.rhs if v is None else _ct(v) @ np.asarray(con.rhs).reshape(v.shape[0], v.shape[0]) @ v
             pieces.append((name, rhs, entries))
@@ -216,27 +219,21 @@ def restrict(problem: SdpProblem, block_isometries: dict, constraint_isometries:
     constraints = []
     for name, rhs, entries in pieces:
         terms = []
-        for term, op, kept, live in entries:
+        for term, op, kept, live, ke in entries:
             if term.block not in columns:
                 if live.any():
                     terms.append(LinearTerm(term.block, term.coeff, op, kept))
                 continue
             for g, (group, cols) in enumerate(zip(members[term.block], columns[term.block])):
                 if live[group[0]]:  # joined pieces are live in the same terms
-                    e = stacked[term.block][:, cols]
-                    terms.append(LinearTerm(f"{term.block}/{g}", term.coeff, e if op is None else op @ e, kept))
+                    terms.append(LinearTerm(f"{term.block}/{g}", term.coeff, ke[:, cols], kept))
         constraints.append(Constraint(name, tuple(terms), rhs))
     return SdpProblem(blocks=tuple(blocks), objective=objective, constraints=tuple(constraints))
 
 
-def iterate_flops(problem: SdpProblem) -> float:
-    """The dense arithmetic of one ``solve`` iterate, in flops: the LU of the
-    m x m Schur system and about 30 d^3 of kernels per block.  On the term
-    kernels, the numpy calls of each constraint term's maps came on top;
-    ``lowerbound.TERM_FLOPS`` prices them, as measured before ``solve`` ran
-    small problems on constraint rows."""
-    m = sum(d * (d + 1) // 2 for d in (math.isqrt(np.size(con.rhs)) for con in problem.constraints))
-    return m**3 / 3 + 30 * sum(d**3 for _, d in problem.blocks)
+def _on_kept(v: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """(V^dag (x) 1) K: V^dag on the kept index of K, K read as (kept, traced x columns)."""
+    return (_ct(v) @ k.reshape(v.shape[0], -1)).reshape(-1, k.shape[1])
 
 
 def expand_multipliers(constraint_isometries: dict, multipliers: dict) -> dict:
@@ -794,7 +791,7 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
             )
 
     bnorm = max(1.0, float(np.max(np.abs(comp.b))) if comp.m else 0.0)
-    cnorm = max(1.0, max(float(np.linalg.norm(c, 2)) for c in objective))
+    cnorm = max(1.0, *(float(np.linalg.norm(c, 2, axis=(1, 2)).max()) for c in comp.objective))  # one SVD call per stack
     x = comp.stacked([bnorm * np.eye(d, dtype=comp.dtype) for d in dims])
     s = comp.stacked([cnorm * np.eye(d, dtype=comp.dtype) for d in dims])
     y = np.zeros(comp.m, dtype=comp.dtype)

@@ -112,6 +112,27 @@ class TestPenaltyCommand:
         jsonschema.validate(record, TestSchemas._load_schema("penalty_record.schema.json"))
 
 
+def test_calls_in_one_process_give_independent_records(capsys):
+    # main parses with one parser per process: no verb, seed or format carries over
+    import qcoinflip.cli as cli
+
+    assert cli.build_parser() is cli.build_parser()
+    analytic = ("lowerbound", "--analytic", "--k", "4", "--format", "csv")
+    code1, first, _ = run_cli(capsys, "penalty", "--v", "16", "--seed", "5", "--format", "table")
+    code2, csv_out, _ = run_cli(capsys, *analytic)
+    code3, json_out, _ = run_cli(capsys, "penalty", "--v", "16")
+    code4, csv_again, _ = run_cli(capsys, *analytic)
+    assert code1 == code2 == code3 == code4 == 0
+    table = dict(line.split(None, 1) for line in first.splitlines())
+    assert (table["command"], table["seed"]) == ("penalty", "5")
+    record = json.loads(json_out)
+    assert (record["command"], record["seed"]) == ("penalty", 0)
+    assert "k" not in record
+    rows = list(csv.DictReader(io.StringIO(csv_out)))
+    assert len(rows) == 1 and rows[0]["command"] == "lowerbound" and rows[0]["seed"] == "0"
+    assert csv_again == csv_out
+
+
 class TestTournamentCommand:
     def test_deterministic_output(self, capsys):
         args = ("tournament", "--k", "8", "--g", "1", "--runs", "20000", "--seed", "7")

@@ -35,7 +35,6 @@ from qcoinflip.sdp import (
     LinearTerm,
     SdpProblem,
     _Compiled,
-    iterate_flops,
     restrict,
     solve,
     verify_dual,
@@ -386,9 +385,7 @@ class TestSymmetrySectors:
 
     def test_penalty_alice_cheat_sdp_splits(self):
         # the v16 Alice-cheat SDP: blocks 6, 36, 216 and m = 688 become blocks of at most 18
-        # and m = 79.  optimal_cheat splits a problem only when its dense work outweighs its
-        # terms, and that decision does not hinge on the price of a term: the penalty SDPs
-        # are more than 10 times above it, the small ones more than 10 times below
+        # and m = 79
         p = penalty_protocol(16.0)
         problem = cheat_sdp(p, 1, 1)
         split = restrict(problem, *symmetry_sectors(p, 1, 1))
@@ -396,13 +393,25 @@ class TestSymmetrySectors:
         assert (_Compiled(problem).m, _Compiled(split).m) == (688, 79)
         assert max(d for _, d in split.blocks) == 18
 
-        def ratio(problem):
-            return iterate_flops(problem) / (lowerbound.TERM_FLOPS * sum(len(con.terms) for con in problem.constraints))
+    @pytest.mark.parametrize("name", list(COMPARISON_SET))
+    def test_every_cheat_sdp_is_solved_on_its_sectors(self, name, monkeypatch):
+        # one path: whatever the protocol's size, solve gets the restricted problem
+        class Handed(Exception):
+            pass
 
-        for honest in (0, 1):
-            assert ratio(cheat_sdp(p, honest, 1)) > 10
-            assert ratio(cheat_sdp(penalty_protocol_compact4(), honest, 1)) < 0.1
-            assert ratio(cheat_sdp(alice_announces(), honest, 1)) < 0.1
+        handed = []
+
+        def recording(problem):
+            handed.append(problem)
+            raise Handed
+
+        monkeypatch.setattr(lowerbound, "solve", recording)
+        p = COMPARISON_SET[name][0]()
+        for honest in range(p.k):
+            with pytest.raises(Handed):
+                optimal_cheat(p, honest, 1)
+            expected = restrict(cheat_sdp(p, honest, 1), *symmetry_sectors(p, honest, 1))
+            assert problem_key(handed[-1]) == problem_key(expected), honest
 
     @pytest.mark.parametrize("case", COMPARISON_CASES, ids=["-".join(map(str, c)) for c in COMPARISON_CASES])
     def test_sector_solve_matches_its_reference(self, sector_comparison, case):
@@ -412,6 +421,44 @@ class TestSymmetrySectors:
         assert report.feasible, report.lambda_min
         assert cheat.bound == report.bound
         assert cheat.bound >= cheat.probability - 1e-7
+
+    @pytest.mark.parametrize("name", [*COMPARISON_SET, "haar-random"])
+    def test_sectors_match_their_per_pair_construction(self, name, rng):
+        # the oracle labels basis states by np.unique over rows, takes each V_a from its own
+        # label's Gram matrix, and builds E_c as the kron(V_a, |mu>) of its pairs side by side;
+        # the Haar-random protocol has joint sectors with several mu on one V_a of dimension > 1
+        p = haar_random_protocol(rng) if name == "haar-random" else COMPARISON_SET[name][0]()
+        d_msg = p.layout_m.dim
+        eye_m = np.eye(d_msg)
+        for honest in range(p.k):
+            for target in (0, 1):
+                group = phase_symmetries(p, honest, target)
+                for w, exps in zip(reachable_supports(p, honest), group.rounds):
+                    private, sectors = lowerbound._sector_isometries(w, d_msg, exps)
+                    labels = np.unique(exps[:, :, 0].T, axis=0, return_inverse=True)[1].reshape(-1)
+                    reps, projectors = [], []
+                    for a in range(labels.max() + 1):
+                        part = w[labels == a]
+                        evals, vecs = np.linalg.eigh(part.conj().T @ part)
+                        if evals[-1] > 0.5:
+                            projectors.append(vecs[:, evals > 0.5] @ vecs[:, evals > 0.5].conj().T)
+                            reps.append(np.flatnonzero(labels == a)[0])
+                    if len(projectors) == 1:
+                        assert len(private) == 1 and np.array_equal(private[0], np.eye(w.shape[1]))
+                    else:
+                        assert len(private) == len(projectors)
+                        for v, proj in zip(private, projectors):
+                            np.testing.assert_allclose(v.conj().T @ v, np.eye(v.shape[1]), atol=1e-12)
+                            np.testing.assert_allclose(v @ v.conj().T, proj, atol=1e-12)
+                    joint = np.unique(
+                        exps[:, reps, :].transpose(1, 2, 0).reshape(len(reps) * d_msg, -1), axis=0, return_inverse=True
+                    )[1].reshape(len(reps), d_msg)
+                    expected = [
+                        np.hstack([np.kron(private[a], eye_m[:, [mu]]) for a, mu in zip(*np.nonzero(joint == c))])
+                        for c in range(joint.max() + 1)
+                    ]
+                    assert len(sectors) == len(expected)
+                    assert all(np.array_equal(e, f) for e, f in zip(sectors, expected)), (name, honest, target)
 
     def test_chain_off_its_sectors_is_rejected(self, v16_check):
         # add to Z_1 of the Alice-cheat chain a term between two private sectors: truncated to

@@ -904,3 +904,51 @@ class TestRestrict:
         (term,) = restricted.constraints[0].terms
         assert term == problem.constraints[0].terms[0]
         assert solve(restricted).iterations == solve(problem).iterations
+
+    @staticmethod
+    def kept_oracle(v, term, dim):
+        """(V^dag (x) 1) K, by the Kronecker product: the oracle of a restricted operator."""
+        k = np.eye(dim) if term.op is None else term.op
+        return np.kron(v.conj().T, np.eye(k.shape[0] // v.shape[0])) @ k
+
+    @DATA
+    def test_constraint_pieces_compress_the_kept_factor(self, rng, real):
+        # block P is (kept 2) (x) (traced 3): one term has an operator, one the identity;
+        # each piece of the constraint keeps a column of a random unitary on the kept factor
+        k = _random_matrix(6, rng, real)
+        terms = (LinearTerm("P", 2.0, k, 2), LinearTerm("P", -1.0, kept=2))
+        problem = SdpProblem(
+            blocks=(("P", 6),),
+            objective={"P": _random_hermitian(6, rng, real)},
+            constraints=(Constraint("c", terms, _random_hermitian(2, rng, real)),),
+        )
+        u = np.linalg.qr(_random_matrix(2, rng, real))[0]
+        vs = [u[:, [0]], u[:, [1]]]
+        restricted = restrict(problem, {}, {"c": vs})
+        assert [c.name for c in restricted.constraints] == ["c/0", "c/1"]
+        for v, con in zip(vs, restricted.constraints):
+            assert [(t.block, t.coeff, t.kept) for t in con.terms] == [("P", 2.0, 1), ("P", -1.0, 1)]
+            for term, piece in zip(terms, con.terms):
+                np.testing.assert_allclose(piece.op, self.kept_oracle(v, term, 6), rtol=0, atol=1e-13)
+            np.testing.assert_allclose(con.rhs, v.conj().T @ problem.constraints[0].rhs @ v, atol=1e-13)
+
+    @DATA
+    def test_constraint_and_block_pieces_together(self, rng, real):
+        # P = (kept 2) (x) (traced 3), split by the kept index: constraint piece a and block
+        # piece a (a random basis of |a> (x) C^3) meet only each other, so P splits, and each
+        # term on P/a is (V_a^dag (x) 1) K E_a
+        k = np.kron(np.eye(2), _random_matrix(3, rng, real))
+        terms = (LinearTerm("P", 2.0, k, 2), LinearTerm("P", -1.0, kept=2))
+        problem = SdpProblem(
+            blocks=(("P", 6),),
+            objective={"P": _random_hermitian(6, rng, real)},
+            constraints=(Constraint("c", terms, _random_hermitian(2, rng, real)),),
+        )
+        vs = [np.eye(2)[:, [0]], np.eye(2)[:, [1]]]
+        es = [np.kron(v, np.linalg.qr(_random_matrix(3, rng, real))[0]) for v in vs]
+        restricted = restrict(problem, {"P": es}, {"c": vs})
+        assert restricted.blocks == (("P/0", 3), ("P/1", 3))
+        for a, (v, e, con) in enumerate(zip(vs, es, restricted.constraints)):
+            assert [t.block for t in con.terms] == [f"P/{a}", f"P/{a}"]
+            for term, piece in zip(terms, con.terms):
+                np.testing.assert_allclose(piece.op, self.kept_oracle(v, term, 6) @ e, rtol=0, atol=1e-13)
