@@ -18,13 +18,14 @@ unitary of i's turn j + 1.  These are exactly the dual constraints of
 the forcing probability from above; ``optimal_cheat`` returns the value
 and the chain from one solve.  That solve always runs on the symmetry
 sectors: products of clock operators that pass through the honest
-unitaries (``phase_symmetries``) make the optimum block-diagonal, so each
-block splits into small pieces and each round's constraint by private
-sector (a protocol without symmetry keeps its problem).  The sector
-multipliers map back to a chain on the S_j, which is repaired and checked
-on the unsplit ``cheat_sdp``; no chain is ever checked on its sectors
-alone.  With each party's chain lifted to W_j Z_j W_j^dag, and c_i(r)
-party i's turns among the first r, the scalar sequence
+unitaries (``phase_symmetries``) make the optimum block-diagonal, and each
+W_j is a basis adapted to them, so a block splits into sub-blocks on sets of
+its coordinates and each round's constraint into sub-blocks on sets of
+columns of W_j (a protocol without symmetry keeps its problem).  The sector
+multipliers, placed on their columns, are a chain on the S_j, which is
+repaired and checked on the unsplit ``cheat_sdp``; no chain is ever checked
+on its sectors alone.  With each party's chain lifted to W_j Z_j W_j^dag,
+and c_i(r) party i's turns among the first r, the scalar sequence
 F_r = <psi_r| (x)_i Z_{i,c_i(r)} (x) 1 |psi_r> over the turn boundaries
 r = 0..T of the honest run interpolates monotonically from the product of
 the k chain values down to the honest outcome probability: each turn is
@@ -58,7 +59,7 @@ from .sdp import (
     verify_dual,
 )
 
-SUPPORT_TOL = 1e-10  # relative singular-value cut of a reachable support
+SUPPORT_TOL = 1e-10  # relative singular-value cut of a support, and the norm a support vector may have off its sector
 SYMMETRY_TOL = 1e-12  # entries of a unitary or projector below this are zeros to the symmetry search
 PRODUCT_SLACK = 1e-5  # solver accuracy allowed in the product checks
 
@@ -94,8 +95,9 @@ def _honest_view(protocol: KPartyProtocol, honest: int):
     return protocol.layouts[honest], protocol.layout_m.dim, unitaries, protocol.projectors[honest]
 
 
-def reachable_supports(protocol: KPartyProtocol, honest: int):
-    """Orthonormal bases of the private-space subspaces the honest turns can reach.
+def reachable_supports(protocol: KPartyProtocol, honest: int, sweep=None):
+    """Orthonormal bases W_j of the private-space subspaces S_j the honest turns can
+    reach, adapted to the cheat SDP's phase symmetries.
 
     The honest private register starts at |0> and is only ever touched by
     the honest unitaries, whatever the coalition writes into the message
@@ -104,21 +106,35 @@ def reachable_supports(protocol: KPartyProtocol, honest: int):
     inside (reachable subspace) (x) M, so the cheat SDP restricts there
     without loss; this keeps the feasible set's interior nonempty (the full
     formulation pins marginals onto rank-deficient targets).
+
+    The private characters that the forward sweep (``sweep``, computed when
+    not given) reaches at round j leave S_j invariant, so the eigenvectors of
+    W^dag diag(f) W, f each basis state's sector of equal characters, lie in
+    one sector each; entries outside it are set to exactly 0 (RuntimeError
+    if their norm exceeds ``SUPPORT_TOL``).  These sectors refine either
+    target's, so each sector of the cheat SDP is a set of columns of W_j
+    (``symmetry_sectors``).
     """
     layout, d_msg, unitaries, _ = _honest_view(protocol, honest)
-    basis = np.zeros((layout.dim, 1), dtype=complex)
-    basis[0, 0] = 1.0
-    supports = [basis]
+    sweep = sweep or _forward_sweep(protocol, honest)
+    supports = [np.eye(layout.dim, 1, dtype=complex)]  # |0>
     eye_m = np.eye(d_msg, dtype=complex)
-    for u in unitaries:
+    for u, reached in zip(unitaries, sweep.reached[1:]):
         components = (u @ np.kron(supports[-1], eye_m)).reshape(layout.dim, -1)
         svec, svals, _ = np.linalg.svd(components, full_matrices=False)
         rank = int(np.sum(svals > SUPPORT_TOL * max(svals[0], 1.0)))
-        supports.append(svec[:, :rank])
+        w, labels = svec[:, :rank], _row_labels(sweep.private[reached].T)
+        evals, vecs = np.linalg.eigh(w.conj().T @ (labels[:, None] * w))
+        sector = np.rint(evals)
+        w = w if sector[0] == sector[-1] else w @ vecs  # one sector: W is already adapted
+        inside = labels[:, None] == sector
+        if np.any(np.linalg.norm(np.where(inside, 0.0, w), axis=0) > SUPPORT_TOL):
+            raise RuntimeError("reachable support is not invariant under the phase symmetries")
+        supports.append(np.where(inside, w, 0.0))
     return supports
 
 
-def cheat_sdp(protocol: KPartyProtocol, honest: int, target: int) -> SdpProblem:
+def cheat_sdp(protocol: KPartyProtocol, honest: int, target: int, supports=None) -> SdpProblem:
     """The coalition's optimal-strategy SDP over party ``honest``'s view.
 
     Variables rho_j, one per honest turn and rho_0 before the first, live
@@ -139,7 +155,7 @@ def cheat_sdp(protocol: KPartyProtocol, honest: int, target: int) -> SdpProblem:
     if target not in (0, 1):
         raise ValueError("target bit must be 0 or 1")
     _, d_msg, unitaries, proj = _honest_view(protocol, honest)
-    supports = reachable_supports(protocol, honest)
+    supports = supports or reachable_supports(protocol, honest)
     eye_m = np.eye(d_msg, dtype=complex)
     lifts = [np.kron(w, eye_m) for w in supports]  # S_j (x) M into private (x) M
     blocks = tuple((f"rho_{j}", w.shape[1] * d_msg) for j, w in enumerate(supports))
@@ -181,7 +197,64 @@ def _clock_exponents(dims, modulus: int) -> np.ndarray:
     return (digits * (modulus // np.asarray(dims))) @ digits.T % modulus
 
 
-def phase_symmetries(protocol: KPartyProtocol, honest: int, target: int) -> PhaseGroup:
+@dataclass(frozen=True)
+class _Sweep:
+    """The target-free forward sweep of ``phase_symmetries``: the clock characters
+    of the private and message spaces, per round the private characters, exponent
+    tables and successors of the candidates that have a successor (``rounds``),
+    and the private characters each round can have (``reached``)."""
+
+    modulus: int
+    private: np.ndarray
+    message: np.ndarray
+    rounds: list
+    reached: list
+
+    def candidates(self, h):
+        """Every (h, m) for private characters h: each one's h and exponent table."""
+        d_msg = len(self.message)
+        h, m = np.repeat(h, d_msg), np.tile(np.arange(d_msg), len(h))
+        return h, (self.private[h][:, :, None] + self.message[m][:, None, :]) % self.modulus
+
+
+def _forward_sweep(protocol: KPartyProtocol, honest: int) -> _Sweep:
+    """Round j's candidates g_j over the private characters that some g_0..g_{j-1}
+    reaches, h_0 free (see ``phase_symmetries``); no target enters."""
+    layout, _, unitaries, _ = _honest_view(protocol, honest)
+    pdims, mdims = layout.factor_dims, protocol.layout_m.factor_dims
+    modulus = math.lcm(*pdims, *mdims)
+    d_priv = layout.dim
+    sweep = _Sweep(modulus, _clock_exponents(pdims, modulus), _clock_exponents(mdims, modulus), [], [np.arange(d_priv)])
+    strides = np.cumprod((1,) + pdims[:0:-1])[::-1]  # basis index of each factor's unit state
+    unit = modulus // np.asarray(pdims)
+
+    def successor(u, table):
+        """The private character h' with U g U^dag = h' (x) m', or -1 when there is none."""
+        rows, cols = np.nonzero(np.abs(u) > SYMMETRY_TOL)
+        anchor = cols[np.r_[0, np.flatnonzero(np.diff(rows)) + 1]]  # a column in each row's support
+        g = table.reshape(len(table), -1)
+        step = max(1, (1 << 21) // len(cols))  # candidates per test: its arrays are candidates x nonzeros
+        diagonal = np.concatenate(
+            [np.all(g[lo : lo + step, cols] == g[lo : lo + step, anchor[rows]], axis=1) for lo in range(0, len(g), step)]
+        )
+        d = g[:, anchor].reshape(len(g), d_priv, -1)
+        h = (d[:, :, 0] - d[:, :1, 0]) % modulus
+        factors = np.all((d - h[:, :, None] - d[:, :1, :]) % modulus == 0, axis=(1, 2))
+        n = h[:, strides] // unit
+        index = n @ strides
+        clock = (h[:, strides] % unit == 0).all(axis=1) & np.all(sweep.private[index] == h, axis=1)
+        return np.where(diagonal & factors & clock, index, -1)
+
+    for u in unitaries:
+        h, table = sweep.candidates(sweep.reached[-1])
+        nxt = successor(u, table)
+        keep = nxt >= 0
+        sweep.rounds.append((h[keep], table[keep], nxt[keep]))
+        sweep.reached.append(np.unique(nxt[keep]))
+    return sweep
+
+
+def phase_symmetries(protocol: KPartyProtocol, honest: int, target: int, sweep=None) -> PhaseGroup:
     """The products of clock operators that are symmetries of ``cheat_sdp``.
 
     A sequence g_0..g_N of diagonal unitaries g_j = h_j (x) m_j on the honest
@@ -194,56 +267,21 @@ def phase_symmetries(protocol: KPartyProtocol, honest: int, target: int) -> Phas
     coalition rewrites M.  U diag(g) U^dag is diagonal exactly when g is
     constant on each row support of U, so every candidate of a round is
     tested at once.  A forward sweep keeps the g_j that some g_0..g_{j-1}
-    reaches, a backward sweep those that reach an admissible h_N.
+    reaches (``sweep``, computed here when not given), a backward sweep those
+    that reach an admissible h_N.
     """
-    layout, d_msg, unitaries, proj = _honest_view(protocol, honest)
-    pdims, mdims = layout.factor_dims, protocol.layout_m.factor_dims
-    modulus = math.lcm(*pdims, *mdims)
-    hp, hm = _clock_exponents(pdims, modulus), _clock_exponents(mdims, modulus)
-    d_priv = layout.dim
-    strides = np.cumprod((1,) + pdims[:0:-1])[::-1]  # basis index of each factor's unit state
-    unit = modulus // np.asarray(pdims)
-
-    def candidates(h):
-        """Every (h, m) for private characters h: each one's h and exponent table."""
-        h, m = np.repeat(h, d_msg), np.tile(np.arange(d_msg), len(h))
-        return h, (hp[h][:, :, None] + hm[m][:, None, :]) % modulus
-
-    def successor(u, table):
-        """The private character h' with U g U^dag = h' (x) m', or -1 when there is none."""
-        rows, cols = np.nonzero(np.abs(u) > SYMMETRY_TOL)
-        anchor = cols[np.r_[0, np.flatnonzero(np.diff(rows)) + 1]]  # a column in each row's support
-        g = table.reshape(len(table), -1)
-        step = max(1, (1 << 21) // len(cols))  # candidates per test: its arrays are candidates x nonzeros
-        diagonal = np.concatenate(
-            [np.all(g[lo : lo + step, cols] == g[lo : lo + step, anchor[rows]], axis=1) for lo in range(0, len(g), step)]
-        )
-        d = g[:, anchor].reshape(-1, d_priv, d_msg)
-        h = (d[:, :, 0] - d[:, :1, 0]) % modulus
-        factors = np.all((d - h[:, :, None] - d[:, :1, :]) % modulus == 0, axis=(1, 2))
-        n = h[:, strides] // unit
-        index = n @ strides
-        clock = (h[:, strides] % unit == 0).all(axis=1) & np.all(hp[index] == h, axis=1)
-        return np.where(diagonal & factors & clock, index, -1)
-
-    # forward: round j's candidates over the private characters reachable so far
-    rounds = []  # (private characters, exponent tables, successors) of round j's elements
-    reachable = np.arange(d_priv)  # h_0 is free
-    for u in unitaries:
-        h, table = candidates(reachable)
-        nxt = successor(u, table)
-        keep = nxt >= 0
-        rounds.append((h[keep], table[keep], nxt[keep]))
-        reachable = np.unique(nxt[keep])
+    proj = _honest_view(protocol, honest)[3]
+    sweep = sweep or _forward_sweep(protocol, honest)
+    hp, reachable = sweep.private, sweep.reached[-1]
     rows, cols = np.nonzero(np.abs(proj[target]) > SYMMETRY_TOL)
     admissible = reachable[np.all(hp[reachable][:, rows] == hp[reachable][:, cols], axis=1)]
-    kept = [candidates(admissible)[1]]
+    kept = [sweep.candidates(admissible)[1]]
     # backward: keep the g_j whose successor is the private part of a kept g_{j+1}
-    for h, table, nxt in reversed(rounds):
+    for h, table, nxt in reversed(sweep.rounds):
         keep = np.isin(nxt, admissible)
         kept.append(table[keep])
         admissible = np.unique(h[keep])
-    return PhaseGroup(modulus=modulus, rounds=tuple(reversed(kept)))
+    return PhaseGroup(modulus=sweep.modulus, rounds=tuple(reversed(kept)))
 
 
 def _row_labels(rows: np.ndarray) -> np.ndarray:
@@ -254,67 +292,39 @@ def _row_labels(rows: np.ndarray) -> np.ndarray:
     return np.unique(rows.view(f"V{rows.shape[1] * 8}").ravel(), return_inverse=True)[1]
 
 
-def _sector_isometries(support: np.ndarray, d_msg: int, exps: np.ndarray):
-    """The private sectors V_a of S_j and the joint sectors E_c of S_j (x) M.
-
-    Private basis states with equal exponents under every h_j are one
-    sector; the group keeps S_j invariant, so S_j is the direct sum of its
-    parts W_j V_a in the sectors (one sector: V = 1).  A vector of V_a times
-    |mu> has the joint character (h_j(a) m_j(mu)) over the group; equal
-    characters are one joint sector, E_c.
-    """
-    s = support.shape[1]
-    labels = _row_labels(exps[:, :, 0].T)
-    # on an invariant S_j, W^dag diag(labels) W is a on V_a: its eigenvectors, in ascending
-    # order, are the V_a side by side, each W V_a inside its sector's basis states
-    evals, vecs = np.linalg.eigh(support.conj().T @ (labels[:, None] * support))
-    sector = np.rint(evals).astype(int)
-    inside = np.sum(np.abs(support @ vecs) ** 2 * (labels[:, None] == sector), axis=0)
-    if np.any(inside < 0.5):
-        raise RuntimeError("reachable support is not invariant under the phase symmetries")
-    present, starts = np.unique(sector, return_index=True)
-    if len(present) == 1:
-        vecs, starts = np.eye(s), starts[:1]
-    starts = np.append(starts, s)
-    private = [vecs[:, starts[a] : starts[a + 1]] for a in range(len(present))]
-    reps = np.unique(labels, return_index=True)[1][present]  # a basis state of each sector
-    characters = exps[:, reps, :].transpose(1, 2, 0).reshape(len(reps) * d_msg, -1)  # of each (a, mu)
-    joint = _row_labels(characters).reshape(len(reps), d_msg)
-    # E_c is a column selection of V (x) 1: column i d_msg + mu is (column i of V) (x) |mu>,
-    # with column i in V_a, and E_c holds its pairs (a, mu) in order, each as kron(V_a, |mu>)
-    i, mu = np.divmod(np.arange(s * d_msg), d_msg)
-    a = np.repeat(np.arange(len(present)), np.diff(starts))[i]
-    c = joint[a, mu]
-    order = np.lexsort((i, mu, a, c))
-    sectors = np.split(np.kron(vecs, np.eye(d_msg))[:, order], np.cumsum(np.bincount(c))[:-1], axis=1)
-    return private, sectors
-
-
-def symmetry_sectors(protocol: KPartyProtocol, honest: int, target: int):
-    """The symmetry sectors of ``cheat_sdp`` as ``restrict`` takes them:
-    (joint sectors E_c per block rho_j, private sectors V_a per constraint
-    round_j), each listed only where it has more than one sector."""
-    d_msg = protocol.layout_m.dim
-    group = phase_symmetries(protocol, honest, target)
+def symmetry_sectors(protocol: KPartyProtocol, honest: int, target: int, supports=None, sweep=None):
+    """The symmetry sectors of ``cheat_sdp`` as ``restrict`` takes them: (joint
+    sector coordinates per block rho_j, private sector columns of S_j per
+    constraint round_j), each listed only where it has more than one sector.
+    ``supports`` and ``sweep`` are those of the cheat SDP (``reachable_supports``,
+    ``_forward_sweep``), computed here when not given."""
+    sweep = sweep or _forward_sweep(protocol, honest)
+    supports = supports or reachable_supports(protocol, honest, sweep)
+    group = phase_symmetries(protocol, honest, target, sweep)
     blocks, rounds = {}, {}
-    for j, (w, exps) in enumerate(zip(reachable_supports(protocol, honest), group.rounds)):
-        private, joint = _sector_isometries(w, d_msg, exps)
-        if len(private) > 1:
-            rounds[f"round_{j}"] = private
-        if len(joint) > 1:
-            blocks[f"rho_{j}"] = joint
+    for j, (w, exps) in enumerate(zip(supports, group.rounds)):
+        # column i of W_j has the characters of a basis state where it is nonzero, and
+        # coordinate i d_msg + mu of S_j (x) M, (column i) (x) |mu>, those times m_j(mu)
+        reps = np.argmax(np.abs(w), axis=0)
+        private = _row_labels(exps[:, reps, 0].T)
+        joint = _row_labels(exps[:, reps].transpose(1, 2, 0).reshape(-1, len(exps)))
+        if private.max() > 0:
+            rounds[f"round_{j}"] = [np.flatnonzero(private == a) for a in range(private.max() + 1)]
+        if joint.max() > 0:
+            blocks[f"rho_{j}"] = [np.flatnonzero(joint == c) for c in range(joint.max() + 1)]
     return blocks, rounds
 
 
 def optimal_cheat(protocol: KPartyProtocol, honest: int, target: int) -> CheatResult:
     """The coalition's optimal probability of forcing ``target`` on party ``honest``, with its dual chain.
 
-    One solve gives both; RuntimeError unless it converged.  The solve
-    runs on the symmetry sectors of ``cheat_sdp`` (``symmetry_sectors``),
-    whatever the SDP's size: each block splits into its joint sectors and
-    each round's constraint into its private sectors, and the multipliers
-    Z_{j,a} map back to the round-j multiplier on S_j as
-    sum_a V_a Z_{j,a} V_a^dag.  The chain is these multipliers made
+    One solve gives both; RuntimeError unless it converged.  The supports
+    and the forward symmetry sweep are computed once for the SDP and its
+    sectors.  The solve runs on the symmetry sectors of ``cheat_sdp``
+    (``symmetry_sectors``), whatever the SDP's size: each block splits into
+    its joint sectors and each round's constraint into its private sectors,
+    and the round-j multiplier on S_j holds each Z_{j,a} on its sector's
+    columns (``expand_multipliers``).  The chain is these multipliers made
     exactly feasible on the unsplit ``cheat_sdp``: Z_N is pinned to the
     compressed target projector W_N^dag P W_N, which makes block rho_N
     tight, and walking down from N each multiplier is shifted by the
@@ -322,8 +332,10 @@ def optimal_cheat(protocol: KPartyProtocol, honest: int, target: int) -> CheatRe
     So the chain is feasible whatever the solver's accuracy, and its value
     Z_0 bounds the probability from above.
     """
-    problem = cheat_sdp(protocol, honest, target)
-    blocks, rounds = symmetry_sectors(protocol, honest, target)
+    sweep = _forward_sweep(protocol, honest)
+    supports = reachable_supports(protocol, honest, sweep)
+    problem = cheat_sdp(protocol, honest, target, supports)
+    blocks, rounds = symmetry_sectors(protocol, honest, target, supports, sweep)
     solution = solve(restrict(problem, blocks, rounds))
     if solution.status != "converged":
         raise RuntimeError(
@@ -372,7 +384,7 @@ def dual_bound_sequence(protocol: KPartyProtocol, chains, target: int = 1):
     lifted = []  # lifted[i][c]: party i's multiplier after c of its turns, on its private space
     for honest, chain in enumerate(chains):
         supports = reachable_supports(protocol, honest)
-        report = verify_dual(cheat_sdp(protocol, honest, target), chain)
+        report = verify_dual(cheat_sdp(protocol, honest, target, supports), chain)
         if not report.feasible:
             bad = [j for j in range(len(supports)) if report.lambda_min[f"rho_{j}"] < -CERT_TOL]
             raise ValueError(f"party-{honest}-honest chain infeasible: rounds {bad} violate the step inequality")

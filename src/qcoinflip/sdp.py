@@ -42,10 +42,11 @@ scalar) per constraint name, and its value is the b.y that ``verify_dual``
 computes.  ``verify_dual`` reads the multipliers as given, so a complex
 multiplier is checked on real data too.
 
-A caller that knows a symmetry of its problem can solve it on the
-symmetry's sectors: ``restrict`` splits blocks and constraints along given
-isometries, and ``expand_multipliers`` maps the split problem's
-multipliers back to the original's, where ``verify_dual`` checks them.
+A caller that writes its problem in a basis adapted to a symmetry can
+solve it on the symmetry's sectors: ``restrict`` splits blocks and
+constraints into sub-blocks on given index sets, gathering their entries,
+and ``expand_multipliers`` places the split problem's multipliers in the
+original's, where ``verify_dual`` checks them.
 """
 
 from __future__ import annotations
@@ -61,8 +62,10 @@ MAX_ITER = 500
 RESTRICT_TOL = 1e-12  # a restricted term this small, relative to its operator, is left out
 # entries of the constraint rows ``solve`` stores (``_Compiled.row_count``): 8 MB as
 # float64, and a Schur assembly holds about three times that in temporaries.  A problem
-# with more keeps the term kernels, whose data are the terms themselves; the unsplit
-# v25 Alice-cheat SDP would need 3.1e7 entries (249 MB) for its 216-dim block alone
+# with more keeps the term kernels, whose data are the terms themselves.  That fork stays
+# for large problems without symmetry, as a protocol file may give: unsplit, the v16
+# Alice-cheat SDP (a 216-dim block, m = 688) took 25.5 s and 800 MB peak on rows against
+# 1.06 s and 91 MB on the terms (17 iterations each, one 2-core machine)
 ROW_BUDGET = 2**20
 
 
@@ -130,68 +133,63 @@ class DualReport:
 
 
 # ---------------------------------------------------------------------------
-# restriction to invariant subspaces
+# restriction to symmetry sectors
 
 
-def restrict(problem: SdpProblem, block_isometries: dict, constraint_isometries: dict) -> SdpProblem:
-    """The problem with each listed block X replaced by pieces X_c on isometries E_c,
-    X = sum_c E_c X_c E_c^dag, and each listed constraint by its compressions
-    V_a^dag A(X) V_a = V_a^dag b V_a on isometries V_a of its kept factor.
+def restrict(problem: SdpProblem, block_sectors: dict, constraint_sectors: dict) -> SdpProblem:
+    """The problem with each listed block X replaced by its principal sub-blocks
+    X[Q_c, Q_c], and each listed constraint by the sub-blocks [P_a, P_a] of its
+    value and right-hand side, with P_a index sets of its kept factor.
 
-    ``block_isometries`` maps a block name to its E_c (columns orthonormal, the
-    ranges mutually orthogonal and spanning the block), ``constraint_isometries``
-    a constraint name to its V_a; piece a of a constraint is constraint
-    ``name/a``.  A term on piece c in piece a has operator (V_a^dag (x) 1) K E_c
-    and kept dimension dim V_a, and is left out when the isometries
-    annihilate it, to rounding.  Pieces of one block that enter the same
-    terms are joined into one block ``name/g`` on their E_c side by side:
-    splitting them would shrink no constraint, only add terms.  A block or
-    constraint not listed, and a block whose pieces all join, stays whole
-    under its own name, so with nothing listed the problem is the same.
+    ``block_sectors`` maps a block name to index arrays Q_c that partition it,
+    ``constraint_sectors`` a constraint name to index arrays P_a that partition
+    its kept factor; piece a of a constraint is ``name/a``.  Every number of the
+    result is gathered from the problem's: a term on piece c in piece a has the
+    operator K[(P_a, :), Q_c] (K's rows read as (kept, traced), ``op`` None as
+    the identity) and kept dimension |P_a|, and is left out when those entries
+    are zero to rounding (``RESTRICT_TOL``).  Pieces of one block that enter the
+    same terms are joined into one block ``name/g`` on their indices side by
+    side: splitting them would shrink no constraint, only add terms.  A block or
+    constraint not listed, and a block whose pieces all join, stays whole under
+    its own name, so with nothing listed the problem is the same.
 
-    When a symmetry group of the problem makes its optimum block-diagonal on
-    the E_c and every constraint value block-diagonal on the V_a, the
-    restricted problem has the same optimum, and ``expand_multipliers`` turns
-    its multipliers into the problem's with the same slack blocks.
+    When a symmetry group acts on each Q_c and P_a by one character (a basis
+    adapted to it), the optimum can be taken zero between the Q_c, and then
+    its constraint values are zero between the P_a: the restricted problem
+    has the same optimum, and ``expand_multipliers`` turns its multipliers
+    into the problem's with the same slack blocks.
     """
     dims = dict(problem.blocks)
-    stacked = {name: np.hstack(isometries) for name, isometries in block_isometries.items()}
-    starts = {name: np.cumsum([0] + [e.shape[1] for e in es]) for name, es in block_isometries.items()}
-
+    order = {name: np.concatenate(sectors) for name, sectors in block_sectors.items()}
+    starts = {name: np.cumsum([0] + [len(q) for q in sectors[:-1]]) for name, sectors in block_sectors.items()}
     # every constraint piece's terms, with the block pieces each term is live on, and
-    # for each block piece the terms it enters.  A term on a listed block keeps K E, its
-    # operator on all the block's pieces side by side, formed once for all constraint pieces
-    pieces = []  # (name, rhs, [(term, op, kept, live, K E or None)])
-    enters = {name: [set() for _ in isometries] for name, isometries in block_isometries.items()}
+    # for each block piece the terms it enters
+    pieces = []  # (name, rhs, [(term, op, K, kept, live)])
+    enters = {name: [set() for _ in sectors] for name, sectors in block_sectors.items()}
     for con in problem.constraints:
-        kmats = [np.eye(dims[t.block]) if t.op is None else t.op for t in con.terms]  # K, 1 for op None
         scales = [1.0 if t.op is None else max(1.0, float(np.max(np.abs(t.op)))) for t in con.terms]
-        rotated = [
-            None if t.block not in stacked else stacked[t.block] if t.op is None else t.op @ stacked[t.block]
-            for t in con.terms
-        ]
-        for a, v in enumerate(constraint_isometries.get(con.name, (None,))):
+        for a, keep in enumerate(constraint_sectors.get(con.name, (None,))):
             entries = []
             for t, term in enumerate(con.terms):
-                op, kept, ke = term.op, term.kept, rotated[t]
-                if v is not None:
-                    op, kept = _on_kept(v, kmats[t]), v.shape[1]
-                    ke = None if ke is None else _on_kept(v, ke)
-                if ke is not None:
-                    live = np.maximum.reduceat(np.max(np.abs(ke), axis=0), starts[term.block][:-1])
-                    live = live > RESTRICT_TOL * scales[t]
+                op, kept, d = term.op, term.kept, dims[term.block]
+                k = np.eye(d) if op is None else op  # K, the identity for op None
+                if keep is not None:
+                    op = k = k.reshape(kept or len(k), -1, d)[keep].reshape(-1, d)
+                    kept = len(keep)
+                peak = np.max(np.abs(k), axis=0)  # per column of K
+                if term.block in order:  # per block piece
+                    live = np.maximum.reduceat(peak[order[term.block]], starts[term.block]) > RESTRICT_TOL * scales[t]
                     for c in np.flatnonzero(live):
                         enters[term.block][c].add((len(pieces), t))
                 else:
-                    live = np.array([op is None or np.max(np.abs(op)) > RESTRICT_TOL * scales[t]])
-                entries.append((term, op, kept, live, ke))
-            name = f"{con.name}/{a}" if con.name in constraint_isometries else con.name
-            rhs = con.rhs if v is None else _ct(v) @ np.asarray(con.rhs).reshape(v.shape[0], v.shape[0]) @ v
-            pieces.append((name, rhs, entries))
+                    live = np.array([peak.max() > RESTRICT_TOL * scales[t]])
+                entries.append((term, op, k, kept, live))
+            rhs = con.rhs if keep is None else np.asarray(con.rhs)[np.ix_(keep, keep)]
+            pieces.append((con.name if keep is None else f"{con.name}/{a}", rhs, entries))
 
     # join the pieces of a block that enter the same terms; joined piece g is the pieces
-    # members[g], on their columns of the stacked E_c.  A block whose pieces all join
-    # stays whole: its pieces span it, so the split would only rotate it
+    # members[g], on their indices side by side.  A block whose pieces all join stays
+    # whole: its pieces partition it, so the split would only permute it
     members, columns = {}, {}
     for name, signatures in enters.items():
         joined = {}
@@ -199,50 +197,42 @@ def restrict(problem: SdpProblem, block_isometries: dict, constraint_isometries:
             joined.setdefault(frozenset(signature), []).append(c)
         if len(joined) > 1:
             members[name] = list(joined.values())
-            columns[name] = [
-                np.concatenate([np.arange(starts[name][c], starts[name][c + 1]) for c in group])
-                for group in members[name]
-            ]
+            columns[name] = [np.concatenate([block_sectors[name][c] for c in group]) for group in members[name]]
 
     blocks, objective = [], {}
     for name, d in problem.blocks:
-        if name not in columns:
-            blocks.append((name, d))
+        parts = enumerate(columns[name]) if name in columns else [(None, np.arange(d))]
+        for g, cols in parts:
+            part = name if g is None else f"{name}/{g}"
+            blocks.append((part, len(cols)))
             if name in problem.objective:
-                objective[name] = problem.objective[name]
-            continue
-        for g, cols in enumerate(columns[name]):
-            e = stacked[name][:, cols]
-            blocks.append((f"{name}/{g}", len(cols)))
-            if name in problem.objective:
-                objective[f"{name}/{g}"] = _ct(e) @ problem.objective[name] @ e
+                objective[part] = np.asarray(problem.objective[name])[np.ix_(cols, cols)]
     constraints = []
     for name, rhs, entries in pieces:
         terms = []
-        for term, op, kept, live, ke in entries:
+        for term, op, k, kept, live in entries:
             if term.block not in columns:
                 if live.any():
                     terms.append(LinearTerm(term.block, term.coeff, op, kept))
                 continue
             for g, (group, cols) in enumerate(zip(members[term.block], columns[term.block])):
                 if live[group[0]]:  # joined pieces are live in the same terms
-                    terms.append(LinearTerm(f"{term.block}/{g}", term.coeff, ke[:, cols], kept))
+                    terms.append(LinearTerm(f"{term.block}/{g}", term.coeff, k[:, cols], kept))
         constraints.append(Constraint(name, tuple(terms), rhs))
     return SdpProblem(blocks=tuple(blocks), objective=objective, constraints=tuple(constraints))
 
 
-def _on_kept(v: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """(V^dag (x) 1) K: V^dag on the kept index of K, K read as (kept, traced x columns)."""
-    return (_ct(v) @ k.reshape(v.shape[0], -1)).reshape(-1, k.shape[1])
-
-
-def expand_multipliers(constraint_isometries: dict, multipliers: dict) -> dict:
-    """The multipliers of a ``restrict``-ed problem as the original's:
-    Z = sum_a V_a Z_a V_a^dag for each listed constraint, the rest as given."""
+def expand_multipliers(constraint_sectors: dict, multipliers: dict) -> dict:
+    """The multipliers of a ``restrict``-ed problem as the original's: each listed
+    constraint's Z holds its pieces' Z_a on the sub-blocks [P_a, P_a] and 0 between
+    them; the rest as given."""
     out = dict(multipliers)
-    for name, isometries in constraint_isometries.items():
-        pieces = [np.atleast_2d(out.pop(f"{name}/{a}")) for a in range(len(isometries))]
-        out[name] = sum(v @ z @ _ct(v) for v, z in zip(isometries, pieces))
+    for name, sectors in constraint_sectors.items():
+        pieces = [np.atleast_2d(out.pop(f"{name}/{a}")) for a in range(len(sectors))]
+        d = sum(len(p) for p in sectors)
+        out[name] = np.zeros((d, d), dtype=np.result_type(*pieces))
+        for p, z in zip(sectors, pieces):
+            out[name][np.ix_(p, p)] = z
     return out
 
 
@@ -726,14 +716,14 @@ def _max_steps(hx, dx, hs, ds):
 def _residuals(rp, rd, pobj, dobj, b_scale, c_scale):
     """An iterate's primal infeasibility, dual infeasibility (worst block) and relative gap."""
     prinf = np.linalg.norm(rp) / b_scale
-    dinf = max(np.linalg.norm(r) for stack in rd for r in stack) / c_scale
+    dinf = max(np.linalg.norm(r, axis=(1, 2)).max() for r in rd) / c_scale
     relgap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
     return prinf, dinf, relgap
 
 
-def _block_vdot(slots, a, b) -> float:
-    """sum_i Re <A_i, B_i> over the blocks of two stack lists, in block order."""
-    return sum(np.vdot(a[k][p], b[k][p]).real for k, p in slots)
+def _block_vdot(a, b) -> float:
+    """sum_i Re <A_i, B_i> over the blocks of two stack lists: one vdot per stack."""
+    return sum(np.vdot(ak, bk).real for ak, bk in zip(a, b))
 
 
 def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -> SdpSolution:
@@ -743,12 +733,12 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
     of the Schur system M + jitter 1 with both right-hand sides of its
     search direction, r0 + sigma mu r1; the predictor takes sigma mu = 0.
     Every per-block quantity is a list of block stacks, one (n, d, d) array
-    per block size, so each kernel runs once per block size; mu and the
-    objective still sum block by block in block order.  A, A* and M run on
-    the constraint rows (``_Compiled.build_rows``) when their entry count,
-    a property of the problem, is at most ``ROW_BUDGET``, and on the terms
-    otherwise; the two sum in different orders, so their iterates agree to
-    rounding, not bit for bit.
+    per block size, so each kernel, and each sum or norm over the blocks,
+    runs once per block size.  A, A* and M run on the constraint rows
+    (``_Compiled.build_rows``) when their entry count, a property of the
+    problem, is at most ``ROW_BUDGET``, and on the terms otherwise; the two
+    sum in different orders, so their iterates agree to rounding, not bit
+    for bit.
 
     status is "converged" when primal/dual feasibility reaches ``FEAS_TOL``
     and the relative duality gap reaches ``tol``, and the iterate returned is
@@ -774,8 +764,6 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
         comp.build_rows()
     dims = comp.block_dims
     ntot = sum(dims)
-    slots = comp.slots
-    objective = comp.unstacked(comp.objective)
 
     if comp.m:
         resid = comp.inconsistency()
@@ -798,7 +786,7 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
     mu_limit = 1e14 * bnorm * cnorm  # the starting mu is bnorm * cnorm
 
     b_scale = 1.0 + np.linalg.norm(comp.b)
-    c_scale = 1.0 + max(np.linalg.norm(c) for c in objective)
+    c_scale = 1.0 + max(np.linalg.norm(c, axis=(1, 2)).max() for c in comp.objective)
 
     best = None
     best_err = np.inf
@@ -812,8 +800,8 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
             rp = comp.b - comp.apply(x)
             rd = [c - a + sk for c, a, sk in zip(comp.objective, comp.adjoint(y), s)]
             # <A, B> = tr(A B) for Hermitian A: an elementwise vdot, no product
-            mu = _block_vdot(slots, x, s) / ntot
-            pobj = _block_vdot(slots, comp.objective, x)
+            mu = _block_vdot(x, s) / ntot
+            pobj = _block_vdot(comp.objective, x)
             dobj = float(np.vdot(comp.b, y).real)
 
             prinf, dinf, relgap = _residuals(rp, rd, pobj, dobj, b_scale, c_scale)
@@ -866,9 +854,8 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
                 status = "non-finite-direction"
                 break
             ap, ad = (min(1.0, t) for t in steps)
-            mu_aff = _block_vdot(
-                slots, [xk + ap * d for xk, d in zip(x, dx0)], [sk + ad * d for sk, d in zip(s, ds0)]
-            ) / ntot
+            mu_aff = _block_vdot([xk + ap * d for xk, d in zip(x, dx0)], [sk + ad * d for sk, d in zip(s, ds0)])
+            mu_aff /= ntot
             sigma_mu = min(0.999, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3)) * mu
 
             dy = dys[0] + sigma_mu * dys[1]

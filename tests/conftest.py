@@ -5,7 +5,7 @@ import pytest
 
 from qcoinflip.protocols import KPartyProtocol, penalty_protocol
 from qcoinflip.quantum import CNOT, DensityMatrix, HilbertLayout, StateVector, complex_to_json, embed_operator
-from qcoinflip.sdp import Constraint, LinearTerm, SdpProblem
+from qcoinflip.sdp import Constraint, LinearTerm, SdpProblem, restrict
 
 
 def random_state(layout: HilbertLayout, rng) -> StateVector:
@@ -115,6 +115,51 @@ def full_space_cheat_sdp(protocol, honest: int, target: int) -> SdpProblem:
         constraints.append(Constraint(f"round_{j}", terms, np.zeros((d_priv, d_priv), dtype=complex)))
     objective = {f"rho_{n}": embed_operator(proj[target], layout.factor_dims, priv)}
     return SdpProblem(blocks=blocks, objective=objective, constraints=tuple(constraints))
+
+
+def assert_sub_arrays(problem: SdpProblem, restricted: SdpProblem, block_sectors: dict, constraint_sectors: dict):
+    """Every number of ``restricted`` is an entry of ``problem``: each objective,
+    term operator and right-hand side is ``np.array_equal`` to the parent's
+    array fancy-indexed by the sectors, with ``op`` None read as the identity.
+
+    The indices of a restricted block, joined or not, are read off a copy of
+    the problem whose objectives are diag(0, 1, ...), restricted alike: its
+    sub-blocks' diagonals are the indices they were gathered from.
+    """
+    dims = dict(problem.blocks)
+    labelled = SdpProblem(
+        problem.blocks, {name: np.diag(np.arange(d, dtype=float)) for name, d in problem.blocks}, problem.constraints
+    )
+    labels = restrict(labelled, block_sectors, constraint_sectors).objective
+    indices = {name: np.diag(c).astype(int) for name, c in labels.items()}
+    assert [name for name, _ in restricted.blocks] == list(indices)
+    for name, d in restricted.blocks:
+        parent = name.split("/")[0]
+        assert d == len(indices[name])
+        if parent in problem.objective:
+            sub = np.asarray(problem.objective[parent])[np.ix_(indices[name], indices[name])]
+            assert np.array_equal(restricted.objective[name], sub)
+    parents = {con.name: con for con in problem.constraints}
+    for con in restricted.constraints:
+        parent = parents[con.name.split("/")[0]]
+        keep = constraint_sectors[parent.name][int(con.name.split("/")[1])] if "/" in con.name else None
+        n = int(np.sqrt(np.size(parent.rhs)))
+        rhs = np.reshape(parent.rhs, (n, n))
+        assert np.array_equal(con.rhs, rhs if keep is None else rhs[np.ix_(keep, keep)])
+        for term in con.terms:
+            cols = indices[term.block]
+            block = term.block.split("/")[0]
+            candidates = []
+            for t in parent.terms:
+                if t.block != block or t.coeff != term.coeff:
+                    continue
+                k = np.eye(dims[block]) if t.op is None else t.op
+                dk = len(k) if t.kept is None else t.kept
+                if keep is not None:
+                    k = k.reshape(dk, -1, dims[block])[keep].reshape(-1, dims[block])
+                candidates.append(k[:, cols])
+            op = np.eye(len(cols)) if term.op is None else term.op
+            assert any(np.array_equal(op, k) for k in candidates), (con.name, term.block)
 
 
 def dense_rows(comp) -> np.ndarray:

@@ -4,7 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import full_space_cheat_sdp, merge_cheaters, random_unitary, relayed_penalty_protocol
+from conftest import (
+    assert_sub_arrays,
+    full_space_cheat_sdp,
+    merge_cheaters,
+    random_unitary,
+    relayed_penalty_protocol,
+)
 from qcoinflip import lowerbound
 from qcoinflip.lowerbound import (
     cheat_product_check,
@@ -261,6 +267,21 @@ class TestOptimalCheat:
             kept = [[t.kept for t in con.terms] for con in problem.constraints]
             assert kept == [[1]] + [[w.shape[1]] * 2 for w in supports[1:]]
 
+    def test_supports_and_sweep_computed_once_per_call(self, monkeypatch):
+        # cheat_sdp and symmetry_sectors take optimal_cheat's supports and forward sweep
+        calls = {"reachable_supports": 0, "_forward_sweep": 0}
+        for name in calls:
+            original = getattr(lowerbound, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(lowerbound, name, counting)
+        for honest in (0, 1):
+            optimal_cheat(penalty_protocol_compact4(), honest, 1)
+        assert calls == {"reachable_supports": 2, "_forward_sweep": 2}
+
     @pytest.mark.parametrize("honest", [-1, 2, "alice"])
     def test_honest_index_out_of_range_raises(self, honest):
         with pytest.raises(ValueError, match="out of range"):
@@ -410,8 +431,9 @@ class TestSymmetrySectors:
         for honest in range(p.k):
             with pytest.raises(Handed):
                 optimal_cheat(p, honest, 1)
-            expected = restrict(cheat_sdp(p, honest, 1), *symmetry_sectors(p, honest, 1))
-            assert problem_key(handed[-1]) == problem_key(expected), honest
+            problem, sectors = cheat_sdp(p, honest, 1), symmetry_sectors(p, honest, 1)
+            assert problem_key(handed[-1]) == problem_key(restrict(problem, *sectors)), honest
+            assert_sub_arrays(problem, handed[-1], *sectors)
 
     @pytest.mark.parametrize("case", COMPARISON_CASES, ids=["-".join(map(str, c)) for c in COMPARISON_CASES])
     def test_sector_solve_matches_its_reference(self, sector_comparison, case):
@@ -423,42 +445,73 @@ class TestSymmetrySectors:
         assert cheat.bound >= cheat.probability - 1e-7
 
     @pytest.mark.parametrize("name", [*COMPARISON_SET, "haar-random"])
-    def test_sectors_match_their_per_pair_construction(self, name, rng):
-        # the oracle labels basis states by np.unique over rows, takes each V_a from its own
-        # label's Gram matrix, and builds E_c as the kron(V_a, |mu>) of its pairs side by side;
-        # the Haar-random protocol has joint sectors with several mu on one V_a of dimension > 1
+    def test_adapted_support_columns_lie_in_one_sector(self, name, rng):
+        # every support column is exactly 0 off the basis states of one character, under the
+        # forward sweep and so under either target's group, and the columns in a sector span
+        # the support's part there: the projector D Pi_j D, with Pi_j the range of the private
+        # marginal of U_j (Pi_{j-1} (x) 1) U_j^dag and D the sector's basis states
         p = haar_random_protocol(rng) if name == "haar-random" else COMPARISON_SET[name][0]()
         d_msg = p.layout_m.dim
-        eye_m = np.eye(d_msg)
         for honest in range(p.k):
+            d_priv = p.layouts[honest].dim
+            unitaries = [u for t, u in zip(p.turns, p.unitaries) if t == honest]
+            supports = reachable_supports(p, honest)
+            sweep = lowerbound._forward_sweep(p, honest)
+            groups = [phase_symmetries(p, honest, target) for target in (0, 1)]
+            pi = np.zeros((d_priv, d_priv), dtype=complex)
+            pi[0, 0] = 1.0
+            for j, w in enumerate(supports):
+                if j:
+                    image = unitaries[j - 1] @ np.kron(pi, np.eye(d_msg)) @ unitaries[j - 1].conj().T
+                    evals, vecs = np.linalg.eigh(image.reshape(d_priv, d_msg, d_priv, d_msg).trace(axis1=1, axis2=3))
+                    pi = vecs[:, evals > 1e-9] @ vecs[:, evals > 1e-9].conj().T
+                np.testing.assert_allclose(w.conj().T @ w, np.eye(w.shape[1]), atol=1e-12)
+                tables = [sweep.private[sweep.reached[j]].T] + [g.rounds[j][:, :, 0].T for g in groups]
+                for table in tables:
+                    labels = np.unique(table, axis=0, return_inverse=True)[1].reshape(-1)
+                    for i in range(w.shape[1]):
+                        assert len(set(labels[np.flatnonzero(w[:, i])])) == 1, (name, honest, j, i)
+                    for label in np.unique(labels):
+                        inside = labels == label
+                        part = w[:, labels[np.argmax(np.abs(w), axis=0)] == label]
+                        np.testing.assert_allclose(part @ part.conj().T, pi * np.outer(inside, inside), atol=1e-10)
+
+    def test_support_not_invariant_under_the_sweep_is_rejected(self):
+        # forward characters that split a support: every clock character at every round,
+        # though Alice's commit superposes basis states of different characters
+        p = penalty_protocol(16.0)
+        sweep = lowerbound._forward_sweep(p, 0)
+        every = np.arange(p.layouts[0].dim)
+        forced = replace(sweep, reached=[every] * len(sweep.reached))
+        with pytest.raises(RuntimeError, match="not invariant under the phase symmetries"):
+            reachable_supports(p, 0, forced)
+
+    @pytest.mark.parametrize("name", [*COMPARISON_SET, "haar-random"])
+    def test_sectors_match_their_per_pair_construction(self, name, rng):
+        # the oracle labels basis states by np.unique over rows, gives each support column
+        # the label of a basis state where it is nonzero, groups the columns by label, and
+        # labels each pair (column, mu) by its joint character; a round with one sector is
+        # not listed.  The Haar-random protocol has joint sectors with several mu on one
+        # private sector of dimension > 1
+        p = haar_random_protocol(rng) if name == "haar-random" else COMPARISON_SET[name][0]()
+        d_msg = p.layout_m.dim
+        for honest in range(p.k):
+            supports = reachable_supports(p, honest)
             for target in (0, 1):
+                blocks, rounds = symmetry_sectors(p, honest, target)
                 group = phase_symmetries(p, honest, target)
-                for w, exps in zip(reachable_supports(p, honest), group.rounds):
-                    private, sectors = lowerbound._sector_isometries(w, d_msg, exps)
-                    labels = np.unique(exps[:, :, 0].T, axis=0, return_inverse=True)[1].reshape(-1)
-                    reps, projectors = [], []
-                    for a in range(labels.max() + 1):
-                        part = w[labels == a]
-                        evals, vecs = np.linalg.eigh(part.conj().T @ part)
-                        if evals[-1] > 0.5:
-                            projectors.append(vecs[:, evals > 0.5] @ vecs[:, evals > 0.5].conj().T)
-                            reps.append(np.flatnonzero(labels == a)[0])
-                    if len(projectors) == 1:
-                        assert len(private) == 1 and np.array_equal(private[0], np.eye(w.shape[1]))
-                    else:
-                        assert len(private) == len(projectors)
-                        for v, proj in zip(private, projectors):
-                            np.testing.assert_allclose(v.conj().T @ v, np.eye(v.shape[1]), atol=1e-12)
-                            np.testing.assert_allclose(v @ v.conj().T, proj, atol=1e-12)
-                    joint = np.unique(
-                        exps[:, reps, :].transpose(1, 2, 0).reshape(len(reps) * d_msg, -1), axis=0, return_inverse=True
-                    )[1].reshape(len(reps), d_msg)
-                    expected = [
-                        np.hstack([np.kron(private[a], eye_m[:, [mu]]) for a, mu in zip(*np.nonzero(joint == c))])
-                        for c in range(joint.max() + 1)
-                    ]
-                    assert len(sectors) == len(expected)
-                    assert all(np.array_equal(e, f) for e, f in zip(sectors, expected)), (name, honest, target)
+                for j, (w, exps) in enumerate(zip(supports, group.rounds)):
+                    reps = [np.flatnonzero(w[:, i])[0] for i in range(w.shape[1])]
+                    private = np.unique(exps[:, reps, 0].T, axis=0, return_inverse=True)[1].reshape(-1)
+                    characters = np.array([exps[:, x, mu] for x in reps for mu in range(d_msg)])
+                    joint = np.unique(characters, axis=0, return_inverse=True)[1].reshape(-1)
+                    for labels, listed in ((private, rounds.get(f"round_{j}")), (joint, blocks.get(f"rho_{j}"))):
+                        expected = [np.flatnonzero(labels == a) for a in range(labels.max() + 1)]
+                        if len(expected) == 1:
+                            assert listed is None, (name, honest, target, j)
+                        else:
+                            assert len(listed) == len(expected), (name, honest, target, j)
+                            assert all(map(np.array_equal, listed, expected)), (name, honest, target, j)
 
     def test_chain_off_its_sectors_is_rejected(self, v16_check):
         # add to Z_1 of the Alice-cheat chain a term between two private sectors: truncated to
@@ -466,10 +519,11 @@ class TestSymmetrySectors:
         # sequence refuses it
         p = penalty_protocol(16.0)
         _, rounds = symmetry_sectors(p, 1, 1)
-        v = rounds["round_1"]
-        off = v[0] @ np.ones((v[0].shape[1], v[1].shape[1])) @ v[1].conj().T
-        off = off + off.conj().T
+        sectors = rounds["round_1"]
         chain = v16_check.cheats[1].chain
+        off = np.zeros_like(chain["round_1"])
+        off[np.ix_(sectors[0], sectors[1])] = 1.0
+        off = off + off.conj().T
         problem = cheat_sdp(p, 1, 1)
         for t in 1e-3 * 2.0 ** np.arange(20):
             perturbed = dict(chain, round_1=chain["round_1"] + t * off)
@@ -477,8 +531,10 @@ class TestSymmetrySectors:
                 break
         else:
             pytest.fail("no perturbation made the chain infeasible")
-        truncated = sum(w @ w.conj().T @ perturbed["round_1"] @ w @ w.conj().T for w in v)
-        np.testing.assert_allclose(truncated, chain["round_1"], atol=1e-12)
+        truncated = np.zeros_like(chain["round_1"])
+        for q in sectors:
+            truncated[np.ix_(q, q)] = perturbed["round_1"][np.ix_(q, q)]
+        np.testing.assert_array_equal(truncated, chain["round_1"])
         with pytest.raises(ValueError, match="party-1-honest chain infeasible"):
             dual_bound_sequence(p, [v16_check.cheats[0].chain, perturbed], target=1)
 

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import dense_rows, overflowing_h, random_hermitian, random_unitary
+from conftest import assert_sub_arrays, dense_rows, overflowing_h, random_hermitian, random_unitary
 from qcoinflip.sdp import (
     FEAS_TOL,
     Constraint,
@@ -860,7 +860,7 @@ class TestRestrict:
 
     def test_sectors_split_blocks_and_constraints(self):
         problem = self.diagonal_problem()
-        e = [np.eye(2)[:, [0]], np.eye(2)[:, [1]]]
+        e = [np.array([0]), np.array([1])]
         restricted = restrict(problem, {"x": e}, {"pin": e})
         assert restricted.blocks == (("x/0", 1), ("x/1", 1))
         # each constraint piece keeps the one block piece it reaches
@@ -871,6 +871,7 @@ class TestRestrict:
         multipliers = expand_multipliers({"pin": e}, solution.dual_multipliers)
         assert set(multipliers) == {"pin"}
         np.testing.assert_allclose(multipliers["pin"], np.diag([1.0, 2.0]), atol=1e-6)
+        assert multipliers["pin"][0, 1] == multipliers["pin"][1, 0] == 0.0
         report = verify_dual(problem, multipliers, tol=1e-6)
         assert report.feasible and abs(report.bound - solution.dual_value) < 1e-12
 
@@ -884,12 +885,13 @@ class TestRestrict:
                 Constraint("pin", (LinearTerm("x", op=np.eye(3)[[2]]),), np.array([[0.5]])),
             ),
         )
-        e = [np.eye(3)[:, [1]], np.eye(3)[:, [0]], np.eye(3)[:, [2]]]
+        e = [np.array([1]), np.array([0]), np.array([2])]
         restricted = restrict(problem, {"x": e}, {})
         assert restricted.blocks == (("x/0", 2), ("x/1", 1))
         norm, pin = restricted.constraints
         assert [t.block for t in norm.terms] == ["x/0", "x/1"]
         np.testing.assert_array_equal(norm.terms[0].op, np.eye(3)[:, [1, 0]])
+        np.testing.assert_array_equal(restricted.objective["x/0"], np.diag([2.0, 1.0]))
         assert [t.block for t in pin.terms] == ["x/1"]
         assert abs(solve(restricted).primal_value - 2.5) < 1e-7
 
@@ -899,44 +901,46 @@ class TestRestrict:
             objective={"x": np.diag([1.0, 2.0])},
             constraints=(Constraint("norm", (LinearTerm("x", kept=1),), np.array([[1.0]])),),
         )
-        restricted = restrict(problem, {"x": [np.eye(2)[:, [1]], np.eye(2)[:, [0]]]}, {})
+        restricted = restrict(problem, {"x": [np.array([1]), np.array([0])]}, {})
         assert restricted.blocks == problem.blocks
         (term,) = restricted.constraints[0].terms
         assert term == problem.constraints[0].terms[0]
         assert solve(restricted).iterations == solve(problem).iterations
 
     @staticmethod
-    def kept_oracle(v, term, dim):
-        """(V^dag (x) 1) K, by the Kronecker product: the oracle of a restricted operator."""
+    def kept_oracle(keep, term, dim):
+        """(V^dag (x) 1) K with V the columns ``keep`` of the identity, by the Kronecker
+        product: the oracle of a restricted operator."""
         k = np.eye(dim) if term.op is None else term.op
-        return np.kron(v.conj().T, np.eye(k.shape[0] // v.shape[0])) @ k
+        dk = term.kept or len(k)
+        return np.kron(np.eye(dk)[keep], np.eye(len(k) // dk)) @ k
 
     @DATA
     def test_constraint_pieces_compress_the_kept_factor(self, rng, real):
-        # block P is (kept 2) (x) (traced 3): one term has an operator, one the identity;
-        # each piece of the constraint keeps a column of a random unitary on the kept factor
+        # block P is (kept 3) (x) (traced 2): one term has an operator, one the identity;
+        # each piece of the constraint keeps some indices of the kept factor, in their order
         k = _random_matrix(6, rng, real)
-        terms = (LinearTerm("P", 2.0, k, 2), LinearTerm("P", -1.0, kept=2))
+        terms = (LinearTerm("P", 2.0, k, 3), LinearTerm("P", -1.0, kept=3))
         problem = SdpProblem(
             blocks=(("P", 6),),
             objective={"P": _random_hermitian(6, rng, real)},
-            constraints=(Constraint("c", terms, _random_hermitian(2, rng, real)),),
+            constraints=(Constraint("c", terms, _random_hermitian(3, rng, real)),),
         )
-        u = np.linalg.qr(_random_matrix(2, rng, real))[0]
-        vs = [u[:, [0]], u[:, [1]]]
-        restricted = restrict(problem, {}, {"c": vs})
+        keeps = [np.array([2, 0]), np.array([1])]
+        restricted = restrict(problem, {}, {"c": keeps})
         assert [c.name for c in restricted.constraints] == ["c/0", "c/1"]
-        for v, con in zip(vs, restricted.constraints):
-            assert [(t.block, t.coeff, t.kept) for t in con.terms] == [("P", 2.0, 1), ("P", -1.0, 1)]
+        for keep, con in zip(keeps, restricted.constraints):
+            assert [(t.block, t.coeff, t.kept) for t in con.terms] == [("P", 2.0, len(keep)), ("P", -1.0, len(keep))]
             for term, piece in zip(terms, con.terms):
-                np.testing.assert_allclose(piece.op, self.kept_oracle(v, term, 6), rtol=0, atol=1e-13)
-            np.testing.assert_allclose(con.rhs, v.conj().T @ problem.constraints[0].rhs @ v, atol=1e-13)
+                np.testing.assert_array_equal(piece.op, self.kept_oracle(keep, term, 6))
+            np.testing.assert_array_equal(con.rhs, problem.constraints[0].rhs[np.ix_(keep, keep)])
+        assert_sub_arrays(problem, restricted, {}, {"c": keeps})
 
     @DATA
     def test_constraint_and_block_pieces_together(self, rng, real):
         # P = (kept 2) (x) (traced 3), split by the kept index: constraint piece a and block
-        # piece a (a random basis of |a> (x) C^3) meet only each other, so P splits, and each
-        # term on P/a is (V_a^dag (x) 1) K E_a
+        # piece a (the indices of |a> (x) C^3, in a shuffled order) meet only each other, so
+        # P splits, and each term on P/a is (V_a^dag (x) 1) K E_a
         k = np.kron(np.eye(2), _random_matrix(3, rng, real))
         terms = (LinearTerm("P", 2.0, k, 2), LinearTerm("P", -1.0, kept=2))
         problem = SdpProblem(
@@ -944,11 +948,26 @@ class TestRestrict:
             objective={"P": _random_hermitian(6, rng, real)},
             constraints=(Constraint("c", terms, _random_hermitian(2, rng, real)),),
         )
-        vs = [np.eye(2)[:, [0]], np.eye(2)[:, [1]]]
-        es = [np.kron(v, np.linalg.qr(_random_matrix(3, rng, real))[0]) for v in vs]
-        restricted = restrict(problem, {"P": es}, {"c": vs})
+        keeps = [np.array([0]), np.array([1])]
+        es = [3 * a + rng.permutation(3) for a in (0, 1)]
+        restricted = restrict(problem, {"P": es}, {"c": keeps})
         assert restricted.blocks == (("P/0", 3), ("P/1", 3))
-        for a, (v, e, con) in enumerate(zip(vs, es, restricted.constraints)):
+        for a, (keep, e, con) in enumerate(zip(keeps, es, restricted.constraints)):
             assert [t.block for t in con.terms] == [f"P/{a}", f"P/{a}"]
             for term, piece in zip(terms, con.terms):
-                np.testing.assert_allclose(piece.op, self.kept_oracle(v, term, 6) @ e, rtol=0, atol=1e-13)
+                np.testing.assert_array_equal(piece.op, self.kept_oracle(keep, term, 6) @ np.eye(6)[:, e])
+            np.testing.assert_array_equal(restricted.objective[f"P/{a}"], problem.objective["P"][np.ix_(e, e)])
+        assert_sub_arrays(problem, restricted, {"P": es}, {"c": keeps})
+
+    @DATA
+    def test_every_number_is_an_entry_of_the_problem(self, rng, real):
+        # random partitions of every block and of the kept factor of every constraint
+        problem = random_structured_problem(rng, real=real)
+        dims = dict(problem.blocks)
+        blocks = {name: np.array_split(rng.permutation(d), 2) for name, d in dims.items()}
+        kept = {"marginal": 3, "sandwich": 2}
+        constraints = {name: np.array_split(rng.permutation(d), 2) for name, d in kept.items()}
+        restricted = restrict(problem, blocks, constraints)
+        names = ["marginal/0", "marginal/1", "sandwich/0", "sandwich/1", "norm"]
+        assert [c.name for c in restricted.constraints] == names
+        assert_sub_arrays(problem, restricted, blocks, constraints)
