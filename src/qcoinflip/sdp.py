@@ -10,11 +10,12 @@ the kept ones first, is the caller's business (``quantum`` owns factor
 order), so this module sees matrices only.
 
 The solver is a primal-dual interior-point method (Nesterov-Todd scaling,
-infeasible start, Mehrotra predictor-corrector centering): robustness over
-speed, which is the right trade at total block dimensions of a few hundred.
-The search direction is affine in the centering term, so each iterate makes
-one LU solve of the Schur system with two right-hand sides, and predictor
-and corrector combine its two solutions; numpy is the only dependency.
+infeasible start, Mehrotra's predictor-corrector with its second-order
+term, as SDPT3 runs it): robustness over speed, which is the right trade at
+total block dimensions of a few hundred.  Each iterate works in the NT
+frame, where X and S are one diagonal matrix, and makes two LU solves of the
+Schur system: the predictor's and the centering's right-hand sides together,
+then the second-order term's; numpy is the only dependency.
 Dual feasible points can be checked independently of the solver
 (``verify_dual``), so a certificate bound never relies on the code path it
 is validating.
@@ -52,6 +53,7 @@ original's, where ``verify_dual`` checks them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -673,36 +675,40 @@ def _chol(mats: np.ndarray) -> np.ndarray:
 
 
 def _nt_scaling(lx: np.ndarray, s: np.ndarray):
-    """The Nesterov-Todd scaling and all the iterate needs of S, from X's
-    Cholesky factor L (``lx``) and L^dag S L = V diag(lam) V^dag, per member.
+    """The Nesterov-Todd frame of a block stack, from X's Cholesky factor L
+    (``lx``) and L^dag S L = V diag(lam) V^dag, per member.
 
-    Returns (W, S^-1, H) with H = lam^-1/2 V^dag L^dag: W = L V lam^-1/2
-    V^dag L^dag > 0 has W S W = X, S^-1 = H^dag H, and H S H^dag = 1, so S's
-    step length is read from H dS H^dag (``_max_steps``).  S itself is never factored.
+    Returns (W, S^-1, R, d) with R = L V lam^-1/4 and d = lam^1/2: then
+    R^-1 X R^-dag = R^dag S R = D = diag(d), W = R R^dag > 0 has W S W = X,
+    and S^-1 = R D^-1 R^dag.  X and S are both D in the frame, so the search
+    direction and both step lengths are read there.  S itself is never
+    factored.
     """
     mid = _hermitian_part(_ct(lx) @ s @ lx)
     evals, vecs = np.linalg.eigh(mid)
-    scaled = vecs * np.maximum(evals, 1e-300)[..., None, :] ** -0.5
-    w = lx @ (scaled @ _ct(vecs)) @ _ct(lx)
-    hdag = lx @ scaled
-    return _hermitian_part(w), hdag @ _ct(hdag), _ct(hdag)
+    evals = np.maximum(evals, 1e-300)
+    r = lx @ (vecs * evals[..., None, :] ** -0.25)
+    d = np.sqrt(evals)
+    return _hermitian_part(r @ _ct(r)), (r / d[..., None, :]) @ _ct(r), r, d
 
 
-def _max_steps(hx, dx, hs, ds):
+def _max_steps(d, dx, ds):
     """Largest t_X with X + t dX >= 0 and largest t_S with S + t dS >= 0, in
     every member of every stack, as (t_X, t_S): inf where no bound applies.
 
-    ``hx`` and ``hs`` are stacks of any H with H X H^dag = 1 (H S H^dag = 1),
-    such as the inverse of X's Cholesky factor.  X + t dX = H^-1 (1 + t H dX
-    H^dag) H^-dag, so t is set by the least eigenvalue of H dX H^dag.  Both
-    products of a stack share one ``eigvalsh``, and each member's eigenvalues
-    are those of a call on it alone.  None when a product or an eigenvalue
-    is not finite: when a direction is, and also when H and dX are finite
-    but H dX H^dag overflows.
+    ``d`` holds each stack's frame diagonals, ``dx`` and ``ds`` the direction
+    in the frame, R^-1 dX R^-dag and R^dag dS R (``_nt_scaling``).  X + t dX =
+    R D^1/2 (1 + t D^-1/2 dX~ D^-1/2) D^1/2 R^dag, so t_X is set by the least
+    eigenvalue of D^-1/2 dX~ D^-1/2, and t_S likewise.  Both scaled
+    directions of a stack share one ``eigvalsh``, and each member's
+    eigenvalues are those of a call on it alone.  None when a scaled
+    direction or an eigenvalue is not finite.
     """
     lam_x = lam_s = np.inf
-    for hxk, dxk, hsk, dsk in zip(hx, dx, hs, ds):
-        g = _hermitian_part(np.concatenate([hxk @ dxk @ _ct(hxk), hsk @ dsk @ _ct(hsk)]))
+    for dk, dxk, dsk in zip(d, dx, ds):
+        scale = dk**-0.5
+        outer = scale[..., :, None] * scale[..., None, :]
+        g = np.concatenate([dxk * outer, dsk * outer])
         if not np.isfinite(g).all():
             return None
         lam = np.linalg.eigvalsh(g)[:, 0]
@@ -726,12 +732,102 @@ def _block_vdot(a, b) -> float:
     return sum(np.vdot(ak, bk).real for ak, bk in zip(a, b))
 
 
+class _Stop(Exception):
+    """A guard stopped the iterate; the argument is the status that names it."""
+
+
+class _Direction(NamedTuple):
+    """One iterate's search direction; X's is given in the NT frame of ``_nt_scaling``."""
+
+    r: list  # each stack's R
+    dx: list  # dX~ = R^-1 dX R^-dag
+    ds: list
+    dy: np.ndarray
+    steps: tuple  # (alpha_p, alpha_d): the lengths X and (S, y) move by
+    sigma_mu: float
+
+
+def _schur_solve(mmat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    try:
+        # NaN from a non-finite right-hand side is caught by the step lengths
+        return np.linalg.solve(mmat, rhs)
+    except np.linalg.LinAlgError:
+        raise _Stop("schur-singular") from None
+
+
+def _diagonal(d: np.ndarray) -> np.ndarray:
+    """The stack of diagonal matrices with these diagonals."""
+    return d[..., None] * np.eye(d.shape[-1])
+
+
+def _second_order(d: np.ndarray, dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """E with D o E = dX~ o dS~ (A o B = (A B + B A) / 2) for frame diagonals d:
+    E_ij = (dX~ dS~ + dS~ dX~)_ij / (d_i + d_j), Hermitian bit for bit."""
+    p = dx @ ds
+    return (p + _ct(p)) / (d[..., :, None] + d[..., None, :])
+
+
+def _direction(comp: _Compiled, x, s, rp, rd, mu: float) -> _Direction:
+    """Mehrotra's predictor-corrector direction in the Nesterov-Todd frame, as SDPT3 runs it.
+
+    In the frame X and S are D, and the Newton equations are A(dX) = rp,
+    dS = A*(dy) - rd and D o (dX~ + dS~) = sigma mu 1 - D^2 - dX~_a o dS~_a,
+    with A o B = (A B + B A) / 2.  The predictor (sigma mu = 0, no
+    second-order term) solves M dy = r0 + sigma mu r1 for both generators,
+    r0 = A(W rd W - X) - rp and r1 = A(S^-1), in one LU solve, and its step
+    lengths set sigma = (mu_aff / mu)^e with e = max(1, 3 min(alpha_p,
+    alpha_d)^2).  The second-order term E, E_ij = (dX~_a dS~_a + dS~_a
+    dX~_a)_ij / (d_i + d_j), adds r2 = -A(R E R^dag), solved on the same M.
+    numpy keeps no LU factors, so that is a second LU solve.  The step
+    lengths are gamma = 0.9 + 0.09 min(1, t_X, t_S) times the largest.
+    Raises ``_Stop`` naming the guard that stops the loop.
+    """
+    lx = [_chol(xk) for xk in x]
+    w, sinv, r, d = zip(*(_nt_scaling(lk, sk) for lk, sk in zip(lx, s)))
+    mmat = comp.schur(w)
+    if not np.all(np.isfinite(mmat)):
+        raise _Stop("non-finite-schur")
+    r0 = comp.apply([wk @ rdk @ wk - xk for wk, rdk, xk in zip(w, rd, x)]) - rp
+    r1 = comp.apply(sinv)
+    if comp.m:  # jitter: 1e-13 times the mean of M's diagonal (at least 1), added in place
+        mmat.flat[:: comp.m + 1] += max(float(np.mean(np.diag(mmat)).real), 1.0) * 1e-13
+    dys = _schur_solve(mmat, np.stack([r0, r1], axis=1)).T
+    dmat = [_diagonal(dk) for dk in d]
+
+    # predictor (affine scaling, sigma mu = 0)
+    ds_a = [_hermitian_part(_ct(rk) @ (a - rdk) @ rk) for rk, a, rdk in zip(r, comp.adjoint(dys[0]), rd)]
+    dx_a = [-dm - dk for dm, dk in zip(dmat, ds_a)]
+    steps = _max_steps(d, dx_a, ds_a)
+    if steps is None:  # a non-finite direction, or one whose scaled form overflows
+        raise _Stop("non-finite-direction")
+    ap, ad = (min(1.0, t) for t in steps)
+    mu_aff = _block_vdot([dm + ap * dk for dm, dk in zip(dmat, dx_a)], [dm + ad * dk for dm, dk in zip(dmat, ds_a)])
+    mu_aff /= sum(comp.block_dims)
+    sigma_mu = min(0.999, max(1e-8, (max(mu_aff, 0.0) / mu) ** max(1.0, 3.0 * min(ap, ad) ** 2))) * mu
+
+    # corrector: centering and the second-order term
+    second = [_second_order(dk, xa, sa) for dk, xa, sa in zip(d, dx_a, ds_a)]
+    dy2 = _schur_solve(mmat, -comp.apply([rk @ ek @ _ct(rk) for rk, ek in zip(r, second)]))
+    dy = dys[0] + sigma_mu * dys[1] + dy2
+    ds = [_hermitian_part(a - rdk) for a, rdk in zip(comp.adjoint(dy), rd)]
+    ds_frame = [_hermitian_part(_ct(rk) @ dk @ rk) for rk, dk in zip(r, ds)]
+    dx = [_diagonal(sigma_mu / dk - dk) - sk - ek for dk, sk, ek in zip(d, ds_frame, second)]
+    steps = _max_steps(d, dx, ds_frame)
+    if steps is None:
+        raise _Stop("non-finite-direction")
+    gamma = 0.9 + 0.09 * min(1.0, *steps)
+    return _Direction(r, dx, ds, dy, tuple(min(1.0, gamma * t) for t in steps), sigma_mu)
+
+
 def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -> SdpSolution:
     """Solve the block SDP; returns the best iterate with a status flag.
 
-    Each iterate factors every block's X (Cholesky) and makes one LU solve
-    of the Schur system M + jitter 1 with both right-hand sides of its
-    search direction, r0 + sigma mu r1; the predictor takes sigma mu = 0.
+    Each iterate factors every block's X (Cholesky) and takes its
+    Nesterov-Todd frame from one ``eigh`` (``_nt_scaling``), then takes
+    Mehrotra's predictor-corrector step with the second-order term
+    (``_direction``): two LU solves of the Schur system M + jitter 1, the
+    first with the predictor's and the centering's right-hand sides, the
+    second with the second-order term's.
     Every per-block quantity is a list of block stacks, one (n, d, d) array
     per block size, so each kernel, and each sum or norm over the blocks,
     runs once per block size.  A, A* and M run on the constraint rows
@@ -754,8 +850,8 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
     - "schur-singular": the Schur matrix, its diagonal shifted by 1e-13
       times its mean (at least 1), is exactly singular to LU;
     - "non-finite-direction": a search direction has a NaN or infinite entry,
-      or its scaled form H dX H^dag in the step-length test does (finite H
-      and dX whose product overflows);
+      or its scaled form D^-1/2 dX~ D^-1/2 in the step-length test does
+      (a finite R whose frame product overflows);
     - "mu-blowup": the complementarity measure mu is not finite or exceeds
       1e14 times its starting value.
     """
@@ -820,56 +916,15 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
                 status = "stall"
                 break
 
-            # one Cholesky factor per block, of X, and its inverse (X's step length);
-            # the NT eigendecomposition gives W, S^-1 and S's step length, so S is never factored
-            lx = [_chol(xk) for xk in x]
-            lxinv = [np.linalg.inv(lk) for lk in lx]
-            w, sinv, hs = zip(*(_nt_scaling(lk, sk) for lk, sk in zip(lx, s)))
-            mmat = comp.schur(w)
-            if not np.all(np.isfinite(mmat)):
-                status = "non-finite-schur"
-                break
-
-            # the direction is affine in sigma mu: M dy = r0 + sigma mu r1, so one solve with
-            # both right-hand sides gives generators that predictor and corrector combine
-            r0 = comp.apply([wk @ rdk @ wk - xk for wk, rdk, xk in zip(w, rd, x)]) - rp
-            r1 = comp.apply(sinv)
-            if comp.m:  # jitter: 1e-13 times the mean of M's diagonal (at least 1), added in place
-                mmat.flat[:: comp.m + 1] += max(float(np.mean(np.diag(mmat)).real), 1.0) * 1e-13
             try:
-                # NaN from a non-finite right-hand side is caught below
-                dys = np.linalg.solve(mmat, np.stack([r0, r1], axis=1)).T
-            except np.linalg.LinAlgError:
-                status = "schur-singular"
+                step = _direction(comp, x, s, rp, rd, mu)
+            except _Stop as stop:
+                status = stop.args[0]
                 break
-            adj = comp.adjoint(dys)  # its leading axis holds the generators for 1 and for sigma mu
-            ds0 = [_hermitian_part(a[0] - rdk) for a, rdk in zip(adj, rd)]
-            ds1 = [_hermitian_part(a[1]) for a in adj]
-            dx0 = [_hermitian_part(-xk - wk @ d @ wk) for xk, wk, d in zip(x, w, ds0)]
-            dx1 = [_hermitian_part(sk - wk @ d @ wk) for sk, wk, d in zip(sinv, w, ds1)]
-
-            # predictor (affine scaling, sigma mu = 0) fixes the centering weight
-            steps = _max_steps(lxinv, dx0, hs, ds0)
-            if steps is None:  # a non-finite direction, or one whose scaled form overflows
-                status = "non-finite-direction"
-                break
-            ap, ad = (min(1.0, t) for t in steps)
-            mu_aff = _block_vdot([xk + ap * d for xk, d in zip(x, dx0)], [sk + ad * d for sk, d in zip(s, ds0)])
-            mu_aff /= ntot
-            sigma_mu = min(0.999, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3)) * mu
-
-            dy = dys[0] + sigma_mu * dys[1]
-            dx = [d0 + sigma_mu * d1 for d0, d1 in zip(dx0, dx1)]
-            ds = [d0 + sigma_mu * d1 for d0, d1 in zip(ds0, ds1)]
-            steps = _max_steps(lxinv, dx, hs, ds)
-            if steps is None:
-                status = "non-finite-direction"
-                break
-            ap, ad = (min(1.0, 0.98 * t) for t in steps)
-
-            x = [_hermitian_part(xk + ap * d) for xk, d in zip(x, dx)]
-            s = [_hermitian_part(sk + ad * d) for sk, d in zip(s, ds)]
-            y = y + ad * dy
+            ap, ad = step.steps
+            x = [_hermitian_part(xk + ap * (rk @ dk @ _ct(rk))) for xk, rk, dk in zip(x, step.r, step.dx)]
+            s = [_hermitian_part(sk + ad * dk) for sk, dk in zip(s, step.ds)]
+            y = y + ad * step.dy
             if not np.isfinite(mu) or mu > mu_limit:
                 status = "mu-blowup"
                 break

@@ -180,15 +180,15 @@ def dense_rows(comp) -> np.ndarray:
     return rows
 
 
-def overflowing_h(monkeypatch):
-    """Scale the H that ``_nt_scaling`` returns by 1e300; W and S^-1 stay as they are."""
+def overflowing_r(monkeypatch):
+    """Scale the frame R that ``_nt_scaling`` returns by 1e300; W, S^-1 and d stay as they are."""
     from qcoinflip import sdp
 
     real_scaling = sdp._nt_scaling
 
     def scaled(lx, s):
-        w, sinv, h = real_scaling(lx, s)
-        return w, sinv, 1e300 * h
+        w, sinv, r, d = real_scaling(lx, s)
+        return w, sinv, 1e300 * r, d
 
     monkeypatch.setattr(sdp, "_nt_scaling", scaled)
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import overflowing_h, two_party_dict
+from conftest import overflowing_r, two_party_dict
 from qcoinflip.cli import main
 from qcoinflip.protocols import (
     alice_announces,
@@ -509,7 +509,7 @@ class TestSolverFailureExitCode:
         assert "converge" in err
 
     def test_overflowing_step_exits_3_with_its_status(self, capsys, monkeypatch):
-        overflowing_h(monkeypatch)
+        overflowing_r(monkeypatch)
         code, out, err = run_cli(capsys, "penalty", "--v", "16")
         assert code == 3
         assert out == ""

@@ -142,6 +142,17 @@ class TestAliceSdp:
         assert sol.status == "converged"
         assert 0.5 - 1e-6 <= sol.primal_value <= certificate_scalars(v).payoff_bound + 1e-6
 
+    def test_converges_on_the_log_grid_to_1e8(self):
+        # 81 log-spaced v in [1e4, 1e8]: whether a solve converges at large v must rest on the
+        # problem, not on the last bit of the direction's rounding
+        failed = []
+        for v in np.logspace(4, 8, 81):
+            sol = solve(alice_attack_sdp(PenaltyGame(float(v))))
+            bound = certificate_scalars(float(v)).payoff_bound
+            if sol.status != "converged" or not 0.5 - 1e-6 <= sol.primal_value <= bound + 1e-6:
+                failed.append((float(v), sol.status, sol.primal_value - bound))
+        assert failed == []
+
     def test_solver_below_certificate(self):
         game = PenaltyGame(16.0)
         prob = alice_attack_sdp(game)

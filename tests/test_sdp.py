@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import assert_sub_arrays, dense_rows, overflowing_h, random_hermitian, random_unitary
+from conftest import assert_sub_arrays, dense_rows, overflowing_r, random_hermitian, random_unitary
 from qcoinflip.sdp import (
     FEAS_TOL,
     Constraint,
@@ -502,7 +502,7 @@ class TestSolve:
             return real_chol(mat)
 
         def counting_inv(mat):
-            inverses.append((mat.shape, np.array_equal(mat, np.tril(mat))))
+            inverses.append(mat.shape)
             return real_inv(mat)
 
         def counting_solve(mat, rhs):
@@ -537,11 +537,13 @@ class TestSolve:
             # one Cholesky per stack
             iterates = sol.iterations - 1
             assert calls == stacks * iterates
-            # each stack of factors is inverted once, and it is lower triangular; the step lengths solve nothing
-            assert inverses == [(shape, True) for shape in stacks] * iterates
-            # one Schur solve per iterate, with the predictor's and the corrector's right-hand sides
-            assert schur_solves == [(_Compiled(prob).m, 2)] * iterates
-            # one eigendecomposition per stack per step (NT scaling), after the pre-check's one
+            # nothing is inverted: the NT frame gives S^-1 and both step lengths
+            assert inverses == []
+            # two Schur solves per iterate: the predictor's and the centering's right-hand sides
+            # together, then the second-order term's on the same M
+            m = _Compiled(prob).m
+            assert schur_solves == [(m, 2), (m,)] * iterates
+            # one eigendecomposition per stack per step (the NT frame), after the pre-check's one
             assert eighs[1:] == stacks * iterates
             # the predictor's and the corrector's step lengths: one eigvalsh per stack each, on
             # X's and S's scaled directions stacked together
@@ -576,23 +578,23 @@ def _nt_scaling_one(lx, s):
     mid = (mid + mid.conj().T) / 2
     evals, vecs = np.linalg.eigh(mid)
     evals = np.maximum(evals, 1e-300)
-    root = (vecs * evals**-0.5) @ vecs.conj().T
-    w = lx @ root @ lx.conj().T
-    hdag = lx @ (vecs * evals**-0.5)
-    return (w + w.conj().T) / 2, hdag @ hdag.conj().T, hdag.conj().T
+    r = lx @ (vecs * evals**-0.25)
+    d = np.sqrt(evals)
+    w = r @ r.conj().T
+    return (w + w.conj().T) / 2, (r / d) @ r.conj().T, r, d
 
 
-def _s_step(h, ds):
-    """``_max_steps``'s step for S alone: the stack (H, dS) as S's, with X not moving."""
+def _s_step(d, ds):
+    """``_max_steps``'s step for S alone: frame diagonals d and the frame direction dS~, X not moving."""
     from qcoinflip.sdp import _max_steps
 
-    return _max_steps([h], [np.zeros_like(ds)], [h], [ds])[1]
+    return _max_steps([d], [np.zeros_like(ds)], [ds])[1]
 
 
-def _max_step_one(h, dx):
+def _max_step_one(d, dx):
     """Reference: ``_max_steps`` for one matrix, with 2-d numpy calls."""
-    g = h @ dx @ h.conj().T
-    lam = float(np.linalg.eigvalsh((g + g.conj().T) / 2)[0])
+    scale = d**-0.5
+    lam = float(np.linalg.eigvalsh(dx * np.outer(scale, scale))[0])
     return np.inf if lam >= -1e-14 else -1.0 / lam
 
 
@@ -629,25 +631,33 @@ class TestNtScaling:
     @pytest.mark.parametrize("real", [True, False])
     @pytest.mark.parametrize("d", range(1, 7))
     def test_scaling_inverse_and_step_against_a_cholesky_of_s(self, rng, d, real):
-        from qcoinflip.sdp import _chol, _nt_scaling
+        from qcoinflip.sdp import _chol, _ct, _hermitian_part, _nt_scaling
 
         x = _mixed_stack(d, rng, real)
         s = np.stack([_random_psd(d, rng, real=real) for _ in x])
         ds = np.stack([_random_hermitian(d, rng, real) for _ in x])
-        w, sinv, h = _nt_scaling(_chol(x), s)
+        w, sinv, r, diag = _nt_scaling(_chol(x), s)
+        frame_ds = _hermitian_part(_ct(r) @ ds @ r)  # dS~ = R^dag dS R
         for i in range(len(x)):
             np.testing.assert_allclose(w[i] @ s[i] @ w[i], x[i], rtol=0, atol=1e-12 * np.linalg.norm(x[i]))
-            # S^-1 and H go through X's factor, so their rounding grows with X's condition number
+            np.testing.assert_allclose(w[i], r[i] @ r[i].conj().T, rtol=0, atol=1e-14 * np.linalg.norm(w[i]))
+            # S^-1 = R D^-1 R^dag and R go through X's factor, so their rounding grows with X's condition number
             tol = 1e-13 * np.linalg.cond(x[i])
+            # R^dag S R = diag(d) = R^-1 X R^-dag: X and S are one diagonal in the frame
+            frame_s = r[i].conj().T @ s[i] @ r[i]
+            np.testing.assert_allclose(frame_s, np.diag(diag[i]), rtol=0, atol=10 * tol * np.linalg.norm(s[i]))
+            rinv = np.linalg.inv(r[i])
+            frame_x = rinv @ x[i] @ rinv.conj().T
+            np.testing.assert_allclose(frame_x, np.diag(diag[i]), rtol=0, atol=10 * tol * np.linalg.norm(diag[i]))
             np.testing.assert_allclose(sinv[i] @ s[i], np.eye(d), rtol=0, atol=tol)
             # oracle: S + t dS = L_S (1 + t L_S^-1 dS L_S^-dag) L_S^dag
             ls_inv = np.linalg.inv(np.linalg.cholesky(s[i]))
             g = ls_inv @ ds[i] @ ls_inv.conj().T
             lam = np.linalg.eigvalsh((g + g.conj().T) / 2)[0]
             oracle = -1.0 / lam if lam < -1e-14 else np.inf
-            assert _s_step(h[i : i + 1], ds[i : i + 1]) == pytest.approx(oracle, rel=tol)
+            assert _s_step(diag[i : i + 1], frame_ds[i : i + 1]) == pytest.approx(oracle, rel=tol)
         # a stack's step is its most constrained member's
-        assert _s_step(h, ds) == min(_s_step(h[i : i + 1], ds[i : i + 1]) for i in range(len(x)))
+        assert _s_step(diag, frame_ds) == min(_s_step(diag[i : i + 1], frame_ds[i : i + 1]) for i in range(len(x)))
 
 
 class TestStackedKernels:
@@ -665,37 +675,37 @@ class TestStackedKernels:
         for i in range(len(x)):
             for got, want in zip(stacked, _nt_scaling_one(lx[i], s[i])):
                 assert np.array_equal(got[i], want)
-        lxinv, hs = np.linalg.inv(lx), stacked[2]
+        diag = stacked[3]
         # X's and S's steps share one eigvalsh, and a second stack, of another size, joins the minima
-        x2 = _mixed_stack(d + 1, rng, real)
-        hx2 = np.linalg.inv(_chol(x2))
+        diag2 = _nt_scaling(_chol(_mixed_stack(d + 1, rng, real)), _mixed_stack(d + 1, rng, real))[3]
         for _ in range(3):
             dx, ds = (np.stack([_random_hermitian(d, rng, real) for _ in x]) for _ in range(2))
-            dx2 = np.stack([_random_hermitian(d + 1, rng, real) for _ in x2])
-            steps = _max_steps([lxinv, hx2], [dx, dx2], [hs, hx2], [ds, -dx2])
-            pairs_x = [(lxinv[i], dx[i]) for i in range(len(x))] + [(hx2[i], dx2[i]) for i in range(len(x2))]
-            pairs_s = [(hs[i], ds[i]) for i in range(len(x))] + [(hx2[i], -dx2[i]) for i in range(len(x2))]
-            assert steps == tuple(min(_max_step_one(h, dm) for h, dm in pairs) for pairs in (pairs_x, pairs_s))
+            dx2 = np.stack([_random_hermitian(d + 1, rng, real) for _ in diag2])
+            steps = _max_steps([diag, diag2], [dx, dx2], [ds, -dx2])
+            pairs_x = [(diag[i], dx[i]) for i in range(len(x))] + [(diag2[i], dx2[i]) for i in range(len(diag2))]
+            pairs_s = [(diag[i], ds[i]) for i in range(len(x))] + [(diag2[i], -dx2[i]) for i in range(len(diag2))]
+            assert steps == tuple(min(_max_step_one(dk, dm) for dk, dm in pairs) for pairs in (pairs_x, pairs_s))
 
     @DATA
-    def test_max_steps_refuses_a_product_that_overflows(self, rng, real):
-        # H and dX are finite, H dX H^dag is not: 1e200 * 1e200 overflows to inf (or, summed
-        # with -inf, NaN), on which eigvalsh raises or returns NaN
+    def test_max_steps_refuses_a_product_that_overflows(self, real):
+        # d and dX~ are finite, D^-1/2 dX~ D^-1/2 is not: 1e300 * 1e10 overflows to inf, on
+        # which eigvalsh raises or returns NaN
         from qcoinflip.sdp import _max_steps
 
         dtype = np.float64 if real else complex
-        big = 1e200 * np.stack([np.eye(2), [[1.0, 1.0], [1.0, -1.0]]]).astype(dtype)
-        dx = np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(dtype)
-        with np.errstate(over="ignore", invalid="ignore"):
-            products = big @ dx @ big.conj().swapaxes(-1, -2)
-        assert not np.isfinite(products[0]).all() and not np.isfinite(products[1]).all()
-        fine = np.stack([np.eye(2, dtype=dtype)] * 2)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for member in (0, 1):
-                assert _max_steps([big[member : member + 1]], [dx[:1]], [fine], [dx]) is None
-                assert _max_steps([fine], [dx], [big[member : member + 1]], [dx[member : member + 1]]) is None
-        # the same stacks at a finite scale bound both steps
-        assert _max_steps([fine], [-dx], [fine], [dx]) == (1.0, 1.0)
+        tiny = np.array([[1e-300, 1e-300], [1e-300, 1.0]])
+        dx = 1e10 * np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(dtype)
+        zero = np.zeros_like(dx)
+        for member in (0, 1):
+            d, dm = tiny[member : member + 1], dx[member : member + 1]
+            with np.errstate(over="ignore"):
+                assert not np.isfinite(dm * np.outer(d**-0.5, d**-0.5)).all()
+                assert _max_steps([d], [dm], [zero[:1]]) is None
+                assert _max_steps([d], [zero[:1]], [dm]) is None
+        # the same directions at a finite scale bound both steps
+        fine = np.ones((2, 2))
+        assert _max_steps([fine], [-dx / 1e10], [dx / 1e10]) == (1.0, 1.0)
+
 
     @DATA
     @pytest.mark.parametrize(
@@ -713,6 +723,52 @@ class TestStackedKernels:
             assert np.array_equal(factors[i], np.linalg.cholesky(stack[i]))
         assert np.array_equal(factors[1], _chol_one(stack[1]))
         assert np.all(np.isfinite(factors[1]))
+
+
+class TestCorrector:
+    """One iterate's direction solves the Newton equations of Mehrotra's corrector in the NT frame."""
+
+    @DATA
+    def test_direction_solves_the_newton_equations(self, rng, real, monkeypatch):
+        from qcoinflip import sdp
+        from qcoinflip.sdp import _ct, _direction, _hermitian_part
+
+        comp = compiled(random_structured_problem(rng, real=real), True)
+        x = comp.stacked([_random_psd(d, rng, real=real) for d in comp.block_dims])
+        s = comp.stacked([_random_psd(d, rng, real=real) for d in comp.block_dims])
+        y = _random_multiplier_coords(comp, rng)
+        rp = comp.b - comp.apply(x)
+        rd = [c - a + sk for c, a, sk in zip(comp.objective, comp.adjoint(y), s)]
+        mu = sum(np.vdot(xk, sk).real for xk, sk in zip(x, s)) / sum(comp.block_dims)
+        # the frame diagonals and the predictor's frame directions, as the second-order term reads them
+        affine = []
+        real_second = sdp._second_order
+        monkeypatch.setattr(sdp, "_second_order", lambda d, dx, ds: affine.append((d, dx, ds)) or real_second(d, dx, ds))
+        step = _direction(comp, x, s, rp, rd, mu)
+        assert len(affine) == len(x)
+
+        def close(got, want, scale):
+            assert np.linalg.norm(np.ravel(got - want)) <= 1e-10 * scale
+
+        # A(dX) = rp with dX = R dX~ R^dag
+        dx = [rk @ dk @ _ct(rk) for rk, dk in zip(step.r, step.dx)]
+        close(comp.apply(dx), rp, max(np.linalg.norm(rp), max(np.linalg.norm(d) for d in dx)))
+        # dS = A*(dy) - rd
+        for a, rdk, dsk in zip(comp.adjoint(step.dy), rd, step.ds):
+            close(_hermitian_part(a - rdk), dsk, np.linalg.norm(a) + np.linalg.norm(rdk))
+
+        # D o (dX~ + dS~) = sigma mu 1 - D^2 - dX~_a o dS~_a, with A o B = (A B + B A) / 2 and dS~ = R^dag dS R
+        def sym(a, b):
+            return (a @ b + b @ a) / 2
+
+        assert 0 < step.sigma_mu < mu
+        for rk, dxk, dsk, (dk, xa, sa) in zip(step.r, step.dx, step.ds, affine):
+            dmat = dk[..., None] * np.eye(dk.shape[-1])
+            frame = _hermitian_part(_ct(rk) @ dsk @ rk)
+            rhs = step.sigma_mu * np.eye(dk.shape[-1]) - dmat @ dmat - sym(xa, sa)
+            close(sym(dmat, dxk + frame), rhs, np.linalg.norm(dmat @ dmat) + np.linalg.norm(sym(xa, sa)))
+            # the predictor's, without centering or the second-order term
+            close(sym(dmat, xa + sa), -dmat @ dmat, np.linalg.norm(dmat @ dmat))
 
 
 def schur_after_precheck(monkeypatch, fake):
@@ -753,26 +809,46 @@ class TestStopReasons:
         assert solve(trivial_problem(0.5)).status == "non-finite-direction"
 
     def test_non_finite_inverse_of_s(self, monkeypatch):
-        # an overflowing S^-1 makes the Schur right-hand side non-finite; the guard, not
-        # the linear solve, reports it
+        # an overflowing S^-1 = R D^-1 R^dag makes the Schur right-hand side non-finite; the
+        # guard, not the linear solve, reports it
         from qcoinflip import sdp
 
         real_scaling = sdp._nt_scaling
 
         def overflowing(lx, s):
-            w, sinv, h = real_scaling(lx, s)
-            return w, np.full_like(sinv, np.inf), h
+            w, sinv, r, d = real_scaling(lx, s)
+            return w, np.full_like(sinv, np.inf), r, d
 
         monkeypatch.setattr(sdp, "_nt_scaling", overflowing)
         assert solve(trivial_problem(0.5)).status == "non-finite-direction"
 
     def test_overflowing_step_product(self, monkeypatch):
-        # a finite H with H dS H^dag past float64: the step length has no finite eigenvalue
+        # a finite R with R^dag dS R past float64: the step length has no finite eigenvalue
         # to read, and the loop stops there instead of raising from eigvalsh or stepping by NaN
-        overflowing_h(monkeypatch)
+        overflowing_r(monkeypatch)
         sol = solve(trivial_problem(0.5))
         assert sol.status == "non-finite-direction"
         assert sol.iterations == 1
+
+    def test_second_schur_solve_singular(self, monkeypatch):
+        # the second-order term's LU solve, on the same M, raises: the loop names it as the first
+        real_solve = np.linalg.solve
+
+        def second_fails(mat, rhs):
+            if np.ndim(rhs) == 1:
+                raise np.linalg.LinAlgError("Singular matrix")
+            return real_solve(mat, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", second_fails)
+        sol = solve(trivial_problem(0.5))
+        assert sol.status == "schur-singular" and sol.iterations == 1
+
+    def test_non_finite_second_order_term(self, monkeypatch):
+        from qcoinflip import sdp
+
+        monkeypatch.setattr(sdp, "_second_order", lambda d, dx, ds: np.full_like(dx, np.inf))
+        sol = solve(trivial_problem(0.5))
+        assert sol.status == "non-finite-direction" and sol.iterations == 1
 
     def test_mu_blowup(self, monkeypatch):
         # a huge finite multiplier step: S jumps by 1e30 while X shrinks but stays positive
