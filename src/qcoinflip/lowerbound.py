@@ -22,9 +22,9 @@ unitaries (``phase_symmetries``) make the optimum block-diagonal, and each
 W_j is a basis adapted to them, so a block splits into sub-blocks on sets of
 its coordinates and each round's constraint into sub-blocks on sets of
 columns of W_j (a protocol without symmetry keeps its problem).  The sector
-multipliers, placed on their columns, are a chain on the S_j, which is
-repaired and checked on the unsplit ``cheat_sdp``; no chain is ever checked
-on its sectors alone.  With each party's chain lifted to W_j Z_j W_j^dag,
+multipliers, placed on their columns, are a chain on the S_j, repaired round
+by round on the unsplit ``cheat_sdp``'s blocks; no chain is ever checked on
+its sectors alone.  With each party's chain lifted to W_j Z_j W_j^dag,
 and c_i(r) party i's turns among the first r, the scalar sequence
 F_r = <psi_r| (x)_i Z_{i,c_i(r)} (x) 1 |psi_r> over the turn boundaries
 r = 0..T of the honest run interpolates monotonically from the product of
@@ -51,8 +51,6 @@ from .sdp import (
     Constraint,
     LinearTerm,
     SdpProblem,
-    _Compiled,
-    _verify,
     expand_multipliers,
     restrict,
     solve,
@@ -315,6 +313,13 @@ def symmetry_sectors(protocol: KPartyProtocol, honest: int, target: int, support
     return blocks, rounds
 
 
+def _one_block(problem: SdpProblem, name: str) -> SdpProblem:
+    """``problem`` cut to block ``name``: its objective there and each constraint's terms on it."""
+    cut = [Constraint(c.name, tuple(t for t in c.terms if t.block == name), c.rhs) for c in problem.constraints]
+    objective = {b: c for b, c in problem.objective.items() if b == name}
+    return SdpProblem(((name, dict(problem.blocks)[name]),), objective, tuple(c for c in cut if c.terms))
+
+
 def optimal_cheat(protocol: KPartyProtocol, honest: int, target: int) -> CheatResult:
     """The coalition's optimal probability of forcing ``target`` on party ``honest``, with its dual chain.
 
@@ -326,11 +331,11 @@ def optimal_cheat(protocol: KPartyProtocol, honest: int, target: int) -> CheatRe
     and the round-j multiplier on S_j holds each Z_{j,a} on its sector's
     columns (``expand_multipliers``).  The chain is these multipliers made
     exactly feasible on the unsplit ``cheat_sdp``: Z_N is pinned to the
-    compressed target projector W_N^dag P W_N, which makes block rho_N
-    tight, and walking down from N each multiplier is shifted by the
-    identity just far enough that ``verify_dual`` finds block rho_j PSD.
-    So the chain is feasible whatever the solver's accuracy, and its value
-    Z_0 bounds the probability from above.
+    compressed target projector W_N^dag P W_N, which makes block rho_N's
+    slack exactly 0, and walking down from N each Z_j is shifted by the
+    identity just far enough that ``verify_dual`` finds block rho_j PSD,
+    on ``cheat_sdp`` cut to rho_j.  So the chain is feasible whatever the
+    solver's accuracy, and its value Z_0 bounds the probability from above.
     """
     sweep = _forward_sweep(protocol, honest)
     supports = reachable_supports(protocol, honest, sweep)
@@ -347,9 +352,8 @@ def optimal_cheat(protocol: KPartyProtocol, honest: int, target: int) -> CheatRe
     # the objective is Z_N (x) 1 on S_N (x) M, so Z_N is its every d_msg-th row and column
     d_msg = protocol.layout_m.dim
     chain[f"round_{n}"] = problem.objective[f"rho_{n}"][::d_msg, ::d_msg].copy()
-    compiled = _Compiled(problem)  # compiled once for every round's check
     for j in range(n - 1, -1, -1):
-        lam = _verify(compiled, chain).lambda_min[f"rho_{j}"]
+        lam = verify_dual(_one_block(problem, f"rho_{j}"), chain).lambda_min[f"rho_{j}"]
         if lam < 0.0:
             z = chain[f"round_{j}"]
             chain[f"round_{j}"] = z - lam * np.eye(z.shape[0])

@@ -953,11 +953,7 @@ def verify_dual(problem: SdpProblem, multipliers: dict, tol: float = CERT_TOL) -
     upper-bounds every feasible primal value by weak duality.  The check
     reads the terms alone: it builds no constraint rows.
     """
-    return _verify(_Compiled(problem), multipliers, tol)
-
-
-def _verify(comp: _Compiled, multipliers: dict, tol: float = CERT_TOL) -> DualReport:
-    """``verify_dual`` on a compiled problem, for a caller that checks several multiplier sets."""
+    comp = _Compiled(problem)
     mults = comp.multiplier_matrices(multipliers)
     lams = [np.linalg.eigvalsh(_hermitian_part(a - c))[:, 0] for a, c in zip(comp.lift(mults), comp.objective)]
     lambda_min = {name: float(lams[k][p]) for name, (k, p) in zip(comp.block_names, comp.slots)}

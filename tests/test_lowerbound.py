@@ -41,6 +41,7 @@ from qcoinflip.sdp import (
     LinearTerm,
     SdpProblem,
     _Compiled,
+    expand_multipliers,
     restrict,
     solve,
     verify_dual,
@@ -443,6 +444,58 @@ class TestSymmetrySectors:
         assert report.feasible, report.lambda_min
         assert cheat.bound == report.bound
         assert cheat.bound >= cheat.probability - 1e-7
+
+    def test_repair_checks_one_block_per_round(self, monkeypatch):
+        # round j of the repair checks block rho_j alone, from N - 1 down to 0; rho_N is never
+        # read, as its slack Z_N (x) 1 - C is exactly 0 on the unsplit SDP
+        checked = []
+
+        def recording(problem, multipliers, tol=CERT_TOL):
+            checked.append([name for name, _ in problem.blocks])
+            return verify_dual(problem, multipliers, tol)
+
+        monkeypatch.setattr(lowerbound, "verify_dual", recording)
+        for name, (build, _) in COMPARISON_SET.items():
+            p = build()
+            for honest in range(p.k):
+                checked.clear()
+                cheat = optimal_cheat(p, honest, 1)
+                n = len(cheat.chain) - 1
+                assert checked == [[f"rho_{j}"] for j in range(n - 1, -1, -1)], (name, honest)
+                report = verify_dual(cheat_sdp(p, honest, 1), cheat.chain, tol=1e-10)
+                assert report.feasible, (name, honest, report.lambda_min)
+                assert report.lambda_min[f"rho_{n}"] == 0.0, (name, honest, report.lambda_min)
+
+    @pytest.mark.parametrize("name", ["v25", "compact4"])
+    def test_repair_shifts_every_lowered_round(self, name, monkeypatch):
+        # every sector multiplier lowered by 1e-6: each round below N then fails its step
+        # inequality, and the repair shifts its multiplier by a multiple of the identity
+        lowered = []
+
+        def lowering(problem):
+            solution = solve(problem)
+            multipliers = {}
+            for c, z in solution.dual_multipliers.items():
+                z = np.atleast_2d(z)
+                multipliers[c] = z - 1e-6 * np.eye(len(z))
+            lowered.append(multipliers)
+            return replace(solution, dual_multipliers=multipliers)
+
+        monkeypatch.setattr(lowerbound, "solve", lowering)
+        p = COMPARISON_SET[name][0]()
+        for honest in range(p.k):
+            cheat = optimal_cheat(p, honest, 1)
+            problem = cheat_sdp(p, honest, 1)
+            given = expand_multipliers(symmetry_sectors(p, honest, 1)[1], lowered[-1])
+            for j in range(len(problem.blocks) - 1):
+                shift = cheat.chain[f"round_{j}"] - np.atleast_2d(given[f"round_{j}"])
+                lam = shift[0, 0].real
+                assert lam > 0.0, (name, honest, j)
+                np.testing.assert_allclose(shift, lam * np.eye(len(shift)), rtol=0, atol=1e-14)
+            report = verify_dual(problem, cheat.chain, tol=1e-10)
+            assert report.feasible, report.lambda_min
+            assert cheat.bound == report.bound
+            assert cheat.bound >= cheat.probability - 1e-7
 
     @pytest.mark.parametrize("name", [*COMPARISON_SET, "haar-random"])
     def test_adapted_support_columns_lie_in_one_sector(self, name, rng):
