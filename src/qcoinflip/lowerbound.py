@@ -16,12 +16,12 @@ where K_{j+1} = (W_{j+1} (x) 1)^dag U_{j+1} (W_j (x) 1) is the compressed
 unitary of i's turn j + 1.  These are exactly the dual constraints of
 ``cheat_sdp``, so ``verify_dual`` checks a chain, and its value Z_0 bounds
 the forcing probability from above; ``optimal_cheat`` returns the value
-and the chain from one solve.  That solve always runs on the symmetry
-sectors: products of clock operators that pass through the honest
-unitaries (``phase_symmetries``) make the optimum block-diagonal, and each
-W_j is a basis adapted to them, so a block splits into sub-blocks on sets of
-its coordinates and each round's constraint into sub-blocks on sets of
-columns of W_j (a protocol without symmetry keeps its problem).  The sector
+and the chain from one solve.  That solve always runs on sectors:
+``sdp.sectors`` reads off the SDP's zeros the finest partitions of each
+block's coordinates and each round's columns of W_j on which pinching keeps
+feasible points feasible with the same value, and each W_j has its columns
+on the connected components of its projector, which leaves those zeros in
+place (a protocol without such zeros keeps its problem).  The sector
 multipliers, placed on their columns, are a chain on the S_j, repaired round
 by round on the unsplit ``cheat_sdp``'s blocks; no chain is ever checked on
 its sectors alone.  With each party's chain lifted to W_j Z_j W_j^dag,
@@ -53,12 +53,14 @@ from .sdp import (
     SdpProblem,
     expand_multipliers,
     restrict,
+    sectors,
     solve,
     verify_dual,
 )
 
-SUPPORT_TOL = 1e-10  # relative singular-value cut of a support, and the norm a support vector may have off its sector
-SYMMETRY_TOL = 1e-12  # entries of a unitary or projector below this are zeros to the symmetry search
+# relative singular-value cut of a support, the entries of its projector that join two basis
+# states in one component, and how far the basis split on the components may miss it
+SUPPORT_TOL = 1e-10
 PRODUCT_SLACK = 1e-5  # solver accuracy allowed in the product checks
 
 
@@ -93,9 +95,9 @@ def _honest_view(protocol: KPartyProtocol, honest: int):
     return protocol.layouts[honest], protocol.layout_m.dim, unitaries, protocol.projectors[honest]
 
 
-def reachable_supports(protocol: KPartyProtocol, honest: int, sweep=None):
+def reachable_supports(protocol: KPartyProtocol, honest: int):
     """Orthonormal bases W_j of the private-space subspaces S_j the honest turns can
-    reach, adapted to the cheat SDP's phase symmetries.
+    reach, each column on one connected component of the support's projector.
 
     The honest private register starts at |0> and is only ever touched by
     the honest unitaries, whatever the coalition writes into the message
@@ -105,31 +107,44 @@ def reachable_supports(protocol: KPartyProtocol, honest: int, sweep=None):
     without loss; this keeps the feasible set's interior nonempty (the full
     formulation pins marginals onto rank-deficient targets).
 
-    The private characters that the forward sweep (``sweep``, computed when
-    not given) reaches at round j leave S_j invariant, so the eigenvectors of
-    W^dag diag(f) W, f each basis state's sector of equal characters, lie in
-    one sector each; entries outside it are set to exactly 0 (RuntimeError
-    if their norm exceeds ``SUPPORT_TOL``).  These sectors refine either
-    target's, so each sector of the cheat SDP is a set of columns of W_j
-    (``symmetry_sectors``).
+    W_j comes from an SVD.  When Pi_j = W_j W_j^dag has more than one
+    connected component (x, x' joined where |Pi_j[x, x']| > ``SUPPORT_TOL``),
+    each component D gets the eigenvectors of Pi_j[D, D] with eigenvalue
+    above 1/2, exactly 0 off D; RuntimeError if they miss Pi_j in number or by
+    more than ``SUPPORT_TOL``.  A diagonal unitary that leaves S_j invariant
+    commutes with Pi_j, so these components refine its sectors, and
+    ``cheat_sdp``'s data keep the zeros ``sdp.sectors`` splits on.
     """
     layout, d_msg, unitaries, _ = _honest_view(protocol, honest)
-    sweep = sweep or _forward_sweep(protocol, honest)
     supports = [np.eye(layout.dim, 1, dtype=complex)]  # |0>
     eye_m = np.eye(d_msg, dtype=complex)
-    for u, reached in zip(unitaries, sweep.reached[1:]):
+    for u in unitaries:
         components = (u @ np.kron(supports[-1], eye_m)).reshape(layout.dim, -1)
         svec, svals, _ = np.linalg.svd(components, full_matrices=False)
         rank = int(np.sum(svals > SUPPORT_TOL * max(svals[0], 1.0)))
-        w, labels = svec[:, :rank], _row_labels(sweep.private[reached].T)
-        evals, vecs = np.linalg.eigh(w.conj().T @ (labels[:, None] * w))
-        sector = np.rint(evals)
-        w = w if sector[0] == sector[-1] else w @ vecs  # one sector: W is already adapted
-        inside = labels[:, None] == sector
-        if np.any(np.linalg.norm(np.where(inside, 0.0, w), axis=0) > SUPPORT_TOL):
-            raise RuntimeError("reachable support is not invariant under the phase symmetries")
-        supports.append(np.where(inside, w, 0.0))
+        w = svec[:, :rank]
+        pi = w @ w.conj().T
+        labels = _components(np.abs(pi) > SUPPORT_TOL)
+        if labels.max() > 0:  # with one component the SVD basis is already on it
+            parts = []
+            for on in labels == np.arange(labels.max() + 1)[:, None]:
+                evals, vecs = np.linalg.eigh(pi[np.ix_(on, on)])
+                parts.append(np.zeros((layout.dim, np.count_nonzero(evals > 0.5)), dtype=complex))
+                parts[-1][on] = vecs[:, evals > 0.5]
+            w = np.concatenate(parts, axis=1)
+            if w.shape[1] != rank or np.max(np.abs(w @ w.conj().T - pi)) > SUPPORT_TOL:
+                raise RuntimeError("reachable support does not split on its projector's components")
+        supports.append(w)
     return supports
+
+
+def _components(adjacent: np.ndarray) -> np.ndarray:
+    """Each vertex's connected component, numbered in order of least vertex, of the graph
+    with this boolean adjacency matrix: squaring the reach doubles the paths it covers."""
+    reach = adjacent | np.eye(len(adjacent), dtype=bool)
+    for _ in range(len(adjacent).bit_length()):
+        reach = (reach.astype(float) @ reach) > 0
+    return np.unique(np.argmax(reach, axis=1), return_inverse=True)[1]
 
 
 def cheat_sdp(protocol: KPartyProtocol, honest: int, target: int, supports=None) -> SdpProblem:
@@ -173,146 +188,6 @@ def cheat_sdp(protocol: KPartyProtocol, honest: int, target: int, supports=None)
     return SdpProblem(blocks=blocks, objective=objective, constraints=tuple(constraints))
 
 
-@dataclass(frozen=True)
-class PhaseGroup:
-    """Diagonal phase symmetries of a cheat SDP, round by round.
-
-    ``rounds[j]`` holds every round-j part g_j = h_j (x) m_j of the group's
-    elements, one per row, as integer exponents over the honest private (x)
-    message basis: entry [e, x, mu] is n with g_j|x, mu> = exp(2 pi i n /
-    modulus) |x, mu>.  Each g_j is a product of clock operators Z_d, one
-    power per tensor factor.
-    """
-
-    modulus: int
-    rounds: tuple
-
-
-def _clock_exponents(dims, modulus: int) -> np.ndarray:
-    """table[n, x] = sum_f n_f x_f modulus / d_f mod modulus: the clock characters
-    of factors ``dims``, characters and basis states both in mixed radix."""
-    digits = np.indices(dims).reshape(len(dims), -1).T
-    return (digits * (modulus // np.asarray(dims))) @ digits.T % modulus
-
-
-@dataclass(frozen=True)
-class _Sweep:
-    """The target-free forward sweep of ``phase_symmetries``: the clock characters
-    of the private and message spaces, per round the private characters, exponent
-    tables and successors of the candidates that have a successor (``rounds``),
-    and the private characters each round can have (``reached``)."""
-
-    modulus: int
-    private: np.ndarray
-    message: np.ndarray
-    rounds: list
-    reached: list
-
-    def candidates(self, h):
-        """Every (h, m) for private characters h: each one's h and exponent table."""
-        d_msg = len(self.message)
-        h, m = np.repeat(h, d_msg), np.tile(np.arange(d_msg), len(h))
-        return h, (self.private[h][:, :, None] + self.message[m][:, None, :]) % self.modulus
-
-
-def _forward_sweep(protocol: KPartyProtocol, honest: int) -> _Sweep:
-    """Round j's candidates g_j over the private characters that some g_0..g_{j-1}
-    reaches, h_0 free (see ``phase_symmetries``); no target enters."""
-    layout, _, unitaries, _ = _honest_view(protocol, honest)
-    pdims, mdims = layout.factor_dims, protocol.layout_m.factor_dims
-    modulus = math.lcm(*pdims, *mdims)
-    d_priv = layout.dim
-    sweep = _Sweep(modulus, _clock_exponents(pdims, modulus), _clock_exponents(mdims, modulus), [], [np.arange(d_priv)])
-    strides = np.cumprod((1,) + pdims[:0:-1])[::-1]  # basis index of each factor's unit state
-    unit = modulus // np.asarray(pdims)
-
-    def successor(u, table):
-        """The private character h' with U g U^dag = h' (x) m', or -1 when there is none."""
-        rows, cols = np.nonzero(np.abs(u) > SYMMETRY_TOL)
-        anchor = cols[np.r_[0, np.flatnonzero(np.diff(rows)) + 1]]  # a column in each row's support
-        g = table.reshape(len(table), -1)
-        step = max(1, (1 << 21) // len(cols))  # candidates per test: its arrays are candidates x nonzeros
-        diagonal = np.concatenate(
-            [np.all(g[lo : lo + step, cols] == g[lo : lo + step, anchor[rows]], axis=1) for lo in range(0, len(g), step)]
-        )
-        d = g[:, anchor].reshape(len(g), d_priv, -1)
-        h = (d[:, :, 0] - d[:, :1, 0]) % modulus
-        factors = np.all((d - h[:, :, None] - d[:, :1, :]) % modulus == 0, axis=(1, 2))
-        n = h[:, strides] // unit
-        index = n @ strides
-        clock = (h[:, strides] % unit == 0).all(axis=1) & np.all(sweep.private[index] == h, axis=1)
-        return np.where(diagonal & factors & clock, index, -1)
-
-    for u in unitaries:
-        h, table = sweep.candidates(sweep.reached[-1])
-        nxt = successor(u, table)
-        keep = nxt >= 0
-        sweep.rounds.append((h[keep], table[keep], nxt[keep]))
-        sweep.reached.append(np.unique(nxt[keep]))
-    return sweep
-
-
-def phase_symmetries(protocol: KPartyProtocol, honest: int, target: int, sweep=None) -> PhaseGroup:
-    """The products of clock operators that are symmetries of ``cheat_sdp``.
-
-    A sequence g_0..g_N of diagonal unitaries g_j = h_j (x) m_j on the honest
-    private space (x) M maps feasible points rho_j to feasible points
-    g_j rho_j g_j^dag of the same value when
-
-        U_j g_{j-1} U_j^dag = h_j (x) m'   for every honest turn j, some m',
-
-    and h_N commutes with the target projector; m_j is otherwise free, as the
-    coalition rewrites M.  U diag(g) U^dag is diagonal exactly when g is
-    constant on each row support of U, so every candidate of a round is
-    tested at once.  A forward sweep keeps the g_j that some g_0..g_{j-1}
-    reaches (``sweep``, computed here when not given), a backward sweep those
-    that reach an admissible h_N.
-    """
-    proj = _honest_view(protocol, honest)[3]
-    sweep = sweep or _forward_sweep(protocol, honest)
-    hp, reachable = sweep.private, sweep.reached[-1]
-    rows, cols = np.nonzero(np.abs(proj[target]) > SYMMETRY_TOL)
-    admissible = reachable[np.all(hp[reachable][:, rows] == hp[reachable][:, cols], axis=1)]
-    kept = [sweep.candidates(admissible)[1]]
-    # backward: keep the g_j whose successor is the private part of a kept g_{j+1}
-    for h, table, nxt in reversed(sweep.rounds):
-        keep = np.isin(nxt, admissible)
-        kept.append(table[keep])
-        admissible = np.unique(h[keep])
-    return PhaseGroup(modulus=sweep.modulus, rounds=tuple(reversed(kept)))
-
-
-def _row_labels(rows: np.ndarray) -> np.ndarray:
-    """Each row's index among the distinct rows of non-negative integers, in lexicographic
-    order, as ``np.unique(rows, axis=0, return_inverse=True)`` gives it: big-endian rows
-    compare as bytes in that order, and so sort as one opaque item each."""
-    rows = np.ascontiguousarray(rows, dtype=">i8")
-    return np.unique(rows.view(f"V{rows.shape[1] * 8}").ravel(), return_inverse=True)[1]
-
-
-def symmetry_sectors(protocol: KPartyProtocol, honest: int, target: int, supports=None, sweep=None):
-    """The symmetry sectors of ``cheat_sdp`` as ``restrict`` takes them: (joint
-    sector coordinates per block rho_j, private sector columns of S_j per
-    constraint round_j), each listed only where it has more than one sector.
-    ``supports`` and ``sweep`` are those of the cheat SDP (``reachable_supports``,
-    ``_forward_sweep``), computed here when not given."""
-    sweep = sweep or _forward_sweep(protocol, honest)
-    supports = supports or reachable_supports(protocol, honest, sweep)
-    group = phase_symmetries(protocol, honest, target, sweep)
-    blocks, rounds = {}, {}
-    for j, (w, exps) in enumerate(zip(supports, group.rounds)):
-        # column i of W_j has the characters of a basis state where it is nonzero, and
-        # coordinate i d_msg + mu of S_j (x) M, (column i) (x) |mu>, those times m_j(mu)
-        reps = np.argmax(np.abs(w), axis=0)
-        private = _row_labels(exps[:, reps, 0].T)
-        joint = _row_labels(exps[:, reps].transpose(1, 2, 0).reshape(-1, len(exps)))
-        if private.max() > 0:
-            rounds[f"round_{j}"] = [np.flatnonzero(private == a) for a in range(private.max() + 1)]
-        if joint.max() > 0:
-            blocks[f"rho_{j}"] = [np.flatnonzero(joint == c) for c in range(joint.max() + 1)]
-    return blocks, rounds
-
-
 def _one_block(problem: SdpProblem, name: str) -> SdpProblem:
     """``problem`` cut to block ``name``: its objective there and each constraint's terms on it."""
     cut = [Constraint(c.name, tuple(t for t in c.terms if t.block == name), c.rhs) for c in problem.constraints]
@@ -323,24 +198,21 @@ def _one_block(problem: SdpProblem, name: str) -> SdpProblem:
 def optimal_cheat(protocol: KPartyProtocol, honest: int, target: int) -> CheatResult:
     """The coalition's optimal probability of forcing ``target`` on party ``honest``, with its dual chain.
 
-    One solve gives both; RuntimeError unless it converged.  The supports
-    and the forward symmetry sweep are computed once for the SDP and its
-    sectors.  The solve runs on the symmetry sectors of ``cheat_sdp``
-    (``symmetry_sectors``), whatever the SDP's size: each block splits into
-    its joint sectors and each round's constraint into its private sectors,
-    and the round-j multiplier on S_j holds each Z_{j,a} on its sector's
-    columns (``expand_multipliers``).  The chain is these multipliers made
-    exactly feasible on the unsplit ``cheat_sdp``: Z_N is pinned to the
-    compressed target projector W_N^dag P W_N, which makes block rho_N's
-    slack exactly 0, and walking down from N each Z_j is shifted by the
-    identity just far enough that ``verify_dual`` finds block rho_j PSD,
-    on ``cheat_sdp`` cut to rho_j.  So the chain is feasible whatever the
-    solver's accuracy, and its value Z_0 bounds the probability from above.
+    One solve gives both; RuntimeError unless it converged.  The solve runs
+    on the sectors of ``cheat_sdp`` that ``sdp.sectors`` reads off its zeros,
+    whatever the SDP's size: each block splits into sets of its coordinates
+    and each round's constraint into sets of columns of W_j, and the round-j
+    multiplier on S_j holds each Z_{j,a} on its sector's columns
+    (``expand_multipliers``).  The chain is these multipliers made exactly
+    feasible on the unsplit ``cheat_sdp``: Z_N is pinned to the compressed
+    target projector W_N^dag P W_N, which makes block rho_N's slack exactly
+    0, and walking down from N each Z_j is shifted by the identity just far
+    enough that ``verify_dual`` finds block rho_j PSD, on ``cheat_sdp`` cut
+    to rho_j.  So the chain is feasible whatever the solver's accuracy, and
+    its value Z_0 bounds the probability from above.
     """
-    sweep = _forward_sweep(protocol, honest)
-    supports = reachable_supports(protocol, honest, sweep)
-    problem = cheat_sdp(protocol, honest, target, supports)
-    blocks, rounds = symmetry_sectors(protocol, honest, target, supports, sweep)
+    problem = cheat_sdp(protocol, honest, target)
+    blocks, rounds = sectors(problem)
     solution = solve(restrict(problem, blocks, rounds))
     if solution.status != "converged":
         raise RuntimeError(

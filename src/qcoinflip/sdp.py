@@ -43,9 +43,9 @@ scalar) per constraint name, and its value is the b.y that ``verify_dual``
 computes.  ``verify_dual`` reads the multipliers as given, so a complex
 multiplier is checked on real data too.
 
-A caller that writes its problem in a basis adapted to a symmetry can
-solve it on the symmetry's sectors: ``restrict`` splits blocks and
-constraints into sub-blocks on given index sets, gathering their entries,
+A problem with zeros can be solved on its sectors: ``sectors`` reads off the
+zeros the finest index sets that pinching respects, ``restrict`` splits
+blocks and constraints into sub-blocks on them, gathering their entries,
 and ``expand_multipliers`` places the split problem's multipliers in the
 original's, where ``verify_dual`` checks them.
 """
@@ -65,7 +65,7 @@ RESTRICT_TOL = 1e-12  # a restricted term this small, relative to its operator, 
 # entries of the constraint rows ``solve`` stores (``_Compiled.row_count``): 8 MB as
 # float64, and a Schur assembly holds about three times that in temporaries.  A problem
 # with more keeps the term kernels, whose data are the terms themselves.  That fork stays
-# for large problems without symmetry, as a protocol file may give: unsplit, the v16
+# for large problems without zeros to split on, as a protocol file may give: unsplit, the v16
 # Alice-cheat SDP (a 216-dim block, m = 688) took 25.5 s and 800 MB peak on rows against
 # 1.06 s and 91 MB on the terms (17 iterations each, one 2-core machine)
 ROW_BUDGET = 2**20
@@ -138,6 +138,74 @@ class DualReport:
 # restriction to symmetry sectors
 
 
+def _zero_level(mat) -> float:
+    """Entries of ``mat`` (a term operator, ``None`` for the identity, an objective or a
+    right-hand side) at most this large are zeros to ``sectors`` and ``restrict``:
+    ``RESTRICT_TOL`` times its largest entry, or times 1 if that is smaller."""
+    return RESTRICT_TOL * (1.0 if mat is None else max(1.0, float(np.max(np.abs(mat)))))
+
+
+def sectors(problem: SdpProblem):
+    """The finest sectors of ``problem`` its zeros allow, as ``restrict`` takes them:
+    (block name -> index arrays Q_c, constraint name -> index arrays P_a of its kept
+    factor), each listed only where it has more than one, in order of least index.
+
+    Read each term's K as rows (p, t), p kept and t traced.  The objectives
+    are zero between different Q_c and the right-hand sides between
+    different P_a; for every term and t the columns of the rows (P_a, t) lie
+    in one Q_c, and the rows of t whose columns meet one Q_c in one P_a.  So
+    the pinching X -> sum_c Q_c X Q_c keeps each constraint value's [P_a, P_a]
+    and zeroes the rest: feasible points stay feasible with the same value.
+    Entries up to ``_zero_level`` are zero, as in ``restrict``.  The sets are
+    the least fixed point of these rules, found by label propagation over all
+    nodes at once (Permenter & Parrilo, Math. Program. 2020, refine likewise).
+    """
+    sizes = {("block", name): d for name, d in problem.blocks}
+    sizes.update({("constraint", con.name): int(np.sqrt(np.size(con.rhs))) for con in problem.constraints})
+    starts = dict(zip(sizes, np.cumsum([0, *sizes.values()])))  # a node per coordinate and kept index
+    n = sum(sizes.values())
+    a, b, rows, cols, groups = [], [], [], [], []  # a[i], b[i] in one sector; each term entry's nodes
+    mats = [(("block", name), c) for name, c in problem.objective.items()]
+    for key, mat in mats + [(("constraint", con.name), con.rhs) for con in problem.constraints]:
+        i, j = np.nonzero(np.abs(np.reshape(mat, (sizes[key],) * 2)) > _zero_level(mat))
+        a.append(starts[key] + i)
+        b.append(starts[key] + j)
+    terms = [(con.name, term) for con in problem.constraints for term in con.terms]
+    for g, (name, term) in enumerate(terms):  # per nonzero entry: its kept node, column node, (term, t)
+        k = np.eye(sizes["block", term.block]) if term.op is None else term.op
+        r, x = np.nonzero(np.abs(k) > _zero_level(term.op))
+        p, t = np.divmod(r, len(k) // sizes["constraint", name])
+        rows.append(starts["constraint", name] + p)
+        cols.append(starts["block", term.block] + x)
+        groups.append(g + len(terms) * t)
+    a, b, rows, cols, groups = (np.concatenate([*v, np.zeros(0, int)]) for v in (a, b, rows, cols, groups))
+
+    def first(keys):  # for each entry, the first entry with its key
+        _, index, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        return index[inverse]
+
+    labels = np.arange(n)  # each node's label: the least node of its sector so far
+    while True:
+        # entries of one (term, t) whose rows share a label join their columns, and conversely
+        u = np.concatenate([cols, rows, a])
+        v = np.concatenate([cols[first(groups * n + labels[rows])], rows[first(groups * n + labels[cols])], b])
+        lu, lv = labels[u], labels[v]
+        if np.array_equal(lu, lv):
+            break
+        parent = labels.copy()  # each label points to the least label it meets, and nodes follow
+        np.minimum.at(parent, lu, lv)
+        np.minimum.at(parent, lv, lu)
+        while not np.array_equal(parent, parent[parent]):
+            parent = parent[parent]
+        labels = parent[labels]
+    found = ({}, {})
+    for (kind, name), start in starts.items():
+        roots, inverse = np.unique(labels[start : start + sizes[kind, name]], return_inverse=True)
+        if len(roots) > 1:
+            found[kind == "constraint"][name] = [np.flatnonzero(inverse == c) for c in range(len(roots))]
+    return found
+
+
 def restrict(problem: SdpProblem, block_sectors: dict, constraint_sectors: dict) -> SdpProblem:
     """The problem with each listed block X replaced by its principal sub-blocks
     X[Q_c, Q_c], and each listed constraint by the sub-blocks [P_a, P_a] of its
@@ -155,11 +223,11 @@ def restrict(problem: SdpProblem, block_sectors: dict, constraint_sectors: dict)
     constraint not listed, and a block whose pieces all join, stays whole under
     its own name, so with nothing listed the problem is the same.
 
-    When a symmetry group acts on each Q_c and P_a by one character (a basis
-    adapted to it), the optimum can be taken zero between the Q_c, and then
-    its constraint values are zero between the P_a: the restricted problem
-    has the same optimum, and ``expand_multipliers`` turns its multipliers
-    into the problem's with the same slack blocks.
+    When the pinching X -> sum_c Q_c X Q_c keeps feasible points feasible
+    with the same value, as on the sets ``sectors`` returns, the optimum can
+    be taken zero between the Q_c and its constraint values between the P_a:
+    the restricted problem has the same optimum, and ``expand_multipliers``
+    turns its multipliers into the problem's with the same slack blocks.
     """
     dims = dict(problem.blocks)
     order = {name: np.concatenate(sectors) for name, sectors in block_sectors.items()}
@@ -169,7 +237,7 @@ def restrict(problem: SdpProblem, block_sectors: dict, constraint_sectors: dict)
     pieces = []  # (name, rhs, [(term, op, K, kept, live)])
     enters = {name: [set() for _ in sectors] for name, sectors in block_sectors.items()}
     for con in problem.constraints:
-        scales = [1.0 if t.op is None else max(1.0, float(np.max(np.abs(t.op)))) for t in con.terms]
+        levels = [_zero_level(t.op) for t in con.terms]
         for a, keep in enumerate(constraint_sectors.get(con.name, (None,))):
             entries = []
             for t, term in enumerate(con.terms):
@@ -180,11 +248,11 @@ def restrict(problem: SdpProblem, block_sectors: dict, constraint_sectors: dict)
                     kept = len(keep)
                 peak = np.max(np.abs(k), axis=0)  # per column of K
                 if term.block in order:  # per block piece
-                    live = np.maximum.reduceat(peak[order[term.block]], starts[term.block]) > RESTRICT_TOL * scales[t]
+                    live = np.maximum.reduceat(peak[order[term.block]], starts[term.block]) > levels[t]
                     for c in np.flatnonzero(live):
                         enters[term.block][c].add((len(pieces), t))
                 else:
-                    live = np.array([peak.max() > RESTRICT_TOL * scales[t]])
+                    live = np.array([peak.max() > levels[t]])
                 entries.append((term, op, k, kept, live))
             rhs = con.rhs if keep is None else np.asarray(con.rhs)[np.ix_(keep, keep)]
             pieces.append((con.name if keep is None else f"{con.name}/{a}", rhs, entries))

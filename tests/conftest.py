@@ -3,7 +3,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcoinflip.protocols import KPartyProtocol, penalty_protocol
+from qcoinflip.protocols import (
+    KPartyProtocol,
+    alice_announces,
+    announce_kparty,
+    penalty_protocol,
+    penalty_protocol_compact4,
+)
 from qcoinflip.quantum import CNOT, DensityMatrix, HilbertLayout, StateVector, complex_to_json, embed_operator
 from qcoinflip.sdp import Constraint, LinearTerm, SdpProblem, restrict
 
@@ -261,6 +267,41 @@ def relayed_penalty_protocol() -> KPartyProtocol:
         projectors=base.projectors + (outcome,),
         name="penalty-v16-relayed",
     )
+
+
+# protocols whose cheat SDPs the tests solve and split, each with its number of parties
+COMPARISON_SET = {
+    "v16": (lambda: penalty_protocol(16.0), 2),
+    "v25": (lambda: penalty_protocol(25.0), 2),
+    "compact4": (penalty_protocol_compact4, 2),
+    "announces": (alice_announces, 2),
+    "announce3": (lambda: announce_kparty(3), 3),
+    "relayed": (relayed_penalty_protocol, 3),
+}
+
+
+class UnionFind:
+    """A plain-loop union-find over items 0..n-1: the oracle of vectorised partitions."""
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, i: int) -> int:
+        while self.parent[i] != i:
+            i = self.parent[i]
+        return i
+
+    def union(self, i: int, j: int) -> bool:
+        """Join the classes of i and j; whether they were apart."""
+        ri, rj = self.find(i), self.find(j)
+        if ri == rj:
+            return False
+        self.parent[max(ri, rj)] = min(ri, rj)
+        return True
+
+    def labels(self) -> np.ndarray:
+        """Each item's class, named by its least item."""
+        return np.array([self.find(i) for i in range(len(self.parent))])
 
 
 def two_party_dict(protocol) -> dict:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    COMPARISON_SET,
+    UnionFind,
     assert_sub_arrays,
     full_space_cheat_sdp,
     merge_cheaters,
@@ -19,9 +21,8 @@ from qcoinflip.lowerbound import (
     group_players,
     multiparty_bias_bound,
     optimal_cheat,
-    phase_symmetries,
     reachable_supports,
-    symmetry_sectors,
+    sequence_holds,
 )
 from qcoinflip.multiparty import FINAL_PHASE_CHEAT_PROB
 from qcoinflip.penalty import PenaltyGame, bob_attack, commit_state
@@ -43,6 +44,7 @@ from qcoinflip.sdp import (
     _Compiled,
     expand_multipliers,
     restrict,
+    sectors,
     solve,
     verify_dual,
 )
@@ -115,8 +117,8 @@ def v16_check():
 
 
 def haar_random_protocol(rng) -> KPartyProtocol:
-    """Two parties whose unitaries are Haar-random: no product of clock
-    operators passes through them."""
+    """Two parties whose unitaries are Haar-random: their cheat SDPs have no
+    structural zeros to split on."""
     unitaries = (random_unitary(8, rng), random_unitary(4, rng), random_unitary(8, rng), random_unitary(4, rng))
     halves = tuple(np.diag(np.repeat(np.eye(2)[c], 2)).astype(complex) for c in (0, 1))
     return KPartyProtocol(
@@ -127,12 +129,6 @@ def haar_random_protocol(rng) -> KPartyProtocol:
         projectors=(halves, (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))),
         name="haar-random",
     )
-
-
-def phases(group, j: int) -> np.ndarray:
-    """The round-j elements of a ``PhaseGroup`` as diagonals, one per row."""
-    exps = group.rounds[j]
-    return np.exp(2j * np.pi * exps.reshape(len(exps), -1) / group.modulus)
 
 
 def problem_key(problem: SdpProblem) -> int:
@@ -147,14 +143,6 @@ def problem_key(problem: SdpProblem) -> int:
     return hash(tuple(parts))
 
 
-COMPARISON_SET = {
-    "v16": (lambda: penalty_protocol(16.0), 2),
-    "v25": (lambda: penalty_protocol(25.0), 2),
-    "compact4": (penalty_protocol_compact4, 2),
-    "announces": (alice_announces, 2),
-    "announce3": (lambda: announce_kparty(3), 3),
-    "relayed": (relayed_penalty_protocol, 3),
-}
 COMPARISON_CASES = [
     (name, honest, target) for name, (_, k) in COMPARISON_SET.items() for honest in range(k) for target in (0, 1)
 ]
@@ -180,7 +168,7 @@ PENALTY_V = {"v16": 16.0, "v25": 25.0, "relayed": 16.0}
 @pytest.fixture(scope="module")
 def sector_comparison(v16_check):
     """For every cheat SDP of the comparison set: the problem, ``optimal_cheat``'s
-    result (solved on the symmetry sectors) and the forcing probability it
+    result (solved on its sectors) and the forcing probability it
     should reach.  The penalty SDPs take it from ``penalty_reference``, the
     small ones from their unsplit solve; each distinct problem is solved once,
     and the v16 target-1 results come from ``v16_check``."""
@@ -268,9 +256,9 @@ class TestOptimalCheat:
             kept = [[t.kept for t in con.terms] for con in problem.constraints]
             assert kept == [[1]] + [[w.shape[1]] * 2 for w in supports[1:]]
 
-    def test_supports_and_sweep_computed_once_per_call(self, monkeypatch):
-        # cheat_sdp and symmetry_sectors take optimal_cheat's supports and forward sweep
-        calls = {"reachable_supports": 0, "_forward_sweep": 0}
+    def test_supports_and_sectors_computed_once_per_call(self, monkeypatch):
+        # one cheat_sdp per call, and its sectors read off it once
+        calls = {"reachable_supports": 0, "sectors": 0}
         for name in calls:
             original = getattr(lowerbound, name)
 
@@ -281,7 +269,7 @@ class TestOptimalCheat:
             monkeypatch.setattr(lowerbound, name, counting)
         for honest in (0, 1):
             optimal_cheat(penalty_protocol_compact4(), honest, 1)
-        assert calls == {"reachable_supports": 2, "_forward_sweep": 2}
+        assert calls == {"reachable_supports": 2, "sectors": 2}
 
     @pytest.mark.parametrize("honest", [-1, 2, "alice"])
     def test_honest_index_out_of_range_raises(self, honest):
@@ -340,47 +328,10 @@ class TestReachableSupports:
 
 
 class TestSymmetrySectors:
-    @pytest.mark.parametrize("target", [0, 1])
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: penalty_protocol(16.0),
-            penalty_protocol_compact4,
-            alice_announces,
-            lambda: announce_kparty(3),
-            relayed_penalty_protocol,
-        ],
-        ids=["v16", "compact4", "announces", "announce3", "relayed"],
-    )
-    def test_every_element_is_a_symmetry(self, build, target):
-        # U_j g_{j-1} U_j^dag = h_j (x) m' with h_j the private part of a round-j element,
-        # and h_N commutes with the target projector
-        p = build()
-        d_msg = p.layout_m.dim
-        for honest in range(p.k):
-            d_priv = p.layouts[honest].dim
-            unitaries = [u for t, u in zip(p.turns, p.unitaries) if t == honest]
-            group = phase_symmetries(p, honest, target)
-            assert len(group.rounds) == len(unitaries) + 1
-            for j, u in enumerate(unitaries, start=1):
-                private = phases(group, j).reshape(-1, d_priv, d_msg)[:, :, 0]
-                for g in phases(group, j - 1):
-                    # U g U^dag = diag(d) exactly when U g = diag(d) U, with d = |U|^2 g
-                    diag = np.abs(u) ** 2 @ g
-                    assert np.max(np.abs(u * g - diag[:, None] * u)) <= 1e-12
-                    dm = diag.reshape(d_priv, d_msg)
-                    h = dm[:, 0] / dm[0, 0]
-                    assert np.max(np.abs(dm - np.outer(h, dm[0]))) <= 1e-12
-                    assert np.min(np.max(np.abs(private - h), axis=1)) <= 1e-12
-            proj = p.projectors[honest][target]
-            for g in phases(group, len(unitaries)):
-                h = g.reshape(d_priv, d_msg)[:, 0]
-                assert np.max(np.abs(h[:, None] * proj - proj * h[None, :])) <= 1e-12
-            assert all((~e.any(axis=(1, 2))).any() for e in group.rounds)  # the identity is in every round
-
     def test_haar_random_unitaries_leave_one_sector_per_round(self, rng, monkeypatch):
-        # only the identity passes a Haar-random unitary, and the last round's free message
-        # alone splits nothing the constraints tell apart: the solve is the unsplit one
+        # a Haar-random unitary leaves no zero in its rounds' operators, and the last round's
+        # free message alone splits nothing the constraints tell apart: the solve is the
+        # unsplit one
         p = haar_random_protocol(rng)
         solutions = []
 
@@ -391,12 +342,10 @@ class TestSymmetrySectors:
         monkeypatch.setattr(lowerbound, "solve", recording)
         for honest in range(p.k):
             for target in (0, 1):
-                group = phase_symmetries(p, honest, target)
-                assert all(len(e) == 1 and not e.any() for e in group.rounds[:-1])
-                assert not group.rounds[-1][:, :, 0].any()
                 problem = cheat_sdp(p, honest, target)
-                blocks, rounds = symmetry_sectors(p, honest, target)
+                blocks, rounds = sectors(problem)
                 assert rounds == {}
+                assert set(blocks) <= {problem.blocks[-1][0]}
                 assert problem_key(restrict(problem, blocks, rounds)) == problem_key(problem)
                 cheat = optimal_cheat(p, honest, target)
                 whole = solve(problem)
@@ -406,14 +355,14 @@ class TestSymmetrySectors:
                 assert verify_dual(problem, cheat.chain, tol=1e-10).feasible
 
     def test_penalty_alice_cheat_sdp_splits(self):
-        # the v16 Alice-cheat SDP: blocks 6, 36, 216 and m = 688 become blocks of at most 18
-        # and m = 79
+        # the v16 Alice-cheat SDP: blocks 6, 36, 216 and m = 688 become blocks of at most 12
+        # and m = 45
         p = penalty_protocol(16.0)
         problem = cheat_sdp(p, 1, 1)
-        split = restrict(problem, *symmetry_sectors(p, 1, 1))
+        split = restrict(problem, *sectors(problem))
         assert [d for _, d in problem.blocks] == [6, 36, 216]
-        assert (_Compiled(problem).m, _Compiled(split).m) == (688, 79)
-        assert max(d for _, d in split.blocks) == 18
+        assert (_Compiled(problem).m, _Compiled(split).m) == (688, 45)
+        assert max(d for _, d in split.blocks) == 12
 
     @pytest.mark.parametrize("name", list(COMPARISON_SET))
     def test_every_cheat_sdp_is_solved_on_its_sectors(self, name, monkeypatch):
@@ -432,9 +381,10 @@ class TestSymmetrySectors:
         for honest in range(p.k):
             with pytest.raises(Handed):
                 optimal_cheat(p, honest, 1)
-            problem, sectors = cheat_sdp(p, honest, 1), symmetry_sectors(p, honest, 1)
-            assert problem_key(handed[-1]) == problem_key(restrict(problem, *sectors)), honest
-            assert_sub_arrays(problem, handed[-1], *sectors)
+            problem = cheat_sdp(p, honest, 1)
+            found = sectors(problem)
+            assert problem_key(handed[-1]) == problem_key(restrict(problem, *found)), honest
+            assert_sub_arrays(problem, handed[-1], *found)
 
     @pytest.mark.parametrize("case", COMPARISON_CASES, ids=["-".join(map(str, c)) for c in COMPARISON_CASES])
     def test_sector_solve_matches_its_reference(self, sector_comparison, case):
@@ -486,7 +436,7 @@ class TestSymmetrySectors:
         for honest in range(p.k):
             cheat = optimal_cheat(p, honest, 1)
             problem = cheat_sdp(p, honest, 1)
-            given = expand_multipliers(symmetry_sectors(p, honest, 1)[1], lowered[-1])
+            given = expand_multipliers(sectors(problem)[1], lowered[-1])
             for j in range(len(problem.blocks) - 1):
                 shift = cheat.chain[f"round_{j}"] - np.atleast_2d(given[f"round_{j}"])
                 lam = shift[0, 0].real
@@ -499,18 +449,15 @@ class TestSymmetrySectors:
 
     @pytest.mark.parametrize("name", [*COMPARISON_SET, "haar-random"])
     def test_adapted_support_columns_lie_in_one_sector(self, name, rng):
-        # every support column is exactly 0 off the basis states of one character, under the
-        # forward sweep and so under either target's group, and the columns in a sector span
-        # the support's part there: the projector D Pi_j D, with Pi_j the range of the private
-        # marginal of U_j (Pi_{j-1} (x) 1) U_j^dag and D the sector's basis states
+        # every support column is exactly 0 off one connected component of the projector
+        # Pi_j, the range of the private marginal of U_j (Pi_{j-1} (x) 1) U_j^dag, and the
+        # columns on a component D span D Pi_j D
         p = haar_random_protocol(rng) if name == "haar-random" else COMPARISON_SET[name][0]()
         d_msg = p.layout_m.dim
         for honest in range(p.k):
             d_priv = p.layouts[honest].dim
             unitaries = [u for t, u in zip(p.turns, p.unitaries) if t == honest]
             supports = reachable_supports(p, honest)
-            sweep = lowerbound._forward_sweep(p, honest)
-            groups = [phase_symmetries(p, honest, target) for target in (0, 1)]
             pi = np.zeros((d_priv, d_priv), dtype=complex)
             pi[0, 0] = 1.0
             for j, w in enumerate(supports):
@@ -519,65 +466,36 @@ class TestSymmetrySectors:
                     evals, vecs = np.linalg.eigh(image.reshape(d_priv, d_msg, d_priv, d_msg).trace(axis1=1, axis2=3))
                     pi = vecs[:, evals > 1e-9] @ vecs[:, evals > 1e-9].conj().T
                 np.testing.assert_allclose(w.conj().T @ w, np.eye(w.shape[1]), atol=1e-12)
-                tables = [sweep.private[sweep.reached[j]].T] + [g.rounds[j][:, :, 0].T for g in groups]
-                for table in tables:
-                    labels = np.unique(table, axis=0, return_inverse=True)[1].reshape(-1)
-                    for i in range(w.shape[1]):
-                        assert len(set(labels[np.flatnonzero(w[:, i])])) == 1, (name, honest, j, i)
-                    for label in np.unique(labels):
-                        inside = labels == label
-                        part = w[:, labels[np.argmax(np.abs(w), axis=0)] == label]
-                        np.testing.assert_allclose(part @ part.conj().T, pi * np.outer(inside, inside), atol=1e-10)
+                components = UnionFind(d_priv)
+                for x, y in zip(*np.nonzero(np.abs(pi) > 1e-9)):
+                    components.union(x, y)
+                labels = components.labels()
+                for i in range(w.shape[1]):
+                    assert len(set(labels[np.flatnonzero(w[:, i])])) == 1, (name, honest, j, i)
+                for label in set(labels):
+                    inside = labels == label
+                    part = w[:, labels[np.argmax(np.abs(w), axis=0)] == label]
+                    np.testing.assert_allclose(part @ part.conj().T, pi * np.outer(inside, inside), atol=1e-10)
 
-    def test_support_not_invariant_under_the_sweep_is_rejected(self):
-        # forward characters that split a support: every clock character at every round,
-        # though Alice's commit superposes basis states of different characters
+    def test_support_split_off_its_components_is_rejected(self, monkeypatch):
+        # components that split a support: every basis state its own, though Alice's commit
+        # superposes basis states
         p = penalty_protocol(16.0)
-        sweep = lowerbound._forward_sweep(p, 0)
-        every = np.arange(p.layouts[0].dim)
-        forced = replace(sweep, reached=[every] * len(sweep.reached))
-        with pytest.raises(RuntimeError, match="not invariant under the phase symmetries"):
-            reachable_supports(p, 0, forced)
-
-    @pytest.mark.parametrize("name", [*COMPARISON_SET, "haar-random"])
-    def test_sectors_match_their_per_pair_construction(self, name, rng):
-        # the oracle labels basis states by np.unique over rows, gives each support column
-        # the label of a basis state where it is nonzero, groups the columns by label, and
-        # labels each pair (column, mu) by its joint character; a round with one sector is
-        # not listed.  The Haar-random protocol has joint sectors with several mu on one
-        # private sector of dimension > 1
-        p = haar_random_protocol(rng) if name == "haar-random" else COMPARISON_SET[name][0]()
-        d_msg = p.layout_m.dim
-        for honest in range(p.k):
-            supports = reachable_supports(p, honest)
-            for target in (0, 1):
-                blocks, rounds = symmetry_sectors(p, honest, target)
-                group = phase_symmetries(p, honest, target)
-                for j, (w, exps) in enumerate(zip(supports, group.rounds)):
-                    reps = [np.flatnonzero(w[:, i])[0] for i in range(w.shape[1])]
-                    private = np.unique(exps[:, reps, 0].T, axis=0, return_inverse=True)[1].reshape(-1)
-                    characters = np.array([exps[:, x, mu] for x in reps for mu in range(d_msg)])
-                    joint = np.unique(characters, axis=0, return_inverse=True)[1].reshape(-1)
-                    for labels, listed in ((private, rounds.get(f"round_{j}")), (joint, blocks.get(f"rho_{j}"))):
-                        expected = [np.flatnonzero(labels == a) for a in range(labels.max() + 1)]
-                        if len(expected) == 1:
-                            assert listed is None, (name, honest, target, j)
-                        else:
-                            assert len(listed) == len(expected), (name, honest, target, j)
-                            assert all(map(np.array_equal, listed, expected)), (name, honest, target, j)
+        monkeypatch.setattr(lowerbound, "_components", lambda adjacent: np.arange(len(adjacent)))
+        with pytest.raises(RuntimeError, match="does not split on its projector's components"):
+            reachable_supports(p, 0)
 
     def test_chain_off_its_sectors_is_rejected(self, v16_check):
         # add to Z_1 of the Alice-cheat chain a term between two private sectors: truncated to
         # its sectors the chain is unchanged, yet on the unsplit SDP it soon fails, and the
         # sequence refuses it
         p = penalty_protocol(16.0)
-        _, rounds = symmetry_sectors(p, 1, 1)
-        sectors = rounds["round_1"]
+        problem = cheat_sdp(p, 1, 1)
+        pieces = sectors(problem)[1]["round_1"]
         chain = v16_check.cheats[1].chain
         off = np.zeros_like(chain["round_1"])
-        off[np.ix_(sectors[0], sectors[1])] = 1.0
+        off[np.ix_(pieces[0], pieces[1])] = 1.0
         off = off + off.conj().T
-        problem = cheat_sdp(p, 1, 1)
         for t in 1e-3 * 2.0 ** np.arange(20):
             perturbed = dict(chain, round_1=chain["round_1"] + t * off)
             if not verify_dual(problem, perturbed, tol=1e-10).feasible:
@@ -585,7 +503,7 @@ class TestSymmetrySectors:
         else:
             pytest.fail("no perturbation made the chain infeasible")
         truncated = np.zeros_like(chain["round_1"])
-        for q in sectors:
+        for q in pieces:
             truncated[np.ix_(q, q)] = perturbed["round_1"][np.ix_(q, q)]
         np.testing.assert_array_equal(truncated, chain["round_1"])
         with pytest.raises(ValueError, match="party-1-honest chain infeasible"):
@@ -707,6 +625,13 @@ class TestDualChains:
         chain = optimal_cheat(p, 0, 1).chain
         with pytest.raises(ValueError, match=f"2 parties, {count} chains"):
             dual_bound_sequence(p, [chain] * count, target=1)
+
+    def test_sequence_that_rises_fails(self):
+        # a rise by more than CERT_TOL anywhere fails, one within it holds; both sequences
+        # end at p_target
+        for rise, held in ((2 * CERT_TOL, False), (CERT_TOL / 2, True)):
+            assert sequence_holds([0.75, 0.75 + rise, 0.5], 0.5) is held, rise
+            assert sequence_holds([0.75, 0.5 - rise, 0.5], 0.5) is held, rise
 
 
 class TestMergeCheaters:

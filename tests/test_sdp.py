@@ -3,9 +3,19 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import assert_sub_arrays, dense_rows, overflowing_r, random_hermitian, random_unitary
+from conftest import (
+    COMPARISON_SET,
+    UnionFind,
+    assert_sub_arrays,
+    dense_rows,
+    overflowing_r,
+    random_hermitian,
+    random_unitary,
+)
+from qcoinflip.lowerbound import cheat_sdp
 from qcoinflip.sdp import (
     FEAS_TOL,
+    RESTRICT_TOL,
     Constraint,
     LinearTerm,
     SdpProblem,
@@ -13,6 +23,7 @@ from qcoinflip.sdp import (
     duality_gap,
     expand_multipliers,
     restrict,
+    sectors,
     solve,
     verify_dual,
 )
@@ -45,17 +56,25 @@ def _random_hermitian(d, rng, real=False):
     return (g + g.T) / 2
 
 
-def random_structured_problem(rng, with_op=True, real=False):
+def random_structured_problem(rng, with_op=True, real=False, planted=False):
     # right-hand sides come from an explicit strictly feasible point, so the
     # instance is guaranteed solvable; ``real`` draws real data only
-    # P lives on (2) (x) (3); the marginal keeps the 3, so its term moves that factor first
+    # P lives on (2) (x) (3); the marginal keeps the 3, so its term moves that factor first.
+    # ``planted`` splits the 3 into two sectors, one index alone, and sets to zero every entry
+    # of the point, the objectives and the sandwich's factor on the 3 between them
     swap = np.eye(6)[np.arange(6).reshape(2, 3).T.ravel()]
-    p0 = _random_psd(6, rng, real=real)
-    q0 = _random_psd(3, rng, trace=1.0, real=real)
+    alone = rng.permutation(3) == 0 if planted else np.zeros(3, dtype=bool)
+    same = alone[:, None] == alone[None, :]  # the entries of the 3 that may be nonzero
+    on_p = np.tile(same, (2, 2))  # and of P = (2) (x) (3)
+    p0 = _random_psd(6, rng, real=real) * on_p
+    q0 = _random_psd(3, rng, trace=1.0, real=real) * same
     terms1 = (LinearTerm("P", 1.0, swap, 3), LinearTerm("Q", -1.0))
     cons = [Constraint("marginal", terms1, p0.reshape(2, 3, 2, 3).trace(axis1=0, axis2=2) - q0)]
     if with_op:
-        k = _random_matrix(6, rng, real)
+        if planted:
+            k = np.kron(_random_matrix(2, rng, real), _random_matrix(3, rng, real) * same)
+        else:
+            k = _random_matrix(6, rng, real)
         cons.append(
             Constraint(
                 "sandwich",
@@ -66,7 +85,7 @@ def random_structured_problem(rng, with_op=True, real=False):
     cons.append(Constraint("norm", (LinearTerm("Q", kept=1),), np.array([[1.0]])))
     return SdpProblem(
         blocks=(("P", 6), ("Q", 3)),
-        objective={"P": _random_hermitian(6, rng, real), "Q": _random_hermitian(3, rng, real)},
+        objective={"P": _random_hermitian(6, rng, real) * on_p, "Q": _random_hermitian(3, rng, real) * same},
         constraints=tuple(cons),
     )
 
@@ -234,6 +253,21 @@ class TestCompiled(KernelMaps):
             elif isinstance(node, ast.Import):
                 imported += [alias.name for alias in node.names]
         assert not [name for name in imported if "quantum" in name.split(".")], imported
+
+    def test_lowerbound_imports_no_private_sdp_name(self):
+        # lowerbound reaches the SDP layer through its public names alone
+        import ast
+
+        from qcoinflip import lowerbound
+
+        tree = ast.parse(open(lowerbound.__file__, encoding="utf-8").read())
+        private = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "sdp":
+                private += [alias.name for alias in node.names if alias.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "sdp":
+                private += [node.attr] if node.attr.startswith("_") else []
+        assert not private, private
 
     @DATA
     def test_dtype_and_coordinate_count(self, rng, real):
@@ -1047,3 +1081,145 @@ class TestRestrict:
         names = ["marginal/0", "marginal/1", "sandwich/0", "sandwich/1", "norm"]
         assert [c.name for c in restricted.constraints] == names
         assert_sub_arrays(problem, restricted, blocks, constraints)
+
+
+def sectors_oracle(problem: SdpProblem):
+    """``sectors`` by plain loops: each block's and constraint's labels, a node's label the
+    least node of its class, on a union-find over every block coordinate and kept index.
+
+    Nonzero objective and right-hand-side entries join their two indices.  Then pass after
+    pass over the nonzero entries (p, x) of each term's rows (., t) at one t: entries whose
+    rows are joined join their columns, and entries whose columns are joined join their
+    rows, until a pass joins nothing.
+    """
+    dims = dict(problem.blocks)
+    spans, n = {}, 0  # each block's and constraint's first node and node count
+    for name, d in problem.blocks:
+        spans["block", name], n = (n, d), n + d
+
+    def nonzeros(mat):
+        mat = np.atleast_2d(mat)
+        return zip(*np.nonzero(np.abs(mat) > RESTRICT_TOL * max(1.0, np.abs(mat).max())))
+
+    pairs, groups = [], []
+    for name, c in problem.objective.items():
+        s = spans["block", name][0]
+        pairs += [(s + i, s + j) for i, j in nonzeros(c)]
+    for con in problem.constraints:
+        dk = len(np.atleast_2d(con.rhs))
+        spans["constraint", con.name] = (n, dk)
+        pairs += [(n + i, n + j) for i, j in nonzeros(con.rhs)]
+        for term in con.terms:
+            k = np.eye(dims[term.block]) if term.op is None else term.op
+            dt = len(k) // dk
+            s = spans["block", term.block][0]
+            groups += [[(n + p, s + x) for p, x in nonzeros(k.reshape(dk, dt, -1)[:, t])] for t in range(dt)]
+        n += dk
+    classes = UnionFind(n)
+    for i, j in pairs:
+        classes.union(i, j)
+    joined = True
+    while joined:
+        joined = False
+        for group in groups:
+            column_of, row_of = {}, {}  # a column of each row class, a row of each column class
+            for p, x in group:
+                joined |= classes.union(x, column_of.setdefault(classes.find(p), x))
+                joined |= classes.union(p, row_of.setdefault(classes.find(x), p))
+    labels = classes.labels()
+    return {key: labels[s : s + size] - s for key, (s, size) in spans.items()}
+
+
+def sector_problems(name: str, rng) -> list:
+    """A planted random problem, or every cheat SDP of a comparison-set protocol."""
+    if name.startswith("planted"):
+        return [random_structured_problem(rng, real=name == "planted-real", planted=True)]
+    build, k = COMPARISON_SET[name]
+    protocol = build()
+    return [cheat_sdp(protocol, honest, target) for honest in range(k) for target in (0, 1)]
+
+
+def term_value(problem: SdpProblem, con: Constraint, x: dict) -> np.ndarray:
+    """sum of coeff tr_2(K X K^dag) over the constraint's terms, by a reshape and a trace."""
+    dims = dict(problem.blocks)
+    dk = len(np.atleast_2d(con.rhs))
+    value = np.zeros((dk, dk), dtype=complex)
+    for t in con.terms:
+        k = np.eye(dims[t.block]) if t.op is None else t.op
+        img = k @ x[t.block] @ k.conj().T
+        value += t.coeff * img.reshape(dk, len(k) // dk, dk, -1).trace(axis1=1, axis2=3)
+    return value
+
+
+SECTOR_CASES = pytest.mark.parametrize("name", ["planted-complex", "planted-real", *COMPARISON_SET])
+
+
+class TestSectors:
+    @SECTOR_CASES
+    def test_pinching_keeps_each_piece_and_zeroes_the_rest(self, name, rng):
+        # X -> sum_c Q_c X Q_c on a random PSD X: each constraint value keeps its pieces
+        # [P_a, P_a] and is 0 between them, and the objective value is unchanged
+        for problem in sector_problems(name, rng):
+            block_sectors, constraint_sectors = sectors(problem)
+            if name.startswith("planted"):
+                assert set(block_sectors) == {"P", "Q"} and set(constraint_sectors) == {"marginal"}
+            x, pinched = {}, {}
+            for block, d in problem.blocks:
+                x[block] = _random_psd(d, rng)
+                pinched[block] = np.zeros_like(x[block])
+                for q in block_sectors.get(block, [np.arange(d)]):
+                    pinched[block][np.ix_(q, q)] = x[block][np.ix_(q, q)]
+                assert np.array_equal(np.sort(np.concatenate(block_sectors.get(block, [np.arange(d)]))), np.arange(d))
+            for con in problem.constraints:
+                whole, split = term_value(problem, con, x), term_value(problem, con, pinched)
+                pieces = constraint_sectors.get(con.name, [np.arange(len(whole))])
+                assert np.array_equal(np.sort(np.concatenate(pieces)), np.arange(len(whole)))
+                scale = 1e-10 * max(1.0, np.abs(whole).max())
+                rhs = np.reshape(con.rhs, whole.shape)
+                for a, pa in enumerate(pieces):
+                    for b, pb in enumerate(pieces):
+                        want = whole[np.ix_(pa, pb)] if a == b else 0.0
+                        np.testing.assert_allclose(split[np.ix_(pa, pb)], want, rtol=0, atol=scale)
+                        assert a == b or not rhs[np.ix_(pa, pb)].any()
+            values = [sum(np.vdot(c, blocks[b]).real for b, c in problem.objective.items()) for blocks in (x, pinched)]
+            assert abs(values[0] - values[1]) <= 1e-10 * max(1.0, abs(values[0]))
+
+    @SECTOR_CASES
+    def test_sectors_are_the_union_find_fixed_point(self, name, rng):
+        for problem in sector_problems(name, rng):
+            listed = sectors(problem)
+            for (kind, key), labels in sectors_oracle(problem).items():
+                found = listed[kind == "constraint"].get(key)
+                expected = [np.flatnonzero(labels == label) for label in np.unique(labels)]
+                if len(expected) == 1:
+                    assert found is None, (name, key)
+                else:
+                    assert len(found) == len(expected) and all(map(np.array_equal, found, expected)), (name, key)
+
+    def test_right_hand_side_joins_what_the_terms_split(self):
+        # X pinned: the identity term and the diagonal objective split both indices apart,
+        # and an off-diagonal right-hand side entry joins them again
+        for off, expected in ((0.0, [np.array([0]), np.array([1])]), (0.1, None)):
+            problem = SdpProblem(
+                blocks=(("x", 2),),
+                objective={"x": np.diag([1.0, 2.0])},
+                constraints=(Constraint("pin", (LinearTerm("x"),), np.array([[0.5, off], [off, 0.5]])),),
+            )
+            blocks, constraints = sectors(problem)
+            for found in (blocks.get("x"), constraints.get("pin")):
+                if expected is None:
+                    assert found is None, off
+                else:
+                    assert len(found) == 2 and all(map(np.array_equal, found, expected)), off
+
+    @DATA
+    def test_no_structural_zero_returns_nothing(self, rng, real):
+        # dense data, and the unplanted random problem, whose permutation zeros split nothing
+        term = LinearTerm("x", 1.0, _random_matrix(4, rng, real), 2)
+        dense = SdpProblem(
+            blocks=(("x", 4),),
+            objective={"x": _random_hermitian(4, rng, real)},
+            constraints=(Constraint("c", (term,), _random_hermitian(2, rng, real)),),
+        )
+        for problem in (dense, random_structured_problem(rng, real=real)):
+            assert sectors(problem) == ({}, {})
