@@ -19,12 +19,12 @@ the forcing probability from above; ``optimal_cheat`` returns the value
 and the chain from one solve.  That solve always runs on sectors:
 ``sdp.sectors`` reads off the SDP's zeros the finest partitions of each
 block's coordinates and each round's columns of W_j on which pinching keeps
-feasible points feasible with the same value, and each W_j has its columns
-on the connected components of its projector, which leaves those zeros in
-place (a protocol without such zeros keeps its problem).  The sector
-multipliers, placed on their columns, are a chain on the S_j, repaired round
-by round on the unsplit ``cheat_sdp``'s blocks; no chain is ever checked on
-its sectors alone.  With each party's chain lifted to W_j Z_j W_j^dag,
+feasible points feasible with the same value; the zeros are those of the
+protocol's unitaries in the SVD bases W_j of the supports (a protocol
+without such zeros keeps its problem).  The sector multipliers, placed on
+their columns, are a chain on the S_j, repaired round by round on the
+unsplit ``cheat_sdp``'s blocks; no chain is ever checked on its sectors
+alone.  With each party's chain lifted to W_j Z_j W_j^dag,
 and c_i(r) party i's turns among the first r, the scalar sequence
 F_r = <psi_r| (x)_i Z_{i,c_i(r)} (x) 1 |psi_r> over the turn boundaries
 r = 0..T of the honest run interpolates monotonically from the product of
@@ -58,9 +58,7 @@ from .sdp import (
     verify_dual,
 )
 
-# relative singular-value cut of a support, the entries of its projector that join two basis
-# states in one component, and how far the basis split on the components may miss it
-SUPPORT_TOL = 1e-10
+SUPPORT_TOL = 1e-10  # singular values of a support below this times the largest are cut
 PRODUCT_SLACK = 1e-5  # solver accuracy allowed in the product checks
 
 
@@ -96,8 +94,7 @@ def _honest_view(protocol: KPartyProtocol, honest: int):
 
 
 def reachable_supports(protocol: KPartyProtocol, honest: int):
-    """Orthonormal bases W_j of the private-space subspaces S_j the honest turns can
-    reach, each column on one connected component of the support's projector.
+    """Orthonormal bases W_j of the private-space subspaces S_j the honest turns can reach.
 
     The honest private register starts at |0> and is only ever touched by
     the honest unitaries, whatever the coalition writes into the message
@@ -107,13 +104,13 @@ def reachable_supports(protocol: KPartyProtocol, honest: int):
     without loss; this keeps the feasible set's interior nonempty (the full
     formulation pins marginals onto rank-deficient targets).
 
-    W_j comes from an SVD.  When Pi_j = W_j W_j^dag has more than one
-    connected component (x, x' joined where |Pi_j[x, x']| > ``SUPPORT_TOL``),
-    each component D gets the eigenvectors of Pi_j[D, D] with eigenvalue
-    above 1/2, exactly 0 off D; RuntimeError if they miss Pi_j in number or by
-    more than ``SUPPORT_TOL``.  A diagonal unitary that leaves S_j invariant
-    commutes with Pi_j, so these components refine its sectors, and
-    ``cheat_sdp``'s data keep the zeros ``sdp.sectors`` splits on.
+    W_j is the first ``rank`` left singular vectors of those components, in
+    the SVD's own basis: ``rank`` counts the singular values above
+    ``SUPPORT_TOL`` times the largest.  On the penalty, announce and relayed
+    protocols each column lies on one connected component of
+    Pi_j = W_j W_j^dag to 1e-16, so ``cheat_sdp``'s data keep the zeros
+    ``sdp.sectors`` splits on; a basis that mixed components would give
+    coarser sectors and the same optimum.
     """
     layout, d_msg, unitaries, _ = _honest_view(protocol, honest)
     supports = [np.eye(layout.dim, 1, dtype=complex)]  # |0>
@@ -122,29 +119,8 @@ def reachable_supports(protocol: KPartyProtocol, honest: int):
         components = (u @ np.kron(supports[-1], eye_m)).reshape(layout.dim, -1)
         svec, svals, _ = np.linalg.svd(components, full_matrices=False)
         rank = int(np.sum(svals > SUPPORT_TOL * max(svals[0], 1.0)))
-        w = svec[:, :rank]
-        pi = w @ w.conj().T
-        labels = _components(np.abs(pi) > SUPPORT_TOL)
-        if labels.max() > 0:  # with one component the SVD basis is already on it
-            parts = []
-            for on in labels == np.arange(labels.max() + 1)[:, None]:
-                evals, vecs = np.linalg.eigh(pi[np.ix_(on, on)])
-                parts.append(np.zeros((layout.dim, np.count_nonzero(evals > 0.5)), dtype=complex))
-                parts[-1][on] = vecs[:, evals > 0.5]
-            w = np.concatenate(parts, axis=1)
-            if w.shape[1] != rank or np.max(np.abs(w @ w.conj().T - pi)) > SUPPORT_TOL:
-                raise RuntimeError("reachable support does not split on its projector's components")
-        supports.append(w)
+        supports.append(svec[:, :rank])
     return supports
-
-
-def _components(adjacent: np.ndarray) -> np.ndarray:
-    """Each vertex's connected component, numbered in order of least vertex, of the graph
-    with this boolean adjacency matrix: squaring the reach doubles the paths it covers."""
-    reach = adjacent | np.eye(len(adjacent), dtype=bool)
-    for _ in range(len(adjacent).bit_length()):
-        reach = (reach.astype(float) @ reach) > 0
-    return np.unique(np.argmax(reach, axis=1), return_inverse=True)[1]
 
 
 def cheat_sdp(protocol: KPartyProtocol, honest: int, target: int, supports=None) -> SdpProblem:

@@ -161,13 +161,13 @@ def sectors(problem: SdpProblem):
     nodes at once (Permenter & Parrilo, Math. Program. 2020, refine likewise).
     """
     sizes = {("block", name): d for name, d in problem.blocks}
-    sizes.update({("constraint", con.name): int(np.sqrt(np.size(con.rhs))) for con in problem.constraints})
+    sizes.update({("constraint", con.name): len(con.rhs) for con in problem.constraints})
     starts = dict(zip(sizes, np.cumsum([0, *sizes.values()])))  # a node per coordinate and kept index
     n = sum(sizes.values())
     a, b, rows, cols, groups = [], [], [], [], []  # a[i], b[i] in one sector; each term entry's nodes
     mats = [(("block", name), c) for name, c in problem.objective.items()]
     for key, mat in mats + [(("constraint", con.name), con.rhs) for con in problem.constraints]:
-        i, j = np.nonzero(np.abs(np.reshape(mat, (sizes[key],) * 2)) > _zero_level(mat))
+        i, j = np.nonzero(np.abs(mat) > _zero_level(mat))
         a.append(starts[key] + i)
         b.append(starts[key] + j)
     terms = [(con.name, term) for con in problem.constraints for term in con.terms]
@@ -404,8 +404,11 @@ class _Compiled:
         self.slices = []
         offset = 0
         for con in problem.constraints:
+            rhs = cast(con.rhs)
+            if rhs.ndim != 2 or rhs.shape[0] != rhs.shape[1]:
+                raise ValueError(f"constraint {con.name!r}: right-hand side of shape {rhs.shape} is not square")
+            dk_con = len(rhs)
             terms = []
-            dk_con = None
             for term in con.terms:
                 if term.block not in index:
                     raise KeyError(f"constraint {con.name!r} references unknown block {term.block!r}")
@@ -425,14 +428,14 @@ class _Compiled:
                         f"the {rows} rows of the operator on block {term.block!r}"
                     )
                 dk, dt = int(dk), rows // dk
-                if dk_con is None:
-                    dk_con = dk
-                elif dk != dk_con:
-                    raise ValueError(f"constraint {con.name!r}: terms have mismatched output dimensions")
+                if dk != dk_con:
+                    raise ValueError(
+                        f"constraint {con.name!r}: a term on block {term.block!r} keeps {dk} dimensions "
+                        f"but the right-hand side is {dk_con} x {dk_con}"
+                    )
                 terms.append(
                     _CompiledTerm(bidx, self.slots[bidx], float(term.coeff), kmat, term.op is not None, dk, dt)
                 )
-            rhs = cast(con.rhs).reshape(dk_con, dk_con)
             if np.max(np.abs(rhs - rhs.conj().T)) > 1e-10:
                 raise ValueError(f"constraint {con.name!r}: right-hand side is not Hermitian")
             cmap = _coordinate_map(dk_con, real)

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 
 from conftest import (
     COMPARISON_SET,
-    UnionFind,
     assert_sub_arrays,
     full_space_cheat_sdp,
     merge_cheaters,
@@ -448,10 +448,9 @@ class TestSymmetrySectors:
             assert cheat.bound >= cheat.probability - 1e-7
 
     @pytest.mark.parametrize("name", [*COMPARISON_SET, "haar-random"])
-    def test_adapted_support_columns_lie_in_one_sector(self, name, rng):
-        # every support column is exactly 0 off one connected component of the projector
-        # Pi_j, the range of the private marginal of U_j (Pi_{j-1} (x) 1) U_j^dag, and the
-        # columns on a component D span D Pi_j D
+    def test_supports_are_bases_of_their_projectors(self, name, rng):
+        # W_j^dag W_j = 1 and W_j W_j^dag = Pi_j, the projector onto the range of the private
+        # marginal of U_j (Pi_{j-1} (x) 1) U_j^dag
         p = haar_random_protocol(rng) if name == "haar-random" else COMPARISON_SET[name][0]()
         d_msg = p.layout_m.dim
         for honest in range(p.k):
@@ -466,24 +465,29 @@ class TestSymmetrySectors:
                     evals, vecs = np.linalg.eigh(image.reshape(d_priv, d_msg, d_priv, d_msg).trace(axis1=1, axis2=3))
                     pi = vecs[:, evals > 1e-9] @ vecs[:, evals > 1e-9].conj().T
                 np.testing.assert_allclose(w.conj().T @ w, np.eye(w.shape[1]), atol=1e-12)
-                components = UnionFind(d_priv)
-                for x, y in zip(*np.nonzero(np.abs(pi) > 1e-9)):
-                    components.union(x, y)
-                labels = components.labels()
-                for i in range(w.shape[1]):
-                    assert len(set(labels[np.flatnonzero(w[:, i])])) == 1, (name, honest, j, i)
-                for label in set(labels):
-                    inside = labels == label
-                    part = w[:, labels[np.argmax(np.abs(w), axis=0)] == label]
-                    np.testing.assert_allclose(part @ part.conj().T, pi * np.outer(inside, inside), atol=1e-10)
+                np.testing.assert_allclose(w @ w.conj().T, pi, atol=1e-10, err_msg=f"{name} {honest} {j}")
 
-    def test_support_split_off_its_components_is_rejected(self, monkeypatch):
-        # components that split a support: every basis state its own, though Alice's commit
-        # superposes basis states
-        p = penalty_protocol(16.0)
-        monkeypatch.setattr(lowerbound, "_components", lambda adjacent: np.arange(len(adjacent)))
-        with pytest.raises(RuntimeError, match="does not split on its projector's components"):
-            reachable_supports(p, 0)
+    @pytest.mark.parametrize("case", COMPARISON_CASES, ids=["-".join(map(str, c)) for c in COMPARISON_CASES])
+    def test_restricted_sizes(self, case):
+        # m and the block sizes (size: count) of each cheat SDP on its sectors, the same for
+        # either target; a support basis that mixed its projector's components would split
+        # coarser
+        name, honest, target = case
+        sizes = {
+            0: (28, {1: 36, 2: 12, 6: 18}),
+            1: (45, {1: 32, 2: 5, 6: 32, 12: 2}),
+        }
+        expected = {
+            "v16": sizes,
+            "v25": sizes,
+            "relayed": {0: (46, {1: 36, 2: 12, 6: 36}), 1: sizes[1], 2: (3, {3: 2, 6: 2})},
+            "compact4": {0: (7, {1: 4, 2: 5}), 1: (13, {1: 10, 2: 8})},
+            "announces": {0: (3, {2: 3}), 1: (3, {1: 2, 2: 2})},
+            "announce3": {0: (3, {2: 3}), 1: (3, {1: 2, 2: 2}), 2: (3, {1: 2, 2: 2})},
+        }[name][honest]
+        problem = cheat_sdp(COMPARISON_SET[name][0](), honest, target)
+        split = restrict(problem, *sectors(problem))
+        assert (_Compiled(split).m, Counter(d for _, d in split.blocks)) == expected
 
     def test_chain_off_its_sectors_is_rejected(self, v16_check):
         # add to Z_1 of the Alice-cheat chain a term between two private sectors: truncated to

@@ -231,12 +231,19 @@ class TestCompiled(KernelMaps):
             (LinearTerm("x", 1.0, np.eye(6), 4), "kept dimension 4 does not divide the 6 rows"),
             (LinearTerm("x", kept=0), "kept dimension 0"),
             (LinearTerm("x", 1.0, np.eye(6)[:, :5], 2), r"operator shape \(6, 5\) does not act on block 'x' \(dim 6\)"),
+            (LinearTerm("x", 1.0, np.eye(6), 3), "a term on block 'x' keeps 3 dimensions but the right-hand side is 2 x 2"),
         ],
-        ids=["kept-not-a-divisor", "kept-zero", "columns-not-block-dim"],
+        ids=["kept-not-a-divisor", "kept-zero", "columns-not-block-dim", "kept-not-the-rhs-dim"],
     )
     def test_bad_term_names_its_constraint(self, term, message):
         prob = SdpProblem((("x", 6),), {}, (Constraint("odd", (term,), np.eye(2)),))
         with pytest.raises(ValueError, match=f"constraint 'odd': {message}"):
+            _Compiled(prob)
+
+    @pytest.mark.parametrize("rhs", [np.ones((2, 3)), np.ones(4), np.float64(1.0)], ids=["2x3", "flat", "scalar"])
+    def test_right_hand_side_not_square_names_its_constraint(self, rhs):
+        prob = SdpProblem((("x", 2),), {}, (Constraint("odd", (LinearTerm("x"),), rhs),))
+        with pytest.raises(ValueError, match="constraint 'odd': right-hand side of shape .* is not square"):
             _Compiled(prob)
 
     def test_sdp_module_imports_nothing_from_quantum(self):
@@ -967,6 +974,33 @@ class TestRestrict:
             objective={"x": np.diag([1.0, 2.0])},
             constraints=(Constraint("pin", (LinearTerm("x"),), np.eye(2) / 2),),
         )
+
+    @pytest.mark.parametrize(
+        "lower, status, iterations, value", [(0.0, "converged", 6, 1.5), (0.2, "infeasible", 0, np.nan)]
+    )
+    def test_kept_index_with_no_term_is_a_zero_row(self, lower, status, iterations, value):
+        # K = diag(1, 0) leaves kept index 1 of "pin" with no row in any term: its piece has
+        # no terms and compiles as a zero row of A, consistent exactly when its right-hand
+        # side is 0, so the split problem ends as the unsplit one does
+        problem = SdpProblem(
+            blocks=(("x", 2),),
+            objective={"x": np.diag([1.0, 2.0])},
+            constraints=(
+                Constraint("pin", (LinearTerm("x", op=np.diag([1.0, 0.0])),), np.diag([0.5, lower])),
+                Constraint("trace", (LinearTerm("x", kept=1),), np.array([[1.0]])),
+            ),
+        )
+        blocks, rounds = sectors(problem)
+        split = restrict(problem, blocks, rounds)
+        empty = split.constraints[1]
+        assert (empty.name, empty.terms) == ("pin/1", ())
+        np.testing.assert_array_equal(empty.rhs, [[lower]])
+        whole, pieces = solve(problem), solve(split)
+        assert (whole.status, whole.iterations) == (pieces.status, pieces.iterations) == (status, iterations)
+        np.testing.assert_allclose([whole.primal_value, pieces.primal_value], value, atol=1e-8)
+        if status == "converged":
+            multipliers = expand_multipliers(rounds, pieces.dual_multipliers)
+            assert verify_dual(problem, multipliers, tol=1e-10).feasible
 
     def test_sectors_split_blocks_and_constraints(self):
         problem = self.diagonal_problem()
