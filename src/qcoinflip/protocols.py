@@ -432,6 +432,8 @@ def announce_kparty(k: int = 3) -> KPartyProtocol:
 
 
 def protocol_to_json(protocol: KPartyProtocol) -> dict:
+    """The ``"k-party"`` description, each matrix as its nonzero entries
+    (``quantum.complex_to_json``)."""
     return {
         "kind": "k-party",
         "name": protocol.name,
@@ -475,6 +477,10 @@ def protocol_from_json(data) -> KPartyProtocol:
 
     ``"two-party"`` descriptions (Bob's unitaries on M (x) B) are read
     through ``two_party``; ``protocol_to_json`` writes ``"k-party"`` only.
+    Each matrix may be sparse (an object listing its nonzero entries, the
+    form written) or dense (row-major nested [re, im] pairs), decided per
+    matrix by ``quantum.complex_from_json``; either passes the same
+    unitarity and projector checks.
     """
     if not isinstance(data, dict):
         raise ProtocolFormatError([f"expected a JSON object, got {type(data).__name__}"])
@@ -523,5 +529,7 @@ def load_protocol(path) -> KPartyProtocol:
 
 
 def save_protocol(protocol: KPartyProtocol, path):
+    """Write ``protocol_to_json(protocol)``: a ``"k-party"`` file whose
+    matrices list only their nonzero entries."""
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(protocol_to_json(protocol), handle)

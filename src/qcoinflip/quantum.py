@@ -4,7 +4,8 @@ Pure states (``StateVector``), mixed marginals (``DensityMatrix``), unitaries
 on chosen factors, computational-basis measurements and the Helstrom
 measurement, the standard gates, plus the raw-array helpers the SDP and
 protocol layers build operators with.  Dense complex vectors and matrices
-only, no sparse representations.
+only, no sparse representations in memory (protocol files list a matrix's
+nonzero entries, but ``complex_from_json`` reads them into a dense array).
 
 This module alone moves tensor factors, and it does so through one cut: an
 array over a factored space, seen as a (kept, rest) matrix whose rows run
@@ -353,18 +354,74 @@ def projector(state: StateVector) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# JSON encoding of complex vectors/matrices: row-major nested lists of
-# [re, im] pairs, the encoding of protocol files.
+# JSON encoding of complex matrices, the encoding of protocol files.  A matrix
+# is written as its nonzero entries, row-major: {"shape": [n_rows, n_cols],
+# "rows": [...], "cols": [...], "re": [...], "im": [...]}.  The dense form,
+# row-major nested lists of [re, im] pairs, is still read.
+
+_SPARSE_KEYS = ("shape", "rows", "cols", "re", "im")
 
 
-def complex_to_json(array: np.ndarray):
+def complex_to_json(array: np.ndarray) -> dict:
     arr = np.asarray(array, dtype=complex)
-    paired = np.stack([arr.real, arr.imag], axis=-1)
-    return paired.tolist()
+    rows, cols = np.nonzero(arr)
+    values = arr[rows, cols]
+    return {
+        "shape": list(arr.shape),
+        "rows": rows.tolist(),
+        "cols": cols.tolist(),
+        "re": values.real.tolist(),
+        "im": values.imag.tolist(),
+    }
 
 
 def complex_from_json(data) -> np.ndarray:
+    """Either form: a JSON object is a sparse matrix, anything else dense
+    [re, im] pairs.  Malformed input raises ValueError naming the fault."""
+    if isinstance(data, dict):
+        return _sparse_from_json(data)
     arr = np.asarray(data, dtype=float)
     if arr.ndim == 0 or arr.shape[-1] != 2:
         raise ValueError("expected trailing [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _is_int(value) -> bool:
+    return type(value) is int  # JSON integers only: no bool, no float
+
+
+def _sparse_from_json(data: dict) -> np.ndarray:
+    missing = [key for key in _SPARSE_KEYS if key not in data]
+    if missing:
+        raise ValueError(f"sparse matrix: missing key {missing[0]!r}")
+    shape = data["shape"]
+    if not (isinstance(shape, list) and len(shape) == 2 and all(_is_int(n) and n > 0 for n in shape)):
+        raise ValueError(f"sparse matrix 'shape': expected two positive integers, got {shape!r}")
+    try:  # a few bytes of file can ask for any size
+        out = np.zeros(shape, dtype=complex)
+    except (MemoryError, OverflowError, ValueError) as exc:
+        raise ValueError(f"sparse matrix 'shape': cannot allocate {shape}") from exc
+    lists = {key: data[key] for key in _SPARSE_KEYS[1:]}
+    for key, value in lists.items():
+        if not isinstance(value, list):
+            raise ValueError(f"sparse matrix {key!r}: expected a list")
+    if len({len(value) for value in lists.values()}) != 1:
+        lengths = ", ".join(f"{key} {len(value)}" for key, value in lists.items())
+        raise ValueError(f"sparse matrix: lists of unequal length ({lengths})")
+    for key, bound in zip(("rows", "cols"), shape):
+        for i in lists[key]:
+            if not _is_int(i):
+                raise ValueError(f"sparse matrix {key!r}: index {i!r} is not an integer")
+            if not 0 <= i < bound:
+                raise ValueError(f"sparse matrix {key!r}: index {i} out of range [0, {bound})")
+    values = [np.asarray(lists[key], dtype=float) for key in ("re", "im")]
+    if any(v.ndim != 1 for v in values):
+        raise ValueError("sparse matrix 're', 'im': expected lists of numbers")
+    rows = np.array(lists["rows"], dtype=np.intp)
+    cols = np.array(lists["cols"], dtype=np.intp)
+    flat, counts = np.unique(rows * shape[1] + cols, return_counts=True)
+    if flat.size != rows.size:
+        row, col = divmod(int(flat[counts > 1][0]), shape[1])
+        raise ValueError(f"sparse matrix: duplicate entry ({row}, {col})")
+    out.real[rows, cols], out.imag[rows, cols] = values
+    return out

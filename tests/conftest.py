@@ -9,8 +9,9 @@ from qcoinflip.protocols import (
     announce_kparty,
     penalty_protocol,
     penalty_protocol_compact4,
+    protocol_to_json,
 )
-from qcoinflip.quantum import CNOT, DensityMatrix, HilbertLayout, StateVector, complex_to_json, embed_operator
+from qcoinflip.quantum import CNOT, DensityMatrix, HilbertLayout, StateVector, embed_operator
 from qcoinflip.sdp import Constraint, LinearTerm, SdpProblem, restrict
 
 
@@ -304,8 +305,23 @@ class UnionFind:
         return np.array([self.find(i) for i in range(len(self.parent))])
 
 
+def dense_json(array) -> list:
+    """A matrix in the dense protocol-file form: row-major nested [re, im] pairs."""
+    arr = np.asarray(array, dtype=complex)
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+
+
+def dense_protocol_json(protocol) -> dict:
+    """``protocol_to_json`` with every matrix in the dense form."""
+    data = protocol_to_json(protocol)
+    data["unitaries"] = [dense_json(u) for u in protocol.unitaries]
+    data["projectors"] = [[dense_json(p) for p in pair] for pair in protocol.projectors]
+    return data
+
+
 def two_party_dict(protocol) -> dict:
-    """The legacy ``"two-party"`` file of a protocol with turns 0, 1, 0, 1, ...
+    """The legacy ``"two-party"`` file of a protocol with turns 0, 1, 0, 1, ...,
+    its matrices in the dense form.
 
     That format keeps Bob's unitaries on M (x) B; they are moved there from
     the protocol's B (x) M by an index transpose, independently of the
@@ -322,9 +338,9 @@ def two_party_dict(protocol) -> dict:
         "kind": "two-party",
         "name": protocol.name,
         "dims": {"a": list(lay_a.factor_dims), "m": list(lay_m.factor_dims), "b": list(lay_b.factor_dims)},
-        "unitaries_a": [complex_to_json(u) for u in protocol.unitaries[0::2]],
-        "unitaries_b": [complex_to_json(message_first(u)) for u in protocol.unitaries[1::2]],
-        "projectors": {side: [complex_to_json(p) for p in pair] for side, pair in zip("ab", protocol.projectors)},
+        "unitaries_a": [dense_json(u) for u in protocol.unitaries[0::2]],
+        "unitaries_b": [dense_json(message_first(u)) for u in protocol.unitaries[1::2]],
+        "projectors": {side: [dense_json(p) for p in pair] for side, pair in zip("ab", protocol.projectors)},
     }
 
 

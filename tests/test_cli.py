@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import overflowing_r, two_party_dict
+from conftest import dense_protocol_json, overflowing_r, two_party_dict
 from qcoinflip.cli import main
 from qcoinflip.protocols import (
     alice_announces,
@@ -278,6 +278,30 @@ class TestLowerboundCommand:
         assert records[0] == records[1]
         assert records[0]["kind"] == "two-party" and records[0]["product_check_passed"] is True
 
+    @pytest.mark.parametrize("make", [penalty_protocol_compact4, lambda: announce_kparty(3)], ids=["compact4", "announce3"])
+    def test_sparse_and_dense_files_give_the_same_record(self, capsys, tmp_path, make):
+        records = []
+        for name, data in (("sparse.json", protocol_to_json(make())), ("dense.json", dense_protocol_json(make()))):
+            path = tmp_path / name
+            path.write_text(json.dumps(data))
+            code, out, _ = run_cli(capsys, "lowerbound", str(path), "--seed", "3")
+            assert code == 0
+            record = json.loads(out)
+            assert record.pop("file") == str(path)
+            records.append(record)
+        assert records[0] == records[1]
+        assert records[0]["product_check_passed"] is True
+
+    def test_malformed_sparse_file_exits_4_naming_the_key(self, capsys, tmp_path):
+        path = tmp_path / "broken.json"
+        data = protocol_to_json(announce_kparty(3))
+        del data["projectors"][1][0]["im"]
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "lowerbound", str(path))
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and "projectors" in err and "'im'" in err, err
+
     def test_truncated_file_exits_4_naming_problem(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
         data = two_party_dict(alice_announces())
@@ -469,11 +493,18 @@ class TestSchemas:
                 with pytest.raises(jsonschema.ValidationError):
                     jsonschema.validate({key: value for key, value in record.items() if key != field}, schema)
 
-    def test_protocol_file_schema(self):
+    def test_protocol_file_schema(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
         schema = self._load_schema("protocol.schema.json")
+        path = tmp_path / "announce3.json"
+        save_protocol(announce_kparty(3), path)
+        saved = json.loads(path.read_text())
+        assert isinstance(saved["unitaries"][0], dict)
+        jsonschema.validate(saved, schema)
         jsonschema.validate(two_party_dict(alice_announces()), schema)
-        jsonschema.validate(protocol_to_json(announce_kparty(3)), schema)
+        del saved["unitaries"][0]["im"]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(saved, schema)
 
 
 class TestCommitteeMonteCarloPath:

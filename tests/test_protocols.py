@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import alloc_peak_bytes, random_state, two_party_dict
+from conftest import alloc_peak_bytes, dense_json, dense_protocol_json, random_state, two_party_dict
 from qcoinflip.protocols import (
     KPartyProtocol,
     ProtocolFormatError,
@@ -15,6 +15,7 @@ from qcoinflip.protocols import (
     penalty_protocol,
     penalty_protocol_compact4,
     protocol_from_json,
+    protocol_to_json,
     save_protocol,
     two_party,
     unitary_with_first_column,
@@ -188,6 +189,78 @@ class TestJsonFormat:
         with pytest.raises(ProtocolFormatError) as err:
             load_protocol(path)
         assert "JSON" in err.value.problems[0]
+
+    def test_saved_file_is_sparse_and_loads_equal_to_the_dense_file(self, tmp_path):
+        p = penalty_protocol(16.0)
+        path = tmp_path / "v16.json"
+        save_protocol(p, path)
+        data = json.loads(path.read_text())
+        assert all(isinstance(u, dict) for u in data["unitaries"])
+        sparse, dense = load_protocol(path), protocol_from_json(dense_protocol_json(p))
+        for loaded in (sparse, dense):
+            assert all(np.array_equal(a, b) for a, b in zip(loaded.unitaries, p.unitaries))
+            for pair, expected in zip(loaded.projectors, p.projectors):
+                assert all(np.array_equal(a, b) for a, b in zip(pair, expected))
+
+    def test_forms_are_read_per_matrix(self):
+        p = announce_kparty(3)
+        data = protocol_to_json(p)
+        data["unitaries"][1] = dense_json(p.unitaries[1])
+        data["projectors"][2][0] = dense_json(p.projectors[2][0])
+        loaded = protocol_from_json(data)
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.unitaries, p.unitaries))
+        assert validate_protocol(loaded).valid
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"im": None}, "missing key 'im'"),
+            ({"shape": None}, "missing key 'shape'"),
+            ({"re": [1.0]}, "lists of unequal length"),
+            ({"rows": 0}, "'rows': expected a list"),
+            ({"rows": [0, True, 2, 3]}, "'rows': index True is not an integer"),
+            ({"cols": [1.0, 0, 3, 2]}, "'cols': index 1.0 is not an integer"),
+            ({"rows": [0, 1, 2, -1]}, "'rows': index -1 out of range [0, 4)"),
+            ({"cols": [4, 0, 3, 2]}, "'cols': index 4 out of range [0, 4)"),
+            ({"rows": [0, 0, 2, 3], "cols": [1, 1, 3, 2]}, "duplicate entry (0, 1)"),
+            ({"shape": [4]}, "'shape': expected two positive integers"),
+            ({"shape": [4, 0]}, "'shape': expected two positive integers"),
+            ({"shape": [4, 4.0]}, "'shape': expected two positive integers"),
+            ({"shape": [True, 4]}, "'shape': expected two positive integers"),
+            ({"shape": "4x4"}, "'shape': expected two positive integers"),
+            ({"shape": [2**40, 2**40]}, "'shape': cannot allocate"),
+            ({"shape": [2**70, 4]}, "'shape': cannot allocate"),
+            ({"re": [[1.0], [1.0], [1.0], [1.0]]}, "expected lists of numbers"),
+        ],
+        ids=[
+            "missing-im",
+            "missing-shape",
+            "unequal-lengths",
+            "rows-not-a-list",
+            "bool-index",
+            "float-index",
+            "negative-index",
+            "index-out-of-range",
+            "duplicate-entry",
+            "shape-one-int",
+            "shape-zero",
+            "shape-float",
+            "shape-bool",
+            "shape-string",
+            "shape-too-large",
+            "shape-past-int64",
+            "nested-values",
+        ],
+    )
+    def test_malformed_sparse_matrix_is_a_format_error(self, fields, message):
+        # numpy alone would wrap the negative index and keep the last of two duplicates
+        data = protocol_to_json(announce_kparty(3))
+        matrix = {**data["unitaries"][1], **fields}
+        data["unitaries"][1] = {key: value for key, value in matrix.items() if value is not None}
+        with pytest.raises(ProtocolFormatError) as err:
+            protocol_from_json(data)
+        (problem,) = err.value.problems
+        assert problem.startswith("field 'unitaries': sparse matrix") and message in problem, problem
 
     def test_invalid_unitary_reported(self):
         data = two_party_dict(alice_announces())

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import density_matrix, embedded_operator, random_density, random_state, random_unitary
+from conftest import dense_json, density_matrix, embedded_operator, random_density, random_state, random_unitary
 from qcoinflip.quantum import (
     DensityMatrix,
     HilbertLayout,
@@ -378,5 +378,16 @@ class TestJson:
         np.testing.assert_allclose(complex_from_json(complex_to_json(mat)), mat)
 
     def test_layout_is_row_major_re_im_pairs(self):
-        encoded = complex_to_json(np.array([[1 + 2j, 3 - 1j]]))
-        assert encoded == [[[1.0, 2.0], [3.0, -1.0]]]
+        # the dense form is no longer written, and still read
+        assert dense_json(np.array([[1 + 2j, 3 - 1j]])) == [[[1.0, 2.0], [3.0, -1.0]]]
+        np.testing.assert_array_equal(complex_from_json([[[1.0, 2.0], [3.0, -1.0]]]), [[1 + 2j, 3 - 1j]])
+
+    def test_sparse_layout_lists_nonzero_entries_row_major(self):
+        encoded = complex_to_json(np.array([[0, 1 + 2j, 0], [-0.0, 0, 0], [3j, 0, 4]]))
+        assert encoded == {"shape": [3, 3], "rows": [0, 2, 2], "cols": [1, 0, 2], "re": [1.0, 0.0, 4.0], "im": [2.0, 3.0, 0.0]}
+
+    def test_sparse_and_dense_read_equal(self, rng):
+        mat = rng.normal(size=(4, 4)) * (rng.random((4, 4)) < 0.5) + 1j * rng.normal(size=(4, 4))
+        mat[1] = 0
+        np.testing.assert_array_equal(complex_from_json(complex_to_json(mat)), complex_from_json(dense_json(mat)))
+        np.testing.assert_array_equal(complex_from_json(complex_to_json(np.zeros((2, 3)))), np.zeros((2, 3)))
