@@ -138,11 +138,21 @@ def alice_attack_sdp(game: PenaltyGame) -> SdpProblem:
     and sum_{a,b} <C_{ba}, rho_{ba}> is exactly her expected payoff (each
     answer b has probability 1/2, and the rho_{ba} of one b sum to trace 1),
     so honest play scores 1/2.
+
+    tau enters as the partial trace of a 9 x 9 PSD block T, tau = tr_2 T,
+    and the block keeps the name ``tau``.  Every PSD tau is tr_2 T for some
+    PSD T (T = tau (x) 1/3), and tr T = tr tau, so the feasible rho_{ba} and
+    the optimum are those of a 3 x 3 tau.  The dual is unchanged too: with
+    Z_b the multiplier of ``sent_register_b``, the slack on T is
+    (y_norm 1 - Z_0 - Z_1) (x) 1_3, PSD exactly when the 3 x 3 slack is, so
+    ``dual_certificate`` serves both forms.  The lift puts all five blocks at
+    size 9, so ``solve`` runs them as one stack; an iterate's cost follows
+    its number of stacks far more than their block sizes.
     """
     v = game.v
     eye = np.eye(PAIR.dim)
     sent_first = swap_gate(3)  # (held, sent) -> (sent, held): keep the sent register, trace hers
-    blocks = [("tau", 3)]
+    blocks = [("tau", PAIR.dim)]
     objective = {}
     constraints = [Constraint("normalization", (LinearTerm("tau", kept=1),), np.array([[1.0]]))]
     for b in (0, 1):
@@ -153,7 +163,7 @@ def alice_attack_sdp(game: PenaltyGame) -> SdpProblem:
             p_a = projector(commit_state(a, game))
             objective[name] = 0.5 * (1.0 if a == b else 0.0) * p_a - 0.5 * v * (eye - p_a)
             terms.append(LinearTerm(name, 1.0, sent_first, 3))
-        terms.append(LinearTerm("tau", -1.0))
+        terms.append(LinearTerm("tau", -1.0, None, 3))  # tr_2 T
         constraints.append(
             Constraint(f"sent_register_{b}", tuple(terms), np.zeros((3, 3), dtype=complex))
         )

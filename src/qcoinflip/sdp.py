@@ -52,6 +52,7 @@ original's, where ``verify_dual`` checks them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -323,6 +324,7 @@ def _is_real(mat) -> bool:
     return not np.any(np.imag(mat))
 
 
+@functools.cache
 def _coordinate_map(d: int, real: bool):
     """How a d x d constraint value maps to its coordinates.
 
@@ -330,12 +332,19 @@ def _coordinate_map(d: int, real: bool):
     and entry ``idxt[k]`` holds the same number.  Complex data: every entry,
     weight 1, ``idxt = idx``.  Real data: the upper triangle (SDPT3's svec),
     weight sqrt(2) off the diagonal, ``idxt`` the mirrored lower entry.
+
+    Every compile of a d x d constraint shares one map, so its arrays are
+    read-only.
     """
     if not real:
         idx = np.arange(d * d)
-        return idx, idx, np.ones(d * d)
-    i, j = np.triu_indices(d)
-    return i * d + j, j * d + i, np.where(i == j, 1.0, np.sqrt(2.0))
+        maps = (idx, idx, np.ones(d * d))
+    else:
+        i, j = np.triu_indices(d)
+        maps = (i * d + j, j * d + i, np.where(i == j, 1.0, np.sqrt(2.0)))
+    for arr in maps:
+        arr.flags.writeable = False
+    return maps
 
 
 class _CompiledTerm:

@@ -17,8 +17,28 @@ from qcoinflip.penalty import (
     received_register_state,
     run_honest,
 )
-from qcoinflip.quantum import HilbertLayout, StateVector, as_rng, projector
-from qcoinflip.sdp import duality_gap, solve, verify_dual
+from qcoinflip.quantum import HilbertLayout, StateVector, as_rng, projector, swap_gate
+from qcoinflip.sdp import Constraint, LinearTerm, SdpProblem, _Compiled, duality_gap, solve, verify_dual
+
+
+def direct_attack_sdp(game: PenaltyGame) -> SdpProblem:
+    """Oracle: the sender's cheat SDP with the sent register tau a 3 x 3 block of its
+    own, not the partial trace of a 9 x 9 one."""
+    v = game.v
+    blocks = [("tau", 3)]
+    objective = {}
+    constraints = [Constraint("normalization", (LinearTerm("tau", kept=1),), np.array([[1.0]]))]
+    for b in (0, 1):
+        terms = []
+        for a in (0, 1):
+            name = f"rho_{b}{a}"
+            blocks.append((name, 9))
+            p_a = projector(commit_state(a, game))
+            objective[name] = 0.5 * (a == b) * p_a - 0.5 * v * (np.eye(9) - p_a)
+            terms.append(LinearTerm(name, 1.0, swap_gate(3), 3))  # the sent register first
+        terms.append(LinearTerm("tau", -1.0))
+        constraints.append(Constraint(f"sent_register_{b}", tuple(terms), np.zeros((3, 3), dtype=complex)))
+    return SdpProblem(tuple(blocks), objective, tuple(constraints))
 
 
 class TestGame:
@@ -112,13 +132,15 @@ class TestAliceSdp:
             # the feasible point of honest play: she sends her commitment's second
             # register and opens the bit she committed to, whatever he says
             blocks = {f"rho_{b}{a}": 0.5 * projector(commit_state(a, game)) for b in (0, 1) for a in (0, 1)}
-            blocks["tau"] = 0.5 * (
-                received_register_state(0, game).matrix + received_register_state(1, game).matrix
-            )
+            tau = 0.5 * (received_register_state(0, game).matrix + received_register_state(1, game).matrix)
+            blocks["tau"] = np.kron(tau, np.eye(3) / 3)  # T, with tr_2 T = tau
             value = sum(
                 float(np.real(np.trace(np.asarray(c) @ blocks[name]))) for name, c in problem.objective.items()
             )
             assert abs(value - 0.5) < 1e-12
+            comp = _Compiled(problem)  # real data: the solver's arithmetic is float64, and so is this point
+            residual = comp.b - comp.apply(comp.stacked([blocks[name].real for name in comp.block_names]))
+            assert np.max(np.abs(residual)) < 1e-12
 
     @pytest.mark.parametrize(
         "v,upper", [(4.0, 0.5625), (9.0, 0.5 + 1 / 24), (16.0, 0.53125)]
@@ -152,6 +174,20 @@ class TestAliceSdp:
             if sol.status != "converged" or not 0.5 - 1e-6 <= sol.primal_value <= bound + 1e-6:
                 failed.append((float(v), sol.status, sol.primal_value - bound))
         assert failed == []
+
+    @pytest.mark.parametrize("v", np.logspace(np.log10(4.0), 4.0, 12))
+    def test_lifted_tau_matches_the_direct_form(self, v):
+        # tau as tr_2 of a 9 x 9 block leaves the optimum and the certificate's check as they
+        # are with tau a 3 x 3 block, and puts every block in one stack
+        game = PenaltyGame(float(v))
+        lifted, direct = alice_attack_sdp(game), direct_attack_sdp(game)
+        sols = [solve(prob) for prob in (lifted, direct)]
+        assert [sol.status for sol in sols] == ["converged"] * 2
+        assert abs(sols[0].primal_value - sols[1].primal_value) < 2e-7
+        reports = [verify_dual(prob, dual_certificate(game)) for prob in (lifted, direct)]
+        assert reports[0].bound == reports[1].bound
+        assert reports[0].feasible == reports[1].feasible
+        assert len(_Compiled(lifted).stack_members) == 1
 
     def test_solver_below_certificate(self):
         game = PenaltyGame(16.0)

@@ -314,6 +314,16 @@ class TestCompiled(KernelMaps):
             skew = y_from_multipliers(comp, {**mults, "marginal": mults["marginal"] + 1j * np.eye(3)})
             np.testing.assert_allclose(comp.multipliers_from_y(skew)["marginal"], mults["marginal"], atol=1e-14)
 
+    @DATA
+    def test_compiles_share_read_only_coordinate_maps(self, rng, real):
+        prob = random_structured_problem(rng, real=real)
+        first, second = _Compiled(prob), _Compiled(prob)
+        for a, b in zip(first.coord_maps, second.coord_maps):
+            assert all(x is y for x, y in zip(a, b))
+            for arr in a:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0
+
 class TestRowKernels(KernelMaps):
     """``solve`` runs on stored constraint rows when they fit ``ROW_BUDGET``, else on the terms."""
 
@@ -563,7 +573,7 @@ class TestSolve:
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-        # blocks of sizes 6 and 3, then one of size 3 and four of size 9
+        # blocks of sizes 6 and 3 (two stacks), then five of size 9 (one stack)
         for prob in (random_structured_problem(rng), alice_attack_sdp(PenaltyGame(16))):
             for counts in (calls, inverses, schur_solves, eighs, eigvalshs):
                 counts.clear()
