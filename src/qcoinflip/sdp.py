@@ -28,15 +28,16 @@ term on that block.  Then A(X), A*(y) and the Schur matrix are one
 contraction per block size over stored arrays (as SDPA and SDPT3 assemble
 the Schur matrix from stored constraint matrices), not a loop over terms.
 
-The arithmetic follows the data.  When every objective, term operator and
-right-hand side is real, X -> Re X keeps a feasible point feasible with the
-same value, so the solver works in float64: a d x d constraint owns the
-d(d+1)/2 upper-triangle entries of its value, off-diagonal ones weighted by
-sqrt(2) (SDPT3's svec), and the Schur system is real symmetric.  Otherwise a
-constraint owns the d^2 row-major entries of its value as complex
-coordinates, and the Schur system is complex Hermitian.  One coordinate map
-per constraint (entry indices and weights, the identity for complex data)
-serves both, and the dual objective is Re<b, y>.
+Every constraint has real coordinates, as SDPT3 gives a Hermitian value
+(``_coordinate_map``).  When every objective, term operator and right-hand
+side is real, X -> Re X keeps a feasible point feasible with the same value,
+so the blocks are float64 and a d x d constraint owns the d(d+1)/2
+upper-triangle entries of its value, off-diagonal ones weighted by sqrt(2)
+(svec).  Otherwise the blocks are complex and a constraint owns d^2 real
+coordinates: the diagonal, and sqrt(2) Re and sqrt(2) Im of each entry
+above it.  Either way b, y, A(X) and the Schur matrix are float64, the
+Schur system is real symmetric, and a multiplier rebuilt from y is
+Hermitian by construction.
 
 A certificate is its multipliers y: a dict of one Hermitian matrix (or
 scalar) per constraint name, and its value is the b.y that ``verify_dual``
@@ -326,22 +327,25 @@ def _is_real(mat) -> bool:
 
 @functools.cache
 def _coordinate_map(d: int, real: bool):
-    """How a d x d constraint value maps to its coordinates.
+    """How a d x d Hermitian value maps to its real coordinates, an orthonormal
+    basis of the Hermitian matrices under Re tr(A^dag B) (SDPT3's svec).
 
-    Coordinate k is ``wt[k]`` times entry ``idx[k]`` of the row-major value,
-    and entry ``idxt[k]`` holds the same number.  Complex data: every entry,
-    weight 1, ``idxt = idx``.  Real data: the upper triangle (SDPT3's svec),
-    weight sqrt(2) off the diagonal, ``idxt`` the mirrored lower entry.
+    Coordinate k is ``wt[k]`` times float ``idx[k]`` of the value's float64
+    view, and float ``idxt[k]``, in the mirrored entry, holds ``sign[k]``
+    times the same float.  Real data (the view is the entries): the upper
+    triangle, weight sqrt(2) off the diagonal.  Complex data (each entry's
+    real and imaginary parts side by side): the diagonal and sqrt(2) Re above
+    it, then sqrt(2) Im above it, whose mirror has sign -1.
 
     Every compile of a d x d constraint shares one map, so its arrays are
     read-only.
     """
-    if not real:
-        idx = np.arange(d * d)
-        maps = (idx, idx, np.ones(d * d))
-    else:
-        i, j = np.triu_indices(d)
-        maps = (i * d + j, j * d + i, np.where(i == j, 1.0, np.sqrt(2.0)))
+    per = 1 if real else 2  # floats per entry
+    i, j = np.triu_indices(d)
+    entry, mirror, wt = per * (i * d + j), per * (j * d + i), np.where(i == j, 1.0, np.sqrt(2.0))
+    im = (i < j) & (not real)  # the entries with an Im coordinate
+    pairs = [(entry, entry[im] + 1), (mirror, mirror[im] + 1), (wt, wt[im]), (np.ones(len(wt)), -np.ones(im.sum()))]
+    maps = tuple(np.concatenate(pair) for pair in pairs)
     for arr in maps:
         arr.flags.writeable = False
     return maps
@@ -478,20 +482,22 @@ class _Compiled:
     # -- coordinates ----------------------------------------------------------
 
     def _coordinates(self, mats) -> np.ndarray:
-        """The coordinates of one Hermitian matrix per constraint."""
-        y = np.zeros(self.m, dtype=self.dtype)
-        for z, (idx, _, wt), sl in zip(mats, self.coord_maps, self.slices):
-            y[sl] = wt * z.ravel()[idx]
+        """The real coordinates of one Hermitian matrix (of the problem's dtype) per constraint."""
+        y = np.zeros(self.m)
+        for z, (idx, _, wt, _), sl in zip(mats, self.coord_maps, self.slices):
+            y[sl] = wt * z.view(np.float64).ravel()[idx]
         return y
 
     def _matrix(self, c: int, coords: np.ndarray) -> np.ndarray:
-        """Constraint c's d x d matrix with these coordinates (last axis; leading axes batch)."""
+        """Constraint c's d x d matrix with these real coordinates (last axis; leading axes
+        batch): Hermitian bit for bit."""
         d = self.con_dims[c]
-        idx, idxt, wt = self.coord_maps[c]
+        idx, idxt, wt, sign = self.coord_maps[c]
         vals = coords / wt
-        z = np.empty(coords.shape[:-1] + (d * d,), dtype=vals.dtype)
-        z[..., idx] = vals
-        z[..., idxt] = vals
+        z = np.zeros(coords.shape[:-1] + (d * d,), dtype=self.dtype)
+        flat = z.view(np.float64)
+        flat[..., idx] = vals
+        flat[..., idxt] = sign * vals
         return z.reshape(coords.shape[:-1] + (d, d))
 
     # -- constraint rows ------------------------------------------------------
@@ -499,7 +505,8 @@ class _Compiled:
     # Row s of A is A*(e_s), the adjoint of coordinate s's unit vector, and on
     # block i it is zero unless a constraint owning s has a term on i.  So each
     # member of a stack keeps only the rows of the coordinates it meets, and the
-    # three maps below become one contraction per stack over them.
+    # three maps below become one contraction per stack over them, of float64
+    # views: Re tr(R^dag X) is the dot product of R's and X's.
 
     def _widths(self, members) -> list:
         """How many coordinates each of these blocks meets."""
@@ -517,10 +524,10 @@ class _Compiled:
         """Switch ``apply``, ``adjoint`` and ``schur`` from the terms to stored rows.
 
         Per stack of n blocks of size d, member p keeps A*(e_s) on its block
-        for the r coordinates s it meets, an (n, r, d, d) array, and their
-        indices, (n, r); a member that meets fewer pads with zero rows at
-        index 0.  A constraint's rows are its terms' lifts of its unit
-        coordinates, one batched call per term.
+        for the r coordinates s it meets, an (n, r, d, d) array and its float64
+        view (n, r, floats), and their indices, (n, r); a member that meets
+        fewer pads with zero rows at index 0.  A constraint's rows are its
+        terms' lifts of its unit coordinates, one batched call per term.
         """
         self.rows = []
         for members, stack in zip(self.stack_members, self.objective):
@@ -534,27 +541,14 @@ class _Compiled:
                     sl = self.slices[c]
                     count = sl.stop - sl.start
                     index[p, start : start + count] = np.arange(sl.start, sl.stop)
-                    units = self._matrix(c, np.eye(count, dtype=self.dtype))
+                    units = self._matrix(c, np.eye(count))
                     for t in self.constraints[c][1]:
                         if t.block_idx == i:
                             rmat[p, start : start + count] += t.lift(units)
                     start += count
-            conj = np.conj(rmat) if self.dtype.kind == "c" else rmat
             # entry (j, l) of a member's Gram matrix is entry (index[j], index[l]) of M
             pairs = index[:, :, None] * self.m + index[:, None, :]
-            self.rows.append((rmat, conj.reshape(len(members), width, d * d), index, pairs.ravel()))
-        # complex data: coordinate mirror[s] is entry (j, i) of the constraint value whose entry (i, j) is s
-        self.mirror = np.arange(self.m)
-        if self.dtype.kind == "c":
-            for d, sl in zip(self.con_dims, self.slices):
-                self.mirror[sl] = sl.start + np.arange(d * d).reshape(d, d).T.ravel()
-
-    def _scatter(self, index, vals, size: int) -> np.ndarray:
-        """The sums of ``vals`` at each of ``size`` indices, as ``np.add.at`` but faster."""
-        out = np.bincount(index, vals.real.ravel(), minlength=size)
-        if self.dtype.kind == "c":
-            out = out + 1j * np.bincount(index, vals.imag.ravel(), minlength=size)
-        return out
+            self.rows.append((rmat, rmat.reshape(len(members), width, d * d).view(np.float64), index, pairs.ravel()))
 
     # -- linear maps --------------------------------------------------------
 
@@ -562,14 +556,12 @@ class _Compiled:
         """A(X) for X given as block stacks: every constraint's value (Hermitian part) in coordinates."""
         if self.rows is None:
             return self._apply_terms(stacks)
-        out = np.zeros(self.m, dtype=self.dtype)
-        for (_, conj, index, _), x in zip(self.rows, stacks):
-            n, d = x.shape[:2]
-            # coordinate s of A(X) is <A*(e_s), X> = sum(conj(A*(e_s)) * X)
-            out += self._scatter(index.ravel(), conj @ x.reshape(n, d * d, 1), self.m)
-        # that is A(X)'s own entry, and the Hermitian part's is the mean with the mirrored
-        # one; for real data A*(e_s) is symmetric, so it already is the Hermitian part's
-        return (out + out[self.mirror].conj()) / 2 if self.dtype.kind == "c" else out
+        out = np.zeros(self.m)
+        for (_, rows, index, _), x in zip(self.rows, stacks):
+            # coordinate s of A(X) is Re tr(A*(e_s) X), which reads X's Hermitian part alone
+            vals = rows @ x.view(np.float64).reshape(len(x), -1, 1)
+            out += np.bincount(index.ravel(), vals.ravel(), minlength=self.m)
+        return out
 
     def _apply_terms(self, stacks) -> np.ndarray:
         vals = []
@@ -601,16 +593,17 @@ class _Compiled:
         if self.rows is None:
             return self.lift([self._matrix(c, y[..., sl]) for c, sl in enumerate(self.slices)], y.shape[:-1])
         out = []
-        for rmat, _, index, _ in self.rows:
-            n, r, d, _ = rmat.shape
-            # sum_j y[index[j]] A*(e_index[j]) per member: an (r,) by (r, d^2) product
-            out.append((y[..., index][..., None, :] @ rmat.reshape(n, r, d * d)).reshape(y.shape[:-1] + (n, d, d)))
+        for rmat, rows, index, _ in self.rows:
+            n, _, d, _ = rmat.shape
+            # sum_j y[index[j]] A*(e_index[j]) per member: an (r,) by (r, d^2) product of floats
+            flat = y[..., index][..., None, :] @ rows
+            out.append(flat.view(self.dtype).reshape(y.shape[:-1] + (n, d, d)))
         return out
 
     def multipliers_from_y(self, y: np.ndarray) -> dict:
         out = {}
         for c, ((name, _), sl) in enumerate(zip(self.constraints, self.slices)):
-            z = _hermitian_part(self._matrix(c, y[sl]))
+            z = self._matrix(c, y[sl])
             out[name] = float(z[0, 0].real) if z.shape == (1, 1) else z
         return out
 
@@ -626,40 +619,43 @@ class _Compiled:
     # -- Schur complement ---------------------------------------------------
 
     def schur(self, scalings) -> np.ndarray:
-        """M[r, s] = sum_i tr(A*(e_r)_i^dag W_i A*(e_s)_i W_i) for the NT scalings W (block stacks).
+        """M[r, s] = sum_i Re tr(A*(e_r)_i W_i A*(e_s)_i W_i) for the NT scalings W (block stacks).
 
-        With rows R_j, each member's (r, r) matrix of <R_j, W R_l W> lands in
-        M at its row indices.  M is Hermitian (real symmetric for real data).
+        With rows R_j, each member's (r, r) matrix of Re tr(R_j W R_l W) lands
+        in M at its row indices.  M is real symmetric.
         """
         if self.rows is None:
             return self._schur_terms(scalings)
-        mmat = np.zeros(self.m * self.m, dtype=self.dtype)
-        for (rmat, conj, _, pairs), w in zip(self.rows, scalings):
+        mmat = np.zeros(self.m * self.m)
+        for (rmat, rows, _, pairs), w in zip(self.rows, scalings):
             n, r, d, _ = rmat.shape
-            g = (w[:, None] @ rmat @ w[:, None]).reshape(n, r, d * d)
-            mmat += self._scatter(pairs, conj @ g.swapaxes(-1, -2), self.m * self.m)
+            g = (w[:, None] @ rmat @ w[:, None]).reshape(n, r, d * d).view(np.float64)
+            mmat += np.bincount(pairs, (rows @ g.swapaxes(-1, -2)).ravel(), minlength=self.m * self.m)
         return _hermitian_part(mmat.reshape(self.m, self.m))
 
     def _schur_plan(self) -> list:
         """Per pair of constraints f <= g that share a block: their term pairs on a
         common block and where the pair's Gram entries land in M (see ``_schur_terms``)."""
+        per = self.dtype.itemsize // 8  # floats per entry, as the coordinate maps count them
+        # per constraint: each coordinate's entry, its mirror's, its phase and its weight
+        coords = [(idx // per, idxt // per, np.where(sign < 0, 1j, 1), wt) for idx, idxt, wt, sign in self.coord_maps]
         plan = []
         ncon = len(self.constraints)
         for f in range(ncon):
             _, fterms = self.constraints[f]
-            idx_f, idxt_f, wt_f = self.coord_maps[f]
+            idx_f, idxt_f, ph_f, wt_f = coords[f]
             for g in range(f, ncon):
                 _, gterms = self.constraints[g]
                 pairs = [(t1, t2) for t1 in fterms for t2 in gterms if t1.block_idx == t2.block_idx]
                 if not pairs:
                     continue
-                idx_g, _, wt_g = self.coord_maps[g]
+                idx_g, _, ph_g, wt_g = coords[g]
                 df, dg = self.con_dims[f], self.con_dims[g]
                 # T[(i, j), (k, l)] sits at gram.flat[rows(i, j) + cols(k, l)]: l runs contiguously
-                rows = [(i * (df * dg) + j) * dg for i, j in (np.divmod(idx_f, df), np.divmod(idxt_f, df))]
+                rows = [(i * (df * dg) + j)[:, None] * dg for i, j in (np.divmod(idx_f, df), np.divmod(idxt_f, df))]
                 k, l = np.divmod(idx_g, dg)
                 cols = k * (df * dg) + l
-                plan.append((f, g, pairs, rows[0][:, None], rows[1][:, None], cols, wt_f[:, None], wt_g / 2))
+                plan.append((f, g, pairs, *rows, cols, ph_f.conj()[:, None], ph_f[:, None], ph_g, wt_f[:, None], wt_g / 2))
         return plan
 
     def _schur_terms(self, scalings) -> np.ndarray:
@@ -668,15 +664,16 @@ class _Compiled:
         Over matrix entries, a term pair with P = K1 W K2^dag (image indices
         split as (kept, traced)) gives T[(i, j), (k, l)] = c1 c2 sum_{a, b}
         P[ia, kb] conj(P[ja, lb]): entry [(i, k), (j, l)] of the Gram matrix of
-        P's rows regrouped as (i, k) x (a, b).  A coordinate pair reads T at its
-        entries, M[r, s] = wt_r wt_s (T[idx_r, idx_s] + T[idxt_r, idx_s]) / 2,
-        which is T itself for complex data (idxt = idx); for real data T is
-        unchanged by swapping i<->j and k<->l together.
+        P's rows regrouped as (i, k) x (a, b).  Coordinate r's unit matrix is
+        wt_r (ph_r e_idx + conj(ph_r) e_idxt) / 2, with phase ph_r = 1 for a
+        diagonal or Re coordinate and i for an Im one; as T[(j, i), (l, k)] =
+        conj(T[(i, j), (k, l)]), a coordinate pair reads T at its entries,
+        M[r, s] = wt_r wt_s Re(ph_s (conj(ph_r) T[idx_r, idx_s] + ph_r T[idxt_r, idx_s])) / 2.
         """
         if self.schur_plan is None:
             self.schur_plan = self._schur_plan()
-        mmat = np.zeros((self.m, self.m), dtype=self.dtype)
-        for f, g, pairs, rows0, rows1, cols, wt_rows, half_wt_cols in self.schur_plan:
+        mmat = np.zeros((self.m, self.m))
+        for f, g, pairs, rows0, rows1, cols, ph0, ph1, ph_cols, wt_rows, half_wt_cols in self.schur_plan:
             df, dg = self.con_dims[f], self.con_dims[g]
             gram = None
             for t1, t2 in pairs:
@@ -695,12 +692,12 @@ class _Compiled:
                 else:
                     gram += piece
             flat = gram.ravel()
-            block = flat[rows0 + cols] + flat[rows1 + cols]
+            block = ((ph0 * flat[rows0 + cols] + ph1 * flat[rows1 + cols]) * ph_cols).real
             block *= wt_rows
             block *= half_wt_cols
             mmat[self.slices[f], self.slices[g]] = block
             if g != f:
-                mmat[self.slices[g], self.slices[f]] = block.conj().T
+                mmat[self.slices[g], self.slices[f]] = block.T
         return mmat
 
     def inconsistency(self) -> float:
@@ -713,7 +710,7 @@ class _Compiled:
         eye = self.stacked([np.eye(d, dtype=self.dtype) for d in self.block_dims])
         evals, vecs = np.linalg.eigh(self.schur(eye))
         null = vecs[:, evals <= self.m * np.finfo(float).eps * evals[-1]]
-        return float(np.linalg.norm(null.conj().T @ self.b))
+        return float(np.linalg.norm(null.T @ self.b))
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +867,7 @@ def _direction(comp: _Compiled, x, s, rp, rd, mu: float) -> _Direction:
     r0 = comp.apply([wk @ rdk @ wk - xk for wk, rdk, xk in zip(w, rd, x)]) - rp
     r1 = comp.apply(sinv)
     if comp.m:  # jitter: 1e-13 times the mean of M's diagonal (at least 1), added in place
-        mmat.flat[:: comp.m + 1] += max(float(np.mean(np.diag(mmat)).real), 1.0) * 1e-13
+        mmat.flat[:: comp.m + 1] += max(float(np.mean(np.diag(mmat))), 1.0) * 1e-13
     dys = _schur_solve(mmat, np.stack([r0, r1], axis=1)).T
     dmat = [_diagonal(dk) for dk in d]
 
@@ -958,7 +955,7 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
     cnorm = max(1.0, *(float(np.linalg.norm(c, 2, axis=(1, 2)).max()) for c in comp.objective))  # one SVD call per stack
     x = comp.stacked([bnorm * np.eye(d, dtype=comp.dtype) for d in dims])
     s = comp.stacked([cnorm * np.eye(d, dtype=comp.dtype) for d in dims])
-    y = np.zeros(comp.m, dtype=comp.dtype)
+    y = np.zeros(comp.m)
     mu_limit = 1e14 * bnorm * cnorm  # the starting mu is bnorm * cnorm
 
     b_scale = 1.0 + np.linalg.norm(comp.b)
@@ -978,7 +975,7 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
             # <A, B> = tr(A B) for Hermitian A: an elementwise vdot, no product
             mu = _block_vdot(x, s) / ntot
             pobj = _block_vdot(comp.objective, x)
-            dobj = float(np.vdot(comp.b, y).real)
+            dobj = float(np.vdot(comp.b, y))
 
             prinf, dinf, relgap = _residuals(rp, rd, pobj, dobj, b_scale, c_scale)
             err = max(prinf, dinf, relgap)

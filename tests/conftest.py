@@ -52,6 +52,18 @@ def random_unitary(d: int, rng) -> np.ndarray:
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
+def haar_random_protocol(rng, parties=((2, 2), (2,)), message: int = 2, turns=(0, 1, 0, 1)) -> KPartyProtocol:
+    """Parties whose unitaries are Haar-random, drawn in turn order, with ``parties`` each
+    party's factor dims and ``message`` the dimension of M; each party's projectors split
+    its space in halves.  The cheat SDPs have complex data and no structural zeros to
+    split on."""
+    layouts = tuple(HilbertLayout(dims) for dims in parties)
+    unitaries = tuple(random_unitary(layouts[i].dim * message, rng) for i in turns)
+    halves = [np.arange(lay.dim) < lay.dim // 2 for lay in layouts]
+    projectors = tuple((np.diag(half).astype(complex), np.diag(~half).astype(complex)) for half in halves)
+    return KPartyProtocol(layouts, HilbertLayout((message,)), turns, unitaries, projectors, name="haar-random")
+
+
 def random_hermitian(d: int, rng) -> np.ndarray:
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     return (a + a.conj().T) / 2
@@ -180,7 +192,7 @@ def dense_rows(comp) -> np.ndarray:
     rows = np.zeros((comp.m, offsets[-1]), dtype=comp.dtype)
     for c, ((_, terms), sl) in enumerate(zip(comp.constraints, comp.slices)):
         n = sl.stop - sl.start
-        units = comp._matrix(c, np.eye(n, dtype=comp.dtype))
+        units = comp._matrix(c, np.eye(n))
         for t in terms:
             cols = slice(offsets[t.block_idx], offsets[t.block_idx + 1])
             rows[sl, cols] += t.lift(units).reshape(n, -1).conj()

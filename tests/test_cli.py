@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import dense_protocol_json, overflowing_r, two_party_dict
+from conftest import dense_protocol_json, haar_random_protocol, overflowing_r, random_unitary, two_party_dict
 from qcoinflip.cli import main
 from qcoinflip.protocols import (
     alice_announces,
@@ -291,6 +291,44 @@ class TestLowerboundCommand:
             records.append(record)
         assert records[0] == records[1]
         assert records[0]["product_check_passed"] is True
+
+    def test_haar_random_protocol_file(self, capsys, tmp_path):
+        # Haar-random unitaries: the honest parties disagree, so the record reports an
+        # invalid protocol and solves no cheat SDP
+        jsonschema = pytest.importorskip("jsonschema")
+        path = tmp_path / "haar.json"
+        save_protocol(haar_random_protocol(np.random.default_rng(2)), path)
+        code, out, err = run_cli(capsys, "lowerbound", str(path))
+        assert code == 0, err
+        record = json.loads(out)
+        jsonschema.validate(record, TestSchemas._load_schema("lowerbound_record.schema.json"))
+        assert record["valid"] is False and "product_check_passed" not in record
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_protocol_in_random_frames_gives_the_same_bounds(self, capsys, tmp_path, seed):
+        # after each turn its party's space and M change frame by Haar-random unitaries, and
+        # the projectors follow: the protocol stays valid, its cheat SDPs become complex and
+        # dense, and the forcing probabilities stay the same
+        jsonschema = pytest.importorskip("jsonschema")
+        rng = np.random.default_rng(seed)
+        base = penalty_protocol_compact4()
+        frames, frame_m, unitaries = [np.eye(lay.dim) for lay in base.layouts], np.eye(base.layout_m.dim), []
+        for turn, u in zip(base.turns, base.unitaries):
+            new, new_m = random_unitary(len(frames[turn]), rng), random_unitary(len(frame_m), rng)
+            unitaries.append(np.kron(new, new_m) @ u @ np.kron(frames[turn], frame_m).conj().T)
+            frames[turn], frame_m = new, new_m
+        projectors = tuple(tuple(v @ p @ v.conj().T for p in pair) for v, pair in zip(frames, base.projectors))
+        records = []
+        for name, protocol in (("base", base), ("framed", replace(base, unitaries=tuple(unitaries), projectors=projectors))):
+            path = tmp_path / f"{name}.json"
+            save_protocol(protocol, path)
+            code, out, err = run_cli(capsys, "lowerbound", str(path))
+            assert code == 0, err
+            records.append(json.loads(out))
+        jsonschema.validate(records[1], TestSchemas._load_schema("lowerbound_record.schema.json"))
+        assert records[1]["product_check_passed"] is True
+        for field in ("p_alice_forces_1", "p_bob_forces_1"):
+            assert abs(records[1][field] - records[0][field]) < 1e-6
 
     def test_malformed_sparse_file_exits_4_naming_the_key(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

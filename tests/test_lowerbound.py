@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -9,8 +10,8 @@ from conftest import (
     COMPARISON_SET,
     assert_sub_arrays,
     full_space_cheat_sdp,
+    haar_random_protocol,
     merge_cheaters,
-    random_unitary,
     relayed_penalty_protocol,
 )
 from qcoinflip import lowerbound
@@ -114,21 +115,6 @@ def v16_check():
     """The product check of penalty_protocol(16) at target 1: its two cheat
     SDPs are solved once for the module."""
     return cheat_product_check(penalty_protocol(16.0))
-
-
-def haar_random_protocol(rng) -> KPartyProtocol:
-    """Two parties whose unitaries are Haar-random: their cheat SDPs have no
-    structural zeros to split on."""
-    unitaries = (random_unitary(8, rng), random_unitary(4, rng), random_unitary(8, rng), random_unitary(4, rng))
-    halves = tuple(np.diag(np.repeat(np.eye(2)[c], 2)).astype(complex) for c in (0, 1))
-    return KPartyProtocol(
-        layouts=(HilbertLayout((2, 2)), HilbertLayout((2,))),
-        layout_m=HilbertLayout((2,)),
-        turns=(0, 1, 0, 1),
-        unitaries=unitaries,
-        projectors=(halves, (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))),
-        name="haar-random",
-    )
 
 
 def problem_key(problem: SdpProblem) -> int:
@@ -512,6 +498,52 @@ class TestSymmetrySectors:
         np.testing.assert_array_equal(truncated, chain["round_1"])
         with pytest.raises(ValueError, match="party-1-honest chain infeasible"):
             dual_bound_sequence(p, [v16_check.cheats[0].chain, perturbed], target=1)
+
+
+# generated protocols with Haar-random unitaries: complex cheat SDPs with nothing to split
+# on.  Per family, (case, builder) pairs; every (honest, target) of each case is solved
+HAAR_FAMILIES = {
+    # (Alice, Bob, M) dims (4, 2, 2), turns (0, 1, 0, 1), seeds 0-19
+    "fixture": [(seed, lambda seed=seed: haar_random_protocol(np.random.default_rng(seed))) for seed in range(20)],
+    # (Alice, Bob, M) dims as keyed, turns (0, 1, 0, 1), seed 0: blocks to 32, m to 129
+    "larger": [
+        (dims, lambda a=dims[0], b=dims[1], m=dims[2]: haar_random_protocol(np.random.default_rng(0), ((a,), (b,)), m))
+        for dims in ((4, 4, 4), (8, 4, 4), (8, 8, 4))
+    ],
+    # three parties of dim 2, M of dim 2, turns (0, 1, 2, 0, 1, 2), seeds 0-9
+    "three-party": [
+        (seed, lambda seed=seed: haar_random_protocol(np.random.default_rng(seed), ((2,),) * 3, 2, (0, 1, 2) * 2))
+        for seed in range(10)
+    ],
+}
+# the (case, honest, target) that stop, with their status.  Both are primal end-games: the
+# best iterate's dual residual is at rounding level and its multipliers pass verify_dual,
+# but it misses the gap tolerance (fixture: 2.6e-7, primal 3.8e-9) or FEAS_TOL
+# (three-party: primal 1.8e-8, gap 4.4e-8)
+HAAR_STOPS = {
+    "fixture": {(12, 0, 0): "non-finite-direction"},
+    "larger": {},
+    "three-party": {(7, 0, 0): "non-finite-direction"},
+}
+
+
+class TestGeneratedComplexProtocols:
+    @pytest.mark.parametrize("family", list(HAAR_FAMILIES))
+    def test_every_case_converges_to_a_verified_chain_or_names_its_stop(self, family):
+        stops = {}
+        for case, build in HAAR_FAMILIES[family]:
+            protocol = build()
+            for honest in range(protocol.k):
+                for target in (0, 1):
+                    try:
+                        cheat = optimal_cheat(protocol, honest, target)
+                    except RuntimeError as err:
+                        stops[case, honest, target] = re.search(r"\(status ([\w-]+)\)", str(err)).group(1)
+                        continue
+                    report = verify_dual(cheat_sdp(protocol, honest, target), cheat.chain, tol=1e-10)
+                    assert report.feasible, (case, honest, target)
+                    assert report.bound == cheat.bound >= cheat.probability - 1e-6, (case, honest, target)
+        assert stops == HAAR_STOPS[family]
 
 
 class TestProductCheck:

@@ -8,6 +8,7 @@ from conftest import (
     UnionFind,
     assert_sub_arrays,
     dense_rows,
+    haar_random_protocol,
     overflowing_r,
     random_hermitian,
     random_unitary,
@@ -113,14 +114,16 @@ def rotate_phases(problem, rng):
 def y_from_multipliers(comp, multipliers: dict) -> np.ndarray:
     """Oracle inverse of ``_Compiled.multipliers_from_y``: the coordinates of one multiplier per constraint.
 
-    On real data a complex multiplier has no coordinates and is refused.
+    Coordinate s of Z is Re tr(E_s Z), with E_s the Hermitian matrix of s's
+    unit coordinates, so a round trip gives Z back exactly when the E_s are an
+    orthonormal basis.  On real data a complex multiplier has no coordinates
+    and is refused.
     """
     mats = comp.multiplier_matrices(multipliers)
-    if comp.dtype.kind == "f":
-        if any(np.any(np.imag(z)) for z in mats):
-            raise ValueError("complex multipliers have no coordinates on real data")
-        mats = [z.real for z in mats]
-    return comp._coordinates(mats)
+    if comp.dtype.kind == "f" and any(np.any(np.imag(z)) for z in mats):
+        raise ValueError("complex multipliers have no coordinates on real data")
+    units = [comp._matrix(c, np.eye(sl.stop - sl.start)) for c, sl in enumerate(comp.slices)]
+    return np.concatenate([np.einsum("sij,ji->s", e, z).real for e, z in zip(units, mats)])
 
 
 def _random_multiplier_coords(comp, rng):
@@ -205,7 +208,7 @@ class KernelMaps:
         comp = compiled(random_structured_problem(rng, real=real), self.rows)
         scalings = [_random_psd(d, rng, real=real) for d in comp.block_dims]
         fast = comp.schur(comp.stacked(scalings))
-        assert fast.dtype == comp.dtype
+        assert fast.dtype == np.float64
         # row r of the oracle is conj(vec(A*(e_r))), block after block
         offsets = np.cumsum([0] + [d * d for d in comp.block_dims])
         oracle = dense_rows(comp)
@@ -221,7 +224,7 @@ class KernelMaps:
                     for i in range(comp.nblocks)
                 )
         np.testing.assert_allclose(fast, slow, atol=1e-8)
-        np.testing.assert_allclose(fast, fast.conj().T, atol=1e-14 * np.abs(fast).max())
+        np.testing.assert_allclose(fast, fast.T, atol=1e-14 * np.abs(fast).max())
 
 
 class TestCompiled(KernelMaps):
@@ -280,11 +283,12 @@ class TestCompiled(KernelMaps):
     def test_dtype_and_coordinate_count(self, rng, real):
         comp = _Compiled(random_structured_problem(rng, real=real))
         assert comp.con_dims == [3, 2, 1]
+        # a real d x d constraint owns d(d+1)/2 real coordinates, a complex one d^2
         if real:
             assert comp.dtype == np.float64 and comp.m == 6 + 3 + 1
         else:
             assert comp.dtype == np.complex128 and comp.m == 9 + 4 + 1
-        assert comp.b.dtype == comp.dtype
+        assert comp.b.dtype == np.float64
 
     def test_penalty_v16_alice_compiles_to_real_svec(self):
         from qcoinflip.lowerbound import cheat_sdp
@@ -310,7 +314,7 @@ class TestCompiled(KernelMaps):
             with pytest.raises(ValueError):
                 y_from_multipliers(comp, {**mults, "marginal": mults["marginal"] + 1j * np.eye(3)})
         else:
-            # a non-Hermitian y comes back as its Hermitian part
+            # the coordinates of a non-Hermitian matrix are its Hermitian part's
             skew = y_from_multipliers(comp, {**mults, "marginal": mults["marginal"] + 1j * np.eye(3)})
             np.testing.assert_allclose(comp.multipliers_from_y(skew)["marginal"], mults["marginal"], atol=1e-14)
 
@@ -352,7 +356,7 @@ class TestRowKernels(KernelMaps):
         sol = solve(problem)
         assert sol.status == "converged" and abs(sol.primal_value - 2.0) < 1e-7
 
-    @pytest.mark.parametrize("which", ["structured-complex", "structured-real", "penalty-v16", "compact4-bob"])
+    @pytest.mark.parametrize("which", ["structured-complex", "structured-real", "penalty-v16", "compact4-bob", "haar"])
     def test_both_kernel_paths_solve_alike(self, rng, monkeypatch, which):
         from qcoinflip import sdp
         from qcoinflip.lowerbound import cheat_sdp
@@ -364,6 +368,8 @@ class TestRowKernels(KernelMaps):
             prob = SdpProblem(prob.blocks, {k: c / 40 for k, c in prob.objective.items()}, prob.constraints)
         elif which == "penalty-v16":
             prob = alice_attack_sdp(PenaltyGame(16))
+        elif which == "haar":  # complex, with nothing to split on
+            prob = cheat_sdp(haar_random_protocol(np.random.default_rng(2)), 0, 1)
         else:
             prob = cheat_sdp(penalty_protocol_compact4(), 1, 1)
         built = []
@@ -536,6 +542,28 @@ class TestSolve:
         a, b = solve(prob), solve(turned)
         assert a.status == "converged" and b.status == "converged"
         assert abs(a.primal_value - b.primal_value) < 1e-7
+
+    @pytest.mark.parametrize("which", ["structured-complex", "structured-real", "haar"])
+    def test_coordinates_are_real_and_multipliers_hermitian(self, rng, monkeypatch, which):
+        # b, y and the Schur matrix are float64 whatever the data, and every multiplier
+        # ``solve`` returns is Hermitian bit for bit
+        if which == "haar":
+            prob = cheat_sdp(haar_random_protocol(np.random.default_rng(2)), 0, 1)
+        else:
+            prob = random_structured_problem(rng, real=which.endswith("real"))
+        schurs, ys = [], []
+        real_schur, real_from_y = _Compiled.schur, _Compiled.multipliers_from_y
+        monkeypatch.setattr(_Compiled, "schur", lambda self, w: schurs.append(real_schur(self, w)) or schurs[-1])
+        monkeypatch.setattr(_Compiled, "multipliers_from_y", lambda self, y: ys.append(y) or real_from_y(self, y))
+        sol = solve(prob)
+        assert sol.status == "converged"
+        assert _Compiled(prob).b.dtype == np.float64
+        assert schurs and all(m.dtype == np.float64 for m in schurs)
+        assert len(ys) == 1 and ys[0].dtype == np.float64
+        assert _Compiled(prob).dtype == (np.float64 if which.endswith("real") else np.complex128)
+        for name, z in sol.dual_multipliers.items():
+            if not isinstance(z, float):
+                assert np.array_equal(z, z.conj().T), name
 
     def test_one_factorization_per_block_per_iterate(self, rng, monkeypatch):
         from qcoinflip import sdp
