@@ -20,13 +20,12 @@ Dual feasible points can be checked independently of the solver
 (``verify_dual``), so a certificate bound never relies on the code path it
 is validating.
 
-The terms define the problem, and ``restrict``, ``verify_dual`` and the
-term kernels read them.  Inside ``solve``, a problem whose constraint rows
-fit ``ROW_BUDGET`` runs on the rows instead: row s of A is A*(e_s), and
-each block keeps it only for the coordinates s of the constraints with a
-term on that block.  Then A(X), A*(y) and the Schur matrix are one
-contraction per block size over stored arrays (as SDPA and SDPT3 assemble
-the Schur matrix from stored constraint matrices), not a loop over terms.
+The terms define the problem, and every map reads them: per block, their
+distinct operators are stacked into one tall K (``_Compiled``).  A(X) is K X
+K^dag per stack of equal-size blocks and one gather, A*(y) one bincount and
+K^dag D K per stack, and the Schur matrix, as SDPA and SDPT3 assemble it from
+structured constraint data, K W K^dag per stack and one batched Gram matrix
+per pair of constraint sizes: calls follow stacks and shapes, not terms.
 
 Every constraint has real coordinates, as SDPT3 gives a Hermitian value
 (``_coordinate_map``).  When every objective, term operator and right-hand
@@ -64,13 +63,6 @@ CERT_TOL = 1e-9
 GAP_TOL = 1e-7
 MAX_ITER = 500
 RESTRICT_TOL = 1e-12  # a restricted term this small, relative to its operator, is left out
-# entries of the constraint rows ``solve`` stores (``_Compiled.row_count``): 8 MB as
-# float64, and a Schur assembly holds about three times that in temporaries.  A problem
-# with more keeps the term kernels, whose data are the terms themselves.  That fork stays
-# for large problems without zeros to split on, as a protocol file may give: unsplit, the v16
-# Alice-cheat SDP (a 216-dim block, m = 688) took 25.5 s and 800 MB peak on rows against
-# 1.06 s and 91 MB on the terms (17 iterations each, one 2-core machine)
-ROW_BUDGET = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +314,15 @@ def _hermitian_part(mat: np.ndarray) -> np.ndarray:
 
 
 def _is_real(mat) -> bool:
-    return not np.any(np.imag(mat))
+    mat = np.asarray(mat)
+    return mat.dtype.kind != "c" or not mat.imag.any()
+
+
+def _read_only(*arrays) -> tuple:
+    """The arrays, made read-only: every compile shares the cached tables below."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 @functools.cache
@@ -336,42 +336,73 @@ def _coordinate_map(d: int, real: bool):
     triangle, weight sqrt(2) off the diagonal.  Complex data (each entry's
     real and imaginary parts side by side): the diagonal and sqrt(2) Re above
     it, then sqrt(2) Im above it, whose mirror has sign -1.
-
-    Every compile of a d x d constraint shares one map, so its arrays are
-    read-only.
     """
     per = 1 if real else 2  # floats per entry
     i, j = np.triu_indices(d)
     entry, mirror, wt = per * (i * d + j), per * (j * d + i), np.where(i == j, 1.0, np.sqrt(2.0))
     im = (i < j) & (not real)  # the entries with an Im coordinate
     pairs = [(entry, entry[im] + 1), (mirror, mirror[im] + 1), (wt, wt[im]), (np.ones(len(wt)), -np.ones(im.sum()))]
-    maps = tuple(np.concatenate(pair) for pair in pairs)
-    for arr in maps:
-        arr.flags.writeable = False
-    return maps
+    return _read_only(*(np.concatenate(pair) for pair in pairs))
 
 
-class _CompiledTerm:
-    __slots__ = ("block_idx", "stack", "pos", "coeff", "kmat", "kmat_h", "sandwich", "dk", "dt")
+@functools.cache
+def _term_layout(dk: int, dt: int, real: bool):
+    """Where a term (kept dimension dk, traced dt) meets its constraint's coordinates in its
+    K's diagonal block of the image (``_Compiled``): per float with a coordinate (not a diagonal
+    Im) and traced index a, row i dt + a and column j dt + a of its entry (i, j), its part (1:
+    Im), the entry i dk + j, the coordinate, and the weight 1 / wt at ``idx``, sign / wt at
+    ``idxt``: the float's share of the coordinate in the Hermitian part and the coordinate's
+    share of the float in its matrix, so one table serves A and A*.  Real: each entry once."""
+    per = 1 if real else 2
+    idx, idxt, wt, sign = _coordinate_map(dk, real)
+    coord, weight = np.zeros(per * dk * dk, dtype=np.intp), np.zeros(per * dk * dk)
+    coord[idxt], weight[idxt] = np.arange(len(wt)), sign / wt
+    coord[idx], weight[idx] = np.arange(len(wt)), 1 / wt
+    flt = np.flatnonzero(weight)
+    entry, part = np.divmod(flt, per)
+    i, j = np.divmod(entry, dk)
+    a = np.arange(dt)
+    traced = [np.repeat(v, dt) for v in (part, entry, coord[flt], weight[flt])]
+    return _read_only((i[:, None] * dt + a).ravel(), (j[:, None] * dt + a).ravel(), *traced)
 
-    def __init__(self, block_idx, slot, coeff, kmat, sandwich, dk, dt):
-        self.block_idx = block_idx
-        self.stack, self.pos = slot  # the block is member ``pos`` of stack ``stack``
-        self.coeff = coeff
-        self.kmat = kmat  # K, (dk*dt, d_block): its image is (kept) (x) (traced)
-        self.kmat_h = _ct(kmat)
-        # False when K is the identity (``op`` None): I X I = X exactly, so the product is skipped
-        self.sandwich = sandwich
-        self.dk = dk
-        self.dt = dt
 
-    def lift(self, z: np.ndarray) -> np.ndarray:
-        """coeff * K^dag (z (x) 1_dt) K for z of shape (..., dk, dk)."""
-        zk = (z @ self.kmat.reshape(self.dk, -1)).reshape(z.shape[:-2] + self.kmat.shape)
-        return self.coeff * (self.kmat_h @ zk if self.sandwich else zk)
+@functools.cache
+def _gram_map(df: int, dg: int, real: bool):
+    """Where the Schur block of a df x df and a dg x dg constraint reads the Gram
+    matrix G = q q^dag of its term pairs: M[r, s] = w0 g[j0] + w1 g[j1], g G's
+    float64 view.  Over entries G is T[(i, j), (k, l)] = G[(i, k), (j, l)]; with
+    coordinate r's unit matrix wt_r (ph_r e_idx + conj(ph_r) e_idxt) / 2, ph_r = 1,
+    or i for an Im coordinate, and T[(j, i), (l, k)] = conj(T[(i, j), (k, l)]),
+    M[r, s] = wt_r wt_s Re(ph_s (conj(ph_r) T[idx_r, idx_s] + ph_r T[idxt_r, idx_s])) / 2,
+    and each phase product is 1, i, -1 or -i: one float of T with a sign."""
+    per = 1 if real else 2
+    idx_f, idxt_f, wt_f, sign_f = _coordinate_map(df, real)
+    idx_g, _, wt_g, sign_g = _coordinate_map(dg, real)
+    ph_f, ph_g = np.where(sign_f < 0, 1j, 1)[:, None], np.where(sign_g < 0, 1j, 1)
+    k, l = np.divmod(idx_g // per, dg)
+    out = []
+    for entry, phase in ((idx_f, ph_f.conj() * ph_g), (idxt_f, ph_f * ph_g)):
+        i, j = np.divmod(entry // per, df)
+        flat = ((i * dg)[:, None] + k) * (df * dg) + (j * dg)[:, None] + l
+        out += [per * flat + (phase.imag != 0), (phase.real - phase.imag) * wt_f[:, None] * wt_g / 2]
+    return _read_only(*out)
+
+
+class _CompiledTerm(NamedTuple):
+    block_idx: int
+    coeff: float
+    dk: int  # kept dimension
+    dt: int  # traced dimension
+    row: int  # the first row of its K in its block's image
 
 
 class _Compiled:
+    """A problem as ``solve`` and ``verify_dual`` read it.  Per block, the terms' distinct
+    operators are stacked into one tall K, under the identity's rows when a block of its stack
+    has an identity term (I X I = X costs no product); terms with one operator share its rows.
+    A stack of equal-size blocks holds them as one (n, R, d) array, zero rows padding members
+    with fewer.  A term's value is a partial trace of a diagonal block of the image K X K^dag."""
+
     def __init__(self, problem: SdpProblem):
         self.problem = problem
         self.block_names = [name for name, _ in problem.blocks]
@@ -387,6 +418,9 @@ class _Compiled:
         for k, members in enumerate(self.stack_members):
             for p, i in enumerate(members):
                 self.slots[i] = (k, p)
+        # each stack's image starts with the identity's d rows if a member has an identity term
+        identity = {t.block for con in problem.constraints for t in con.terms if t.op is None}
+        idents = [d if identity & {self.block_names[i] for i in m} else 0 for d, m in zip(sizes, self.stack_members)]
 
         # real data has a real symmetric optimum: X -> Re X keeps A(X) = b and the value
         real = all(_is_real(c) for c in problem.objective.values()) and all(
@@ -405,16 +439,13 @@ class _Compiled:
             c = np.zeros((d, d), dtype=self.dtype) if c is None else cast(c)
             if c.shape != (d, d):
                 raise ValueError(f"objective for block {name!r} has wrong shape")
-            if np.max(np.abs(c - c.conj().T)) > 1e-10:
+            if abs(c - c.conj().T).max() > 1e-10:
                 raise ValueError(f"objective for block {name!r} is not Hermitian")
             objective.append(c)
         self.objective = self.stacked(objective)
 
-        self.constraints = []
-        self.con_dims = []
-        self.coord_maps = []
-        self.rhs = []
-        self.slices = []
+        self.constraints, self.con_dims, self.coord_maps, self.rhs, self.slices = [], [], [], [], []
+        operators = [{} for _ in range(self.nblocks)]  # per block: K's bytes -> (first row, K), identity aside
         offset = 0
         for con in problem.constraints:
             rhs = cast(con.rhs)
@@ -427,29 +458,25 @@ class _Compiled:
                     raise KeyError(f"constraint {con.name!r} references unknown block {term.block!r}")
                 bidx = index[term.block]
                 dblock = self.block_dims[bidx]
-                kmat = np.eye(dblock, dtype=self.dtype) if term.op is None else cast(term.op)
-                if kmat.ndim != 2 or kmat.shape[1] != dblock:
-                    raise ValueError(
-                        f"constraint {con.name!r}: operator shape {kmat.shape} does not act on "
-                        f"block {term.block!r} (dim {dblock})"
-                    )
-                rows = kmat.shape[0]
+                kmat = None if term.op is None else cast(term.op)
+                shape = (dblock, dblock) if kmat is None else kmat.shape
+                if len(shape) != 2 or shape[1] != dblock:
+                    raise ValueError(f"constraint {con.name!r}: operator shape {shape} does not act on block "
+                                     f"{term.block!r} (dim {dblock})")
+                rows = shape[0]
                 dk = rows if term.kept is None else term.kept
                 if not isinstance(dk, (int, np.integer)) or dk < 1 or rows % dk:
-                    raise ValueError(
-                        f"constraint {con.name!r}: kept dimension {term.kept!r} does not divide "
-                        f"the {rows} rows of the operator on block {term.block!r}"
-                    )
+                    raise ValueError(f"constraint {con.name!r}: kept dimension {term.kept!r} does not divide the "
+                                     f"{rows} rows of the operator on block {term.block!r}")
                 dk, dt = int(dk), rows // dk
                 if dk != dk_con:
-                    raise ValueError(
-                        f"constraint {con.name!r}: a term on block {term.block!r} keeps {dk} dimensions "
-                        f"but the right-hand side is {dk_con} x {dk_con}"
-                    )
-                terms.append(
-                    _CompiledTerm(bidx, self.slots[bidx], float(term.coeff), kmat, term.op is not None, dk, dt)
-                )
-            if np.max(np.abs(rhs - rhs.conj().T)) > 1e-10:
+                    raise ValueError(f"constraint {con.name!r}: a term on block {term.block!r} keeps {dk} dimensions "
+                                     f"but the right-hand side is {dk_con} x {dk_con}")
+                below = operators[bidx]
+                top = idents[self.slots[bidx][0]] + sum(len(k) for _, k in below.values())
+                row = 0 if kmat is None else below.setdefault(kmat.tobytes(), (top, kmat))[0]
+                terms.append(_CompiledTerm(bidx, float(term.coeff), dk, dt, row))
+            if abs(rhs - rhs.conj().T).max() > 1e-10:
                 raise ValueError(f"constraint {con.name!r}: right-hand side is not Hermitian")
             cmap = _coordinate_map(dk_con, real)
             self.constraints.append((con.name, terms))
@@ -461,13 +488,18 @@ class _Compiled:
         self.m = offset
         self.b = self._coordinates(self.rhs)
 
-        # the constraints with a term on each block, in order: the block meets their coordinates
-        self.meets = [[] for _ in range(self.nblocks)]
-        for c, (_, terms) in enumerate(self.constraints):
-            for i in dict.fromkeys(t.block_idx for t in terms):
-                self.meets[i].append(c)
-        self.rows = None  # the row kernels' data, once ``build_rows`` has run
-        self.schur_plan = None  # the term kernels' Schur plan, built on first use
+        # per stack: K, K^dag, the identity's rows; the image width; where its images start
+        self.operators, self.widths, self.starts, self.image_size = [], [], [], 0
+        for ident, members, c in zip(idents, self.stack_members, self.objective):
+            height = max(sum(len(k) for _, k in operators[i].values()) for i in members)
+            kmat = np.zeros((len(c), height, c.shape[-1]), dtype=self.dtype)
+            for p, i in enumerate(members):
+                for row, k in operators[i].values():
+                    kmat[p, row - ident : row - ident + len(k)] = k
+            self.operators.append((kmat, np.ascontiguousarray(_ct(kmat)), ident))
+            self.widths.append(ident + kmat.shape[1])
+            self.starts.append(self.image_size)
+            self.image_size += len(c) * self.widths[-1] ** 2
 
     # -- block stacks ---------------------------------------------------------
 
@@ -500,105 +532,140 @@ class _Compiled:
         flat[..., idxt] = sign * vals
         return z.reshape(coords.shape[:-1] + (d, d))
 
-    # -- constraint rows ------------------------------------------------------
-    #
-    # Row s of A is A*(e_s), the adjoint of coordinate s's unit vector, and on
-    # block i it is zero unless a constraint owning s has a term on i.  So each
-    # member of a stack keeps only the rows of the coordinates it meets, and the
-    # three maps below become one contraction per stack over them, of float64
-    # views: Re tr(R^dag X) is the dot product of R's and X's.
+    # -- images and their tables ----------------------------------------------
 
-    def _widths(self, members) -> list:
-        """How many coordinates each of these blocks meets."""
-        return [sum(self.slices[c].stop - self.slices[c].start for c in self.meets[i]) for i in members]
+    @functools.cached_property
+    def image_buffer(self) -> tuple:
+        """The flat images (last entry 0) and per stack its views on I's rows, on K's and between."""
+        images, views = np.zeros(self.image_size + 1, dtype=self.dtype), []
+        for (_, _, i), start, width, c in zip(self.operators, self.starts, self.widths, self.objective):
+            image = images[start : start + len(c) * width * width].reshape(len(c), width, width)
+            views.append((image[:, :i, :i], image[:, i:, i:], image[:, i:, :i], image[:, :i, i:]))
+        return images, views
 
-    def row_count(self) -> int:
-        """Entries of the rows ``build_rows`` stores: r d^2 per member of a stack
-        of d x d blocks, with r the most coordinates one of its members meets."""
-        return sum(
-            len(members) * max(self._widths(members)) * stack.shape[-1] ** 2
-            for members, stack in zip(self.stack_members, self.objective)
-        )
+    def _images(self, stacks, full: bool = False) -> np.ndarray:
+        """The images K X K^dag, flat; only the diagonal blocks unless ``full`` (X Hermitian); reused."""
+        images, views = self.image_buffer
+        for x, (kmat, kmat_h, ident), (corner, block, lower, upper) in zip(stacks, self.operators, views):
+            corner[...] = x[:, :ident, :ident]
+            v = kmat @ x
+            np.matmul(v, kmat_h, out=block)
+            if full:
+                lower[...] = v[:, :, :ident]
+                upper[...] = _ct(v[:, :, :ident])
+        return images
 
-    def build_rows(self):
-        """Switch ``apply``, ``adjoint`` and ``schur`` from the terms to stored rows.
+    def _outer(self, images: np.ndarray) -> list:
+        """K^dag D K per stack, for block-diagonal images D in ``_images``'s layout."""
+        out = []
+        for (kmat, kmat_h, ident), start, width, c in zip(self.operators, self.starts, self.widths, self.objective):
+            d = images[start : start + len(c) * width * width].reshape(len(c), width, width)
+            outer = kmat_h @ d[:, ident:, ident:] @ kmat
+            outer[:, :ident, :ident] += d[:, :ident, :ident]
+            out.append(outer)
+        return out
 
-        Per stack of n blocks of size d, member p keeps A*(e_s) on its block
-        for the r coordinates s it meets, an (n, r, d, d) array and its float64
-        view (n, r, floats), and their indices, (n, r); a member that meets
-        fewer pads with zero rows at index 0.  A constraint's rows are its
-        terms' lifts of its unit coordinates, one batched call per term.
-        """
-        self.rows = []
-        for members, stack in zip(self.stack_members, self.objective):
-            d = stack.shape[-1]
-            width = max(self._widths(members))
-            rmat = np.zeros((len(members), width, d, d), dtype=self.dtype)
-            index = np.zeros((len(members), width), dtype=np.intp)
-            for p, i in enumerate(members):
-                start = 0
-                for c in self.meets[i]:
-                    sl = self.slices[c]
-                    count = sl.stop - sl.start
-                    index[p, start : start + count] = np.arange(sl.start, sl.stop)
-                    units = self._matrix(c, np.eye(count))
-                    for t in self.constraints[c][1]:
-                        if t.block_idx == i:
-                            rmat[p, start : start + count] += t.lift(units)
-                    start += count
-            # entry (j, l) of a member's Gram matrix is entry (index[j], index[l]) of M
-            pairs = index[:, :, None] * self.m + index[:, None, :]
-            self.rows.append((rmat, rmat.reshape(len(members), width, d * d).view(np.float64), index, pairs.ravel()))
+    def _term_table(self, entries: bool) -> tuple:
+        """Per term and float of its diagonal block with a coordinate (``_term_layout``): the float
+        of the images, the coordinate, the weight; or per entry: it, Z's entry, the coefficient."""
+        per = 1 if entries else self.dtype.itemsize // 8
+        starts = np.cumsum([0] + [d * d for d in self.con_dims]) if entries else [sl.start for sl in self.slices]
+        groups = {}
+        for f, (_, terms) in enumerate(self.constraints):
+            for t in terms:
+                k, p = self.slots[t.block_idx]
+                width = self.widths[k]
+                place = (self.starts[k] + (p * width + t.row) * width + t.row, width, starts[f], t.coeff)
+                groups.setdefault((t.dk, t.dt), []).append(place)
+        table = [[np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]]
+        for (dk, dt), places in groups.items():
+            corner, width, start, coeff = (np.array(v)[:, None] for v in zip(*places))
+            rows, cols, part, entry, coord, weight = _term_layout(dk, dt, per == 1)
+            table[0].append((per * (corner + width * rows + cols) + part).ravel())
+            table[1].append((start + (entry if entries else coord)).ravel())
+            table[2].append((coeff * (np.ones_like(weight) if entries else weight)).ravel())
+        return tuple(np.concatenate(col) for col in table)
+
+    @functools.cached_property
+    def coordinate_table(self) -> tuple:
+        """(float, coordinate, weight): A(X)_s sums its images' floats, A*(y) puts weight * y_s there."""
+        return self._term_table(entries=False)
+
+    @functools.cached_property
+    def entry_table(self) -> tuple:
+        """(entry, entry of Z, coefficient): ``lift`` puts coefficient * Z's entry there."""
+        return self._term_table(entries=True)
+
+    @functools.cached_property
+    def pair_groups(self) -> list:
+        """The Schur matrix's tables per pair (df, dg) of constraint sizes.  A pair is two terms
+        on one block, of constraints f <= g, weighted by their coefficients' product, halved when
+        f = g, so that their sum H has half of M's diagonal blocks and M = H + H^T.  A block of H
+        has its pairs side by side along q's columns, zero-padded: one product sums their Grams.
+        Per group: q's entries in the images, each column's weight, each block's flat start in H
+        and the offsets within it, and ``_gram_map``."""
+        on_block = [[] for _ in range(self.nblocks)]
+        for f, (_, terms) in enumerate(self.constraints):
+            for t in terms:
+                on_block[t.block_idx].append((f, t))
+        sizes = {}  # (df, dg) -> block of H -> its pairs' (dt1, dt2), q's corner, width, weight
+        for i, entries in enumerate(on_block):
+            k, p = self.slots[i]
+            width = self.widths[k]
+            for f, t1 in entries:
+                for g, t2 in entries:
+                    if f <= g:
+                        blocks = sizes.setdefault((t1.dk, t2.dk), {})
+                        pairs = blocks.setdefault(self.slices[f].start * self.m + self.slices[g].start, [])
+                        corner = self.starts[k] + (p * width + t1.row) * width + t2.row
+                        pairs.append(((t1.dt, t2.dt), corner, width, t1.coeff * t2.coeff * (0.5 if f == g else 1.0)))
+        groups = []
+        for (df, dg), blocks in sizes.items():
+            shapes, columns = {}, 0  # (dt1, dt2) -> the pairs' block, first column of q, corner, width, weight
+            for b, pairs in enumerate(blocks.values()):
+                col = 0
+                for shape, *rest in pairs:
+                    shapes.setdefault(shape, []).append((b, col, *rest))
+                    col += shape[0] * shape[1]
+                columns = max(columns, col)
+            index = np.full((len(blocks), df * dg, columns), self.image_size)
+            weight = np.zeros((len(blocks), 1, columns))
+            for (dt1, dt2), pairs in shapes.items():
+                b, col, corner, width, w = (np.array(v)[:, None, None] for v in zip(*pairs))
+                i, k, a, c = np.ix_(range(df), range(dg), range(dt1), range(dt2))  # q[(i, k), (a, c)] is
+                q = corner[..., None, None] + width[..., None, None] * (i * dt1 + a) + k * dt2 + c  # P[ia, kc]
+                span = col + np.arange(dt1 * dt2)
+                index[b, np.arange(df * dg)[:, None], span] = q.reshape(len(pairs), df * dg, -1)
+                weight[b, 0, span] = w
+            gram_map = _gram_map(df, dg, self.dtype == np.float64)
+            offsets = np.arange(gram_map[0].shape[0])[:, None] * self.m + np.arange(gram_map[0].shape[1])
+            groups.append((index, weight, np.array(list(blocks))[:, None, None], offsets, gram_map))
+        return groups
 
     # -- linear maps --------------------------------------------------------
 
     def apply(self, stacks) -> np.ndarray:
         """A(X) for X given as block stacks: every constraint's value (Hermitian part) in coordinates."""
-        if self.rows is None:
-            return self._apply_terms(stacks)
-        out = np.zeros(self.m)
-        for (_, rows, index, _), x in zip(self.rows, stacks):
-            # coordinate s of A(X) is Re tr(A*(e_s) X), which reads X's Hermitian part alone
-            vals = rows @ x.view(np.float64).reshape(len(x), -1, 1)
-            out += np.bincount(index.ravel(), vals.ravel(), minlength=self.m)
-        return out
-
-    def _apply_terms(self, stacks) -> np.ndarray:
-        vals = []
-        for (name, terms), d in zip(self.constraints, self.con_dims):
-            val = np.zeros((d, d), dtype=self.dtype)
-            for t in terms:
-                img = stacks[t.stack][t.pos]
-                if t.sandwich:
-                    img = t.kmat @ img @ t.kmat_h
-                val += t.coeff * np.einsum("iaja->ij", img.reshape(t.dk, t.dt, t.dk, t.dt))
-            vals.append(_hermitian_part(val))
-        return self._coordinates(vals)
-
-    def lift(self, mats, lead: tuple = ()) -> list:
-        """A*(Z) as block stacks, for one matrix Z_c per constraint (any dtype), from the terms.
-
-        The Z_c may carry leading batch axes ``lead``, which then lead the
-        stacks: (*lead, n, d, d).
-        """
-        dtype = np.result_type(self.dtype, *mats)
-        out = [np.zeros(lead + stack.shape, dtype=dtype) for stack in self.objective]
-        for (_, terms), z in zip(self.constraints, mats):
-            for t in terms:
-                out[t.stack][..., t.pos, :, :] += t.lift(z)
-        return out
+        dst, coord, weight = self.coordinate_table
+        floats = self._images(stacks).view(np.float64)
+        return np.bincount(coord, weight * floats.take(dst), minlength=self.m)
 
     def adjoint(self, y: np.ndarray) -> list:
-        """A*(y) as block stacks (Hermitian when y's matrices are); leading axes of y batch."""
-        if self.rows is None:
-            return self.lift([self._matrix(c, y[..., sl]) for c, sl in enumerate(self.slices)], y.shape[:-1])
-        out = []
-        for rmat, rows, index, _ in self.rows:
-            n, _, d, _ = rmat.shape
-            # sum_j y[index[j]] A*(e_index[j]) per member: an (r,) by (r, d^2) product of floats
-            flat = y[..., index][..., None, :] @ rows
-            out.append(flat.view(self.dtype).reshape(y.shape[:-1] + (n, d, d)))
-        return out
+        """A*(y) as block stacks, Hermitian."""
+        dst, coord, weight = self.coordinate_table
+        floats = np.bincount(dst, weight * y.take(coord), minlength=self.image_size * (self.dtype.itemsize // 8))
+        return self._outer(floats.view(self.dtype))
+
+    def lift(self, mats) -> list:
+        """A*(Z) as block stacks, for one matrix Z_c per constraint (any dtype; complex with no
+        imaginary part is read as the real matrix it is)."""
+        dst, src, coeff = self.entry_table
+        z = np.concatenate([np.ravel(z) for z in mats] + [np.zeros(0)])
+        vals = coeff * (z if np.any(z.imag) else z.real).take(src)
+        if np.iscomplexobj(vals):  # a complex image's floats: each entry's Re and Im side by side
+            dst = (2 * dst[:, None] + np.arange(2)).ravel()
+        images = np.bincount(dst, vals.view(np.float64), minlength=self.image_size * (vals.itemsize // 8))
+        return self._outer(images.view(vals.dtype))
 
     def multipliers_from_y(self, y: np.ndarray) -> dict:
         out = {}
@@ -621,84 +688,21 @@ class _Compiled:
     def schur(self, scalings) -> np.ndarray:
         """M[r, s] = sum_i Re tr(A*(e_r)_i W_i A*(e_s)_i W_i) for the NT scalings W (block stacks).
 
-        With rows R_j, each member's (r, r) matrix of Re tr(R_j W R_l W) lands
-        in M at its row indices.  M is real symmetric.
-        """
-        if self.rows is None:
-            return self._schur_terms(scalings)
-        mmat = np.zeros(self.m * self.m)
-        for (rmat, rows, _, pairs), w in zip(self.rows, scalings):
-            n, r, d, _ = rmat.shape
-            g = (w[:, None] @ rmat @ w[:, None]).reshape(n, r, d * d).view(np.float64)
-            mmat += np.bincount(pairs, (rows @ g.swapaxes(-1, -2)).ravel(), minlength=self.m * self.m)
-        return _hermitian_part(mmat.reshape(self.m, self.m))
-
-    def _schur_plan(self) -> list:
-        """Per pair of constraints f <= g that share a block: their term pairs on a
-        common block and where the pair's Gram entries land in M (see ``_schur_terms``)."""
-        per = self.dtype.itemsize // 8  # floats per entry, as the coordinate maps count them
-        # per constraint: each coordinate's entry, its mirror's, its phase and its weight
-        coords = [(idx // per, idxt // per, np.where(sign < 0, 1j, 1), wt) for idx, idxt, wt, sign in self.coord_maps]
-        plan = []
-        ncon = len(self.constraints)
-        for f in range(ncon):
-            _, fterms = self.constraints[f]
-            idx_f, idxt_f, ph_f, wt_f = coords[f]
-            for g in range(f, ncon):
-                _, gterms = self.constraints[g]
-                pairs = [(t1, t2) for t1 in fterms for t2 in gterms if t1.block_idx == t2.block_idx]
-                if not pairs:
-                    continue
-                idx_g, _, ph_g, wt_g = coords[g]
-                df, dg = self.con_dims[f], self.con_dims[g]
-                # T[(i, j), (k, l)] sits at gram.flat[rows(i, j) + cols(k, l)]: l runs contiguously
-                rows = [(i * (df * dg) + j)[:, None] * dg for i, j in (np.divmod(idx_f, df), np.divmod(idxt_f, df))]
-                k, l = np.divmod(idx_g, dg)
-                cols = k * (df * dg) + l
-                plan.append((f, g, pairs, *rows, cols, ph_f.conj()[:, None], ph_f[:, None], ph_g, wt_f[:, None], wt_g / 2))
-        return plan
-
-    def _schur_terms(self, scalings) -> np.ndarray:
-        """``schur`` from the terms.
-
-        Over matrix entries, a term pair with P = K1 W K2^dag (image indices
-        split as (kept, traced)) gives T[(i, j), (k, l)] = c1 c2 sum_{a, b}
-        P[ia, kb] conj(P[ja, lb]): entry [(i, k), (j, l)] of the Gram matrix of
-        P's rows regrouped as (i, k) x (a, b).  Coordinate r's unit matrix is
-        wt_r (ph_r e_idx + conj(ph_r) e_idxt) / 2, with phase ph_r = 1 for a
-        diagonal or Re coordinate and i for an Im one; as T[(j, i), (l, k)] =
-        conj(T[(i, j), (k, l)]), a coordinate pair reads T at its entries,
-        M[r, s] = wt_r wt_s Re(ph_s (conj(ph_r) T[idx_r, idx_s] + ph_r T[idxt_r, idx_s])) / 2.
-        """
-        if self.schur_plan is None:
-            self.schur_plan = self._schur_plan()
-        mmat = np.zeros((self.m, self.m))
-        for f, g, pairs, rows0, rows1, cols, ph0, ph1, ph_cols, wt_rows, half_wt_cols in self.schur_plan:
-            df, dg = self.con_dims[f], self.con_dims[g]
-            gram = None
-            for t1, t2 in pairs:
-                pmat = scalings[t1.stack][t1.pos]
-                if t1.sandwich:
-                    pmat = t1.kmat @ pmat
-                if t2.sandwich:
-                    pmat = pmat @ t2.kmat_h
-                q = pmat.reshape(df, t1.dt, dg, t2.dt).transpose(0, 2, 1, 3).reshape(df * dg, -1)
-                # np.conj copies even real q, so this is a GEMM: numpy's syrk path for
-                # q @ q.T is slower at these sizes
-                piece = q @ np.conj(q).T  # [(i, k), (j, l)]
-                piece *= t1.coeff * t2.coeff
-                if gram is None:
-                    gram = piece
-                else:
-                    gram += piece
-            flat = gram.ravel()
-            block = ((ph0 * flat[rows0 + cols] + ph1 * flat[rows1 + cols]) * ph_cols).real
-            block *= wt_rows
-            block *= half_wt_cols
-            mmat[self.slices[f], self.slices[g]] = block
-            if g != f:
-                mmat[self.slices[g], self.slices[f]] = block.T
-        return mmat
+        A term pair with P = K1 W K2^dag gives T[(i, j), (k, l)] = c1 c2 sum_{a, b} P[ia, kb]
+        conj(P[ja, lb]), the Gram matrix of q, P regrouped as (i, k) x (a, b) (``pair_groups``).
+        M is real symmetric bit for bit."""
+        images = self._images(scalings, full=True)
+        half = np.zeros(self.m * self.m)
+        for index, weight, origin, offsets, (j0, w0, j1, w1) in self.pair_groups:
+            q = images[index]
+            gram = ((weight * q) @ _ct(q)).reshape(len(q), -1).view(np.float64)
+            # take and in-place products: fancy indexing and fresh temporaries cost more on large blocks
+            block, other = gram.take(j0, axis=1), gram.take(j1, axis=1)
+            block *= w0
+            block += np.multiply(other, w1, out=other)
+            half[origin + offsets] = block
+        half = half.reshape(self.m, self.m)
+        return half + half.T
 
     def inconsistency(self) -> float:
         """Norm of b's component outside the range of A.
@@ -907,11 +911,7 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
     second with the second-order term's.
     Every per-block quantity is a list of block stacks, one (n, d, d) array
     per block size, so each kernel, and each sum or norm over the blocks,
-    runs once per block size.  A, A* and M run on the constraint rows
-    (``_Compiled.build_rows``) when their entry count, a property of the
-    problem, is at most ``ROW_BUDGET``, and on the terms otherwise; the two
-    sum in different orders, so their iterates agree to rounding, not bit
-    for bit.
+    runs once per block size, and so do A, A* and M (``_Compiled``).
 
     status is "converged" when primal/dual feasibility reaches ``FEAS_TOL``
     and the relative duality gap reaches ``tol``, and the iterate returned is
@@ -933,8 +933,6 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
       1e14 times its starting value.
     """
     comp = _Compiled(problem)
-    if comp.row_count() <= ROW_BUDGET:
-        comp.build_rows()
     dims = comp.block_dims
     ntot = sum(dims)
 
@@ -1027,8 +1025,8 @@ def verify_dual(problem: SdpProblem, multipliers: dict, tol: float = CERT_TOL) -
 
     ``multipliers`` holds one Hermitian matrix or scalar per constraint name.
     Reports the minimum eigenvalue per block and the bound b.y, which
-    upper-bounds every feasible primal value by weak duality.  The check
-    reads the terms alone: it builds no constraint rows.
+    upper-bounds every feasible primal value by weak duality.  The check lifts the
+    multipliers (``_Compiled.lift``) and builds no table of ``solve``'s maps.
     """
     comp = _Compiled(problem)
     mults = comp.multiplier_matrices(multipliers)

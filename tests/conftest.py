@@ -185,17 +185,24 @@ def dense_rows(comp) -> np.ndarray:
     """Oracle of a compiled problem's map A as an explicit matrix.
 
     Row r is conj(vec(A*(e_r))), so rows @ vec(X) = A(X) with the blocks'
-    row-major entries concatenated.  Each row is built from the one
-    constraint that owns coordinate r.
+    row-major entries concatenated.  Each row is built from the problem's
+    terms of the one constraint that owns coordinate r, one coordinate at a
+    time: c K^dag (E_r (x) 1) K with E_r the coordinate's unit matrix and
+    ``op`` None read as the identity.
     """
+    index = {name: i for i, name in enumerate(comp.block_names)}
     offsets = np.cumsum([0] + [d * d for d in comp.block_dims])
     rows = np.zeros((comp.m, offsets[-1]), dtype=comp.dtype)
-    for c, ((_, terms), sl) in enumerate(zip(comp.constraints, comp.slices)):
-        n = sl.stop - sl.start
-        units = comp._matrix(c, np.eye(n))
-        for t in terms:
-            cols = slice(offsets[t.block_idx], offsets[t.block_idx + 1])
-            rows[sl, cols] += t.lift(units).reshape(n, -1).conj()
+    for c, (con, sl) in enumerate(zip(comp.problem.constraints, comp.slices)):
+        units = comp._matrix(c, np.eye(sl.stop - sl.start))
+        for term in con.terms:
+            i = index[term.block]
+            k = np.eye(comp.block_dims[i]) if term.op is None else np.asarray(term.op)
+            k = k.real if comp.dtype == np.float64 else k
+            traced = np.eye(len(k) // len(units[0]))
+            for r, unit in zip(range(sl.start, sl.stop), units):
+                lifted = term.coeff * k.conj().T @ np.kron(unit, traced) @ k
+                rows[r, offsets[i] : offsets[i + 1]] += lifted.ravel().conj()
     return rows
 
 

@@ -133,12 +133,6 @@ def _random_multiplier_coords(comp, rng):
 
 
 DATA = pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-def compiled(problem, rows):
-    """The compiled problem, on the row kernels when ``rows``, else on the term kernels."""
-    comp = _Compiled(problem)
-    if rows:
-        comp.build_rows()
-    return comp
 
 
 def block_vector(stacks, comp):
@@ -146,18 +140,25 @@ def block_vector(stacks, comp):
     return np.concatenate([x.ravel() for x in comp.unstacked(stacks)])
 
 
-class KernelMaps:
-    """A, A* and the Schur matrix against oracles; ``rows`` picks the kernels.
+def profiled_calls(fn) -> int:
+    """How many Python and C calls ``fn()`` makes, as ``sys.setprofile`` sees them."""
+    import sys
 
-    ``TestCompiled`` runs these on the term kernels, ``TestRowKernels`` on
-    the stored constraint rows ``solve`` uses.
-    """
+    calls = []
+    sys.setprofile(lambda frame, event, arg: calls.append(event) if event in ("call", "c_call") else None)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
 
-    rows = False
+
+class TestCompiled:
+    """A, A* and the Schur matrix against oracles built from the terms, and the compiled layout."""
 
     @DATA
     def test_apply_adjoint_duality(self, rng, real):
-        comp = compiled(random_structured_problem(rng, real=real), self.rows)
+        comp = _Compiled(random_structured_problem(rng, real=real))
         xs = [_random_psd(d, rng, real=real) for d in comp.block_dims]
         y = _random_multiplier_coords(comp, rng)
         lhs = np.vdot(y, comp.apply(comp.stacked(xs))).real
@@ -170,10 +171,7 @@ class KernelMaps:
         np.testing.assert_allclose(
             oracle @ np.concatenate([x.ravel() for x in xs]), comp.apply(comp.stacked(xs)), atol=1e-9
         )
-        ys = np.stack([y, _random_multiplier_coords(comp, rng)])
-        adjs = comp.adjoint(ys)  # a leading axis batches
-        for k in range(2):
-            np.testing.assert_allclose(block_vector([a[k] for a in adjs], comp), oracle.conj().T @ ys[k], atol=1e-12)
+        np.testing.assert_allclose(block_vector(comp.adjoint(y), comp), oracle.conj().T @ y, atol=1e-12)
         # a non-Hermitian argument (as W rd W - X is, to rounding) gives its Hermitian part's coordinates
         skew = comp.stacked([_random_matrix(d, rng, real) for d in comp.block_dims])
         herm = [(x + x.conj().swapaxes(-1, -2)) / 2 for x in skew]
@@ -189,7 +187,7 @@ class KernelMaps:
         marginal = prob.constraints[0]
         copy = Constraint("copy", marginal.terms, marginal.rhs + push * _random_hermitian(3, rng, real))
         prob = SdpProblem(prob.blocks, prob.objective, prob.constraints + (copy,))
-        comp = compiled(prob, self.rows)
+        comp = _Compiled(prob)
         oracle_rows = dense_rows(comp)
         sol, *_ = np.linalg.lstsq(oracle_rows, comp.b, rcond=None)
         oracle = np.linalg.norm(oracle_rows @ sol - comp.b)
@@ -205,7 +203,7 @@ class KernelMaps:
 
     @DATA
     def test_schur_matches_brute_force(self, rng, real):
-        comp = compiled(random_structured_problem(rng, real=real), self.rows)
+        comp = _Compiled(random_structured_problem(rng, real=real))
         scalings = [_random_psd(d, rng, real=real) for d in comp.block_dims]
         fast = comp.schur(comp.stacked(scalings))
         assert fast.dtype == np.float64
@@ -226,8 +224,6 @@ class KernelMaps:
         np.testing.assert_allclose(fast, slow, atol=1e-8)
         np.testing.assert_allclose(fast, fast.T, atol=1e-14 * np.abs(fast).max())
 
-
-class TestCompiled(KernelMaps):
     @pytest.mark.parametrize(
         "term, message",
         [
@@ -328,38 +324,51 @@ class TestCompiled(KernelMaps):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0
 
-class TestRowKernels(KernelMaps):
-    """``solve`` runs on stored constraint rows when they fit ``ROW_BUDGET``, else on the terms."""
+    def test_identity_rows_are_shared_and_members_pad(self):
+        from qcoinflip.penalty import PenaltyGame, alice_attack_sdp
 
-    rows = True
-
-    def test_rows_pad_members_that_meet_fewer_coordinates(self, rng):
-        # P meets the 3 x 3 marginal and the 2 x 2 sandwich (9 + 4 coordinates), Q the
-        # marginal and the norm (9 + 1); both are alone in their stacks, so nothing pads
-        comp = compiled(random_structured_problem(rng), True)
-        assert [rmat.shape for rmat, *_ in comp.rows] == [(1, 13, 6, 6), (1, 10, 3, 3)]
-        assert comp.row_count() == 13 * 36 + 10 * 9
-        # two blocks of one size, one meeting a 1-coordinate constraint, one a 4-coordinate one
+        # tau's three identity terms (the normalization's full trace and each sent register's
+        # tr_2) share the identity's rows, which head the stack; below them each rho_ba has
+        # its swap, and tau, with no other operator, pads those rows with zeros
+        problem = alice_attack_sdp(PenaltyGame(16))
+        comp = _Compiled(problem)
+        ((kmat, _, ident),) = comp.operators
+        assert (ident, kmat.shape, comp.widths) == (9, (5, 9, 9), [18])
+        rows = [(comp.block_names[t.block_idx], t.row) for _, terms in comp.constraints for t in terms]
+        assert [row for name, row in rows if name == "tau"] == [0, 0, 0]
+        assert [row for name, row in rows if name != "tau"] == [9] * 4
+        swap = problem.constraints[1].terms[0].op
+        for p, name in enumerate(comp.block_names):
+            np.testing.assert_array_equal(kmat[p], np.zeros((9, 9)) if name == "tau" else swap)
+        # two blocks of one size: a meets the identity alone, b two operators of two rows each
+        k1, k2 = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, 2.0])
         problem = SdpProblem(
             blocks=(("a", 2), ("b", 2)),
             objective={"a": np.eye(2), "b": np.eye(2)},
             constraints=(
-                Constraint("trace", (LinearTerm("a", kept=1),), np.array([[1.0]])),
-                Constraint("pin", (LinearTerm("b"),), np.eye(2) / 2),
+                Constraint("trace", (LinearTerm("a", kept=1), LinearTerm("b", 1.0, k1, 1)), np.array([[1.0]])),
+                Constraint("pin", (LinearTerm("b", 1.0, k2),), k2 @ k2 / 4),
             ),
         )
-        comp = compiled(problem, True)
-        ((rmat, _, index, _),) = comp.rows
-        assert rmat.shape == (2, 3, 2, 2) and comp.row_count() == 2 * 3 * 4
-        np.testing.assert_array_equal(index, [[0, 0, 0], [1, 2, 3]])
-        assert not rmat[0, 1:].any()  # a's padding
+        comp = _Compiled(problem)
+        ((kmat, _, ident),) = comp.operators
+        assert (ident, comp.widths) == (2, [6])
+        np.testing.assert_array_equal(kmat, [np.zeros((4, 2)), np.vstack([k1, k2])])
+        assert [t.row for _, terms in comp.constraints for t in terms] == [0, 2, 4]
         sol = solve(problem)
-        assert sol.status == "converged" and abs(sol.primal_value - 2.0) < 1e-7
+        assert sol.status == "converged" and abs(sol.primal_value - 1.0) < 1e-7
 
-    @pytest.mark.parametrize("which", ["structured-complex", "structured-real", "penalty-v16", "compact4-bob", "haar"])
-    def test_both_kernel_paths_solve_alike(self, rng, monkeypatch, which):
-        from qcoinflip import sdp
-        from qcoinflip.lowerbound import cheat_sdp
+    # the values the earlier row and term kernels converged to, which agreed to 1e-9
+    PINNED = {
+        "structured-complex": (3.7577274729, 3.7577275283),
+        "structured-real": (0.9781486812, 0.9781489315),
+        "penalty-v16": (0.5151237260, 0.5151238556),
+        "compact4-bob": (0.4999999570, 0.5000001061),
+        "haar": (0.9820379016, 0.9820379318),
+    }
+
+    @pytest.mark.parametrize("which", list(PINNED))
+    def test_solves_to_pinned_values(self, rng, which):
         from qcoinflip.penalty import PenaltyGame, alice_attack_sdp
         from qcoinflip.protocols import penalty_protocol_compact4
 
@@ -372,39 +381,66 @@ class TestRowKernels(KernelMaps):
             prob = cheat_sdp(haar_random_protocol(np.random.default_rng(2)), 0, 1)
         else:
             prob = cheat_sdp(penalty_protocol_compact4(), 1, 1)
-        built = []
-        real_build = _Compiled.build_rows
+        sol = solve(prob)
+        primal, dual = self.PINNED[which]
+        assert sol.status == "converged"
+        assert abs(sol.primal_value - primal) < 1e-7 and abs(sol.dual_value - dual) < 1e-7
 
-        def counting_build(self):
-            built.append(self.row_count())
-            real_build(self)
-
-        monkeypatch.setattr(_Compiled, "build_rows", counting_build)
-        on_rows = solve(prob)
-        assert built == [_Compiled(prob).row_count()]
-        monkeypatch.setattr(sdp, "ROW_BUDGET", built[0] - 1)
-        on_terms = solve(prob)
-        assert len(built) == 1  # over the budget: no rows, the term kernels
-        assert on_rows.status == on_terms.status == "converged"
-        assert abs(on_rows.iterations - on_terms.iterations) <= 1
-        assert abs(on_rows.primal_value - on_terms.primal_value) < 1e-7
-        assert abs(on_rows.dual_value - on_terms.dual_value) < 1e-7
-
-    def test_rows_are_built_by_solve_alone(self, monkeypatch):
-        from qcoinflip import sdp
-        from qcoinflip.lowerbound import cheat_sdp
+    def test_verify_dual_builds_no_table_of_the_solver(self, monkeypatch):
         from qcoinflip.penalty import PenaltyGame, alice_attack_sdp, dual_certificate
         from qcoinflip.protocols import penalty_protocol
 
-        monkeypatch.setattr(_Compiled, "build_rows", lambda self: pytest.fail("rows built outside solve"))
+        def fail(self):
+            pytest.fail("verify_dual built a table of A or of the Schur matrix")
+
+        monkeypatch.setattr(_Compiled, "pair_groups", property(fail))
+        monkeypatch.setattr(_Compiled, "coordinate_table", property(fail))
+        monkeypatch.setattr(_Compiled, "image_buffer", property(fail))
         game = PenaltyGame(16)
-        comp = _Compiled(alice_attack_sdp(game))
-        assert comp.rows is None and comp.schur_plan is None
         assert verify_dual(alice_attack_sdp(game), dual_certificate(game)).feasible
-        # the unsplit cheat SDP, which verify_dual checks every chain on, is far over the budget
+        # the unsplit cheat SDP, which verify_dual checks every chain on
         problem = cheat_sdp(penalty_protocol(16), 1, 1)
-        assert _Compiled(problem).row_count() > 30 * sdp.ROW_BUDGET
         assert not verify_dual(problem, {con.name: np.zeros_like(con.rhs) for con in problem.constraints}).feasible
+
+    def test_call_count_follows_stacks_and_shapes_not_terms(self):
+        from qcoinflip.protocols import penalty_protocol
+
+        # the split v25 cheat SDP with Alice honest, and the same blocks with one term each
+        problem = cheat_sdp(penalty_protocol(25), 0, 1)
+        split = restrict(problem, *sectors(problem))
+        first = {}
+        for con in split.constraints:
+            for term in con.terms:
+                first.setdefault(term.block, term)
+        assert len(first) == len(split.blocks)
+        single = SdpProblem(
+            split.blocks,
+            split.objective,
+            tuple(Constraint(name, (t,), np.zeros((t.kept, t.kept))) for name, t in first.items()),
+        )
+        assert sum(len(con.terms) for con in split.constraints) == 129 and len(single.constraints) == 66
+        counts = []
+        for prob in (split, single):
+            comp = _Compiled(prob)
+            x = comp.stacked([np.eye(d) for d in comp.block_dims])
+            y = np.ones(comp.m)
+            comp.apply(x), comp.schur(x)  # build the tables
+            counts.append([profiled_calls(lambda: comp.apply(x)), profiled_calls(lambda: comp.adjoint(y))])
+            counts[-1].append(profiled_calls(lambda: comp.schur(x)))
+        assert counts[0] == counts[1]
+
+    def test_large_unsplit_problem_stays_lean(self):
+        from conftest import alloc_peak_bytes
+        from qcoinflip.lowerbound import optimal_cheat
+
+        # complex, with nothing to split on: blocks of 64 and m = 513, whose dense constraint
+        # rows would take 210 MB
+        protocol = haar_random_protocol(np.random.default_rng(0), ((16,), (8,)), 4)
+        problem = cheat_sdp(protocol, 0, 1)
+        assert _Compiled(problem).m == 513
+        found = []
+        assert alloc_peak_bytes(lambda: found.append(optimal_cheat(protocol, 0, 1))) <= 24e6
+        assert verify_dual(problem, found[0].chain).feasible
 
 
 class TestSolve:
@@ -812,7 +848,7 @@ class TestCorrector:
         from qcoinflip import sdp
         from qcoinflip.sdp import _ct, _direction, _hermitian_part
 
-        comp = compiled(random_structured_problem(rng, real=real), True)
+        comp = _Compiled(random_structured_problem(rng, real=real))
         x = comp.stacked([_random_psd(d, rng, real=real) for d in comp.block_dims])
         s = comp.stacked([_random_psd(d, rng, real=real) for d in comp.block_dims])
         y = _random_multiplier_coords(comp, rng)
