@@ -153,12 +153,37 @@ def profiled_calls(fn) -> int:
     return len(calls)
 
 
-class TestCompiled:
-    """A, A* and the Schur matrix against oracles built from the terms, and the compiled layout."""
+def padded_problem(rng, real=False):
+    """Two blocks of one size in one stack, feasible by a planted point.
+
+    A meets the identity alone and B the identity and two operators, so the stacked K
+    pads A's rows with zeros below the shared identity rows.
+    """
+    a0, b0 = _random_psd(3, rng, real=real), _random_psd(3, rng, real=real)
+    k1, k2 = _random_matrix(3, rng, real), _random_matrix(3, rng, real)
+    return SdpProblem(
+        blocks=(("A", 3), ("B", 3)),
+        objective={"A": _random_hermitian(3, rng, real), "B": _random_hermitian(3, rng, real)},
+        constraints=(
+            Constraint("mix", (LinearTerm("A"), LinearTerm("B", 1.0, k1)), a0 + k1 @ b0 @ k1.conj().T),
+            Constraint(
+                "sandwich", (LinearTerm("B", 2.0, k2, 1),), np.array([[2.0 * np.trace(k2 @ b0 @ k2.conj().T).real]])
+            ),
+            Constraint(
+                "norm", (LinearTerm("A", kept=1), LinearTerm("B", kept=1)), np.array([[np.trace(a0 + b0).real]])
+            ),
+        ),
+    )
+
+
+class KernelMaps:
+    """A, A* and the Schur matrix against oracles built from the terms, on ``problem``'s layout."""
+
+    problem = staticmethod(random_structured_problem)
 
     @DATA
     def test_apply_adjoint_duality(self, rng, real):
-        comp = _Compiled(random_structured_problem(rng, real=real))
+        comp = _Compiled(self.problem(rng, real=real))
         xs = [_random_psd(d, rng, real=real) for d in comp.block_dims]
         y = _random_multiplier_coords(comp, rng)
         lhs = np.vdot(y, comp.apply(comp.stacked(xs))).real
@@ -183,9 +208,9 @@ class TestCompiled:
     def test_inconsistency_matches_least_squares(self, rng, real, push):
         # a copy of the marginal constraint makes A rank-deficient; moving the
         # copy's right-hand side pushes b out of A's range
-        prob = random_structured_problem(rng, real=real)
+        prob = self.problem(rng, real=real)
         marginal = prob.constraints[0]
-        copy = Constraint("copy", marginal.terms, marginal.rhs + push * _random_hermitian(3, rng, real))
+        copy = Constraint("copy", marginal.terms, marginal.rhs + push * _random_hermitian(len(marginal.rhs), rng, real))
         prob = SdpProblem(prob.blocks, prob.objective, prob.constraints + (copy,))
         comp = _Compiled(prob)
         oracle_rows = dense_rows(comp)
@@ -203,7 +228,7 @@ class TestCompiled:
 
     @DATA
     def test_schur_matches_brute_force(self, rng, real):
-        comp = _Compiled(random_structured_problem(rng, real=real))
+        comp = _Compiled(self.problem(rng, real=real))
         scalings = [_random_psd(d, rng, real=real) for d in comp.block_dims]
         fast = comp.schur(comp.stacked(scalings))
         assert fast.dtype == np.float64
@@ -223,6 +248,22 @@ class TestCompiled:
                 )
         np.testing.assert_allclose(fast, slow, atol=1e-8)
         np.testing.assert_allclose(fast, fast.T, atol=1e-14 * np.abs(fast).max())
+
+
+class TestRowKernels(KernelMaps):
+    """The same maps where a stack's members meet different operators, so rows of K pad."""
+
+    problem = staticmethod(padded_problem)
+
+    def test_problem_pads_one_member(self, rng):
+        comp = _Compiled(padded_problem(rng))
+        ((kmat, _, ident),) = comp.operators
+        assert ident == 3 and kmat.shape == (2, 6, 3)
+        np.testing.assert_array_equal(kmat[comp.slots[comp.block_names.index("A")][1]], 0)
+
+
+class TestCompiled(KernelMaps):
+    """The compiled layout, and the maps of ``KernelMaps`` on ``random_structured_problem``."""
 
     @pytest.mark.parametrize(
         "term, message",
