@@ -26,6 +26,8 @@ K^dag per stack of equal-size blocks and one gather, A*(y) one bincount and
 K^dag D K per stack, and the Schur matrix, as SDPA and SDPT3 assemble it from
 structured constraint data, K W K^dag per stack and one batched Gram matrix
 per pair of constraint sizes: calls follow stacks and shapes, not terms.
+``verify_dual`` runs none of these maps: it sums each block's slack from the
+terms, c K^dag (Z (x) 1) K with Z (x) 1 applied in its Kronecker form.
 
 Every constraint has real coordinates, as SDPT3 gives a Hermitian value
 (``_coordinate_map``).  When every objective, term operator and right-hand
@@ -350,9 +352,9 @@ def _term_layout(dk: int, dt: int, real: bool):
     """Where a term (kept dimension dk, traced dt) meets its constraint's coordinates in its
     K's diagonal block of the image (``_Compiled``): per float with a coordinate (not a diagonal
     Im) and traced index a, row i dt + a and column j dt + a of its entry (i, j), its part (1:
-    Im), the entry i dk + j, the coordinate, and the weight 1 / wt at ``idx``, sign / wt at
-    ``idxt``: the float's share of the coordinate in the Hermitian part and the coordinate's
-    share of the float in its matrix, so one table serves A and A*.  Real: each entry once."""
+    Im), the coordinate, and the weight 1 / wt at ``idx``, sign / wt at ``idxt``: the float's
+    share of the coordinate in the Hermitian part and the coordinate's share of the float in its
+    matrix, so one table serves A and A*.  Real: each entry once."""
     per = 1 if real else 2
     idx, idxt, wt, sign = _coordinate_map(dk, real)
     coord, weight = np.zeros(per * dk * dk, dtype=np.intp), np.zeros(per * dk * dk)
@@ -362,7 +364,7 @@ def _term_layout(dk: int, dt: int, real: bool):
     entry, part = np.divmod(flt, per)
     i, j = np.divmod(entry, dk)
     a = np.arange(dt)
-    traced = [np.repeat(v, dt) for v in (part, entry, coord[flt], weight[flt])]
+    traced = [np.repeat(v, dt) for v in (part, coord[flt], weight[flt])]
     return _read_only((i[:, None] * dt + a).ravel(), (j[:, None] * dt + a).ravel(), *traced)
 
 
@@ -394,14 +396,16 @@ class _CompiledTerm(NamedTuple):
     dk: int  # kept dimension
     dt: int  # traced dimension
     row: int  # the first row of its K in its block's image
+    op: np.ndarray | None  # K, of the problem's dtype; None for the identity
 
 
 class _Compiled:
-    """A problem as ``solve`` and ``verify_dual`` read it.  Per block, the terms' distinct
-    operators are stacked into one tall K, under the identity's rows when a block of its stack
-    has an identity term (I X I = X costs no product); terms with one operator share its rows.
-    A stack of equal-size blocks holds them as one (n, R, d) array, zero rows padding members
-    with fewer.  A term's value is a partial trace of a diagonal block of the image K X K^dag."""
+    """A problem as ``solve`` reads it; ``verify_dual`` reads only its validated terms, objectives
+    and right-hand sides.  Per block, the terms' distinct operators are stacked into one tall K,
+    under the identity's rows when a block of its stack has an identity term (I X I = X costs no
+    product); terms with one operator share its rows.  A stack of equal-size blocks holds them
+    as one (n, R, d) array, zero rows padding members with fewer.  A term's value is a partial
+    trace of a diagonal block of the image K X K^dag."""
 
     def __init__(self, problem: SdpProblem):
         self.problem = problem
@@ -475,7 +479,7 @@ class _Compiled:
                 below = operators[bidx]
                 top = idents[self.slots[bidx][0]] + sum(len(k) for _, k in below.values())
                 row = 0 if kmat is None else below.setdefault(kmat.tobytes(), (top, kmat))[0]
-                terms.append(_CompiledTerm(bidx, float(term.coeff), dk, dt, row))
+                terms.append(_CompiledTerm(bidx, float(term.coeff), dk, dt, row, kmat))
             if abs(rhs - rhs.conj().T).max() > 1e-10:
                 raise ValueError(f"constraint {con.name!r}: right-hand side is not Hermitian")
             cmap = _coordinate_map(dk_con, real)
@@ -565,36 +569,27 @@ class _Compiled:
             out.append(outer)
         return out
 
-    def _term_table(self, entries: bool) -> tuple:
+    @functools.cached_property
+    def coordinate_table(self) -> tuple:
         """Per term and float of its diagonal block with a coordinate (``_term_layout``): the float
-        of the images, the coordinate, the weight; or per entry: it, Z's entry, the coefficient."""
-        per = 1 if entries else self.dtype.itemsize // 8
-        starts = np.cumsum([0] + [d * d for d in self.con_dims]) if entries else [sl.start for sl in self.slices]
+        of the images, the coordinate, the weight.  A(X)_s sums its images' floats, A*(y) puts
+        weight * y_s there."""
+        per = self.dtype.itemsize // 8
         groups = {}
-        for f, (_, terms) in enumerate(self.constraints):
+        for (_, terms), sl in zip(self.constraints, self.slices):
             for t in terms:
                 k, p = self.slots[t.block_idx]
                 width = self.widths[k]
-                place = (self.starts[k] + (p * width + t.row) * width + t.row, width, starts[f], t.coeff)
+                place = (self.starts[k] + (p * width + t.row) * width + t.row, width, sl.start, t.coeff)
                 groups.setdefault((t.dk, t.dt), []).append(place)
         table = [[np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]]
         for (dk, dt), places in groups.items():
             corner, width, start, coeff = (np.array(v)[:, None] for v in zip(*places))
-            rows, cols, part, entry, coord, weight = _term_layout(dk, dt, per == 1)
+            rows, cols, part, coord, weight = _term_layout(dk, dt, per == 1)
             table[0].append((per * (corner + width * rows + cols) + part).ravel())
-            table[1].append((start + (entry if entries else coord)).ravel())
-            table[2].append((coeff * (np.ones_like(weight) if entries else weight)).ravel())
+            table[1].append((start + coord).ravel())
+            table[2].append((coeff * weight).ravel())
         return tuple(np.concatenate(col) for col in table)
-
-    @functools.cached_property
-    def coordinate_table(self) -> tuple:
-        """(float, coordinate, weight): A(X)_s sums its images' floats, A*(y) puts weight * y_s there."""
-        return self._term_table(entries=False)
-
-    @functools.cached_property
-    def entry_table(self) -> tuple:
-        """(entry, entry of Z, coefficient): ``lift`` puts coefficient * Z's entry there."""
-        return self._term_table(entries=True)
 
     @functools.cached_property
     def pair_groups(self) -> list:
@@ -656,32 +651,12 @@ class _Compiled:
         floats = np.bincount(dst, weight * y.take(coord), minlength=self.image_size * (self.dtype.itemsize // 8))
         return self._outer(floats.view(self.dtype))
 
-    def lift(self, mats) -> list:
-        """A*(Z) as block stacks, for one matrix Z_c per constraint (any dtype; complex with no
-        imaginary part is read as the real matrix it is)."""
-        dst, src, coeff = self.entry_table
-        z = np.concatenate([np.ravel(z) for z in mats] + [np.zeros(0)])
-        vals = coeff * (z if np.any(z.imag) else z.real).take(src)
-        if np.iscomplexobj(vals):  # a complex image's floats: each entry's Re and Im side by side
-            dst = (2 * dst[:, None] + np.arange(2)).ravel()
-        images = np.bincount(dst, vals.view(np.float64), minlength=self.image_size * (vals.itemsize // 8))
-        return self._outer(images.view(vals.dtype))
-
     def multipliers_from_y(self, y: np.ndarray) -> dict:
         out = {}
         for c, ((name, _), sl) in enumerate(zip(self.constraints, self.slices)):
             z = self._matrix(c, y[sl])
             out[name] = float(z[0, 0].real) if z.shape == (1, 1) else z
         return out
-
-    def multiplier_matrices(self, multipliers: dict) -> list:
-        """One matrix per constraint, as given (never cast to the problem's dtype)."""
-        mats = []
-        for (name, _), d in zip(self.constraints, self.con_dims):
-            if name not in multipliers:
-                raise KeyError(f"certificate is missing a multiplier for constraint {name!r}")
-            mats.append(np.asarray(multipliers[name]).reshape(d, d))
-        return mats
 
     # -- Schur complement ---------------------------------------------------
 
@@ -1023,14 +998,36 @@ def solve(problem: SdpProblem, tol: float = GAP_TOL, max_iter: int = MAX_ITER) -
 def verify_dual(problem: SdpProblem, multipliers: dict, tol: float = CERT_TOL) -> DualReport:
     """Check a dual feasible point: A*(y) - C >= 0 blockwise.
 
-    ``multipliers`` holds one Hermitian matrix or scalar per constraint name.
+    ``multipliers`` holds one Hermitian matrix or scalar per constraint name,
+    read as given (a complex one with no imaginary part as the real matrix it
+    is); one that is not finite or not of its constraint's size is refused.
     Reports the minimum eigenvalue per block and the bound b.y, which
-    upper-bounds every feasible primal value by weak duality.  The check lifts the
-    multipliers (``_Compiled.lift``) and builds no table of ``solve``'s maps.
+    upper-bounds every feasible primal value by weak duality.  The slack is
+    summed term by term from the problem's operators, c K^dag (Z (x) 1) K with
+    Z (x) 1 applied in its Kronecker form, then one ``eigvalsh`` per stack:
+    the check reads the compile's validated terms, no table or map of ``solve``.
     """
     comp = _Compiled(problem)
-    mults = comp.multiplier_matrices(multipliers)
-    lams = [np.linalg.eigvalsh(_hermitian_part(a - c))[:, 0] for a, c in zip(comp.lift(mults), comp.objective)]
+    mults = []
+    for (name, _), d in zip(comp.constraints, comp.con_dims):
+        if name not in multipliers:
+            raise KeyError(f"certificate is missing a multiplier for constraint {name!r}")
+        z = np.asarray(multipliers[name])
+        if z.size != d * d:
+            raise ValueError(f"constraint {name!r}: a multiplier of shape {z.shape} is not {d} x {d}")
+        if not np.isfinite(z).all():
+            raise ValueError(f"constraint {name!r}: the multiplier is not finite")
+        mults.append((z if np.any(z.imag) else z.real).reshape(d, d))
+    dual = [np.zeros(c.shape, np.result_type(comp.dtype, *mults)) for c in comp.objective]  # A*(y), stacked
+    for z, (_, terms) in zip(mults, comp.constraints):
+        for t in terms:
+            k, p = comp.slots[t.block_idx]
+            cz = t.coeff * z
+            if t.op is None:  # Z (x) 1 by one broadcast
+                dual[k][p] += (cz[:, None, :, None] * np.eye(t.dt)[:, None]).reshape(dual[k].shape[1:])
+            else:  # (Z (x) 1) K is Z times K read as dk x (dt d)
+                dual[k][p] += _ct(t.op) @ (cz @ t.op.reshape(t.dk, -1)).reshape(t.op.shape)
+    lams = [np.linalg.eigvalsh(_hermitian_part(a - c))[:, 0] for a, c in zip(dual, comp.objective)]
     lambda_min = {name: float(lams[k][p]) for name, (k, p) in zip(comp.block_names, comp.slots)}
     feasible = not any(lam < -tol for lam in lambda_min.values())
     bound = sum(float(np.vdot(r, z).real) for r, z in zip(comp.rhs, mults))

@@ -655,6 +655,23 @@ class TestDualChains:
                 dual_bound_sequence(p, [broken if i == party else c for i, c in enumerate(chains)], target=1)
             assert f"party-{party}-honest chain infeasible: rounds [0]" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (lambda z: np.where(np.eye(2, dtype=bool), np.nan, z), "the multiplier is not finite"),
+            (lambda z: np.eye(3), r"a multiplier of shape \(3, 3\) is not 2 x 2"),
+        ],
+        ids=["nan", "3x3-for-2x2"],
+    )
+    def test_bad_multiplier_rejected_naming_its_round(self, bad, message):
+        # a caller-supplied chain reaches verify_dual as given; a bad multiplier is refused
+        # by name, not by a LAPACK or reshape error
+        p = alice_announces()
+        chains = [optimal_cheat(p, i, 1).chain for i in range(p.k)]
+        broken = {**chains[1], "round_1": bad(chains[1]["round_1"])}
+        with pytest.raises(ValueError, match=f"constraint 'round_1': {message}"):
+            dual_bound_sequence(p, [chains[0], broken], target=1)
+
     @pytest.mark.parametrize("count", [1, 3])
     def test_one_chain_per_party_required(self, count):
         p = alice_announces()

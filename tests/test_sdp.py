@@ -119,7 +119,7 @@ def y_from_multipliers(comp, multipliers: dict) -> np.ndarray:
     orthonormal basis.  On real data a complex multiplier has no coordinates
     and is refused.
     """
-    mats = comp.multiplier_matrices(multipliers)
+    mats = [np.asarray(multipliers[name]).reshape(d, d) for (name, _), d in zip(comp.constraints, comp.con_dims)]
     if comp.dtype.kind == "f" and any(np.any(np.imag(z)) for z in mats):
         raise ValueError("complex multipliers have no coordinates on real data")
     units = [comp._matrix(c, np.eye(sl.stop - sl.start)) for c, sl in enumerate(comp.slices)]
@@ -428,20 +428,27 @@ class TestCompiled(KernelMaps):
         assert abs(sol.primal_value - primal) < 1e-7 and abs(sol.dual_value - dual) < 1e-7
 
     def test_verify_dual_builds_no_table_of_the_solver(self, monkeypatch):
+        from qcoinflip.lowerbound import _one_block, optimal_cheat
         from qcoinflip.penalty import PenaltyGame, alice_attack_sdp, dual_certificate
         from qcoinflip.protocols import penalty_protocol
 
-        def fail(self):
-            pytest.fail("verify_dual built a table of A or of the Schur matrix")
+        protocol = penalty_protocol(16)
+        chain = optimal_cheat(protocol, 1, 1).chain  # solved before the solver's maps fail
 
-        monkeypatch.setattr(_Compiled, "pair_groups", property(fail))
-        monkeypatch.setattr(_Compiled, "coordinate_table", property(fail))
-        monkeypatch.setattr(_Compiled, "image_buffer", property(fail))
+        def fail(self, *args, **kwargs):
+            pytest.fail("verify_dual used a table or a map of the solver")
+
+        for name in ("pair_groups", "coordinate_table", "image_buffer"):
+            monkeypatch.setattr(_Compiled, name, property(fail))
+        for name in ("apply", "adjoint", "schur", "_images", "_outer"):
+            monkeypatch.setattr(_Compiled, name, fail)
         game = PenaltyGame(16)
         assert verify_dual(alice_attack_sdp(game), dual_certificate(game)).feasible
         # the unsplit cheat SDP, which verify_dual checks every chain on
-        problem = cheat_sdp(penalty_protocol(16), 1, 1)
+        problem = cheat_sdp(protocol, 1, 1)
         assert not verify_dual(problem, {con.name: np.zeros_like(con.rhs) for con in problem.constraints}).feasible
+        # and the cut to one block that the repair of optimal_cheat checks
+        assert verify_dual(_one_block(problem, "rho_1"), chain).feasible
 
     def test_call_count_follows_stacks_and_shapes_not_terms(self):
         from qcoinflip.protocols import penalty_protocol
@@ -1065,6 +1072,55 @@ class TestCertificates:
         prob = trivial_problem(0.5)
         with pytest.raises(KeyError):
             verify_dual(prob, {})
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (lambda z: np.where(np.eye(3, dtype=bool), np.nan, z), "the multiplier is not finite"),
+            (lambda z: np.eye(2), r"a multiplier of shape \(2, 2\) is not 3 x 3"),
+        ],
+        ids=["nan", "2x2-for-3x3"],
+    )
+    def test_bad_multiplier_names_its_constraint(self, bad, message):
+        from qcoinflip.penalty import PenaltyGame, alice_attack_sdp, dual_certificate
+
+        game = PenaltyGame(16)
+        cert = dual_certificate(game)
+        cert["sent_register_0"] = bad(cert["sent_register_0"])
+        with pytest.raises(ValueError, match=f"constraint 'sent_register_0': {message}"):
+            verify_dual(alice_attack_sdp(game), cert)
+
+    @pytest.mark.parametrize("problem", [random_structured_problem, padded_problem], ids=["structured", "padded"])
+    @pytest.mark.parametrize("data", ["complex", "real", "real-complex-multipliers"])
+    def test_slack_matches_dense_rows(self, rng, problem, data):
+        # the slack A*(y) - C against A* built from the terms one coordinate at a time; a
+        # Hermitian multiplier with an imaginary part on real data is read off the same
+        # problem with every operator times i, whose data are complex and whose maps
+        # K^dag (Z (x) 1) K are the same
+        prob = problem(rng, real=data != "complex")
+        oracle_prob = prob
+        if data == "real-complex-multipliers":
+            dims = dict(prob.blocks)
+
+            def turned(t):
+                return LinearTerm(t.block, t.coeff, 1j * (np.eye(dims[t.block]) if t.op is None else t.op), t.kept)
+
+            cons = tuple(Constraint(c.name, tuple(map(turned, c.terms)), c.rhs) for c in prob.constraints)
+            oracle_prob = SdpProblem(prob.blocks, prob.objective, cons)
+        comp = _Compiled(oracle_prob)
+        mults = {name: _random_hermitian(d, rng, data == "real") for (name, _), d in zip(comp.constraints, comp.con_dims)}
+        mults["norm"] = float(rng.normal())  # a scalar for the 1 x 1 constraint
+        if data == "real-complex-multipliers":
+            assert _Compiled(prob).dtype == np.float64 and comp.dtype == np.complex128
+            assert all(np.any(np.imag(z)) for z in mults.values() if np.size(z) > 1)
+        y = y_from_multipliers(comp, mults)
+        dual = dense_rows(comp).conj().T @ y
+        offsets = np.cumsum([0] + [d * d for d in comp.block_dims])
+        report = verify_dual(prob, mults)
+        for i, (name, d) in enumerate(prob.blocks):
+            slack = dual[offsets[i] : offsets[i + 1]].reshape(d, d) - prob.objective[name]
+            assert abs(report.lambda_min[name] - np.linalg.eigvalsh(slack)[0]) <= 1e-10, name
+        assert abs(report.bound - comp.b @ y) <= 1e-10
 
 
 
